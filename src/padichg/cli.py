@@ -15,9 +15,12 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from .finitefield import MAX_Q, is_prime
-from .suites import DEFAULT_BATTERY, SUITE_NAMES, JobSpec, Report, run_job
+from .pgamma import InfeasibleError
+from .suites import DEFAULT_BATTERY, SUITE_NAMES, JobSpec, Report, check_admissible, run_job
 
 FORMATS = ("text", "json", "csv")
+SETTING_KEYS = ("format", "out", "jobs", "fail-fast", "verbose")
+JOB_KEYS = ("suite", "p", "r", "precision")
 
 
 class UsageError(Exception):
@@ -40,14 +43,20 @@ def _expand_group(suite: str, p, r, precision, verbose: bool) -> list[JobSpec]:
         raise UsageError(f"unknown suite {suite!r}; choose from {', '.join(SUITE_NAMES)} or all")
     suites = SUITE_NAMES if suite == "all" else (suite,)
     if p is not None:
+        # bound p and r before the primality scan and the power, so huge
+        # values are refused at once
+        if p > MAX_Q:
+            raise UsageError(f"p = {p} exceeds the supported bound {MAX_Q}")
         if not is_prime(p) or p == 2:
             raise UsageError("p must be an odd prime")
         r = r if r is not None else 1
         if r < 1:
             raise UsageError("r must be >= 1")
-        if p**r > MAX_Q:
+        if r >= MAX_Q.bit_length() or p**r > MAX_Q:
             raise UsageError(f"q = {p}^{r} exceeds the supported bound {MAX_Q}")
         fields = [(p, r)]
+    elif r is not None:
+        raise UsageError("r needs p: without p the default battery is swept")
     else:
         fields = list(DEFAULT_BATTERY)
     if precision is not None and precision < 1:
@@ -59,8 +68,19 @@ def _expand_group(suite: str, p, r, precision, verbose: bool) -> list[JobSpec]:
     ]
 
 
+def _int_value(where: str, key: str, value: str) -> int:
+    try:
+        return int(value)
+    except ValueError:
+        raise UsageError(f"{where}: {key} must be an integer, got {value!r}") from None
+
+
 def _parse_config_file(path: str) -> tuple[dict, list[dict]]:
-    """Flat key=value lines plus repeated 'job =' lines (see README schema)."""
+    """Flat key=value lines plus repeated 'job =' lines (see README schema).
+
+    Job values p, r and precision are converted to int here, so an error can
+    name its line.
+    """
     settings: dict = {}
     groups: list[dict] = []
     try:
@@ -76,18 +96,27 @@ def _parse_config_file(path: str) -> tuple[dict, list[dict]]:
             raise UsageError(f"{path}:{lineno}: expected key = value")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
+        where = f"{path}:{lineno}"
         if key == "job":
             entry: dict = {}
             for token in value.split():
                 if "=" not in token:
-                    raise UsageError(f"{path}:{lineno}: job tokens must be key=value")
+                    raise UsageError(f"{where}: job tokens must be key=value")
                 k, _, v = token.partition("=")
-                entry[k] = v
+                if k not in JOB_KEYS:
+                    raise UsageError(
+                        f"{where}: unknown job key {k!r}; expected {', '.join(JOB_KEYS)}"
+                    )
+                entry[k] = v if k == "suite" else _int_value(where, k, v)
             if "suite" not in entry:
-                raise UsageError(f"{path}:{lineno}: job line needs suite=...")
+                raise UsageError(f"{where}: job line needs suite=...")
             groups.append(entry)
+        elif key in SETTING_KEYS:
+            settings[key] = _int_value(where, key, value) if key == "jobs" else value
         else:
-            settings[key] = value
+            raise UsageError(
+                f"{where}: unknown setting {key!r}; expected {', '.join(SETTING_KEYS)} or job"
+            )
     return settings, groups
 
 
@@ -127,7 +156,9 @@ def parse_args(argv) -> Config:
         if "out" in settings:
             config.out = settings["out"]
         if "jobs" in settings:
-            config.parallel = int(settings["jobs"])
+            if settings["jobs"] < 1:
+                raise UsageError("config jobs must be >= 1")
+            config.parallel = settings["jobs"]
         if "fail-fast" in settings:
             config.fail_fast = settings["fail-fast"].lower() in ("1", "true", "yes")
         if "verbose" in settings:
@@ -155,17 +186,18 @@ def parse_args(argv) -> Config:
         for g in groups:
             config.jobs.extend(
                 _expand_group(
-                    g["suite"],
-                    int(g["p"]) if "p" in g else None,
-                    int(g["r"]) if "r" in g else None,
-                    int(g["precision"]) if "precision" in g else None,
-                    config.verbose,
+                    g["suite"], g.get("p"), g.get("r"), g.get("precision"), config.verbose
                 )
             )
     elif args.config:
         raise UsageError("config file defines no jobs")
     else:
         config.jobs = _expand_group("all", None, None, None, config.verbose)
+    for job in config.jobs:
+        try:
+            check_admissible(job)
+        except InfeasibleError as exc:
+            raise UsageError(f"job {job.suite} p={job.p} r={job.r} refused: {exc}") from None
     return config
 
 

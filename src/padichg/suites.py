@@ -26,7 +26,7 @@ from .finitefield import (
 )
 from .gfunction import GParams, evaluate_g, evaluate_g_inverted
 from .padic import UnramifiedContext, ZqElement, balanced_lift, recover_bounded_integer
-from .pgamma import gamma_cache
+from .pgamma import check_feasible, gamma_cache
 from .rational import check_floor_identity_A, check_floor_identity_B, frac
 
 DEFAULT_BATTERY = ((3, 1), (5, 1), (7, 1), (11, 1), (13, 1), (3, 2), (5, 2), (7, 2))
@@ -544,6 +544,20 @@ SUITES = {
     "gamma": verify_gamma_identities,
     "floors": verify_floor_lemmas,
 }
+
+
+def check_admissible(job: JobSpec) -> None:
+    """Refuse a job whose Gamma_p values would need an infeasible prefix pass.
+
+    Raises pgamma.InfeasibleError before any context is built.  Skipped jobs
+    and the floors suite (pure integer identities) evaluate no Gamma_p.
+    """
+    if job.suite == "floors" or job.p < SUITE_MIN_P[job.suite]:
+        return
+    precision = job.precision
+    if precision is None:
+        precision = default_precision(job.suite, job.p, job.r)
+    check_feasible(job.p, precision)
 
 
 def run_job(job: JobSpec) -> Report:

@@ -168,3 +168,66 @@ def test_parallel_jobs_match_sequential():
         for rec in json.loads(s.getvalue())
     ]
     assert strip(buf_seq) == strip(buf_par)
+
+
+def _usage_exit(capsys, argv) -> str:
+    """Run main(argv); assert a usage error (exit 2, no traceback); return stderr."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    return err
+
+
+def _config(tmp_path, text):
+    path = tmp_path / "jobs.cfg"
+    path.write_text(text)
+    return ["--config", str(path)]
+
+
+def test_config_non_integer_jobs_is_usage_error(tmp_path, capsys):
+    err = _usage_exit(capsys, _config(tmp_path, "jobs = two\njob = suite=floors p=7\n"))
+    assert "jobs must be an integer" in err
+
+
+@pytest.mark.parametrize("tokens", ["p=five", "p=5 r=1.0", "p=5 precision=4x"])
+def test_config_non_integer_job_value_is_usage_error(tmp_path, capsys, tokens):
+    argv = _config(tmp_path, f"job = suite=euler {tokens}\n")
+    assert "must be an integer" in _usage_exit(capsys, argv)
+
+
+def test_config_zero_jobs_is_usage_error(tmp_path, capsys):
+    err = _usage_exit(capsys, _config(tmp_path, "jobs = 0\njob = suite=floors p=7\n"))
+    assert "jobs must be >= 1" in err
+
+
+def test_config_unknown_keys_are_usage_errors(tmp_path, capsys):
+    argv = _config(tmp_path, "job = suite=euler p=5 prec=9\n")
+    assert "unknown job key 'prec'" in _usage_exit(capsys, argv)
+    argv = _config(tmp_path, "formt = json\njob = suite=euler p=5\n")
+    assert "unknown setting 'formt'" in _usage_exit(capsys, argv)
+
+
+def test_r_without_p_is_usage_error(tmp_path, capsys):
+    assert "r needs p" in _usage_exit(capsys, ["--r", "3"])
+    assert "r needs p" in _usage_exit(capsys, _config(tmp_path, "job = suite=euler r=2\n"))
+
+
+def test_huge_field_parameters_are_refused_at_once(capsys):
+    assert "exceeds the supported bound" in _usage_exit(capsys, ["--p", str(10**18 + 3)])
+    assert "exceeds the supported bound" in _usage_exit(capsys, ["--p", "3", "--r", str(10**9)])
+
+
+def test_infeasible_gamma_job_is_refused_before_running(capsys):
+    from padichg import pgamma, suites
+
+    caches_before = (len(pgamma._caches), len(suites._zq_cache))
+    err = _usage_exit(capsys, ["--p", "3", "--suite", "gamma", "--precision", "30"])
+    assert "refused" in err and "3^30" in err
+    assert (len(pgamma._caches), len(suites._zq_cache)) == caches_before
+    # one refused job refuses the whole run, before any job starts
+    err = _usage_exit(capsys, ["--p", "3", "--suite", "all", "--precision", "30"])
+    assert "refused" in err
+    # the floors suite evaluates no Gamma_p, so any precision is admitted
+    assert parse_args(["--p", "5", "--suite", "floors", "--precision", "30"]).jobs

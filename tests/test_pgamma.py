@@ -1,10 +1,22 @@
 import random
 from fractions import Fraction as F
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padichg.padic import PadicContext
-from padichg.pgamma import GammaCache, gamma_cache, gamma_p, gamma_p_nat
+from padichg.pgamma import (
+    MAX_PREFIX_MODULUS,
+    GammaCache,
+    InfeasibleError,
+    check_feasible,
+    gamma_cache,
+    gamma_p,
+    gamma_p_nat,
+    uses_prefix,
+)
 
 
 def brute_gamma_nat(n, p, modulus):
@@ -114,3 +126,110 @@ def test_module_level_helpers_share_cache():
     assert gamma_p_nat(10, ctx) == gamma_cache(ctx).gamma_nat(10)
     assert gamma_p(F(1, 2), ctx).residue == 68
     assert gamma_cache(ctx) is gamma_cache(ctx)
+
+
+def prefix_gamma_nat(cache, t):
+    """The checkpointed prefix path, whatever path the cache itself would take."""
+    t %= cache.modulus
+    acc = cache._prefix_product(t)
+    return -acc % cache.modulus if t % 2 else acc
+
+
+def _edge_and_random_args(p, n, count, seed):
+    m = p**n
+    rng = random.Random(seed)
+    edges = {0, 1, 2, p - 1, p, p + 1, 2 * p, 3 * p - 1, (p - 1) * p, m - p, m - 1}
+    return sorted(edges | {rng.randrange(m) for _ in range(count)})
+
+
+# block-log path throughout; the boundary N = p-2 at (3, 1), (5, 3) and (7, 5)
+@pytest.mark.parametrize("p,n", [(3, 1), (5, 1), (5, 3), (7, 2), (7, 5), (11, 4), (13, 4), (29, 3)])
+def test_block_log_matches_brute_force_and_prefix(p, n):
+    assert not uses_prefix(p, n)
+    m = p**n
+    cache = GammaCache(PadicContext(p, n))
+    for t in _edge_and_random_args(p, n, 25, seed=p * 100 + n):
+        value = cache.gamma_nat(t).residue
+        assert value == brute_gamma_nat(t, p, m), t
+        assert value == prefix_gamma_nat(cache, t), t
+
+
+@pytest.mark.parametrize("p,n", [(31, 4), (211, 3), (17, 15)])
+def test_block_log_matches_prefix_large_modulus(p, n):
+    # p^N up to 2.9e18 at (17, 15): the prefix oracle is only usable where
+    # p^N is small, so compare against brute force on a bounded range there
+    cache = GammaCache(PadicContext(p, n))
+    m = p**n
+    limit = min(m, 3 * p * p)
+    rng = random.Random(p + n)
+    for t in sorted({0, 1, p - 1, p, p * p, limit - 1} | {rng.randrange(limit) for _ in range(20)}):
+        assert cache.gamma_nat(t).residue == brute_gamma_nat(t, p, m), t
+    if m <= 10**7:
+        for t in _edge_and_random_args(p, n, 200, seed=7):
+            assert cache.gamma_nat(t).residue == prefix_gamma_nat(cache, t), t
+
+
+def test_prefix_table_only_built_beyond_block_range():
+    for p, n in ((5, 3), (7, 5), (13, 4), (101, 5)):
+        cache = GammaCache(PadicContext(p, n))
+        for t in range(0, 3 * p * p, 7):
+            cache.gamma_nat(t)
+        for x in (F(1, 2), F(1, 3), F(5, 6), F(-7, 4)):
+            cache.gamma(x)
+        assert cache._prefix is None, (p, n)
+    for p, n in ((3, 2), (5, 4), (7, 6)):
+        cache = GammaCache(PadicContext(p, n))
+        cache.gamma(F(1, 2))
+        assert cache._prefix is not None and cache._block is None, (p, n)
+
+
+def test_admission_refuses_long_prefix_pass():
+    check_feasible(3, 14)  # 3^14 = 4.8e6, prefix path
+    check_feasible(5, 10)  # 5^10 = 9.8e6, prefix path
+    check_feasible(257, 255)  # N = p-2: block-log path, no prefix at all
+    assert 5**10 <= MAX_PREFIX_MODULUS < 3**15
+    for p, n in ((3, 15), (5, 11), (3, 30), (7, 10**9), (257, 256)):
+        with pytest.raises(InfeasibleError):
+            check_feasible(p, n)
+    with pytest.raises(InfeasibleError):
+        GammaCache(PadicContext(3, 30))
+
+
+# prefix path at (3, 4), (5, 5), (7, 6); block-log path elsewhere, with the
+# boundary N = p-2 at (5, 3) and (7, 5)
+_FIELDS = [(3, 4), (5, 3), (5, 5), (7, 5), (7, 6), (11, 4), (13, 3), (101, 5), (211, 3)]
+
+
+@lru_cache(maxsize=None)
+def _shared_cache(p, n):
+    return GammaCache(PadicContext(p, n))
+
+
+def _p_adic_rationals():
+    return st.tuples(
+        st.sampled_from(_FIELDS),
+        st.integers(min_value=-10**6, max_value=10**6),
+        st.integers(min_value=1, max_value=10**4),
+    ).filter(lambda f: f[2] % f[0][0] != 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_p_adic_rationals())
+def test_functional_equation_property(case):
+    (p, n), num, den = case
+    cache, m = _shared_cache(p, n), p**n
+    x = F(num, den)
+    residue = num * pow(den, -1, m) % m
+    factor = -residue if residue % p else -1
+    assert cache.gamma(x + 1).residue == factor * cache.gamma(x).residue % m
+
+
+@settings(max_examples=300, deadline=None)
+@given(_p_adic_rationals())
+def test_reflection_property(case):
+    (p, n), num, den = case
+    cache, m = _shared_cache(p, n), p**n
+    x = F(num, den)
+    r_x = num * pow(den, -1, p) % p or p  # R(x) in {1..p}, R(x) = x mod p
+    product = cache.gamma(x).residue * cache.gamma(1 - x).residue % m
+    assert product == (-1) ** r_x % m
