@@ -4,7 +4,7 @@ The quadratic-character double and single sums A and a are computed purely
 over the integers (dlog parity), never through Z_q; the Z_q path exists only
 as a cross-check in the tests.  Jacobi sums and the character-averaged sums
 h and B are computed in Z_q with characters realized as powers of the
-inverse Teichmuller character.
+inverse Teichmuller character, read from the omega(g) power table by dlog.
 """
 
 from __future__ import annotations
@@ -13,18 +13,10 @@ from .finitefield import FqElement, quadratic_char
 from .padic import UnramifiedContext, ZqElement
 
 
-def _phi_table(fq) -> dict:
-    table = getattr(fq, "_phi_table", None)
-    if table is None:
-        table = {x.coeffs: quadratic_char(x) for x in fq.elements()}
-        fq._phi_table = table
-    return table
-
-
 def sum_A(lam: FqElement) -> int:
     """A(lam, q) = sum over (x, y) in F_q^2 of phi(x y (x+1)(y+1)(x + lam*y))."""
     fq = lam.context
-    phi = _phi_table(fq)
+    phi = fq.phi_table()
     one = fq.one
     # phi is multiplicative, so split off the x-only and y-only factors
     pair = [(x, phi[x.coeffs] * phi[(x + one).coeffs]) for x in fq.elements()]
@@ -66,12 +58,12 @@ def jacobi_sum(i: int, j: int, zq: UnramifiedContext) -> ZqElement:
 
 def _h_cubes(zq: UnramifiedContext) -> list[ZqElement]:
     """J(chi-bar*phi, chi)^3 for chi = omega-bar^m, m = 0..q-2; lam-independent."""
-    cubes = zq._charsum_tables.get("h_cubes")
+    cubes = zq.charsum_tables.get("h_cubes")
     if cubes is None:
         n = zq.q - 1
         half = n // 2
         cubes = [jacobi_sum((half - m) % n, m, zq) ** 3 for m in range(n)]
-        zq._charsum_tables["h_cubes"] = cubes
+        zq.charsum_tables["h_cubes"] = cubes
     return cubes
 
 
@@ -82,20 +74,18 @@ def sum_h(lam: FqElement, zq: UnramifiedContext) -> ZqElement:
     """
     if lam.is_zero():
         raise ValueError("h(0) is undefined")
-    q, m = zq.q, zq.modulus
-    cubes = _h_cubes(zq)
-    w = zq.teichmuller(lam)
+    n, m = zq.q - 1, zq.modulus
+    pows = zq.omega_generator_powers()
+    d = zq.dlog(lam)
     acc = zq.zero
-    pw = zq.one
-    for k in range(q - 1):
-        acc = acc + pw * cubes[k]
-        pw = pw * w
-    return acc.scale(pow(q - 1, -1, m))
+    for k, cube in enumerate(_h_cubes(zq)):
+        acc = acc + pows[k * d % n] * cube
+    return acc.scale(pow(n, -1, m))
 
 
 def _b_pairs(zq: UnramifiedContext) -> list[ZqElement]:
     """J(phi*chi^2, chi-bar) * J(phi*chi, chi-bar) for chi = omega-bar^m."""
-    pairs = zq._charsum_tables.get("b_pairs")
+    pairs = zq.charsum_tables.get("b_pairs")
     if pairs is None:
         n = zq.q - 1
         half = n // 2
@@ -104,7 +94,7 @@ def _b_pairs(zq: UnramifiedContext) -> list[ZqElement]:
             * jacobi_sum((half + m) % n, (n - m) % n, zq)
             for m in range(n)
         ]
-        zq._charsum_tables["b_pairs"] = pairs
+        zq.charsum_tables["b_pairs"] = pairs
     return pairs
 
 
@@ -119,16 +109,13 @@ def sum_B(lam: FqElement, zq: UnramifiedContext) -> ZqElement:
     fq = lam.context
     if lam.is_zero() or (lam + fq.one).is_zero():
         raise ValueError("B(lam) requires lam outside {0, -1}")
-    q, m = zq.q, zq.modulus
-    pairs = _b_pairs(zq)
-    arg = lam / (fq.scalar(4) * (lam + fq.one))
-    u = zq.teichmuller(arg).inverse()  # chi(arg) = omega-bar^m(arg) = u^m
+    n, m = zq.q - 1, zq.modulus
+    pows = zq.omega_generator_powers()
+    d = zq.dlog(lam / (fq.scalar(4) * (lam + fq.one)))
     acc = zq.zero
-    pw = zq.one
-    for k in range(q - 1):
-        acc = acc + pw * pairs[k]
-        pw = pw * u
-    lead = quadratic_char(fq.scalar(-2)) * pow(q - 1, -1, m) % m
+    for k, pair in enumerate(_b_pairs(zq)):
+        acc = acc + pows[-k * d % n] * pair  # chi(arg) = omega-bar^k(arg)
+    lead = quadratic_char(fq.scalar(-2)) * pow(n, -1, m) % m
     return acc.scale(lead)
 
 

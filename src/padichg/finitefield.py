@@ -64,6 +64,26 @@ def smallest_irreducible(p: int, r: int) -> tuple[int, ...]:
     raise AssertionError("no irreducible polynomial found")  # unreachable
 
 
+def poly_mulmod(a: tuple, b: tuple, neg_poly: tuple, m: int) -> tuple[int, ...]:
+    """a * b in (Z/m)[x] / (f) for the monic f of degree r = len(a).
+
+    neg_poly holds -c_j mod m for f = x^r + c_{r-1} x^{r-1} + ... + c_0;
+    F_q (m = p) and Z_q (m = p^N) share this product.
+    """
+    r = len(a)
+    prod = [0] * (2 * r - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                prod[i + j] += ai * bj
+    for d in range(2 * r - 2, r - 1, -1):
+        c = prod[d] % m
+        if c:
+            for j, nc in enumerate(neg_poly):
+                prod[d - r + j] += c * nc
+    return tuple(c % m for c in prod[:r])
+
+
 def _prime_factors(n: int) -> list[int]:
     out = []
     d = 2
@@ -188,20 +208,10 @@ class FqContext:
             FqElement(self, t) for t in itertools.product(range(p), repeat=r)
         ]
         self._jacobi_pairs: list[tuple[int, int]] | None = None
+        self._phi: dict[tuple[int, ...], int] | None = None
 
     def _mul(self, a: FqElement, b: FqElement) -> FqElement:
-        p, r = self.p, self.r
-        prod = [0] * (2 * r - 1)
-        for i, ai in enumerate(a.coeffs):
-            if ai:
-                for j, bj in enumerate(b.coeffs):
-                    prod[i + j] += ai * bj
-        for d in range(2 * r - 2, r - 1, -1):
-            c = prod[d] % p
-            if c:
-                for j, nc in enumerate(self._neg_poly):
-                    prod[d - r + j] += c * nc
-        return FqElement(self, tuple(c % p for c in prod[:r]))
+        return FqElement(self, poly_mulmod(a.coeffs, b.coeffs, self._neg_poly, self.p))
 
     def _order(self, x: FqElement) -> bool:
         """True iff x has multiplicative order exactly q - 1."""
@@ -262,6 +272,12 @@ class FqContext:
                 pairs.append((self.dlog[x.coeffs], self.dlog[(self.one - x).coeffs]))
             self._jacobi_pairs = pairs
         return self._jacobi_pairs
+
+    def phi_table(self) -> dict[tuple[int, ...], int]:
+        """coeffs -> phi(x) for every element, 0 included; cached."""
+        if self._phi is None:
+            self._phi = {x.coeffs: quadratic_char(x) for x in self._elements}
+        return self._phi
 
     def __repr__(self):
         return f"FqContext(p={self.p}, r={self.r})"

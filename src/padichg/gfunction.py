@@ -10,7 +10,9 @@ For parameters a_1..a_n, b_1..b_n in Q ∩ Z_p and t in F_q,
 with e the floor exponent from rational.g_exponent.  Everything except
 omega-bar^a(t) is a Z_p scalar independent of t, so the a-indexed coefficient
 table is computed once per (upper, lower, q, N) and reused across the whole
-sweep over t; the (-1)^{a n} sign is applied as a literal integer sign.
+sweep over t; the (-1)^{a n} sign is applied as a literal integer sign.  With
+k = dlog t, omega-bar^a(t) is entry -a k mod (q-1) of the context's omega(g)
+power table, so one point costs q-1 integer multiply-adds per coordinate.
 
 Individual (k, i) factors can carry a negative floor exponent (the b_k = 1/2
 families do at a = (q-1)/2), but the exponents summed over one term always
@@ -73,7 +75,7 @@ class GValue:
 def _coefficient_table(upper, lower, zq: UnramifiedContext) -> list[int]:
     """Z_p coefficients of omega-bar^a(t), indexed by a; memoized per context."""
     key = (upper, lower)
-    table = zq._g_tables.get(key)
+    table = zq.g_tables.get(key)
     if table is not None:
         return table
 
@@ -113,7 +115,7 @@ def _coefficient_table(upper, lower, zq: UnramifiedContext) -> list[int]:
                 f"parameters {upper}; {lower}"
             )
         table.append(acc * pow(-p, exponent, m) % m)
-    zq._g_tables[key] = table
+    zq.g_tables[key] = table
     return table
 
 
@@ -127,14 +129,14 @@ def evaluate_g(params: GParams) -> GValue:
     if params.t.is_zero():
         return GValue(zq.zero, zq.precision)
     table = _coefficient_table(params.upper, params.lower, zq)
-    u = zq.teichmuller(params.t).inverse()  # omega-bar(t)
-    acc = zq.zero
-    pw = zq.one
-    for a in range(q - 1):
-        acc = acc + pw.scale(table[a])
-        pw = pw * u
+    pows = zq.omega_generator_powers()
+    step = -params.t.dlog() % (q - 1)  # omega-bar^a(t) = pows[a * step]
+    acc = [0] * zq.r
+    for a, c in enumerate(table):
+        for i, w in enumerate(pows[a * step % (q - 1)].coeffs):
+            acc[i] += c * w
     lead = -pow(q - 1, -1, m) % m
-    return GValue(acc.scale(lead), zq.precision)
+    return GValue(zq.element(acc).scale(lead), zq.precision)
 
 
 def evaluate_g_inverted(params: GParams) -> GValue:

@@ -2,13 +2,15 @@
 
 Z_q is represented as Z[x] / (f(x), p^N) in the power basis of the same
 defining polynomial as the paired F_q context, lifted verbatim; reduction
-mod p therefore intertwines the two rings coefficient-wise.  Contexts are
-immutable after construction; the Teichmuller memo is write-once per key.
+mod p therefore intertwines the two rings coefficient-wise.  Every
+Teichmuller and character value is read from one table per context, the
+powers of omega(g) for the F_q generator g, indexed by discrete log.  The
+derived tables of a context are each filled once and never mutated.
 """
 
 from __future__ import annotations
 
-from .finitefield import FqContext, FqElement, is_prime
+from .finitefield import FqContext, FqElement, is_prime, poly_mulmod
 
 
 class PadicContext:
@@ -115,10 +117,11 @@ class UnramifiedContext:
         self._neg_poly = tuple((-c) % self.modulus for c in self.poly)
         self.zero = ZqElement(self, (0,) * self.r)
         self.one = ZqElement(self, (1,) + (0,) * (self.r - 1))
-        self._teich: dict[tuple[int, ...], ZqElement] = {}
         self._omega_pows: list[ZqElement] | None = None
-        self._g_tables: dict = {}
-        self._charsum_tables: dict = {}
+        # filled on first use: nGn coefficient tables by gfunction, keyed by
+        # (upper, lower); Jacobi-sum products by charsums, keyed by name
+        self.g_tables: dict[tuple, list[int]] = {}
+        self.charsum_tables: dict[str, list[ZqElement]] = {}
 
     def element(self, coeffs) -> "ZqElement":
         coeffs = tuple(int(c) % self.modulus for c in coeffs)
@@ -135,53 +138,41 @@ class UnramifiedContext:
         return ZqElement(self, (value % self.modulus,) + (0,) * (self.r - 1))
 
     def _mul(self, a: "ZqElement", b: "ZqElement") -> "ZqElement":
-        m, r = self.modulus, self.r
-        prod = [0] * (2 * r - 1)
-        for i, ai in enumerate(a.coeffs):
-            if ai:
-                for j, bj in enumerate(b.coeffs):
-                    prod[i + j] += ai * bj
-        for d in range(2 * r - 2, r - 1, -1):
-            c = prod[d] % m
-            if c:
-                for j, nc in enumerate(self._neg_poly):
-                    prod[d - r + j] += c * nc
-        return ZqElement(self, tuple(c % m for c in prod[:r]))
+        return ZqElement(self, poly_mulmod(a.coeffs, b.coeffs, self._neg_poly, self.modulus))
 
-    def teichmuller(self, t: FqElement) -> "ZqElement":
-        """The (q-1)-th root of unity congruent to t mod p.
-
-        Computed by iterating x -> x^q from the verbatim lift of t until two
-        successive iterates agree at full precision; each step gains r digits,
-        so at most N iterations are needed (capped at N + 2).
-        """
+    def dlog(self, t: FqElement) -> int:
+        """dlog of a nonzero t of this context's field, the index into the power table."""
         if t.context is not self.fq:
             raise ValueError("element from a different field context")
+        return t.dlog()
+
+    def teichmuller(self, t: FqElement) -> "ZqElement":
+        """The (q-1)-th root of unity congruent to t mod p: omega(g)^(dlog t)."""
         if t.is_zero():
             raise ValueError("Teichmuller lift of 0 is undefined; use char_value")
-        cached = self._teich.get(t.coeffs)
-        if cached is not None:
-            return cached
-        x = ZqElement(self, tuple(int(c) for c in t.coeffs))
-        for _ in range(self.precision + 2):
-            y = x**self.q
-            if y == x:
-                self._teich[t.coeffs] = x
-                return x
-            x = y
-        raise ArithmeticError("Teichmuller iteration failed to stabilize")
+        return self.omega_generator_powers()[self.dlog(t)]
 
     def char_value(self, j: int, t: FqElement) -> "ZqElement":
         """omega-bar^j(t) with the chi(0) = 0 convention (0 for t = 0, all j)."""
         if t.is_zero():
             return self.zero
-        w = self.teichmuller(t)
-        return w ** ((self.q - 1 - j) % (self.q - 1))
+        return self.omega_generator_powers()[-j * self.dlog(t) % (self.q - 1)]
 
     def omega_generator_powers(self) -> list["ZqElement"]:
-        """[omega(g)^m for m in 0..q-2]; omega(g^k) = omega(g)^k exactly."""
+        """[omega(g)^m for m in 0..q-2]; omega(g^k) = omega(g)^k exactly.
+
+        omega(g) is the limit of x -> x^q from the verbatim lift of g: each
+        step gains r digits, so N + 2 steps are a safe cap.
+        """
         if self._omega_pows is None:
-            w = self.teichmuller(self.fq.generator)
+            w = ZqElement(self, self.fq.generator.coeffs)
+            for _ in range(self.precision + 2):
+                y = w**self.q
+                if y == w:
+                    break
+                w = y
+            else:
+                raise ArithmeticError("Teichmuller iteration failed to stabilize")
             pows = [self.one]
             for _ in range(self.q - 2):
                 pows.append(pows[-1] * w)

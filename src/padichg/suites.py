@@ -228,7 +228,8 @@ class _Sweep:
         return self.report
 
 
-def _require(job: JobSpec, min_p: int):
+def _require(job: JobSpec):
+    min_p = SUITE_MIN_P[job.suite]
     if job.p < min_p:
         raise ValueError(f"suite {job.suite!r} requires p >= {min_p}, got p={job.p}")
     if job.precision is None:
@@ -260,7 +261,7 @@ def _recovery_bound(modulus: int) -> int:
 def verify_euler_transform(job: JobSpec) -> Report:
     """G[1/3,2/3;0,1/2 | 1/x] = phi(1-x) G[1/6,5/6;0,1/2 | 1/x] for x outside
     {0,1}, plus the x = 1 case with phi(3) in place of phi(1-x)."""
-    _require(job, 5)
+    _require(job)
     fq, zq = contexts(job.p, job.r, job.precision)
     sweep = _Sweep(job)
     for x in _sweep_elements(fq, job, exclude=(fq.zero, fq.one)):
@@ -283,7 +284,7 @@ def verify_euler_transform(job: JobSpec) -> Report:
 def verify_zero_classification(job: JobSpec) -> Report:
     """Both G-values vanish exactly iff phi(3x(1-x)) = -1 iff the cubic
     27y^2(1-y) - 4x has exactly one root."""
-    _require(job, 5)
+    _require(job)
     fq, zq = contexts(job.p, job.r, job.precision)
     if zq.modulus < 7:
         raise ValueError("insufficient precision: integer recovery needs p^N >= 7")
@@ -309,7 +310,7 @@ def verify_zero_classification(job: JobSpec) -> Report:
 def verify_clausen(job: JobSpec) -> Report:
     """G3[1/2,1/2,1/2;0,0,0 | 1/x] = phi(1-x) G2[1/4,3/4;0,0 | (x-1)/x]^2
     - q phi(1-x) for x outside {0,1}; admits p = 3."""
-    _require(job, 3)
+    _require(job)
     fq, zq = contexts(job.p, job.r, job.precision)
     q_elem = zq.scalar(fq.q)
     sweep = _Sweep(job)
@@ -324,7 +325,7 @@ def verify_clausen(job: JobSpec) -> Report:
 def verify_proposition_oracles(job: JobSpec) -> Report:
     """G[1/3,2/3;0,1/2 | 1/x] + 1 and 1 + phi(3x) G[1/6,5/6;0,1/2 | 1/x] both
     equal the root count of the scaled cubic, for every x != 0."""
-    _require(job, 5)
+    _require(job)
     fq, zq = contexts(job.p, job.r, job.precision)
     if zq.modulus < 7:
         raise ValueError("insufficient precision: integer recovery needs p^N >= 7")
@@ -352,7 +353,7 @@ def verify_proposition_oracles(job: JobSpec) -> Report:
 
 def verify_inversion(job: JobSpec) -> Report:
     """G[0,1/2;1/6,5/6 | x] = G[1/6,5/6;0,1/2 | 1/x] for all x != 0."""
-    _require(job, 5)
+    _require(job)
     fq, zq = contexts(job.p, job.r, job.precision)
     sweep = _Sweep(job)
     for x in _sweep_elements(fq, job, exclude=(fq.zero,)):
@@ -377,7 +378,7 @@ def verify_charsum_chain(job: JobSpec) -> Report:
     actually satisfy; they are forced by (vi) together with (v), and were
     fixed in advance by independent hand computation at q = 5.
     """
-    _require(job, 3)
+    _require(job)
     fq, zq = contexts(job.p, job.r, job.precision)
     q = fq.q
     if zq.modulus <= 2 * q * q:
@@ -420,7 +421,7 @@ def verify_gamma_identities(job: JobSpec) -> Report:
     """Gamma_p product identities: the reflection product over i, the
     half-shift ratio, the multiplication products for t in {2, 3, 6} in both
     directions, and the one-off sixth/thirds ratio equal to phi(3)."""
-    _require(job, 3)
+    _require(job)
     fq, zq = contexts(job.p, job.r, job.precision)
     p, r, q, m = job.p, job.r, job.q, zq.modulus
     cache = gamma_cache(zq.base)
@@ -518,7 +519,7 @@ def verify_gamma_identities(job: JobSpec) -> Report:
 def verify_floor_lemmas(job: JobSpec) -> Report:
     """Exhaustive integer floor identities: family A over a != (q-1)/2, then
     family B over a > 0, each for all i < r, in ascending (a, i) order."""
-    _require(job, 5)
+    _require(job)
     p, q, r = job.p, job.q, job.r
     sweep = _Sweep(job)
     for a in range(q - 1):

@@ -1,0 +1,72 @@
+"""Point-wise reference forms of the character values, kept as test oracles.
+
+The production code reads every Teichmuller and character value from the
+dlog-indexed table `UnramifiedContext.omega_generator_powers()`.  These
+references compute the same values the slow, obvious way, element by element:
+the Teichmuller lift by iterating x -> x^q from the verbatim lift of t,
+omega-bar(t) as its Hensel inverse, and each sum over characters by a running
+power product.  The coefficient and Jacobi-sum tables are shared with the
+production path; only the character values differ in how they are reached.
+"""
+
+from __future__ import annotations
+
+from padichg.charsums import jacobi_sum
+from padichg.finitefield import quadratic_char
+from padichg.gfunction import _coefficient_table
+
+
+def teichmuller_by_iteration(zq, t):
+    """The fixed point of x -> x^q starting from the verbatim lift of t != 0."""
+    x = zq.element(t.coeffs)
+    for _ in range(zq.precision + 2):
+        y = x**zq.q
+        if y == x:
+            return x
+        x = y
+    raise AssertionError("Teichmuller iteration failed to stabilize")
+
+
+def _power_sum(zq, base, weights):
+    """sum_k base^k * weights[k] by a running product."""
+    acc, pw = zq.zero, zq.one
+    for w in weights:
+        acc = acc + pw * w
+        pw = pw * base
+    return acc
+
+
+def evaluate_g_pointwise(params):
+    """nGn at params.t as -1/(q-1) * sum_a c_a omega-bar(t)^a."""
+    zq = params.context
+    q, m = zq.q, zq.modulus
+    if params.t.is_zero():
+        return zq.zero
+    table = _coefficient_table(params.upper, params.lower, zq)
+    u = teichmuller_by_iteration(zq, params.t).inverse()
+    return _power_sum(zq, u, [zq.scalar(c) for c in table]).scale(-pow(q - 1, -1, m) % m)
+
+
+def sum_h_pointwise(lam, zq):
+    """h(lam) = 1/(q-1) * sum_k omega(lam)^k J(omega-bar^(half-k), omega-bar^k)^3."""
+    n = zq.q - 1
+    half = n // 2
+    cubes = [jacobi_sum((half - k) % n, k, zq) ** 3 for k in range(n)]
+    w = teichmuller_by_iteration(zq, lam)
+    return _power_sum(zq, w, cubes).scale(pow(n, -1, zq.modulus))
+
+
+def sum_B_pointwise(lam, zq):
+    """B(lam) = phi(-2)/(q-1) * sum_k omega-bar^k(arg) J(.,.) J(.,.), arg = lam/(4(lam+1))."""
+    fq = lam.context
+    n = zq.q - 1
+    half = n // 2
+    pairs = [
+        jacobi_sum((half + 2 * k) % n, (n - k) % n, zq)
+        * jacobi_sum((half + k) % n, (n - k) % n, zq)
+        for k in range(n)
+    ]
+    arg = lam / (fq.scalar(4) * (lam + fq.one))
+    u = teichmuller_by_iteration(zq, arg).inverse()
+    lead = quadratic_char(fq.scalar(-2)) * pow(n, -1, zq.modulus) % zq.modulus
+    return _power_sum(zq, u, pairs).scale(lead)

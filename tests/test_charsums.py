@@ -1,4 +1,5 @@
 import pytest
+from oracles import sum_B_pointwise, sum_h_pointwise
 
 from padichg.charsums import jacobi_sum, sum_A, sum_B, sum_a, sum_h, verify_aop_identity
 from padichg.finitefield import make_fq, quadratic_char
@@ -143,3 +144,23 @@ def test_phi_sums_redundant_zq_path():
         for x in fq.elements():
             acc = acc + zq.char_value(half, (x - one) * (x * x - c))
         assert balanced_lift(acc) == sum_a(lam)
+
+
+@pytest.mark.parametrize("p,r,n", [(5, 1, 4), (7, 1, 3), (3, 2, 5), (5, 2, 3), (3, 3, 4)])
+def test_sum_h_and_B_match_pointwise_oracle(p, r, n):
+    # every lam of the field, against the Frobenius lift + Hensel inverse +
+    # running power product
+    fq, zq = _pair(p, r, n)
+    for lam in fq.nonzero_elements():
+        assert sum_h(lam, zq) == sum_h_pointwise(lam, zq), lam
+        if not (lam + fq.one).is_zero():
+            assert sum_B(lam, zq) == sum_B_pointwise(lam, zq), lam
+
+
+def test_sums_reject_foreign_field():
+    _, zq = _pair(5, 1, 3)
+    foreign = make_fq(7, 1).scalar(2)
+    with pytest.raises(ValueError):
+        sum_h(foreign, zq)
+    with pytest.raises(ValueError):
+        sum_B(foreign, zq)

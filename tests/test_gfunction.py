@@ -1,6 +1,7 @@
 from fractions import Fraction as F
 
 import pytest
+from oracles import evaluate_g_pointwise
 
 from padichg.finitefield import make_fq
 from padichg.gfunction import (
@@ -18,6 +19,7 @@ from padichg.rational import frac, g_exponent
 G_CUBIC = ((F(1, 3), F(2, 3)), (F(0), F(1, 2)))
 G_SEXTIC = ((F(1, 6), F(5, 6)), (F(0), F(1, 2)))
 G_TRIPLE_HALF = ((F(1, 2),) * 3, (F(0),) * 3)
+G_QUARTER = ((F(1, 4), F(3, 4)), (F(0), F(0)))
 
 
 def _pair(p, r, n):
@@ -124,6 +126,22 @@ def test_negative_total_exponent_aborts():
 def test_sweep_reuses_one_coefficient_table():
     fq, zq = _pair(5, 1, 4)
     evaluate_g(GParams(*G_CUBIC, fq.one, zq))
-    table = zq._g_tables[G_CUBIC]
+    table = zq.g_tables[G_CUBIC]
     evaluate_g(GParams(*G_CUBIC, fq.scalar(3), zq))
-    assert zq._g_tables[G_CUBIC] is table
+    assert zq.g_tables[G_CUBIC] is table
+
+
+@pytest.mark.parametrize(
+    "p,r,n", [(5, 1, 4), (7, 1, 3), (11, 1, 2), (3, 2, 4), (5, 2, 3), (3, 3, 4), (5, 3, 2)]
+)
+def test_evaluate_g_matches_pointwise_oracle(p, r, n):
+    # every t of the field, against the Frobenius lift + Hensel inverse +
+    # running power product
+    fq, zq = _pair(p, r, n)
+    families = [G_TRIPLE_HALF, G_QUARTER]
+    if p > 3:
+        families += [G_CUBIC, G_SEXTIC]
+    for upper, lower in families:
+        for t in fq.elements():
+            params = GParams(upper, lower, t, zq)
+            assert evaluate_g(params).value == evaluate_g_pointwise(params), (upper, t)

@@ -1,4 +1,5 @@
 import pytest
+from oracles import teichmuller_by_iteration
 
 from padichg.finitefield import make_fq, quadratic_char
 from padichg.padic import (
@@ -131,11 +132,48 @@ def test_char_value_conventions():
 
 
 def test_omega_generator_powers_match_teichmuller():
-    fq = make_fq(7, 1)
-    zq = UnramifiedContext(fq, 4)
-    pows = zq.omega_generator_powers()
+    # the table against the per-element Frobenius iteration it replaced
+    for p, r, n in ((7, 1, 4), (5, 1, 1), (3, 2, 5), (5, 2, 3), (3, 3, 4)):
+        fq = make_fq(p, r)
+        zq = UnramifiedContext(fq, n)
+        pows = zq.omega_generator_powers()
+        assert len(pows) == fq.q - 1
+        for t in fq.nonzero_elements():
+            ref = teichmuller_by_iteration(zq, t)
+            assert pows[t.dlog()] == ref, (p, r, n, t)
+            assert zq.teichmuller(t) == ref, (p, r, n, t)
+
+
+@pytest.mark.parametrize("p,r,n", [(7, 1, 3), (3, 2, 4), (3, 3, 3)])
+def test_char_value_matches_iteration_oracle(p, r, n):
+    # omega-bar^j(t) = (Hensel inverse of the iterated lift)^j for every j, t
+    fq = make_fq(p, r)
+    zq = UnramifiedContext(fq, n)
     for t in fq.nonzero_elements():
-        assert pows[t.dlog()] == zq.teichmuller(t)
+        u = teichmuller_by_iteration(zq, t).inverse()
+        pw = zq.one
+        for j in range(fq.q - 1):
+            assert zq.char_value(j, t) == pw, (t, j)
+            pw = pw * u
+
+
+def test_lifts_reject_foreign_field():
+    zq = _zq(5, 1, 3)
+    foreign = make_fq(7, 1).one
+    with pytest.raises(ValueError):
+        zq.teichmuller(foreign)
+    with pytest.raises(ValueError):
+        zq.char_value(1, foreign)
+
+
+def test_zq_product_reduces_to_fq_product():
+    # F_q and Z_q share one polynomial product; reduction mod p intertwines them
+    fq = make_fq(3, 3)
+    zq = UnramifiedContext(fq, 3)
+    sample = [zq.element((a, b, c)) for a in (0, 1, 26) for b in (2, 13) for c in (0, 25)]
+    for x in sample:
+        for y in sample:
+            assert zq.reduce_mod_p(x * y) == zq.reduce_mod_p(x) * zq.reduce_mod_p(y)
 
 
 def test_balanced_lift_and_recovery():
