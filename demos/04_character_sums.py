@@ -39,5 +39,5 @@ for lam in fq.elements():
     print(f"{lam.coeffs[0]:>4} {a:>4} {big:>4} {aop:>18} {str(big):>7} {g3:>12}")
 
 print()
-print("Every row agrees: the brute-force double sum, the AOP closed form,")
+print("Every row agrees: the double sum A, the AOP closed form,")
 print("the Jacobi-sum average, and the hypergeometric value all coincide.")

@@ -1,34 +1,87 @@
 """Elementary character sums and Jacobi sums used as independent oracles.
 
 The quadratic-character double and single sums A and a are computed purely
-over the integers (dlog parity), never through Z_q; the Z_q path exists only
-as a cross-check in the tests.  Jacobi sums and the character-averaged sums
-h and B are computed in Z_q with characters realized as powers of the
-inverse Teichmuller character, read from the omega(g) power table by dlog.
+over the integers, never through Z_q; the Z_q path exists only as a
+cross-check in the tests.  Both are built for every lambda of a field at once
+from the context's Zech-log table dlog(1 + g^d): with phi(g^k) = (-1)^k each
+comes from cyclic correlations of integer sequences of length q-1, so a
+whole field costs O(q^2) integer operations, once per context, and sum_A and
+sum_a are lookups.  Jacobi sums and the character-averaged sums h and B are
+computed in Z_q with characters realized as powers of the inverse Teichmuller
+character, read from the omega(g) power table by dlog.
 """
 
 from __future__ import annotations
 
-from .finitefield import FqElement, quadratic_char
+from operator import mul
+
+from .finitefield import ZECH_UNDEFINED, FqContext, FqElement, quadratic_char
 from .padic import UnramifiedContext, ZqElement
+
+
+def _phi_one_plus(fq: FqContext) -> list[int]:
+    """phi(1 + g^d) for d in 0..q-2; 0 at d = (q-1)/2, where 1 + g^d = 0."""
+    return [0 if z == ZECH_UNDEFINED else 1 - 2 * (z & 1) for z in fq.zech_table()]
+
+
+def _correlate(u: list[int], v: list[int]) -> list[int]:
+    """c[m] = sum_i u[i] v[(i + m) mod n] for m in 0..n-1, n = len(u)."""
+    n = len(u)
+    vv = v + v
+    return [sum(map(mul, u, vv[m : m + n])) for m in range(n)]
+
+
+def _a_weights(phi1: list[int]) -> list[int]:
+    """f_i = phi(g^i (1 + g^i)), the x-only factor of A."""
+    return [v if i % 2 == 0 else -v for i, v in enumerate(phi1)]
+
+
+def _A_values(fq: FqContext) -> list[int]:
+    """[A(g^k, q) for k in 0..q-2]; built once per context.
+
+    With S(c) = sum_x f(x) phi(x + c): S(g^k) = (-1)^k sum_i f_i phi(1 + g^(i-k))
+    and A(g^k) = sum_j f_j S(g^(k+j)).
+    """
+    table = fq.charsum_tables.get("A")
+    if table is None:
+        n = fq.q - 1
+        phi1 = _phi_one_plus(fq)
+        f = _a_weights(phi1)
+        c = _correlate(f, phi1)
+        s = [c[-k % n] if k % 2 == 0 else -c[-k % n] for k in range(n)]
+        table = _correlate(f, s)
+        fq.charsum_tables["A"] = table
+    return table
+
+
+def _a_values(fq: FqContext) -> list[int]:
+    """[a(lam, q) for 1/(lam+1) = g^k, k in 0..q-2]; built once per context.
+
+    a = phi(1/(lam+1)) + (-1)^k sum_i phi(g^i - 1) phi(g^(2i-k) - 1), where
+    phi(g^d - 1) = phi(-1) phi(1 + g^(d + (q-1)/2)); the two phi(-1) cancel.
+    """
+    table = fq.charsum_tables.get("a")
+    if table is None:
+        n = fq.q - 1
+        phi1 = _phi_one_plus(fq)
+        psi = phi1[n // 2 :] + phi1[: n // 2]  # psi[d] = phi(-1) phi(g^d - 1)
+        w = [0] * n  # w[e] = sum of psi[i] over 2i = e mod n
+        for i, v in enumerate(psi):
+            w[2 * i % n] += v
+        c = _correlate(w, psi)
+        table = [1 + c[-k % n] if k % 2 == 0 else -1 - c[-k % n] for k in range(n)]
+        fq.charsum_tables["a"] = table
+    return table
 
 
 def sum_A(lam: FqElement) -> int:
     """A(lam, q) = sum over (x, y) in F_q^2 of phi(x y (x+1)(y+1)(x + lam*y))."""
     fq = lam.context
-    phi = fq.phi_table()
-    one = fq.one
-    # phi is multiplicative, so split off the x-only and y-only factors
-    pair = [(x, phi[x.coeffs] * phi[(x + one).coeffs]) for x in fq.elements()]
-    pair = [(x, s) for x, s in pair if s]
-    total = 0
-    for y, sy in pair:
-        ly = lam * y
-        acc = 0
-        for x, sx in pair:
-            acc += sx * phi[(x + ly).coeffs]
-        total += sy * acc
-    return total
+    if lam.is_zero():
+        # phi(x^2) = 1 off x = 0: A(0) = sum_{x != 0} phi(x+1) * sum_y phi(y(y+1))
+        phi1 = _phi_one_plus(fq)
+        return sum(phi1) * sum(_a_weights(phi1))
+    return _A_values(fq)[lam.dlog()]
 
 
 def sum_a(lam: FqElement) -> int:
@@ -37,9 +90,7 @@ def sum_a(lam: FqElement) -> int:
     shifted = lam + fq.one
     if shifted.is_zero():
         raise ValueError("lam = -1 makes 1/(lam+1) undefined")
-    c = shifted.inverse()
-    one = fq.one
-    return sum(quadratic_char((x - one) * (x * x - c)) for x in fq.elements())
+    return _a_values(fq)[-shifted.dlog() % (fq.q - 1)]
 
 
 def jacobi_sum(i: int, j: int, zq: UnramifiedContext) -> ZqElement:

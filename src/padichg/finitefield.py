@@ -7,7 +7,11 @@ coefficient-lexicographic order of multiplicative order q - 1.  Elements are
 coefficient vectors in the power basis of that polynomial.
 
 Fields are kept small on purpose (q <= 2^16): the dlog table makes every
-character evaluation O(1) inside the O(q^2) verification loops.
+character evaluation O(1) inside the O(q^2) verification loops.  Each context
+also owns the integer Zech-log table dlog(1 + g^d), from which the
+character-sum oracles of every lambda are built at once, and the preimage
+histograms that answer root counts by lookup; both are built lazily, once
+per context.
 """
 
 from __future__ import annotations
@@ -15,6 +19,8 @@ from __future__ import annotations
 import itertools
 
 MAX_Q = 1 << 16
+# zech_table entry at d = (q-1)/2, where 1 + g^d = 0 has no dlog
+ZECH_UNDEFINED = -1
 
 
 def is_prime(n: int) -> bool:
@@ -207,8 +213,11 @@ class FqContext:
         self._elements = [
             FqElement(self, t) for t in itertools.product(range(p), repeat=r)
         ]
+        self._zech: list[int] | None = None
         self._jacobi_pairs: list[tuple[int, int]] | None = None
-        self._phi: dict[tuple[int, ...], int] | None = None
+        # whole-field oracle tables, filled by charsums (A, a) and count_roots
+        self.charsum_tables: dict[str, list[int]] = {}
+        self.root_histograms: dict[tuple, dict[tuple[int, ...], int]] = {}
 
     def _mul(self, a: FqElement, b: FqElement) -> FqElement:
         return FqElement(self, poly_mulmod(a.coeffs, b.coeffs, self._neg_poly, self.p))
@@ -262,22 +271,29 @@ class FqContext:
     def nonzero_elements(self) -> list[FqElement]:
         return [x for x in self._elements if not x.is_zero()]
 
-    def jacobi_dlog_pairs(self) -> list[tuple[int, int]]:
-        """(dlog x, dlog(1-x)) for every x outside {0, 1}; cached."""
-        if self._jacobi_pairs is None:
-            pairs = []
-            for x in self._elements:
-                if x.is_zero() or x == self.one:
-                    continue
-                pairs.append((self.dlog[x.coeffs], self.dlog[(self.one - x).coeffs]))
-            self._jacobi_pairs = pairs
-        return self._jacobi_pairs
+    def zech_table(self) -> list[int]:
+        """zech[d] = dlog(1 + g^d) for d in 0..q-2; ZECH_UNDEFINED at d = (q-1)/2,
+        where 1 + g^d = 0.  Cached."""
+        if self._zech is None:
+            p, dlog = self.p, self.dlog
+            zech = []
+            for x in self.exp_table:
+                c = x.coeffs
+                shifted = ((c[0] + 1) % p,) + c[1:]
+                zech.append(dlog.get(shifted, ZECH_UNDEFINED))
+            self._zech = zech
+        return self._zech
 
-    def phi_table(self) -> dict[tuple[int, ...], int]:
-        """coeffs -> phi(x) for every element, 0 included; cached."""
-        if self._phi is None:
-            self._phi = {x.coeffs: quadratic_char(x) for x in self._elements}
-        return self._phi
+    def jacobi_dlog_pairs(self) -> list[tuple[int, int]]:
+        """(dlog x, dlog(1-x)) for every x outside {0, 1}; cached.
+
+        1 - g^i = 1 + g^(i + (q-1)/2), so dlog(1 - g^i) is a Zech-table entry.
+        """
+        if self._jacobi_pairs is None:
+            n = self.q - 1
+            zech = self.zech_table()
+            self._jacobi_pairs = [(i, zech[(i + n // 2) % n]) for i in range(1, n)]
+        return self._jacobi_pairs
 
     def __repr__(self):
         return f"FqContext(p={self.p}, r={self.r})"
@@ -301,26 +317,42 @@ def delta(j: int) -> int:
 
 
 def count_roots(coeffs) -> int:
-    """Distinct roots in F_q of sum coeffs[i] * y^i; degree <= 3 by brute force.
+    """Distinct roots in F_q of sum coeffs[i] * y^i; degree <= 3.
 
-    The degree cap is a documented bound of this scanner, not intrinsic to
-    the definition.  The zero polynomial is rejected.
+    A root is a y with P1(y) = -c_0, where P1 is the non-constant part, so
+    the count is read from the preimage histogram of P1 over F_q.  That
+    histogram is built once per context and P1 (O(q) field operations), then
+    every constant term is a lookup.  The degree cap is a documented bound,
+    not intrinsic to the definition.  The zero polynomial is rejected.
     """
     coeffs = list(coeffs)
-    if not coeffs or all(c.is_zero() for c in coeffs):
+    if not coeffs:
         raise ValueError("zero polynomial has no well-defined root count")
     ctx = coeffs[0].context
-    deg = max(i for i, c in enumerate(coeffs) if not c.is_zero())
+    coeffs = [ctx.coerce(c) for c in coeffs]
+    nonzero = [i for i, c in enumerate(coeffs) if not c.is_zero()]
+    if not nonzero:
+        raise ValueError("zero polynomial has no well-defined root count")
+    deg = nonzero[-1]
     if deg > 3:
         raise ValueError(f"degree {deg} exceeds the supported bound 3")
-    count = 0
+    key = tuple(c.coeffs for c in coeffs[1 : deg + 1])
+    hist = ctx.root_histograms.get(key)
+    if hist is None:
+        hist = _preimage_histogram(ctx, coeffs[1 : deg + 1])
+        ctx.root_histograms[key] = hist
+    return hist.get((-coeffs[0]).coeffs, 0)
+
+
+def _preimage_histogram(ctx: FqContext, upper: list[FqElement]) -> dict[tuple[int, ...], int]:
+    """value -> #{y : sum_{i>=1} upper[i-1] y^i = value}, over all y in F_q."""
+    hist: dict[tuple[int, ...], int] = {}
     for y in ctx.elements():
         acc = ctx.zero
-        for c in reversed(coeffs):
-            acc = acc * y + c
-        if acc.is_zero():
-            count += 1
-    return count
+        for c in reversed(upper):
+            acc = (acc + c) * y
+        hist[acc.coeffs] = hist.get(acc.coeffs, 0) + 1
+    return hist
 
 
 def discriminant_sign_check(x: FqElement) -> int:

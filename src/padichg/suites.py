@@ -211,17 +211,18 @@ class _Sweep:
         )
         self._t0 = time.perf_counter()
 
-    def case(self, label: str, ok: bool, left: str = "", right: str = ""):
+    def case(self, label: str, ok: bool, describe):
+        """Count one case; describe() -> (left, right) is called only on failure."""
         rep = self.report
         rep.cases_total += 1
         if ok:
             rep.cases_passed += 1
+            left = right = ""
         else:
+            left, right = describe()
             rep.failures.append(CaseFailure(label, left, right))
         if self.job.record_cases:
-            rep.case_rows.append(
-                {"case": label, "ok": ok, "left": left if not ok else "", "right": right if not ok else ""}
-            )
+            rep.case_rows.append({"case": label, "ok": ok, "left": left, "right": right})
 
     def done(self) -> Report:
         self.report.elapsed_ms = (time.perf_counter() - self._t0) * 1000.0
@@ -271,13 +272,13 @@ def verify_euler_transform(job: JobSpec) -> Report:
             evaluate_g(GParams(*_EULER_RIGHT, t, zq)).value,
             quadratic_char(fq.one - x),
         )
-        sweep.case(f"x={_label(x)}", lhs == rhs, _fmt(lhs), _fmt(rhs))
+        sweep.case(f"x={_label(x)}", lhs == rhs, lambda: (_fmt(lhs), _fmt(rhs)))
     lhs = evaluate_g(GParams(*_EULER_LEFT, fq.one, zq)).value
     rhs = _phi_scaled(
         evaluate_g(GParams(*_EULER_RIGHT, fq.one, zq)).value,
         quadratic_char(fq.scalar(3)),
     )
-    sweep.case("x=1 (phi(3) case)", lhs == rhs, _fmt(lhs), _fmt(rhs))
+    sweep.case("x=1 (phi(3) case)", lhs == rhs, lambda: (_fmt(lhs), _fmt(rhs)))
     return sweep.done()
 
 
@@ -301,8 +302,10 @@ def verify_zero_classification(job: JobSpec) -> Report:
         sweep.case(
             f"x={_label(x)}",
             ok,
-            f"G values ({v1}, {v2})",
-            f"phi(3x(1-x))={'-1' if crit else '+1'}, single-root={one_root}",
+            lambda: (
+                f"G values ({v1}, {v2})",
+                f"phi(3x(1-x))={'-1' if crit else '+1'}, single-root={one_root}",
+            ),
         )
     return sweep.done()
 
@@ -318,7 +321,7 @@ def verify_clausen(job: JobSpec) -> Report:
         lhs = evaluate_g(GParams(*_CLAUSEN_CUBE, x.inverse(), zq)).value
         g = evaluate_g(GParams(*_CLAUSEN_SQUARE, (x - fq.one) / x, zq)).value
         rhs = _phi_scaled(g * g - q_elem, quadratic_char(fq.one - x))
-        sweep.case(f"x={_label(x)}", lhs == rhs, _fmt(lhs), _fmt(rhs))
+        sweep.case(f"x={_label(x)}", lhs == rhs, lambda: (_fmt(lhs), _fmt(rhs)))
     return sweep.done()
 
 
@@ -345,8 +348,10 @@ def verify_proposition_oracles(job: JobSpec) -> Report:
         sweep.case(
             f"x={_label(x)}",
             ok,
-            f"G+1={v1 + 1}, 1+phi(3x)G'={1 + phi3x * v2}",
-            f"root counts ({c1}, {c2})",
+            lambda: (
+                f"G+1={v1 + 1}, 1+phi(3x)G'={1 + phi3x * v2}",
+                f"root counts ({c1}, {c2})",
+            ),
         )
     return sweep.done()
 
@@ -359,7 +364,7 @@ def verify_inversion(job: JobSpec) -> Report:
     for x in _sweep_elements(fq, job, exclude=(fq.zero,)):
         lhs = evaluate_g_inverted(GParams(*_EULER_RIGHT, x, zq)).value
         rhs = evaluate_g(GParams(*_EULER_RIGHT, x.inverse(), zq)).value
-        sweep.case(f"x={_label(x)}", lhs == rhs, _fmt(lhs), _fmt(rhs))
+        sweep.case(f"x={_label(x)}", lhs == rhs, lambda: (_fmt(lhs), _fmt(rhs)))
     return sweep.done()
 
 
@@ -411,8 +416,10 @@ def verify_charsum_chain(job: JobSpec) -> Report:
         sweep.case(
             f"lam={_label(lam)}",
             all(checks),
-            f"G3={v3}, h={_fmt(h_val)}, B={_fmt(b_val)}, -phi(2)G2={-phi2 * v2}",
-            f"A={big_a}, a={a_val}, checks={checks}",
+            lambda: (
+                f"G3={v3}, h={_fmt(h_val)}, B={_fmt(b_val)}, -phi(2)G2={-phi2 * v2}",
+                f"A={big_a}, a={a_val}, checks={checks}",
+            ),
         )
     return sweep.done()
 
@@ -442,7 +449,7 @@ def verify_gamma_identities(job: JobSpec) -> Report:
         )
         lhs = zq.scalar(val * pow(-1, r))
         rhs = zq.char_value(j, minus_one)
-        sweep.case(f"reflection j={j}", lhs == rhs, _fmt(lhs), _fmt(rhs))
+        sweep.case(f"reflection j={j}", lhs == rhs, lambda: (_fmt(lhs), _fmt(rhs)))
 
     for j in range(q - 1):
         if 2 * j == q - 1:
@@ -455,7 +462,7 @@ def verify_gamma_identities(job: JobSpec) -> Report:
         den = gprod([frac(_HALF * p**i) for i in range(r)]) ** 2 % m
         lhs = zq.scalar(num * pow(den, -1, m))
         rhs = zq.char_value(j, minus_one)
-        sweep.case(f"half-shift j={j}", lhs == rhs, _fmt(lhs), _fmt(rhs))
+        sweep.case(f"half-shift j={j}", lhs == rhs, lambda: (_fmt(lhs), _fmt(rhs)))
 
     for t in (2, 3, 6):
         if t % p == 0:
@@ -466,7 +473,7 @@ def verify_gamma_identities(job: JobSpec) -> Report:
         )
         for a in range(q - 1):
             u = Fraction(a, q - 1)
-            w_down = zq.teichmuller(t_elem ** ((-t * a) % (q - 1)))
+            w_down = zq.char_value(t * a, t_elem)  # omega(t)^(-t a)
             lhs = w_down.scale(
                 base * gprod([frac(-t * u * p**i) for i in range(r)]) % m
             )
@@ -479,9 +486,9 @@ def verify_gamma_identities(job: JobSpec) -> Report:
                     ]
                 )
             )
-            sweep.case(f"product-down t={t} a={a}", lhs == rhs, _fmt(lhs), _fmt(rhs))
+            sweep.case(f"product-down t={t} a={a}", lhs == rhs, lambda: (_fmt(lhs), _fmt(rhs)))
 
-            w_up = zq.teichmuller(t_elem ** ((t * a) % (q - 1)))
+            w_up = zq.char_value(-t * a, t_elem)  # omega(t)^(t a)
             lhs = w_up.scale(
                 base * gprod([frac(t * u * p**i) for i in range(r)]) % m
             )
@@ -494,7 +501,7 @@ def verify_gamma_identities(job: JobSpec) -> Report:
                     ]
                 )
             )
-            sweep.case(f"product-up t={t} a={a}", lhs == rhs, _fmt(lhs), _fmt(rhs))
+            sweep.case(f"product-up t={t} a={a}", lhs == rhs, lambda: (_fmt(lhs), _fmt(rhs)))
 
     if p >= 5:
         num = gprod(
@@ -510,8 +517,7 @@ def verify_gamma_identities(job: JobSpec) -> Report:
         sweep.case(
             "sixth-thirds ratio",
             val == expect,
-            _digits(val, p, job.precision),
-            f"phi(3)={quadratic_char(fq.scalar(3))}",
+            lambda: (_digits(val, p, job.precision), f"phi(3)={quadratic_char(fq.scalar(3))}"),
         )
     return sweep.done()
 
@@ -527,11 +533,11 @@ def verify_floor_lemmas(job: JobSpec) -> Report:
             continue
         for i in range(r):
             ok = check_floor_identity_A(p, q, a, i)
-            sweep.case(f"A a={a} i={i}", ok, "sides differ" if not ok else "", "")
+            sweep.case(f"A a={a} i={i}", ok, lambda: ("sides differ", ""))
     for a in range(1, q - 1):
         for i in range(r):
             ok = check_floor_identity_B(p, q, a, i)
-            sweep.case(f"B a={a} i={i}", ok, "sides differ" if not ok else "", "")
+            sweep.case(f"B a={a} i={i}", ok, lambda: ("sides differ", ""))
     return sweep.done()
 
 

@@ -7,6 +7,11 @@ the Teichmuller lift by iterating x -> x^q from the verbatim lift of t,
 omega-bar(t) as its Hensel inverse, and each sum over characters by a running
 power product.  The coefficient and Jacobi-sum tables are shared with the
 production path; only the character values differ in how they are reached.
+
+The integer oracles A(lam), a(lam) and the cubic root counts are read in
+production from whole-field tables built on the Zech-log table; their
+references here are the per-lambda double sum over F_q objects and the
+Horner scan over every y.
 """
 
 from __future__ import annotations
@@ -70,3 +75,41 @@ def sum_B_pointwise(lam, zq):
     u = teichmuller_by_iteration(zq, arg).inverse()
     lead = quadratic_char(fq.scalar(-2)) * pow(n, -1, zq.modulus) % zq.modulus
     return _power_sum(zq, u, pairs).scale(lead)
+
+
+def sum_A_bruteforce(lam):
+    """A(lam, q) as the double sum over (x, y), split into x-only and y-only factors."""
+    fq = lam.context
+    one = fq.one
+    phi = {x.coeffs: quadratic_char(x) for x in fq.elements()}
+    pair = [(x, phi[x.coeffs] * phi[(x + one).coeffs]) for x in fq.elements()]
+    pair = [(x, s) for x, s in pair if s]
+    total = 0
+    for y, sy in pair:
+        ly = lam * y
+        acc = 0
+        for x, sx in pair:
+            acc += sx * phi[(x + ly).coeffs]
+        total += sy * acc
+    return total
+
+
+def sum_a_bruteforce(lam):
+    """a(lam, q) = sum over x of phi((x-1)(x^2 - 1/(lam+1))), element by element."""
+    fq = lam.context
+    c = (lam + fq.one).inverse()
+    one = fq.one
+    return sum(quadratic_char((x - one) * (x * x - c)) for x in fq.elements())
+
+
+def count_roots_scan(coeffs):
+    """Distinct roots of sum coeffs[i] y^i by a Horner evaluation at every y."""
+    ctx = coeffs[0].context
+    count = 0
+    for y in ctx.elements():
+        acc = ctx.zero
+        for c in reversed(coeffs):
+            acc = acc * y + c
+        if acc.is_zero():
+            count += 1
+    return count

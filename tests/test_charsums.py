@@ -1,6 +1,7 @@
 import pytest
-from oracles import sum_B_pointwise, sum_h_pointwise
+from oracles import sum_A_bruteforce, sum_a_bruteforce, sum_B_pointwise, sum_h_pointwise
 
+from padichg import charsums
 from padichg.charsums import jacobi_sum, sum_A, sum_B, sum_a, sum_h, verify_aop_identity
 from padichg.finitefield import make_fq, quadratic_char
 from padichg.padic import UnramifiedContext, balanced_lift
@@ -164,3 +165,43 @@ def test_sums_reject_foreign_field():
         sum_h(foreign, zq)
     with pytest.raises(ValueError):
         sum_B(foreign, zq)
+
+
+ORACLE_FIELDS = [(3, 1), (5, 1), (7, 1), (13, 1), (3, 2), (5, 2), (7, 2), (5, 3)]
+
+
+@pytest.mark.parametrize("p,r", ORACLE_FIELDS)
+def test_whole_field_tables_match_bruteforce(p, r):
+    # every lam (lam = 0 included for A) against the per-lambda double sum
+    fq = make_fq(p, r)
+    for lam in fq.elements():
+        assert sum_A(lam) == sum_A_bruteforce(lam), lam
+        if not (lam + fq.one).is_zero():
+            assert sum_a(lam) == sum_a_bruteforce(lam), lam
+
+
+def test_oracle_tables_built_once_per_context(monkeypatch):
+    correlations = []
+    original = charsums._correlate
+
+    def counting(u, v):
+        correlations.append(len(u))
+        return original(u, v)
+
+    monkeypatch.setattr(charsums, "_correlate", counting)
+    fq = make_fq(7, 2)
+    zech = fq.zech_table()
+    lams = [lam for lam in fq.elements() if not (lam + fq.one).is_zero()]
+    first = [(sum_A(lam), sum_a(lam)) for lam in lams]
+    tables = dict(fq.charsum_tables)
+    assert sorted(tables) == ["A", "a"]
+    assert correlations == [fq.q - 1] * 3  # two for A, one for a
+    assert [(sum_A(lam), sum_a(lam)) for lam in lams] == first
+    assert all(verify_aop_identity(lam) for lam in lams if not lam.is_zero())
+    assert correlations == [fq.q - 1] * 3
+    assert all(fq.charsum_tables[k] is tables[k] for k in tables)
+    assert fq.zech_table() is zech
+    # a second context of the same field owns its own tables
+    other = make_fq(7, 2)
+    sum_A(other.one)
+    assert len(correlations) == 5 and other.charsum_tables["A"] is not tables["A"]

@@ -1,8 +1,13 @@
+import functools
 import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import count_roots_scan
 
+from padichg import finitefield
 from padichg.finitefield import (
     FqContext,
     FqElement,
@@ -155,6 +160,96 @@ def test_count_roots_generator_independent():
         a = count_roots(_cubic_27(std, std.scalar(xv)))
         b = count_roots(_cubic_27(alt, alt.scalar(xv)))
         assert a == b
+
+
+ROOT_FIELDS = [(3, 1), (5, 1), (7, 1), (13, 1), (3, 2), (5, 2), (7, 2), (5, 3)]
+
+
+def _cubic_scaled(ctx, x):
+    # y^3 - y^2 + 4x/27, the second cubic family of the oracles suite
+    return [ctx.scalar(4) * x / ctx.scalar(27), ctx.zero, -ctx.one, ctx.one]
+
+
+@pytest.mark.parametrize("p,r", ROOT_FIELDS)
+def test_count_roots_matches_scan_every_x(p, r):
+    ctx = make_fq(p, r)
+    families = [_cubic_27] if p == 3 else [_cubic_27, _cubic_scaled]
+    for x in ctx.elements():
+        for family in families:
+            poly = family(ctx, x)
+            if any(not c.is_zero() for c in poly):
+                assert count_roots(poly) == count_roots_scan(poly), (family, x)
+
+
+@functools.lru_cache(maxsize=None)
+def _small_field(p, r):
+    return make_fq(p, r)
+
+
+@st.composite
+def _polys(draw):
+    ctx = _small_field(*draw(st.sampled_from([(3, 1), (5, 1), (7, 1), (3, 2), (5, 2)])))
+    n = draw(st.integers(1, 4))  # constants and linear polynomials included
+    return [
+        ctx.coerce(tuple(draw(st.lists(st.integers(0, ctx.p - 1), min_size=ctx.r, max_size=ctx.r))))
+        for _ in range(n)
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_polys())
+def test_count_roots_property(coeffs):
+    if all(c.is_zero() for c in coeffs):
+        with pytest.raises(ValueError):
+            count_roots(coeffs)
+    else:
+        assert count_roots(coeffs) == count_roots_scan(coeffs)
+
+
+def test_root_histograms_built_once_per_context(monkeypatch):
+    builds = []
+    original = finitefield._preimage_histogram
+
+    def counting(ctx, upper):
+        builds.append(len(upper))
+        return original(ctx, upper)
+
+    monkeypatch.setattr(finitefield, "_preimage_histogram", counting)
+    ctx = make_fq(5, 2)  # 27 = 2 mod 5: the two families have distinct P1
+    for x in ctx.elements():
+        count_roots(_cubic_27(ctx, x))
+        count_roots(_cubic_scaled(ctx, x))
+    assert builds == [3, 3] and len(ctx.root_histograms) == 2
+    # trailing zero coefficients share the histogram of the trimmed polynomial
+    padded = _cubic_27(ctx, ctx.one) + [ctx.zero]
+    assert count_roots(padded) == count_roots_scan(padded)
+    assert builds == [3, 3]
+    assert make_fq(5, 2).root_histograms == {}
+
+
+def test_jacobi_dlog_pairs_match_elementwise():
+    for p, r in ((5, 1), (3, 2), (7, 2)):
+        ctx = make_fq(p, r)
+        expected = {
+            (x.dlog(), (ctx.one - x).dlog())
+            for x in ctx.elements()
+            if not x.is_zero() and x != ctx.one
+        }
+        pairs = ctx.jacobi_dlog_pairs()
+        assert len(pairs) == ctx.q - 2 and set(pairs) == expected
+
+
+def test_zech_table_definition():
+    for p, r in ((5, 1), (3, 2), (5, 2)):
+        ctx = make_fq(p, r)
+        n = ctx.q - 1
+        zech = ctx.zech_table()
+        for d in range(n):
+            s = ctx.one + ctx.exp_table[d]
+            if d == n // 2:
+                assert s.is_zero() and zech[d] == finitefield.ZECH_UNDEFINED
+            else:
+                assert ctx.exp_table[zech[d]] == s
 
 
 def test_discriminant_sign_check():

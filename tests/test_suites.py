@@ -1,5 +1,10 @@
-import pytest
+import hashlib
 
+import pytest
+from conftest import clear_shared_caches
+
+from padichg import pgamma, suites
+from padichg.cli import _render_csv, _render_json
 from padichg.suites import (
     DEFAULT_BATTERY,
     SUITE_MIN_P,
@@ -139,3 +144,52 @@ def test_contexts_share_defining_polynomial():
     fq, zq = contexts(5, 2, 4)
     assert tuple(int(c) for c in fq.poly) == zq.poly
     assert zq.fq is fq
+
+
+def test_failure_reports_are_unchanged(monkeypatch):
+    # left/right are formatted only for failing cases; forced failures in
+    # every suite that formats values must render exactly as when both strings
+    # were built for every case (digests taken from eager formatting)
+    clear_shared_caches()
+    nat_mod = pgamma.GammaCache._nat_mod
+    monkeypatch.setattr(
+        pgamma.GammaCache, "_nat_mod", lambda self, n: (nat_mod(self, n) + self.p) % self.modulus
+    )
+    reports = [
+        run_job(JobSpec(5, 1, suite, record_cases=True))
+        for suite in ("euler", "clausen", "inversion", "gamma")
+    ]
+    monkeypatch.setattr(pgamma.GammaCache, "_nat_mod", nat_mod)
+    clear_shared_caches()
+    sign = suites.discriminant_sign_check
+    monkeypatch.setattr(suites, "discriminant_sign_check", lambda x: -sign(x))
+    reports.append(run_job(JobSpec(7, 1, "zeros", record_cases=True)))
+    monkeypatch.setattr(suites, "discriminant_sign_check", sign)
+    phi = suites.quadratic_char
+    monkeypatch.setattr(suites, "quadratic_char", lambda x: -phi(x))
+    reports.append(run_job(JobSpec(5, 1, "oracles", record_cases=True)))
+    monkeypatch.setattr(suites, "quadratic_char", phi)
+    small_a = suites.sum_a
+    monkeypatch.setattr(suites, "sum_a", lambda lam: small_a(lam) + 1)
+    reports.append(run_job(JobSpec(5, 1, "charsums", record_cases=True)))
+    monkeypatch.undo()
+    clear_shared_caches()
+
+    by_case = {(rep.suite, f.case): f for rep in reports for f in rep.failures}
+    euler = by_case[("euler", "x=2")]
+    assert (euler.left, euler.right) == ("4.2.1.2 (=289)", "4.0.0.2 (=254)")
+    down = by_case[("gamma", "product-down t=3 a=1")]
+    assert (down.left, down.right) == ("3.4.0.4 (=-102)", "3.2.1.2 (=288)")
+    chain = by_case[("charsums", "lam=1")]
+    assert chain.left == "G3=5, h=0.1.0.0 (=5), B=4.4.4.4 (=-1), -phi(2)G2=0"
+    assert chain.right == "A=5, a=1, checks=(True, True, False, False, True, True)"
+    rows = [row for rep in reports for row in rep.case_rows]
+    assert all(row["left"] == row["right"] == "" for row in rows if row["ok"])
+    assert [len(rep.failures) for rep in reports] == [4, 3, 0, 20, 5, 3, 3]
+    for rep in reports:
+        rep.elapsed_ms = 0.0
+    rendered = (_render_json(reports), _render_csv(reports, verbose=True))
+    assert [hashlib.sha256(text.encode()).hexdigest() for text in rendered] == [
+        "ba8b74b52eebedbba3717b4b174691681abb6022353d48ebb9b6974fea6489d5",
+        "75b9d931845df4dfaa6e6ef0e002f042aa80bde21997297b9965eb4bd69033e4",
+    ]
