@@ -6,9 +6,15 @@ cross-check in the tests.  Both are built for every lambda of a field at once
 from the context's Zech-log table dlog(1 + g^d): with phi(g^k) = (-1)^k each
 comes from cyclic correlations of integer sequences of length q-1, so a
 whole field costs O(q^2) integer operations, once per context, and sum_A and
-sum_a are lookups.  Jacobi sums and the character-averaged sums h and B are
-computed in Z_q with characters realized as powers of the inverse Teichmuller
-character, read from the omega(g) power table by dlog.
+sum_a are lookups.
+
+Jacobi sums and the character-averaged sums h and B live in Z_q, with
+characters realized as powers of the inverse Teichmuller character.  Each
+Jacobi family the sums need is one character transform
+(UnramifiedContext.character_transform) of an integer histogram over the
+pairs (dlog x, dlog(1-x)), and h and B at every lambda are one transform
+each of the Jacobi products; a field costs O(q) integer work plus five
+Kronecker products, once per Z_q context, and sum_h and sum_B are lookups.
 """
 
 from __future__ import annotations
@@ -100,22 +106,47 @@ def jacobi_sum(i: int, j: int, zq: UnramifiedContext) -> ZqElement:
     """
     fq = zq.fq
     n = fq.q - 1
-    pows = zq.omega_generator_powers()
-    acc = zq.zero
+    counts = [0] * n  # counts[e] = #{x : omega-bar^i(x) omega-bar^j(1-x) = W^e}
     for d1, d2 in fq.jacobi_dlog_pairs():
-        acc = acc + pows[(-i * d1 - j * d2) % n]
-    return acc
+        counts[(-i * d1 - j * d2) % n] += 1
+    pows = zq.omega_generator_powers()
+    acc = [0] * zq.r
+    for e, c in enumerate(counts):
+        if c:
+            for t, w in enumerate(pows[e].coeffs):
+                acc[t] += c * w
+    return zq.element(acc)
 
 
-def _h_cubes(zq: UnramifiedContext) -> list[ZqElement]:
-    """J(chi-bar*phi, chi)^3 for chi = omega-bar^m, m = 0..q-2; lam-independent."""
-    cubes = zq.charsum_tables.get("h_cubes")
-    if cubes is None:
+def _jacobi_family(zq: UnramifiedContext, u: int, v: int) -> list[ZqElement]:
+    """[J(omega-bar^(half + u m), omega-bar^(v m)) for m in 0..q-2].
+
+    omega-bar^half(x) = (-1)^(dlog x), so the m-th sum is
+    sum_x (-1)^(dlog x) W^(-m e(x)) with e = u dlog x + v dlog(1-x):
+    the character transform of c_e = sum of (-1)^(dlog x) over e(x) = e.
+    """
+    n = zq.q - 1
+    c = [0] * n
+    for d1, d2 in zq.fq.jacobi_dlog_pairs():
+        c[(u * d1 + v * d2) % n] += 1 - 2 * (d1 & 1)
+    return zq.character_transform(c)
+
+
+def _h_values(zq: UnramifiedContext) -> list[ZqElement]:
+    """[h(g^d) for d in 0..q-2]; built once per context.
+
+    With cube_m = J(chi-bar phi, chi)^3 for chi = omega-bar^m, h(g^d) is
+    1/(q-1) sum_m omega(g)^(m d) cube_m, transform entry -d.
+    """
+    values = zq.charsum_tables.get("h")
+    if values is None:
         n = zq.q - 1
-        half = n // 2
-        cubes = [jacobi_sum((half - m) % n, m, zq) ** 3 for m in range(n)]
-        zq.charsum_tables["h_cubes"] = cubes
-    return cubes
+        scale = pow(n, -1, zq.modulus)
+        cubes = [(j * j * j).scale(scale) for j in _jacobi_family(zq, -1, 1)]
+        by_index = zq.character_transform(cubes)
+        values = [by_index[-d % n] for d in range(n)]
+        zq.charsum_tables["h"] = values
+    return values
 
 
 def sum_h(lam: FqElement, zq: UnramifiedContext) -> ZqElement:
@@ -125,28 +156,25 @@ def sum_h(lam: FqElement, zq: UnramifiedContext) -> ZqElement:
     """
     if lam.is_zero():
         raise ValueError("h(0) is undefined")
-    n, m = zq.q - 1, zq.modulus
-    pows = zq.omega_generator_powers()
     d = zq.dlog(lam)
-    acc = zq.zero
-    for k, cube in enumerate(_h_cubes(zq)):
-        acc = acc + pows[k * d % n] * cube
-    return acc.scale(pow(n, -1, m))
+    return _h_values(zq)[d]
 
 
-def _b_pairs(zq: UnramifiedContext) -> list[ZqElement]:
-    """J(phi*chi^2, chi-bar) * J(phi*chi, chi-bar) for chi = omega-bar^m."""
-    pairs = zq.charsum_tables.get("b_pairs")
-    if pairs is None:
-        n = zq.q - 1
-        half = n // 2
-        pairs = [
-            jacobi_sum((half + 2 * m) % n, (n - m) % n, zq)
-            * jacobi_sum((half + m) % n, (n - m) % n, zq)
-            for m in range(n)
-        ]
-        zq.charsum_tables["b_pairs"] = pairs
-    return pairs
+def _B_values(zq: UnramifiedContext) -> list[ZqElement]:
+    """[B-sum at arg = g^d for d in 0..q-2]; built once per context.
+
+    phi(-2)/(q-1) sum_m J(phi chi^2, chi-bar) J(phi chi, chi-bar) omega-bar^m(arg)
+    for chi = omega-bar^m is transform entry d.
+    """
+    values = zq.charsum_tables.get("B")
+    if values is None:
+        fq = zq.fq
+        m = zq.modulus
+        lead = quadratic_char(fq.scalar(-2)) * pow(zq.q - 1, -1, m) % m
+        pairs = zip(_jacobi_family(zq, 2, -1), _jacobi_family(zq, 1, -1))
+        values = zq.character_transform([(x * y).scale(lead) for x, y in pairs])
+        zq.charsum_tables["B"] = values
+    return values
 
 
 def sum_B(lam: FqElement, zq: UnramifiedContext) -> ZqElement:
@@ -160,14 +188,8 @@ def sum_B(lam: FqElement, zq: UnramifiedContext) -> ZqElement:
     fq = lam.context
     if lam.is_zero() or (lam + fq.one).is_zero():
         raise ValueError("B(lam) requires lam outside {0, -1}")
-    n, m = zq.q - 1, zq.modulus
-    pows = zq.omega_generator_powers()
     d = zq.dlog(lam / (fq.scalar(4) * (lam + fq.one)))
-    acc = zq.zero
-    for k, pair in enumerate(_b_pairs(zq)):
-        acc = acc + pows[-k * d % n] * pair  # chi(arg) = omega-bar^k(arg)
-    lead = quadratic_char(fq.scalar(-2)) * pow(n, -1, m) % m
-    return acc.scale(lead)
+    return _B_values(zq)[d]
 
 
 def verify_aop_identity(lam: FqElement) -> bool:

@@ -82,7 +82,16 @@ def poly_mulmod(a: tuple, b: tuple, neg_poly: tuple, m: int) -> tuple[int, ...]:
         if ai:
             for j, bj in enumerate(b):
                 prod[i + j] += ai * bj
-    for d in range(2 * r - 2, r - 1, -1):
+    return poly_reduce(prod, neg_poly, m)
+
+
+def poly_reduce(prod: list, neg_poly: tuple, m: int) -> tuple[int, ...]:
+    """prod (2r-1 coefficients, ascending, modified in place) mod (f, m).
+
+    neg_poly is as in poly_mulmod; the result has r = len(neg_poly) entries.
+    """
+    r = len(neg_poly)
+    for d in range(len(prod) - 1, r - 1, -1):
         c = prod[d] % m
         if c:
             for j, nc in enumerate(neg_poly):

@@ -8,11 +8,15 @@ For parameters a_1..a_n, b_1..b_n in Q ∩ Z_p and t in F_q,
           * Gamma_p(<(-b_k + a/(q-1)) p^i>) / Gamma_p(<-b_k p^i>)
 
 with e the floor exponent from rational.g_exponent.  Everything except
-omega-bar^a(t) is a Z_p scalar independent of t, so the a-indexed coefficient
-table is computed once per (upper, lower, q, N) and reused across the whole
-sweep over t; the (-1)^{a n} sign is applied as a literal integer sign.  With
-k = dlog t, omega-bar^a(t) is entry -a k mod (q-1) of the context's omega(g)
-power table, so one point costs q-1 integer multiply-adds per coordinate.
+omega-bar^a(t) is a Z_p scalar c_a independent of t.  The table of the c_a
+is built in integer arithmetic: with D = lcm(q-1, parameter denominators),
+every Gamma_p argument above is a residue num/D, read from the shared
+GammaCache once per distinct num.  With k = dlog t, omega-bar^a(t) =
+omega(g)^(-a k), so the values at every t of the field are one character
+transform of the table (UnramifiedContext.character_transform).  A field
+therefore costs an O(q) integer table plus one Kronecker product per
+parameter set, built on the first evaluation and cached on the Z_q context;
+every evaluation is a lookup by dlog t.
 
 Individual (k, i) factors can carry a negative floor exponent (the b_k = 1/2
 families do at a = (q-1)/2), but the exponents summed over one term always
@@ -25,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .finitefield import FqElement
 from .padic import UnramifiedContext, ZqElement
@@ -73,50 +78,63 @@ class GValue:
 
 
 def _coefficient_table(upper, lower, zq: UnramifiedContext) -> list[int]:
-    """Z_p coefficients of omega-bar^a(t), indexed by a; memoized per context."""
-    key = (upper, lower)
-    table = zq.g_tables.get(key)
-    if table is not None:
-        return table
-
+    """Z_p coefficients c_a of omega-bar^a(t), indexed by a, in integer arithmetic."""
     fq = zq.fq
     p, r, q, m = fq.p, fq.r, fq.q, zq.modulus
     n = len(upper)
+    d = lcm(q - 1, *(c.denominator for c in upper + lower))
     cache = gamma_cache(zq.base)
+    gammas: dict[int, int] = {}  # num -> Gamma_p(num / d)
 
-    # a-independent denominators Gamma(<a_k p^i>), Gamma(<-b_k p^i>): units
-    den_inv = {}
+    def gamma(num: int) -> int:
+        v = gammas.get(num)
+        if v is None:
+            v = gammas[num] = cache.gamma(Fraction(num, d)).residue
+        return v
+
+    # per (k, i): d * <a_k p^i>, d * <-b_k p^i>, d * p^i/(q-1) and the
+    # a-independent unit 1 / (Gamma(<a_k p^i>) Gamma(<-b_k p^i>))
+    rows = []
     for k in range(n):
         for i in range(r):
-            d = (
-                cache.gamma(frac(upper[k] * p**i)).residue
-                * cache.gamma(frac(-lower[k] * p**i)).residue
-                % m
+            pi = p**i
+            den = (
+                cache.gamma(frac(upper[k] * pi)).residue
+                * cache.gamma(frac(-lower[k] * pi)).residue
             )
-            den_inv[k, i] = pow(d, -1, m)
+            alpha = upper[k].numerator * (d // upper[k].denominator) * pi % d
+            beta = -lower[k].numerator * (d // lower[k].denominator) * pi % d
+            rows.append((k, i, alpha, beta, pi * (d // (q - 1)), pow(den, -1, m)))
+    powers = [pow(-p, e, m) for e in range(n * r + 1)]
 
     table = []
     for a in range(q - 1):
-        u = Fraction(a, q - 1)
         acc = 1 if (a * n) % 2 == 0 else m - 1
         exponent = 0
-        for k in range(n):
-            for i in range(r):
-                exponent += g_exponent(upper[k], lower[k], a, i, p, q)
-                num = (
-                    cache.gamma(frac((upper[k] - u) * p**i)).residue
-                    * cache.gamma(frac((-lower[k] + u) * p**i)).residue
-                    % m
-                )
-                acc = acc * num % m * den_inv[k, i] % m
+        for k, i, alpha, beta, step, inv in rows:
+            u = a * step
+            exponent += g_exponent(upper[k], lower[k], a, i, p, q)
+            acc = acc * gamma((alpha - u) % d) % m * gamma((beta + u) % d) % m * inv % m
         if exponent < 0:
             raise EvaluationIntegrityError(
                 f"negative total (-p) exponent {exponent} at a={a} for "
                 f"parameters {upper}; {lower}"
             )
-        table.append(acc * pow(-p, exponent, m) % m)
-    zq.g_tables[key] = table
+        table.append(acc * powers[exponent] % m)
     return table
+
+
+def _values(upper, lower, zq: UnramifiedContext) -> list[ZqElement]:
+    """nGn[upper; lower | g^k] for k in 0..q-2; one transform per context."""
+    key = (upper, lower)
+    values = zq.g_values.get(key)
+    if values is None:
+        m = zq.modulus
+        lead = -pow(zq.q - 1, -1, m) % m
+        table = _coefficient_table(upper, lower, zq)
+        values = zq.character_transform([c * lead % m for c in table])
+        zq.g_values[key] = values
+    return values
 
 
 def evaluate_g(params: GParams) -> GValue:
@@ -125,18 +143,10 @@ def evaluate_g(params: GParams) -> GValue:
     At t = 0 every summand carries chi(0) = 0, so the value is 0.
     """
     zq = params.context
-    q, m = zq.q, zq.modulus
     if params.t.is_zero():
         return GValue(zq.zero, zq.precision)
-    table = _coefficient_table(params.upper, params.lower, zq)
-    pows = zq.omega_generator_powers()
-    step = -params.t.dlog() % (q - 1)  # omega-bar^a(t) = pows[a * step]
-    acc = [0] * zq.r
-    for a, c in enumerate(table):
-        for i, w in enumerate(pows[a * step % (q - 1)].coeffs):
-            acc[i] += c * w
-    lead = -pow(q - 1, -1, m) % m
-    return GValue(zq.element(acc).scale(lead), zq.precision)
+    values = _values(params.upper, params.lower, zq)
+    return GValue(values[params.t.dlog()], zq.precision)
 
 
 def evaluate_g_inverted(params: GParams) -> GValue:

@@ -31,12 +31,20 @@ def g_exponent(a_k, b_k, a: int, i: int, p: int, q: int) -> int:
     The parameters a_k, b_k must be p-adic integers, i.e. have denominators
     coprime to p.
     """
-    a_k = Fraction(a_k)
-    b_k = Fraction(b_k)
-    if a_k.denominator % p == 0 or b_k.denominator % p == 0:
+    if not isinstance(a_k, Fraction):
+        a_k = Fraction(a_k)
+    if not isinstance(b_k, Fraction):
+        b_k = Fraction(b_k)
+    da, db = a_k.denominator, b_k.denominator
+    if da % p == 0 or db % p == 0:
         raise ValueError(f"parameter denominator divisible by p={p}")
-    u = Fraction(a * p**i, q - 1)
-    return -math.floor(frac(a_k * p**i) - u) - math.floor(frac(-b_k * p**i) + u)
+    # all over d: <a_k p^i> = alpha/d, <-b_k p^i> = beta/d, a p^i/(q-1) = u/d
+    d = math.lcm(da, db, q - 1)
+    pi = p**i
+    alpha = a_k.numerator * (d // da) * pi % d
+    beta = -b_k.numerator * (d // db) * pi % d
+    u = a * pi * (d // (q - 1))
+    return -((alpha - u) // d) - ((beta + u) // d)
 
 
 def check_floor_identity_A(p: int, q: int, a: int, i: int) -> bool:

@@ -1,12 +1,15 @@
 """Point-wise reference forms of the character values, kept as test oracles.
 
 The production code reads every Teichmuller and character value from the
-dlog-indexed table `UnramifiedContext.omega_generator_powers()`.  These
-references compute the same values the slow, obvious way, element by element:
-the Teichmuller lift by iterating x -> x^q from the verbatim lift of t,
-omega-bar(t) as its Hensel inverse, and each sum over characters by a running
-power product.  The coefficient and Jacobi-sum tables are shared with the
-production path; only the character values differ in how they are reached.
+dlog-indexed table `UnramifiedContext.omega_generator_powers()`, and builds
+the nGn, h and B values of a whole field as one character transform each.
+These references compute the same values the slow, obvious way, one point at
+a time: the Teichmuller lift by iterating x -> x^q from the verbatim lift of
+t, omega-bar(t) as its Hensel inverse, and each sum over characters by a
+running power product.  The nGn coefficients come from the rational-
+arithmetic table below (Fractions, rational.frac and rational floors for every
+Gamma_p argument and exponent), and the Jacobi sums from the point-wise
+`jacobi_sum`.
 
 The integer oracles A(lam), a(lam) and the cubic root counts are read in
 production from whole-field tables built on the Zech-log table; their
@@ -16,9 +19,15 @@ Horner scan over every y.
 
 from __future__ import annotations
 
+from fractions import Fraction
+from functools import lru_cache
+from math import floor
+
 from padichg.charsums import jacobi_sum
 from padichg.finitefield import quadratic_char
-from padichg.gfunction import _coefficient_table
+from padichg.gfunction import EvaluationIntegrityError
+from padichg.pgamma import gamma_cache
+from padichg.rational import frac
 
 
 def teichmuller_by_iteration(zq, t):
@@ -41,15 +50,66 @@ def _power_sum(zq, base, weights):
     return acc
 
 
+def g_exponent_fraction(a_k, b_k, a, i, p, q):
+    """-floor(<a_k p^i> - a p^i/(q-1)) - floor(<-b_k p^i> + a p^i/(q-1)) over Q."""
+    u = Fraction(a * p**i, q - 1)
+    return -floor(frac(a_k * p**i) - u) - floor(frac(-b_k * p**i) + u)
+
+
+@lru_cache(maxsize=16)
+def coefficient_table_fraction(upper, lower, zq):
+    """Z_p coefficients of omega-bar^a(t), indexed by a, in Fraction arithmetic."""
+    fq = zq.fq
+    p, r, q, m = fq.p, fq.r, fq.q, zq.modulus
+    n = len(upper)
+    cache = gamma_cache(zq.base)
+    den_inv = {}
+    for k in range(n):
+        for i in range(r):
+            d = (
+                cache.gamma(frac(upper[k] * p**i)).residue
+                * cache.gamma(frac(-lower[k] * p**i)).residue
+                % m
+            )
+            den_inv[k, i] = pow(d, -1, m)
+    table = []
+    for a in range(q - 1):
+        u = Fraction(a, q - 1)
+        acc = 1 if (a * n) % 2 == 0 else m - 1
+        exponent = 0
+        for k in range(n):
+            for i in range(r):
+                exponent += g_exponent_fraction(upper[k], lower[k], a, i, p, q)
+                num = (
+                    cache.gamma(frac((upper[k] - u) * p**i)).residue
+                    * cache.gamma(frac((-lower[k] + u) * p**i)).residue
+                    % m
+                )
+                acc = acc * num % m * den_inv[k, i] % m
+        if exponent < 0:
+            raise EvaluationIntegrityError(f"negative total (-p) exponent at a={a}")
+        table.append(acc * pow(-p, exponent, m) % m)
+    return table
+
+
 def evaluate_g_pointwise(params):
     """nGn at params.t as -1/(q-1) * sum_a c_a omega-bar(t)^a."""
     zq = params.context
     q, m = zq.q, zq.modulus
     if params.t.is_zero():
         return zq.zero
-    table = _coefficient_table(params.upper, params.lower, zq)
+    table = coefficient_table_fraction(params.upper, params.lower, zq)
     u = teichmuller_by_iteration(zq, params.t).inverse()
     return _power_sum(zq, u, [zq.scalar(c) for c in table]).scale(-pow(q - 1, -1, m) % m)
+
+
+def jacobi_sum_elementwise(i, j, zq):
+    """J(omega-bar^i, omega-bar^j) as a Z_q sum of character products over x."""
+    fq = zq.fq
+    acc = zq.zero
+    for x in fq.elements():
+        acc = acc + zq.char_value(i, x) * zq.char_value(j, fq.one - x)
+    return acc
 
 
 def sum_h_pointwise(lam, zq):

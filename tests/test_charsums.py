@@ -1,5 +1,11 @@
 import pytest
-from oracles import sum_A_bruteforce, sum_a_bruteforce, sum_B_pointwise, sum_h_pointwise
+from oracles import (
+    jacobi_sum_elementwise,
+    sum_A_bruteforce,
+    sum_a_bruteforce,
+    sum_B_pointwise,
+    sum_h_pointwise,
+)
 
 from padichg import charsums
 from padichg.charsums import jacobi_sum, sum_A, sum_B, sum_a, sum_h, verify_aop_identity
@@ -156,6 +162,37 @@ def test_sum_h_and_B_match_pointwise_oracle(p, r, n):
         assert sum_h(lam, zq) == sum_h_pointwise(lam, zq), lam
         if not (lam + fq.one).is_zero():
             assert sum_B(lam, zq) == sum_B_pointwise(lam, zq), lam
+
+
+@pytest.mark.parametrize("p,r,n", [(3, 1, 3), (5, 1, 3), (7, 1, 2), (3, 2, 3), (5, 2, 2), (5, 3, 2)])
+def test_jacobi_families_match_jacobi_sum(p, r, n):
+    # the three transformed families behind h and B, every character index,
+    # against the dlog-histogram sum and the element-by-element Z_q sum
+    fq, zq = _pair(p, r, n)
+    size = fq.q - 1
+    half = size // 2
+    for u, v in ((-1, 1), (2, -1), (1, -1)):
+        family = charsums._jacobi_family(zq, u, v)
+        for m in range(size):
+            i, j = (half + u * m) % size, v * m % size
+            assert family[m] == jacobi_sum(i, j, zq) == jacobi_sum_elementwise(i, j, zq), (u, v, m)
+
+
+def test_h_and_B_built_once_per_context(monkeypatch):
+    transforms = []
+    original = UnramifiedContext.character_transform
+
+    def counting(zq, coeffs):
+        transforms.append(len(coeffs))
+        return original(zq, coeffs)
+
+    monkeypatch.setattr(UnramifiedContext, "character_transform", counting)
+    fq, zq = _pair(7, 1, 3)
+    lams = [lam for lam in fq.nonzero_elements() if not (lam + fq.one).is_zero()]
+    first = [(sum_h(lam, zq), sum_B(lam, zq)) for lam in lams]
+    assert transforms == [fq.q - 1] * 5  # h: one family + one sum; B: two + one
+    assert [(sum_h(lam, zq), sum_B(lam, zq)) for lam in lams] == first
+    assert len(transforms) == 5
 
 
 def test_sums_reject_foreign_field():

@@ -1,8 +1,9 @@
 from fractions import Fraction as F
 
 import pytest
-from oracles import evaluate_g_pointwise
+from oracles import coefficient_table_fraction, evaluate_g_pointwise
 
+from padichg import gfunction
 from padichg.finitefield import make_fq
 from padichg.gfunction import (
     EvaluationIntegrityError,
@@ -123,25 +124,85 @@ def test_negative_total_exponent_aborts():
         evaluate_g(GParams((F(5, 6),), (F(1, 6),), fq.scalar(2), zq))
 
 
-def test_sweep_reuses_one_coefficient_table():
+def test_sweep_reuses_one_coefficient_table(monkeypatch):
+    # the first evaluation at t != 0 builds one coefficient table and one
+    # character transform per (upper, lower, context); the rest are lookups
+    builds = []
+    table_fn = gfunction._coefficient_table
+    transform = UnramifiedContext.character_transform
+
+    def counting_table(upper, lower, zq):
+        builds.append(("table", upper))
+        return table_fn(upper, lower, zq)
+
+    def counting_transform(zq, coeffs):
+        builds.append(("transform", len(coeffs)))
+        return transform(zq, coeffs)
+
+    monkeypatch.setattr(gfunction, "_coefficient_table", counting_table)
+    monkeypatch.setattr(UnramifiedContext, "character_transform", counting_transform)
     fq, zq = _pair(5, 1, 4)
-    evaluate_g(GParams(*G_CUBIC, fq.one, zq))
-    table = zq.g_tables[G_CUBIC]
-    evaluate_g(GParams(*G_CUBIC, fq.scalar(3), zq))
-    assert zq.g_tables[G_CUBIC] is table
+    evaluate_g(GParams(*G_CUBIC, fq.zero, zq))
+    assert builds == []
+    for t in fq.elements():
+        evaluate_g(GParams(*G_CUBIC, t, zq))
+    once = [("table", G_CUBIC[0]), ("transform", fq.q - 1)]
+    assert builds == once
+    values = zq.g_values[G_CUBIC]
+    for t in fq.elements():
+        evaluate_g(GParams(*G_SEXTIC, t, zq))
+        evaluate_g(GParams(*G_CUBIC, t, zq))
+    assert builds == once + [("table", G_SEXTIC[0]), ("transform", fq.q - 1)]
+    assert zq.g_values[G_CUBIC] is values
+    # another Z_q context of the same field owns its own values
+    evaluate_g(GParams(*G_CUBIC, fq.one, UnramifiedContext(fq, 4)))
+    assert len(builds) == 6
 
 
 @pytest.mark.parametrize(
-    "p,r,n", [(5, 1, 4), (7, 1, 3), (11, 1, 2), (3, 2, 4), (5, 2, 3), (3, 3, 4), (5, 3, 2)]
+    "p,r,n",
+    [
+        (5, 1, 4), (7, 1, 3), (11, 1, 2), (3, 2, 4), (5, 2, 3), (3, 3, 4), (5, 3, 2),
+        (3, 1, 4), (13, 1, 3), (7, 2, 3), (7, 3, 2),
+    ],
 )
 def test_evaluate_g_matches_pointwise_oracle(p, r, n):
-    # every t of the field, against the Frobenius lift + Hensel inverse +
-    # running power product
+    # the integer coefficient table against the Fraction table, and the
+    # transformed values at every t (t = 0 included) against the Frobenius
+    # lift + Hensel inverse + running power product
     fq, zq = _pair(p, r, n)
     families = [G_TRIPLE_HALF, G_QUARTER]
     if p > 3:
         families += [G_CUBIC, G_SEXTIC]
     for upper, lower in families:
+        assert _coefficient_table(upper, lower, zq) == coefficient_table_fraction(upper, lower, zq)
         for t in fq.elements():
             params = GParams(upper, lower, t, zq)
             assert evaluate_g(params).value == evaluate_g_pointwise(params), (upper, t)
+
+
+
+def _table_or_error(build, upper, lower, zq):
+    try:
+        return build(upper, lower, zq)
+    except EvaluationIntegrityError:
+        return "negative total exponent"
+
+
+@pytest.mark.parametrize("p,r,n", [(7, 1, 3), (7, 2, 2), (11, 1, 2), (5, 3, 2)])
+def test_integer_table_matches_fraction_table_generic_parameters(p, r, n):
+    # parameters without the symmetries of the suite families (<-b p^i> != <b p^i>,
+    # negative and improper fractions), where a negative exponent must be refused alike
+    _, zq = _pair(p, r, n)
+    cases = [
+        ((F(0),), (F(1, 3),)),
+        ((F(0), F(1, 2)), (F(1, 3), F(2, 3))),
+        ((F(1, 3),), (F(1, 4),)),
+        ((F(-7, 12), F(1, 2)), (F(5, 2), F(-1, 3))),
+    ]
+    outcomes = set()
+    for upper, lower in cases:
+        got = _table_or_error(_coefficient_table, upper, lower, zq)
+        assert got == _table_or_error(coefficient_table_fraction, upper, lower, zq), (upper, lower)
+        outcomes.add(isinstance(got, str))
+    assert outcomes == {True, False}  # both a table and a refusal are exercised

@@ -1,4 +1,8 @@
+from functools import lru_cache
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import teichmuller_by_iteration
 
 from padichg.finitefield import make_fq, quadratic_char
@@ -189,3 +193,61 @@ def test_balanced_lift_and_recovery():
     zq2 = _zq(5, 2, 3)
     with pytest.raises(ArithmeticError):
         balanced_lift(zq2.element((1, 1)))  # not a Z_p scalar
+
+
+# q = 3 (n = 2) is the shortest transform; the rest cover r = 1..3
+_TRANSFORM_FIELDS = [(3, 1, 3), (3, 1, 1), (5, 1, 2), (7, 1, 4), (3, 2, 3), (5, 2, 2), (3, 3, 2)]
+
+
+@lru_cache(maxsize=None)
+def _transform_context(p, r, n):
+    return _zq(p, r, n)
+
+
+@st.composite
+def _transform_inputs(draw):
+    zq = _transform_context(*draw(st.sampled_from(_TRANSFORM_FIELDS)))
+    size = zq.q - 1
+    if draw(st.booleans()):
+        ints = st.integers(min_value=-(zq.modulus**2), max_value=zq.modulus**2)
+        return zq, draw(st.lists(ints, min_size=size, max_size=size))
+    residues = st.integers(min_value=0, max_value=zq.modulus - 1)
+    vectors = st.lists(residues, min_size=zq.r, max_size=zq.r).map(zq.element)
+    return zq, draw(st.lists(vectors, min_size=size, max_size=size))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_transform_inputs())
+def test_character_transform_property(case):
+    # integer and Z_q coefficient vectors against the naive sum over a
+    zq, coeffs = case
+    size = zq.q - 1
+    pows = zq.omega_generator_powers()
+    got = zq.character_transform(coeffs)
+    assert len(got) == size
+    for k in range(size):
+        naive = zq.zero
+        for a, c in enumerate(coeffs):
+            naive = naive + pows[-a * k % size] * c
+        assert got[k] == naive, k
+
+
+def test_character_transform_rejects_bad_input():
+    zq = _zq(5, 1, 3)
+    with pytest.raises(ValueError):
+        zq.character_transform([1, 2, 3])
+    other = _zq(5, 1, 3)
+    with pytest.raises(ValueError):
+        zq.character_transform([other.one] * 4)
+
+
+def test_character_transform_beyond_int_digit_limit():
+    # slot sums of p^N-residues here have over 4300 decimal digits, past
+    # CPython's default limit for int <-> str conversion
+    zq = _zq(3, 1, 5000)
+    pows = zq.omega_generator_powers()
+    coeffs = [zq.modulus - 1, zq.element((zq.modulus // 2,))]
+    assert zq.character_transform(coeffs) == [
+        pows[0] * coeffs[0] + coeffs[1],
+        pows[0] * coeffs[0] + pows[1] * coeffs[1],
+    ]

@@ -2,6 +2,9 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from oracles import g_exponent_fraction
 
 from padichg.rational import (
     check_floor_identity_A,
@@ -81,3 +84,23 @@ def test_floor_identities_exhaustive(p, r):
                 assert check_floor_identity_A(p, q, a, i), (p, q, a, i)
             if a > 0:
                 assert check_floor_identity_B(p, q, a, i), (p, q, a, i)
+
+
+_RATIONALS = st.builds(F, st.integers(-10**4, 10**4), st.integers(1, 60))
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.sampled_from([(3, 1), (5, 2), (7, 3), (11, 1), (13, 2)]),
+    _RATIONALS,
+    _RATIONALS,
+    st.integers(0, 10**6),
+    st.integers(0, 2),
+)
+def test_g_exponent_matches_rational_floors(field, a_k, b_k, a, i):
+    # the integer floor divisions against the floors of the Fraction formula
+    p, r = field
+    q = p**r
+    assume(a_k.denominator % p and b_k.denominator % p)
+    a, i = a % (q - 1), i % r
+    assert g_exponent(a_k, b_k, a, i, p, q) == g_exponent_fraction(a_k, b_k, a, i, p, q)
