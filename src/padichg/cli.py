@@ -10,6 +10,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -75,11 +76,24 @@ def _int_value(where: str, key: str, value: str) -> int:
         raise UsageError(f"{where}: {key} must be an integer, got {value!r}") from None
 
 
+_BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
+def _bool_value(where: str, key: str, value: str) -> bool:
+    try:
+        return _BOOLEANS[value.lower()]
+    except KeyError:
+        raise UsageError(
+            f"{where}: {key} must be one of {'/'.join(_BOOLEANS)}, got {value!r}"
+        ) from None
+
+
 def _parse_config_file(path: str) -> tuple[dict, list[dict]]:
     """Flat key=value lines plus repeated 'job =' lines (see README schema).
 
-    Job values p, r and precision are converted to int here, so an error can
-    name its line.
+    The jobs setting and the job values p, r and precision are converted to
+    int, and fail-fast and verbose to bool, here, so an error can name its
+    line.
     """
     settings: dict = {}
     groups: list[dict] = []
@@ -111,8 +125,12 @@ def _parse_config_file(path: str) -> tuple[dict, list[dict]]:
             if "suite" not in entry:
                 raise UsageError(f"{where}: job line needs suite=...")
             groups.append(entry)
+        elif key == "jobs":
+            settings[key] = _int_value(where, key, value)
+        elif key in ("fail-fast", "verbose"):
+            settings[key] = _bool_value(where, key, value)
         elif key in SETTING_KEYS:
-            settings[key] = _int_value(where, key, value) if key == "jobs" else value
+            settings[key] = value
         else:
             raise UsageError(
                 f"{where}: unknown setting {key!r}; expected {', '.join(SETTING_KEYS)} or job"
@@ -159,10 +177,8 @@ def parse_args(argv) -> Config:
             if settings["jobs"] < 1:
                 raise UsageError("config jobs must be >= 1")
             config.parallel = settings["jobs"]
-        if "fail-fast" in settings:
-            config.fail_fast = settings["fail-fast"].lower() in ("1", "true", "yes")
-        if "verbose" in settings:
-            config.verbose = settings["verbose"].lower() in ("1", "true", "yes")
+        config.fail_fast = settings.get("fail-fast", config.fail_fast)
+        config.verbose = settings.get("verbose", config.verbose)
 
     # command-line flags override config-file values
     if args.format:
@@ -257,7 +273,10 @@ def _render_csv(reports: list[Report], verbose: bool) -> str:
 def run(config: Config) -> int:
     """Execute all jobs, write one report record per job, return the exit code."""
     reports: list[Report] = []
-    if config.fail_fast or config.parallel == 1:
+    # the pool forks all its workers at the first submit, so never ask for
+    # more than there are jobs or CPUs
+    workers = min(config.parallel, len(config.jobs), os.cpu_count() or 1)
+    if config.fail_fast or workers <= 1:
         # fail-fast forces sequential execution so the short-circuit is deterministic
         for job in config.jobs:
             rep = run_job(job)
@@ -265,7 +284,7 @@ def run(config: Config) -> int:
             if config.fail_fast and not rep.passed():
                 break
     else:
-        with ProcessPoolExecutor(max_workers=config.parallel) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             reports = list(pool.map(run_job, config.jobs))
 
     if config.fmt == "json":

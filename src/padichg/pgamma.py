@@ -10,27 +10,23 @@ evaluation to a unit product over [0, t) with 0 <= t < p^N:
 * a rational x with denominator coprime to p has a canonical residue
   mod p^{N+guard}, and folding that residue mod p^N is therefore exact.
 
-Block-log method (N <= p-2).  Write t = K*p + s with 0 <= s < p and let
-F(X) = prod_{j=1}^{p-1} (X + j) mod X^N.  The units below K*p are
-prod_{k<K} F(kp), and
+Digit table.  Write t = sum_k d_k p^k in base p and B_k = sum_{i>k} d_i p^i.
+The units in [B_k, B_k + d_k p^k) are Q_{k,d_k}(B_k), where
 
-    prod_{k<K} F(kp) = F(0)^K * exp(sum_{e=1}^{N-1} L_e p^e S_e(K))  mod p^N,
+    Q_{0,d}(X) = prod_{0<c<d} (X + c)              mod X^N,
+    Q_{k,d}(X) = prod_{c<d} Q_{k-1,p}(X + c p^k)   mod X^ceil(N/(k+1)),
 
-where L_e are the coefficients of log(F(X)/F(0)) and S_e(K) = sum_{k<K} k^e
-is Faulhaber's polynomial (exact Bernoulli numbers).  For N <= p-2 every
-divisor met on the way (e, e+1, j!, the Bernoulli denominators) is below p,
-so all of it reduces exactly to Z/p^N, and the exponential series stops at
-j = N-1.  The sum collapses to one polynomial E(K) of degree N, built once
-per cache in O(pN + N^2); a fresh argument then costs O(N) for E(K) and its
-exponential plus O(s) for the partial block prod_{j=1}^{s-1} (Kp + j).
+so the unit product below t is prod_k Q_{k,d_k}(B_k) mod p^N.  The
+truncations are exact because p^(k+1) divides B_k, and each Q_{k-1,p} is
+met only at arguments divisible by p^k.  The shifts are integer Taylor
+shifts, so nothing is divided and one method serves every (p, N).  The table
+of all Q_{k,d} with d < p is built once per cache, in about p*N^2 ring
+products; a fresh argument then costs sum_k ceil(N/(k+1)) Horner steps.
 
-Prefix fallback (N > p-2, so p <= N+1 and p^N is small).  One O(p^N) pass
-stores a checkpoint every _BLOCK integers; a fresh argument costs O(_BLOCK).
-The pass is refused up front (InfeasibleError, from check_feasible) when
-p^N exceeds MAX_PREFIX_MODULUS, so such a job fails fast instead of hanging.
-
-Every value is memoized per residue t; the memo is write-once per key and
-safe for concurrent readers.
+check_feasible refuses, before any context is built, a (p, N) whose table
+would take more than MAX_TABLE_WORK ring products.  Every value is memoized
+per residue t; the memo is write-once per key and safe for concurrent
+readers.
 """
 
 from __future__ import annotations
@@ -40,73 +36,58 @@ from math import comb
 
 from .padic import PadicContext, ZpElement
 
-_BLOCK = 128
-
-# Largest p^N the prefix fallback may scan: about 1.3 s at ~8M steps/s and
-# p^N / _BLOCK ≈ 80k checkpoints.
-MAX_PREFIX_MODULUS = 10**7
+# Bound on p*N^2, the ring products of one digit table.  Near the bound a
+# build took 1.3-3.1 s and 5-60 MB on one core (from (3, 816) to (65521, 5);
+# Python 3.11, shared 2-vCPU machine).  Every default precision at q <= 2^16 lies
+# below it; the largest, clausen at p = 65521 with N = 5, is 1.6e6.
+MAX_TABLE_WORK = 2 * 10**6
 
 _caches: dict[tuple[int, int, int], "GammaCache"] = {}
 
 
 class InfeasibleError(ValueError):
-    """Gamma_p mod p^N at this (p, N) would need a prefix pass over more than
-    MAX_PREFIX_MODULUS integers."""
-
-
-def uses_prefix(p: int, precision: int) -> bool:
-    """True where the block-log method does not apply (N > p-2)."""
-    return precision > p - 2
+    """Gamma_p mod p^N at this (p, N) would need a digit table of more than
+    MAX_TABLE_WORK ring products."""
 
 
 def check_feasible(p: int, precision: int) -> None:
-    """Raise InfeasibleError if Gamma_p mod p^precision needs too long a prefix pass.
-
-    Never computes a large power: p^N >= 2^N exceeds the bound as soon as N
-    reaches its bit length.
-    """
-    if uses_prefix(p, precision) and (
-        precision >= MAX_PREFIX_MODULUS.bit_length() or p**precision > MAX_PREFIX_MODULUS
-    ):
+    """Raise InfeasibleError if the Gamma_p table mod p^precision is too costly."""
+    if p * precision * precision > MAX_TABLE_WORK:
         raise InfeasibleError(
-            f"Gamma_p mod {p}^{precision} needs a prefix pass over {p}^{precision} integers"
-            f" (more than {MAX_PREFIX_MODULUS}); the block-log method needs N <= p-2"
+            f"Gamma_p mod {p}^{precision} needs a digit table of about {p}*{precision}^2"
+            f" ring products (more than {MAX_TABLE_WORK})"
         )
 
 
-def _bernoulli(n: int) -> list[Fraction]:
-    """B_0..B_n with B_1 = -1/2, from sum_{j<=m} C(m+1, j) B_j = 0."""
-    b = [Fraction(1)]
-    for m in range(1, n + 1):
-        b.append(-sum(comb(m + 1, j) * b[j] for j in range(m)) / (m + 1))
-    return b
-
-
-def _block_log_table(p: int, n: int, m: int) -> tuple[int, list[int], list[int]]:
-    """(F(0), coefficients of E(K) in ascending degree, 1/j! for j < n), all mod m = p^n."""
-    f = [1] + [0] * (n - 1)
-    for j in range(1, p):
+def _digit_table(p: int, n: int, m: int) -> list[list[tuple[int, ...]]]:
+    """table[k][d]: coefficients of Q_{k,d}(X) mod (X^ceil(n/(k+1)), m), ascending, d < p."""
+    poly = [1] + [0] * (n - 1)
+    row = [tuple(poly)]
+    for c in range(1, p):
+        row.append(tuple(poly))
         for i in range(n - 1, 0, -1):
-            f[i] = (f[i] * j + f[i - 1]) % m
-        f[0] = f[0] * j % m
-    # h = F'/F as a power series; L_e = h_{e-1} / e
-    inv_f0 = pow(f[0], -1, m)
-    h: list[int] = []
-    for i in range(n - 1):
-        acc = (i + 1) * f[i + 1] - sum(f[k] * h[i - k] for k in range(1, i + 1))
-        h.append(acc * inv_f0 % m)
-    bern = _bernoulli(n)
-    poly = [0] * (n + 1)
-    for e in range(1, n):
-        weight = h[e - 1] * pow(e, -1, m) * p**e % m
-        # S_e(K) = 1/(e+1) sum_{j<=e} C(e+1, j) B_j K^{e+1-j}
-        for j in range(e + 1):
-            c = comb(e + 1, j) * bern[j] / (e + 1)
-            poly[e + 1 - j] += weight * c.numerator * pow(c.denominator, -1, m)
-    inv_fact = [1]
-    for j in range(1, n):
-        inv_fact.append(inv_fact[-1] * pow(j, -1, m) % m)
-    return f[0], [c % m for c in poly], inv_fact
+            poly[i] = (poly[i] * c + poly[i - 1]) % m
+        poly[0] = poly[0] * c % m
+    table = [row]
+    for k in range(1, n):
+        size = -(-n // (k + 1))
+        # poly is Q_{k-1,p}; coefficient j of Q_{k-1,p}(X + a) is sum_e weights[j][e] a^e
+        weights = [[poly[i] * comb(i, j) % m for i in range(j, len(poly))] for j in range(size)]
+        step = p**k
+        poly = [1] + [0] * (size - 1)
+        row = []
+        for c in range(p):
+            row.append(tuple(poly))
+            a = c * step
+            shifted = []
+            for w in weights:
+                v = 0
+                for coeff in reversed(w):
+                    v = (v * a + coeff) % m
+                shifted.append(v)
+            poly = [sum(poly[j] * shifted[i - j] for j in range(i + 1)) % m for i in range(size)]
+        table.append(row)
+    return table
 
 
 class GammaCache:
@@ -120,49 +101,26 @@ class GammaCache:
         self.guard = guard
         self.p = context.p
         self.modulus = context.modulus
-        self._prefix: list[int] | None = None
-        self._block: tuple[int, list[int], list[int]] | None = None
+        self._table: list[list[tuple[int, ...]]] | None = None
         self._memo: dict[int, int] = {}
 
-    def _checkpoints(self) -> list[int]:
-        if self._prefix is None:
-            p, m = self.p, self.modulus
-            prefix = [1]
-            acc = 1
-            for j in range(1, m):
-                if j % p:
-                    acc = acc * j % m
-                if j % _BLOCK == _BLOCK - 1:
-                    prefix.append(acc)
-            self._prefix = prefix
-        return self._prefix
-
-    def _prefix_product(self, t: int) -> int:
-        """prod_{0<j<t, p∤j} j mod p^N from the nearest checkpoint."""
-        k = t // _BLOCK
-        acc = self._checkpoints()[k]
-        for j in range(k * _BLOCK, t):
-            if j % self.p:
-                acc = acc * j % self.modulus
-        return acc
-
-    def _block_product(self, t: int) -> int:
-        """prod_{0<j<t, p∤j} j mod p^N as F(0)^K * exp(E(K)) * prod_{0<j<s} (Kp + j)."""
+    def _unit_product(self, t: int) -> int:
+        """prod_{0<j<t, p∤j} j mod p^N as prod_k Q_{k,d_k}(B_k), for 0 <= t < p^N."""
         p, m = self.p, self.modulus
-        if self._block is None:
-            self._block = _block_log_table(p, self.context.precision, m)
-        f0, poly, inv_fact = self._block
-        big_k, s = divmod(t, p)
-        e = 0
-        for c in reversed(poly):
-            e = (e * big_k + c) % m
-        acc = 0
-        for c in reversed(inv_fact):
-            acc = (acc * e + c) % m
-        acc = acc * pow(f0, big_k, m) % m
-        base = big_k * p
-        for j in range(1, s):
-            acc = acc * (base + j) % m
+        if self._table is None:
+            self._table = _digit_table(p, self.context.precision, m)
+        acc, scale, high = 1, 1, t
+        for row in self._table:
+            if not high:
+                break
+            high, d = divmod(high, p)
+            scale *= p
+            if d:
+                x = high * scale  # B_k < p^N
+                v = 0
+                for c in reversed(row[d]):
+                    v = (v * x + c) % m
+                acc = acc * v % m
         return acc
 
     def _nat_mod(self, n: int) -> int:
@@ -174,10 +132,7 @@ class GammaCache:
         t = n % self.modulus
         v = self._memo.get(t)
         if v is None:
-            if uses_prefix(self.p, self.context.precision):
-                acc = self._prefix_product(t)
-            else:
-                acc = self._block_product(t)
+            acc = self._unit_product(t)
             v = -acc % self.modulus if t % 2 else acc
             self._memo[t] = v
         return v

@@ -554,10 +554,11 @@ SUITES = {
 
 
 def check_admissible(job: JobSpec) -> None:
-    """Refuse a job whose Gamma_p values would need an infeasible prefix pass.
+    """Refuse a job whose Gamma_p digit table would exceed pgamma.MAX_TABLE_WORK.
 
-    Raises pgamma.InfeasibleError before any context is built.  Skipped jobs
-    and the floors suite (pure integer identities) evaluate no Gamma_p.
+    Raises pgamma.InfeasibleError before any context is built, from p and
+    the resolved precision alone.  Skipped jobs and the floors suite (pure
+    integer identities) evaluate no Gamma_p.
     """
     if job.suite == "floors" or job.p < SUITE_MIN_P[job.suite]:
         return

@@ -15,6 +15,10 @@ The integer oracles A(lam), a(lam) and the cubic root counts are read in
 production from whole-field tables built on the Zech-log table; their
 references here are the per-lambda double sum over F_q objects and the
 Horner scan over every y.
+
+Gamma_p(n) mod p^N is read in production from a base-p digit table of
+truncated polynomials; its reference here is the checkpointed prefix product
+over every integer below p^N.
 """
 
 from __future__ import annotations
@@ -28,6 +32,33 @@ from padichg.finitefield import quadratic_char
 from padichg.gfunction import EvaluationIntegrityError
 from padichg.pgamma import gamma_cache
 from padichg.rational import frac
+
+
+_PREFIX_BLOCK = 128
+
+
+@lru_cache(maxsize=8)
+def _prefix_checkpoints(p, modulus):
+    """prod_{0<j<k*_PREFIX_BLOCK, p∤j} j mod modulus for every k, in one pass."""
+    prefix = [1]
+    acc = 1
+    for j in range(1, modulus):
+        if j % p:
+            acc = acc * j % modulus
+        if j % _PREFIX_BLOCK == _PREFIX_BLOCK - 1:
+            prefix.append(acc)
+    return prefix
+
+
+def prefix_gamma_nat(p, modulus, n):
+    """Gamma_p(n) mod modulus = p^N from the nearest checkpoint of the prefix pass."""
+    t = n % modulus
+    k = t // _PREFIX_BLOCK
+    acc = _prefix_checkpoints(p, modulus)[k]
+    for j in range(k * _PREFIX_BLOCK, t):
+        if j % p:
+            acc = acc * j % modulus
+    return -acc % modulus if t % 2 else acc
 
 
 def teichmuller_by_iteration(zq, t):

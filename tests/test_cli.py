@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from padichg import cli
 from padichg.cli import Config, UsageError, main, parse_args, run
 from padichg.suites import JobSpec
 
@@ -222,12 +223,78 @@ def test_huge_field_parameters_are_refused_at_once(capsys):
 def test_infeasible_gamma_job_is_refused_before_running(capsys):
     from padichg import pgamma, suites
 
-    caches_before = (len(pgamma._caches), len(suites._zq_cache))
-    err = _usage_exit(capsys, ["--p", "3", "--suite", "gamma", "--precision", "30"])
-    assert "refused" in err and "3^30" in err
-    assert (len(pgamma._caches), len(suites._zq_cache)) == caches_before
+    caches_before = (len(pgamma._caches), len(suites._fq_cache), len(suites._zq_cache))
+    err = _usage_exit(capsys, ["--p", "3", "--suite", "gamma", "--precision", "1000000"])
+    assert "refused" in err and "3^1000000" in err
+    err = _usage_exit(capsys, ["--p", "65521", "--suite", "euler", "--precision", "60000"])
+    assert "refused" in err and "65521^60000" in err
+    assert (len(pgamma._caches), len(suites._fq_cache), len(suites._zq_cache)) == caches_before
     # one refused job refuses the whole run, before any job starts
-    err = _usage_exit(capsys, ["--p", "3", "--suite", "all", "--precision", "30"])
+    err = _usage_exit(capsys, ["--p", "3", "--suite", "all", "--precision", "1000000"])
     assert "refused" in err
     # the floors suite evaluates no Gamma_p, so any precision is admitted
-    assert parse_args(["--p", "5", "--suite", "floors", "--precision", "30"]).jobs
+    assert parse_args(["--p", "5", "--suite", "floors", "--precision", "1000000"]).jobs
+
+
+@pytest.mark.parametrize("setting", ["fail-fast = banana", "verbose = nope", "verbose ="])
+def test_config_non_boolean_setting_is_usage_error(tmp_path, capsys, setting):
+    argv = _config(tmp_path, f"job = suite=floors p=7\n{setting}\n")
+    err = _usage_exit(capsys, argv)
+    assert "jobs.cfg:2:" in err and "must be one of 1/true/yes/0/false/no" in err
+
+
+def test_config_booleans_are_case_insensitive(tmp_path):
+    cfg = parse_args(_config(tmp_path, "fail-fast = YES\nverbose = True\njob = suite=floors p=7\n"))
+    assert cfg.fail_fast and cfg.verbose
+    cfg = parse_args(_config(tmp_path, "fail-fast = No\nverbose = 0\njob = suite=floors p=7\n"))
+    assert not cfg.fail_fast and not cfg.verbose
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, runs in-process."""
+
+    created: list[int] = []
+
+    def __init__(self, max_workers):
+        self.created.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.fixture
+def recording_pool(monkeypatch):
+    _RecordingPool.created = []
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    return _RecordingPool.created
+
+
+def _floors_jobs(count):
+    return [JobSpec(p, 1, "floors", precision=4) for p in (5, 7, 11, 13, 17)[:count]]
+
+
+def test_parallel_pool_is_capped_by_cpus_and_jobs(recording_pool, monkeypatch):
+    assert run(Config(jobs=_floors_jobs(5), fmt="json", parallel=100000)) == 0
+    assert run(Config(jobs=_floors_jobs(3), fmt="json", parallel=100000)) == 0
+    assert run(Config(jobs=_floors_jobs(5), fmt="json", parallel=2)) == 0
+    assert recording_pool == [4, 3, 2]
+    # one job, or one CPU, takes the sequential loop and starts no pool
+    assert run(Config(jobs=_floors_jobs(1), fmt="json", parallel=100000)) == 0
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    assert run(Config(jobs=_floors_jobs(5), fmt="json", parallel=100000)) == 0
+    assert recording_pool == [4, 3, 2]
+
+
+def test_config_jobs_setting_is_capped(recording_pool, tmp_path):
+    lines = "".join(f"job = suite=floors p={p}\n" for p in (5, 7, 11, 13, 17))
+    cfg = parse_args(_config(tmp_path, "jobs = 100000\nformat = json\n" + lines))
+    assert cfg.parallel == 100000
+    assert run(cfg) == 0
+    assert recording_pool == [4]

@@ -1,21 +1,21 @@
 import random
+import time
 from fractions import Fraction as F
 from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import prefix_gamma_nat
 
 from padichg.padic import PadicContext
 from padichg.pgamma import (
-    MAX_PREFIX_MODULUS,
     GammaCache,
     InfeasibleError,
     check_feasible,
     gamma_cache,
     gamma_p,
     gamma_p_nat,
-    uses_prefix,
 )
 
 
@@ -128,13 +128,6 @@ def test_module_level_helpers_share_cache():
     assert gamma_cache(ctx) is gamma_cache(ctx)
 
 
-def prefix_gamma_nat(cache, t):
-    """The checkpointed prefix path, whatever path the cache itself would take."""
-    t %= cache.modulus
-    acc = cache._prefix_product(t)
-    return -acc % cache.modulus if t % 2 else acc
-
-
 def _edge_and_random_args(p, n, count, seed):
     m = p**n
     rng = random.Random(seed)
@@ -142,16 +135,20 @@ def _edge_and_random_args(p, n, count, seed):
     return sorted(edges | {rng.randrange(m) for _ in range(count)})
 
 
-# block-log path throughout; the boundary N = p-2 at (3, 1), (5, 3) and (7, 5)
-@pytest.mark.parametrize("p,n", [(3, 1), (5, 1), (5, 3), (7, 2), (7, 5), (11, 4), (13, 4), (29, 3)])
+# N = p-2 at (3, 1), (5, 3), (7, 5) and N = p-1 at (3, 2), (5, 4), (7, 6): the
+# two sides of the fork between the block-log method and the prefix pass that
+# the digit table replaced
+@pytest.mark.parametrize(
+    "p,n",
+    [(3, 1), (5, 1), (5, 3), (7, 2), (7, 5), (11, 4), (13, 4), (29, 3), (3, 2), (5, 4), (7, 6)],
+)
 def test_block_log_matches_brute_force_and_prefix(p, n):
-    assert not uses_prefix(p, n)
     m = p**n
     cache = GammaCache(PadicContext(p, n))
     for t in _edge_and_random_args(p, n, 25, seed=p * 100 + n):
         value = cache.gamma_nat(t).residue
         assert value == brute_gamma_nat(t, p, m), t
-        assert value == prefix_gamma_nat(cache, t), t
+        assert value == prefix_gamma_nat(p, m, t), t
 
 
 @pytest.mark.parametrize("p,n", [(31, 4), (211, 3), (17, 15)])
@@ -166,38 +163,44 @@ def test_block_log_matches_prefix_large_modulus(p, n):
         assert cache.gamma_nat(t).residue == brute_gamma_nat(t, p, m), t
     if m <= 10**7:
         for t in _edge_and_random_args(p, n, 200, seed=7):
-            assert cache.gamma_nat(t).residue == prefix_gamma_nat(cache, t), t
+            assert cache.gamma_nat(t).residue == prefix_gamma_nat(p, m, t), t
 
 
-def test_prefix_table_only_built_beyond_block_range():
-    for p, n in ((5, 3), (7, 5), (13, 4), (101, 5)):
-        cache = GammaCache(PadicContext(p, n))
-        for t in range(0, 3 * p * p, 7):
-            cache.gamma_nat(t)
-        for x in (F(1, 2), F(1, 3), F(5, 6), F(-7, 4)):
-            cache.gamma(x)
-        assert cache._prefix is None, (p, n)
-    for p, n in ((3, 2), (5, 4), (7, 6)):
-        cache = GammaCache(PadicContext(p, n))
-        cache.gamma(F(1, 2))
-        assert cache._prefix is not None and cache._block is None, (p, n)
+# p^N above 10^7, where the prefix pass was refused: brute force on a bounded
+# range, and every digit level mod p^low against the prefix oracle there
+@pytest.mark.parametrize("p,n,low", [(3, 15, 10), (5, 11, 7), (7, 9, 5)])
+def test_digit_table_beyond_old_refusal(p, n, low):
+    cache = GammaCache(PadicContext(p, n))
+    m, cut = p**n, p**low
+    limit = 3 * p**3
+    rng = random.Random(p * n)
+    for t in sorted({0, 1, p - 1, p, limit - 1} | {rng.randrange(limit) for _ in range(20)}):
+        assert cache.gamma_nat(t).residue == brute_gamma_nat(t, p, m), t
+    for t in _edge_and_random_args(p, n, 200, seed=p + n):
+        assert cache.gamma_nat(t).residue % cut == prefix_gamma_nat(p, cut, t), t
 
 
 def test_admission_refuses_long_prefix_pass():
-    check_feasible(3, 14)  # 3^14 = 4.8e6, prefix path
-    check_feasible(5, 10)  # 5^10 = 9.8e6, prefix path
-    check_feasible(257, 255)  # N = p-2: block-log path, no prefix at all
-    assert 5**10 <= MAX_PREFIX_MODULUS < 3**15
-    for p, n in ((3, 15), (5, 11), (3, 30), (7, 10**9), (257, 256)):
+    # the name predates the digit table: the bound is now on its work, p*N^2
+    check_feasible(3, 15)  # refused while a prefix pass served N > p-2
+    check_feasible(3, 816)
+    check_feasible(65521, 5)  # clausen's default precision at q = 65521
+    for p, n in ((3, 817), (3, 10**6), (65521, 6), (65521, 60000), (257, 255)):
         with pytest.raises(InfeasibleError):
             check_feasible(p, n)
+    start = time.perf_counter()
     with pytest.raises(InfeasibleError):
-        GammaCache(PadicContext(3, 30))
+        check_feasible(7, 10**9)
+    assert time.perf_counter() - start < 0.5
+    with pytest.raises(InfeasibleError):
+        GammaCache(PadicContext(3, 1000))
 
 
-# prefix path at (3, 4), (5, 5), (7, 6); block-log path elsewhere, with the
-# boundary N = p-2 at (5, 3) and (7, 5)
-_FIELDS = [(3, 4), (5, 3), (5, 5), (7, 5), (7, 6), (11, 4), (13, 3), (101, 5), (211, 3)]
+# N = p-2 at (5, 3) and (7, 5); N > p-2 at (3, 4), (5, 5), (7, 6), and beyond
+# the former prefix-pass refusal at (3, 16) and (5, 12)
+_FIELDS = [
+    (3, 4), (5, 3), (5, 5), (7, 5), (7, 6), (11, 4), (13, 3), (101, 5), (211, 3), (3, 16), (5, 12),
+]
 
 
 @lru_cache(maxsize=None)
