@@ -4,9 +4,9 @@ The quadratic-character double and single sums A and a are computed purely
 over the integers, never through Z_q; the Z_q path exists only as a
 cross-check in the tests.  Both are built for every lambda of a field at once
 from the context's Zech-log table dlog(1 + g^d): with phi(g^k) = (-1)^k each
-comes from cyclic correlations of integer sequences of length q-1, so a
-whole field costs O(q^2) integer operations, once per context, and sum_A and
-sum_a are lookups.
+comes from cyclic correlations of integer sequences of length q-1: a field
+costs O(q) integer work and three packed products (finitefield.correlate),
+once per context, and sum_A and sum_a are lookups.
 
 Jacobi sums and the character-averaged sums h and B live in Z_q, with
 characters realized as powers of the inverse Teichmuller character.  Each
@@ -19,9 +19,7 @@ Kronecker products, once per Z_q context, and sum_h and sum_B are lookups.
 
 from __future__ import annotations
 
-from operator import mul
-
-from .finitefield import ZECH_UNDEFINED, FqContext, FqElement, quadratic_char
+from .finitefield import ZECH_UNDEFINED, FqContext, FqElement, correlate, pack, quadratic_char
 from .padic import UnramifiedContext, ZqElement
 
 
@@ -30,11 +28,11 @@ def _phi_one_plus(fq: FqContext) -> list[int]:
     return [0 if z == ZECH_UNDEFINED else 1 - 2 * (z & 1) for z in fq.zech_table()]
 
 
-def _correlate(u: list[int], v: list[int]) -> list[int]:
+def _cyclic(u: list[int], v: list[int]) -> list[int]:
     """c[m] = sum_i u[i] v[(i + m) mod n] for m in 0..n-1, n = len(u)."""
-    n = len(u)
-    vv = v + v
-    return [sum(map(mul, u, vv[m : m + n])) for m in range(n)]
+    bound = len(u) * max(1, *map(abs, u)) * max(1, *map(abs, v))
+    packed = pack([(x,) for x in v + v[:-1]], bound)
+    return [c for (c,) in correlate([(x,) for x in u], packed)]
 
 
 def _a_weights(phi1: list[int]) -> list[int]:
@@ -53,9 +51,9 @@ def _A_values(fq: FqContext) -> list[int]:
         n = fq.q - 1
         phi1 = _phi_one_plus(fq)
         f = _a_weights(phi1)
-        c = _correlate(f, phi1)
+        c = _cyclic(f, phi1)
         s = [c[-k % n] if k % 2 == 0 else -c[-k % n] for k in range(n)]
-        table = _correlate(f, s)
+        table = _cyclic(f, s)
         fq.charsum_tables["A"] = table
     return table
 
@@ -74,7 +72,7 @@ def _a_values(fq: FqContext) -> list[int]:
         w = [0] * n  # w[e] = sum of psi[i] over 2i = e mod n
         for i, v in enumerate(psi):
             w[2 * i % n] += v
-        c = _correlate(w, psi)
+        c = _cyclic(w, psi)
         table = [1 + c[-k % n] if k % 2 == 0 else -1 - c[-k % n] for k in range(n)]
         fq.charsum_tables["a"] = table
     return table

@@ -16,7 +16,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from .finitefield import MAX_Q, is_prime
-from .pgamma import InfeasibleError
 from .suites import DEFAULT_BATTERY, SUITE_NAMES, JobSpec, Report, check_admissible, run_job
 
 FORMATS = ("text", "json", "csv")
@@ -212,7 +211,7 @@ def parse_args(argv) -> Config:
     for job in config.jobs:
         try:
             check_admissible(job)
-        except InfeasibleError as exc:
+        except ValueError as exc:
             raise UsageError(f"job {job.suite} p={job.p} r={job.r} refused: {exc}") from None
     return config
 

@@ -7,16 +7,18 @@ coefficient-lexicographic order of multiplicative order q - 1.  Elements are
 coefficient vectors in the power basis of that polynomial.
 
 Fields are kept small on purpose (q <= 2^16): the dlog table makes every
-character evaluation O(1) inside the O(q^2) verification loops.  Each context
-also owns the integer Zech-log table dlog(1 + g^d), from which the
-character-sum oracles of every lambda are built at once, and the preimage
-histograms that answer root counts by lookup; both are built lazily, once
-per context.
+character evaluation O(1) inside the O(q) verification sweeps.  Each context
+also owns, built lazily once, the integer Zech-log table dlog(1 + g^d), from
+which the character-sum oracles of every lambda come at once, and the
+preimage histograms that answer root counts by lookup.  correlate computes
+every whole-field correlation, over F_q and Z_q, as one exact packed product.
 """
 
 from __future__ import annotations
 
+import decimal
 import itertools
+from decimal import Decimal
 
 MAX_Q = 1 << 16
 # zech_table entry at d = (q-1)/2, where 1 + g^d = 0 has no dlog
@@ -34,29 +36,12 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _poly_mod(num: list[int], den: list[int], p: int) -> list[int]:
-    """Remainder of num by monic den over F_p (den's leading coeff must be 1)."""
-    num = [c % p for c in num]
-    d = len(den) - 1
-    while len(num) - 1 >= d:
-        lead = num[-1]
-        if lead:
-            shift = len(num) - 1 - d
-            for j, c in enumerate(den):
-                num[shift + j] = (num[shift + j] - lead * c) % p
-        num.pop()
-    while len(num) > 1 and num[-1] == 0:
-        num.pop()
-    return num
-
-
 def _is_irreducible(poly: list[int], p: int) -> bool:
     """Trial division by all monic polynomials of degree <= deg/2."""
     deg = len(poly) - 1
     for d in range(1, deg // 2 + 1):
-        for tail in itertools.product(range(p), repeat=d):
-            divisor = list(tail) + [1]
-            if all(c == 0 for c in _poly_mod(poly, divisor, p)):
+        for neg_tail in itertools.product(range(p), repeat=d):  # -tail runs over F_p^d too
+            if not any(poly_reduce(list(poly), neg_tail, p)):
                 return False
     return True
 
@@ -86,7 +71,7 @@ def poly_mulmod(a: tuple, b: tuple, neg_poly: tuple, m: int) -> tuple[int, ...]:
 
 
 def poly_reduce(prod: list, neg_poly: tuple, m: int) -> tuple[int, ...]:
-    """prod (2r-1 coefficients, ascending, modified in place) mod (f, m).
+    """prod (at least r coefficients, ascending, modified in place) mod (f, m).
 
     neg_poly is as in poly_mulmod; the result has r = len(neg_poly) entries.
     """
@@ -97,6 +82,68 @@ def poly_reduce(prod: list, neg_poly: tuple, m: int) -> tuple[int, ...]:
             for j, nc in enumerate(neg_poly):
                 prod[d - r + j] += c * nc
     return tuple(c % m for c in prod[:r])
+
+
+# integers only, so Emin never binds; Inexact and Rounded raise
+_EXACT = decimal.Context(
+    prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, traps=[decimal.Inexact, decimal.Rounded]
+)
+
+
+def pack(blocks: list, bound: int) -> tuple[Decimal, int, int]:
+    """(value, slot width, len(blocks)): blocks of r integers packed as v of correlate.
+
+    bound is at least every |slot| of u and v and every sum of |u_i v_j| that
+    a slot of the correlation receives; a slot holds w digits, 10^w > 2 bound.
+    """
+    width = len(str(Decimal(2 * bound)))
+    return _to_decimal(blocks, width), width, len(blocks)
+
+
+def correlate(u: list, v: tuple[Decimal, int, int]) -> list[list[int]]:
+    """[sum_a u[a] * v[a+k] for k in 0..len(v) - len(u)], v packed by pack.
+
+    Entries are blocks of r integer slots multiplied as polynomials, so
+    out[k][s] = sum_a sum_(t+w=s) u[a][t] v[a+k][w].  Each operand is one big
+    integer with 2r-1 slots per block (Kronecker substitution), signed slots
+    in balanced digits (Harvey, JSC 2009), and the correlation is one exact
+    decimal.Decimal product: libmpdec multiplies by number-theoretic
+    transform, faster than the Karatsuba product of int.  Slots pass through
+    Decimal because int <-> str is capped at 4300 digits.
+    """
+    packed, width, count = v
+    n, block = len(u), 2 * len(u[0]) - 1
+    # u[a] sits in block n-1-a and v[j] in block j, so out[k] is block n-1+k
+    prod = str(_EXACT.multiply(_to_decimal(u[::-1], width), packed))
+    size = width * block * (n + count - 1)
+    digits, sign = prod.lstrip("-").rjust(size, "0"), -1 if prod[0] == "-" else 1
+    base, out = 10**width, []
+    for k in range(count - n + 1):
+        low = size - width * block * (n - 1 + k)  # the lowest slot of out[k] ends here
+        slots = []
+        for end in range(low, low - width * block, -width):
+            # a slot read at half its base or more is negative; the one above reads 1 short
+            d = int(Decimal(digits[end - width : end])) + (digits[end : end + 1] >= "5")
+            slots.append(sign * (d - base if digits[end - width] >= "5" else d))
+        out.append(slots)
+    return out
+
+
+def _to_decimal(blocks: list, width: int) -> Decimal:
+    """sum_j sum_t blocks[j][t] 10^(width ((2r-1) j + t)), exactly."""
+    base, pad = 10**width, width * (len(blocks[0]) - 1)
+    digits, borrow = [], 0  # least significant slot first; a negative slot borrows one
+    for b in blocks:
+        for x in b:
+            x -= borrow
+            borrow = x < 0
+            digits.append(str(Decimal(x + base if borrow else x)).zfill(width))
+        digits.append(("9" if borrow else "0") * pad)
+    text = "".join(reversed(digits))
+    if len(text) != (width + 2 * pad) * len(blocks):
+        raise ValueError("a slot exceeds the packing bound")
+    value = Decimal(text)
+    return _EXACT.subtract(value, Decimal("1" + "0" * len(text))) if borrow else value
 
 
 def _prime_factors(n: int) -> list[int]:

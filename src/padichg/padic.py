@@ -8,18 +8,15 @@ powers of omega(g) for the F_q generator g, indexed by discrete log.
 
 A character sum over a whole field, sum_a c_a omega(g)^(-a k) for every k
 at once, is the context's character transform: a binomial-chirp correlation
-computed as one Kronecker product of two big integers, O(q r^2)
-small-integer work plus that product.  The nGn values and the Jacobi-sum
+computed by finitefield.correlate, O(q r^2) small-integer work plus one exact
+product of two big integers.  The nGn values and the Jacobi-sum
 families are built this way, so a point of a field is a lookup.  The
 derived tables of a context are each filled once and never mutated.
 """
 
 from __future__ import annotations
 
-import decimal
-from decimal import Decimal
-
-from .finitefield import FqContext, FqElement, is_prime, poly_mulmod, poly_reduce
+from .finitefield import FqContext, FqElement, correlate, is_prime, pack, poly_mulmod, poly_reduce
 
 
 class PadicContext:
@@ -127,7 +124,7 @@ class UnramifiedContext:
         self.zero = ZqElement(self, (0,) * self.r)
         self.one = ZqElement(self, (1,) + (0,) * (self.r - 1))
         self._omega_pows: list[ZqElement] | None = None
-        self._chirp: tuple[int, Decimal] | None = None
+        self._chirp: tuple | None = None  # the packed chirp of character_transform
         # filled on first use, indexed by dlog: nGn values by gfunction, keyed
         # by (upper, lower); h and B values by charsums, keyed by name
         self.g_values: dict[tuple, list[ZqElement]] = {}
@@ -198,72 +195,32 @@ class UnramifiedContext:
             T[k] = W^C(k,2) * sum_a (c_a W^C(a,2)) W^-C(a+k,2),
 
         one correlation of length q-1; the binomial chirp needs no square
-        root of W.  The correlation is a single Kronecker product of two big
-        integers: each index takes 2r-1 slots, room for the unreduced
-        power-basis product, and a slot is wide enough for the largest sum it
-        receives, so no carry crosses a slot.  Each slot block is then reduced
-        mod (f, p^N) and multiplied by W^C(k,2).
-
-        The integers are packed in decimal, a fixed number of digits per
-        slot, and multiplied as decimal.Decimal at unbounded precision:
-        libmpdec multiplies large operands by number-theoretic transform,
-        asymptotically faster than the Karatsuba product of int.  The context
-        traps Inexact and Rounded, so a product that is not exact raises.
-        Slots are written and read through Decimal too: int <-> str is capped
-        at 4300 digits, which a slot passes once p^N has about 2150.
+        root of W.  finitefield.correlate computes it on power-basis vectors;
+        each output block is then reduced mod (f, p^N) and multiplied by W^C(k,2).
         """
-        n, r, m, neg = self.q - 1, self.r, self.modulus, self._neg_poly
+        n, m, neg = self.q - 1, self.modulus, self._neg_poly
         if len(coeffs) != n:
             raise ValueError(f"expected {n} coefficients")
         pows = self.omega_generator_powers()
-        width, chirp = self._chirp_packed()
-        pad = "0" * (width * (r - 1))
-        digits = []  # most significant first: index a = 0 takes the top block
-        for a in range(n):
-            c = coeffs[a]
+        if self._chirp is None:  # W^-C(j,2) for j in 0..2q-4, packed once per context
+            chirp = [pows[-(j * (j - 1) // 2) % n].coeffs for j in range(2 * n - 1)]
+            # a slot sums at most n * r products of residues below m
+            self._chirp = pack(chirp, n * self.r * (m - 1) ** 2)
+        u = []
+        for a, c in enumerate(coeffs):
             w = pows[a * (a - 1) // 2 % n].coeffs
             if isinstance(c, ZqElement):
                 if c.context is not self:
                     raise ValueError("mixed Z_q contexts")
-                x = poly_mulmod(c.coeffs, w, neg, m)
+                u.append(poly_mulmod(c.coeffs, w, neg, m))
             else:
-                x = [c * v % m for v in w]
-            digits.append(pad)
-            digits.extend(str(Decimal(v)).zfill(width) for v in reversed(x))
-        exact = decimal.Context(
-            prec=decimal.MAX_PREC,
-            Emax=decimal.MAX_EMAX,
-            Emin=decimal.MIN_EMIN,
-            traps=[decimal.Inexact, decimal.Rounded],
-        )
-        block = width * (2 * r - 1)
-        size = block * (3 * n - 2)
-        prod = str(exact.multiply(Decimal("".join(digits)), chirp)).rjust(size, "0")
+                u.append([c * v % m for v in w])
         out = []
-        for k in range(n):
-            end = size - block * (n - 1 + k)  # block n-1+k, lowest slot last
-            slots = [int(Decimal(prod[e - width : e])) for e in range(end, end - block, -width)]
+        for k, slots in enumerate(correlate(u, self._chirp)):
             x = poly_reduce(slots, neg, m)
             post = pows[k * (k - 1) // 2 % n].coeffs
             out.append(ZqElement(self, poly_mulmod(x, post, neg, m)))
         return out
-
-    def _chirp_packed(self) -> tuple[int, Decimal]:
-        """(slot width in digits, W^-C(j,2) for j in 0..2q-4 packed as in
-        character_transform); built once per context."""
-        if self._chirp is None:
-            n, r, m = self.q - 1, self.r, self.modulus
-            # a slot sums at most n * r products of residues below m
-            width = len(str(Decimal(n * r * (m - 1) ** 2)))
-            pows = self.omega_generator_powers()
-            pad = "0" * (width * (r - 1))
-            digits = []
-            for j in range(2 * n - 2, -1, -1):
-                digits.append(pad)
-                w = pows[-(j * (j - 1) // 2) % n].coeffs
-                digits.extend(str(Decimal(v)).zfill(width) for v in reversed(w))
-            self._chirp = (width, Decimal("".join(digits)))
-        return self._chirp
 
     def reduce_mod_p(self, x: "ZqElement") -> FqElement:
         return FqElement(self.fq, tuple(c % self.base.p for c in x.coeffs))

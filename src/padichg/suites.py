@@ -235,6 +235,10 @@ def _require(job: JobSpec):
         raise ValueError(f"suite {job.suite!r} requires p >= {min_p}, got p={job.p}")
     if job.precision is None:
         raise ValueError("precision must be resolved before running a suite")
+    if job.suite in ("zeros", "oracles") and job.p**job.precision < 7:
+        raise ValueError("insufficient precision: integer recovery needs p^N >= 7")
+    if job.suite == "charsums" and job.p**job.precision <= 2 * job.q**2:
+        raise ValueError("insufficient precision: A-recovery needs p^N > 2q^2")
 
 
 def _sweep_elements(fq: FqContext, job: JobSpec, exclude=()):
@@ -287,8 +291,6 @@ def verify_zero_classification(job: JobSpec) -> Report:
     27y^2(1-y) - 4x has exactly one root."""
     _require(job)
     fq, zq = contexts(job.p, job.r, job.precision)
-    if zq.modulus < 7:
-        raise ValueError("insufficient precision: integer recovery needs p^N >= 7")
     bound = _recovery_bound(zq.modulus)
     sweep = _Sweep(job)
     for x in _sweep_elements(fq, job, exclude=(fq.zero, fq.one)):
@@ -330,8 +332,6 @@ def verify_proposition_oracles(job: JobSpec) -> Report:
     equal the root count of the scaled cubic, for every x != 0."""
     _require(job)
     fq, zq = contexts(job.p, job.r, job.precision)
-    if zq.modulus < 7:
-        raise ValueError("insufficient precision: integer recovery needs p^N >= 7")
     bound = _recovery_bound(zq.modulus)
     inv27 = fq.scalar(27).inverse()
     sweep = _Sweep(job)
@@ -386,8 +386,6 @@ def verify_charsum_chain(job: JobSpec) -> Report:
     _require(job)
     fq, zq = contexts(job.p, job.r, job.precision)
     q = fq.q
-    if zq.modulus <= 2 * q * q:
-        raise ValueError("insufficient precision: A-recovery needs p^N > 2q^2")
     phi2 = quadratic_char(fq.scalar(2))
     phim1 = quadratic_char(fq.scalar(-1))
     phim2 = quadratic_char(fq.scalar(-2))
@@ -554,11 +552,11 @@ SUITES = {
 
 
 def check_admissible(job: JobSpec) -> None:
-    """Refuse a job whose Gamma_p digit table would exceed pgamma.MAX_TABLE_WORK.
+    """Refuse a job whose Gamma_p digit table would exceed pgamma.MAX_TABLE_WORK
+    (pgamma.InfeasibleError), or whose p^N its suite refuses (ValueError).
 
-    Raises pgamma.InfeasibleError before any context is built, from p and
-    the resolved precision alone.  Skipped jobs and the floors suite (pure
-    integer identities) evaluate no Gamma_p.
+    Raises before any context is built, from the job and the resolved
+    precision alone.  Skipped jobs and the floors suite evaluate no Gamma_p.
     """
     if job.suite == "floors" or job.p < SUITE_MIN_P[job.suite]:
         return
@@ -566,6 +564,7 @@ def check_admissible(job: JobSpec) -> None:
     if precision is None:
         precision = default_precision(job.suite, job.p, job.r)
     check_feasible(job.p, precision)
+    _require(replace(job, precision=precision))
 
 
 def run_job(job: JobSpec) -> Report:

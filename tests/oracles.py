@@ -16,6 +16,10 @@ production from whole-field tables built on the Zech-log table; their
 references here are the per-lambda double sum over F_q objects and the
 Horner scan over every y.
 
+Every whole-field correlation is one exact packed product in production
+(finitefield.correlate); its references here are the direct sums, cyclic over
+integers and linear over blocks of polynomial slots.
+
 Gamma_p(n) mod p^N is read in production from a base-p digit table of
 truncated polynomials; its reference here is the checkpointed prefix product
 over every integer below p^N.
@@ -26,6 +30,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import floor
+from operator import mul
 
 from padichg.charsums import jacobi_sum
 from padichg.finitefield import quadratic_char
@@ -204,3 +209,24 @@ def count_roots_scan(coeffs):
         if acc.is_zero():
             count += 1
     return count
+
+
+def cyclic_correlation(u, v):
+    """c[m] = sum_i u[i] v[(i + m) mod n] for m in 0..n-1, n = len(u)."""
+    n = len(u)
+    vv = v + v
+    return [sum(map(mul, u, vv[m : m + n])) for m in range(n)]
+
+
+def block_correlation(u, v):
+    """out[k][s] = sum_a sum_(t+w=s) u[a][t] v[a+k][w] for k in 0..len(v)-len(u)."""
+    r = len(u[0])
+    out = []
+    for k in range(len(v) - len(u) + 1):
+        acc = [0] * (2 * r - 1)
+        for a, x in enumerate(u):
+            for t, ut in enumerate(x):
+                for w, vw in enumerate(v[a + k]):
+                    acc[t + w] += ut * vw
+        out.append(acc)
+    return out

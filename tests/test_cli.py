@@ -236,6 +236,28 @@ def test_infeasible_gamma_job_is_refused_before_running(capsys):
     assert parse_args(["--p", "5", "--suite", "floors", "--precision", "1000000"]).jobs
 
 
+@pytest.mark.parametrize(
+    "argv,need",
+    [
+        (["--p", "5", "--suite", "zeros", "--precision", "1"], "p^N >= 7"),
+        (["--p", "5", "--suite", "oracles", "--precision", "1"], "p^N >= 7"),
+        (["--p", "5", "--suite", "charsums", "--precision", "2"], "p^N > 2q^2"),
+    ],
+)
+def test_too_small_precision_is_refused_before_running(capsys, argv, need):
+    from padichg import pgamma, suites
+
+    caches_before = (len(pgamma._caches), len(suites._fq_cache), len(suites._zq_cache))
+    err = _usage_exit(capsys, argv)
+    assert "refused" in err and "insufficient precision" in err and need in err
+    assert (len(pgamma._caches), len(suites._fq_cache), len(suites._zq_cache)) == caches_before
+
+
+def test_suites_without_integer_recovery_admit_precision_one():
+    for suite in ("euler", "clausen", "inversion", "gamma", "floors"):
+        assert run(parse_args(["--p", "5", "--suite", suite, "--precision", "1"])) == 0, suite
+
+
 @pytest.mark.parametrize("setting", ["fail-fast = banana", "verbose = nope", "verbose ="])
 def test_config_non_boolean_setting_is_usage_error(tmp_path, capsys, setting):
     argv = _config(tmp_path, f"job = suite=floors p=7\n{setting}\n")

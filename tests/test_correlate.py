@@ -1,0 +1,74 @@
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from oracles import block_correlation, cyclic_correlation
+
+from padichg.charsums import _cyclic
+from padichg.finitefield import correlate, pack
+
+_ENTRIES = {
+    "signed": st.integers(min_value=-(10**6), max_value=10**6),
+    "small": st.integers(min_value=-3, max_value=3),
+    "negative": st.integers(min_value=-(10**6), max_value=-1),
+    "zero": st.just(0),
+}
+
+
+def _bound(u, v):
+    """len(u) * r * max|u| * max|v|, at least 1 per factor so it covers every |slot| too."""
+    mu = max(1, *(abs(x) for b in u for x in b))
+    mv = max(1, *(abs(x) for b in v for x in b))
+    return len(u) * len(u[0]) * mu * mv
+
+
+def _operand(size, r):
+    """size blocks of r entries, all of one kind: signed, small, negative or zero."""
+
+    def blocks(entries):
+        return st.lists(st.lists(entries, min_size=r, max_size=r), min_size=size, max_size=size)
+
+    return st.sampled_from(list(_ENTRIES.values())).flatmap(blocks)
+
+
+@st.composite
+def _operands(draw):
+    r = draw(st.integers(min_value=1, max_value=3))
+    n = draw(st.integers(min_value=1, max_value=64))
+    extra = draw(st.integers(min_value=0, max_value=8))
+    return draw(_operand(n, r)), draw(_operand(n + extra, r))
+
+
+# slots of over 4300 decimal digits, past CPython's default limit for int <-> str
+_BIG = 10**2200 - 7
+
+
+@settings(max_examples=200, deadline=None)
+@given(_operands())
+@example(([[_BIG, -1], [-_BIG, 3]], [[-_BIG, _BIG], [2, -_BIG], [_BIG, 0]]))
+def test_correlate_matches_naive_blocks(case):
+    u, v = case
+    assert correlate(u, pack(v, _bound(u, v))) == block_correlation(u, v)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=1, max_value=64).flatmap(lambda n: st.tuples(*[_operand(n, 1)] * 2)))
+def test_cyclic_matches_naive(case):
+    u, v = ([x for (x,) in w] for w in case)
+    assert _cyclic(u, v) == cyclic_correlation(u, v)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 7])
+@pytest.mark.parametrize("n,r", [(1, 1), (3, 2), (5, 3)])
+def test_correlate_at_the_stated_bound(n, r, m):
+    # the middle slot of out[0] is -n r m^2 = -bound, the extreme the width admits
+    u, v = [[m] * r] * n, [[-m] * r] * n
+    out = correlate(u, pack(v, _bound(u, v)))
+    assert out == block_correlation(u, v)
+    assert out[0][r - 1] == -_bound(u, v)
+
+
+def test_pack_rejects_slots_past_the_bound():
+    with pytest.raises(ValueError):
+        pack([[10], [0]], 4)
+    with pytest.raises(ValueError):
+        correlate([[0], [10]], pack([[1], [0], [0]], 4))

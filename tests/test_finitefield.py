@@ -18,6 +18,7 @@ from padichg.finitefield import (
     quadratic_char,
     smallest_irreducible,
 )
+from padichg.suites import DEFAULT_BATTERY
 
 
 def test_make_fq_examples():
@@ -45,6 +46,50 @@ def test_defining_polynomial_is_lex_smallest_irreducible():
         for e, c in enumerate(chosen):
             acc = acc + ctx.scalar(c) * alpha**e
         assert acc.is_zero()
+
+
+def _moebius(n):
+    out, d = 1, 2
+    while d * d <= n:
+        if n % d == 0:
+            n //= d
+            if n % d == 0:
+                return 0
+            out = -out
+        d += 1
+    return -out if n > 1 else out
+
+
+@pytest.mark.parametrize("p,max_d", [(3, 6), (5, 4), (7, 3)])
+def test_irreducible_counts_match_gauss_formula(p, max_d):
+    # monic irreducibles of degree d over F_p: (1/d) sum_(e | d) mu(d/e) p^e
+    for d in range(1, max_d + 1):
+        gauss = sum(_moebius(d // e) * p**e for e in range(1, d + 1) if d % e == 0) // d
+        monic = (list(tail) + [1] for tail in itertools.product(range(p), repeat=d))
+        assert sum(finitefield._is_irreducible(f, p) for f in monic) == gauss, d
+
+
+# pinned, so that no change to the trial division moves the defining
+# polynomial of the default battery's fields or of four large ones
+SMALLEST_IRREDUCIBLE = {
+    (3, 1): (0,),
+    (5, 1): (0,),
+    (7, 1): (0,),
+    (11, 1): (0,),
+    (13, 1): (0,),
+    (3, 2): (1, 0),
+    (5, 2): (1, 1),
+    (7, 2): (1, 0),
+    (3, 10): (1, 0, 0, 0, 0, 0, 0, 0, 2, 0),
+    (5, 6): (1, 0, 0, 0, 1, 1),
+    (7, 5): (1, 0, 0, 0, 3),
+    (251, 2): (1, 0),
+}
+
+
+def test_smallest_irreducible_unchanged():
+    assert set(DEFAULT_BATTERY) <= set(SMALLEST_IRREDUCIBLE)
+    assert {pr: smallest_irreducible(*pr) for pr in SMALLEST_IRREDUCIBLE} == SMALLEST_IRREDUCIBLE
 
 
 def test_field_axioms_exhaustive_f9():

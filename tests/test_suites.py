@@ -76,6 +76,12 @@ def test_charsums_insufficient_precision_raises():
         SUITES["charsums"](JobSpec(5, 1, "charsums", precision=2))  # 25 <= 50
 
 
+def test_charsums_at_q_in_the_thousands():
+    # q = 7^4: wide packed slots and the whole-field A and a tables, end to end
+    rep = run_job(JobSpec(7, 4, "charsums"))
+    assert (rep.cases_total, rep.cases_passed, rep.failures) == (2399, 2399, [])
+
+
 def test_report_invariant_and_schema():
     rep = run_job(JobSpec(5, 1, "gamma"))
     assert rep.cases_total == rep.cases_passed + len(rep.failures)
