@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import decimal
 import itertools
+import sys
 from decimal import Decimal
 
 MAX_Q = 1 << 16
@@ -108,8 +109,9 @@ def correlate(u: list, v: tuple[Decimal, int, int]) -> list[list[int]]:
     integer with 2r-1 slots per block (Kronecker substitution), signed slots
     in balanced digits (Harvey, JSC 2009), and the correlation is one exact
     decimal.Decimal product: libmpdec multiplies by number-theoretic
-    transform, faster than the Karatsuba product of int.  Slots pass through
-    Decimal because int <-> str is capped at 4300 digits.
+    transform, faster than the Karatsuba product of int.  A slot is read by
+    int, or through Decimal when it is too wide for int <-> str
+    (sys.get_int_max_str_digits(), 4300 digits by default).
     """
     packed, width, count = v
     n, block = len(u), 2 * len(u[0]) - 1
@@ -118,12 +120,14 @@ def correlate(u: list, v: tuple[Decimal, int, int]) -> list[list[int]]:
     size = width * block * (n + count - 1)
     digits, sign = prod.lstrip("-").rjust(size, "0"), -1 if prod[0] == "-" else 1
     base, out = 10**width, []
+    limit = sys.get_int_max_str_digits()  # 0: no limit
+    read = int if not limit or width < limit else (lambda s: int(Decimal(s)))
     for k in range(count - n + 1):
         low = size - width * block * (n - 1 + k)  # the lowest slot of out[k] ends here
         slots = []
         for end in range(low, low - width * block, -width):
             # a slot read at half its base or more is negative; the one above reads 1 short
-            d = int(Decimal(digits[end - width : end])) + (digits[end : end + 1] >= "5")
+            d = read(digits[end - width : end]) + (digits[end : end + 1] >= "5")
             slots.append(sign * (d - base if digits[end - width] >= "5" else d))
         out.append(slots)
     return out

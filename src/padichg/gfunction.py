@@ -89,7 +89,7 @@ def _coefficient_table(upper, lower, zq: UnramifiedContext) -> list[int]:
     def gamma(num: int) -> int:
         v = gammas.get(num)
         if v is None:
-            v = gammas[num] = cache.gamma(Fraction(num, d)).residue
+            v = gammas[num] = cache.residue(num, d)
         return v
 
     # per (k, i): d * <a_k p^i>, d * <-b_k p^i>, d * p^i/(q-1) and the

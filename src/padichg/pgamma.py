@@ -8,7 +8,7 @@ evaluation to a unit product over [0, t) with 0 <= t < p^N:
   (generalized Wilson theorem, odd p), and the parity bookkeeping cancels,
   so Gamma_p(n) mod p^N depends only on n mod p^N;
 * a rational x with denominator coprime to p has a canonical residue
-  mod p^{N+guard}, and folding that residue mod p^N is therefore exact.
+  mod p^N, so Gamma_p(x) mod p^N is Gamma_p of that residue.
 
 Digit table.  Write t = sum_k d_k p^k in base p and B_k = sum_{i>k} d_i p^i.
 The units in [B_k, B_k + d_k p^k) are Q_{k,d_k}(B_k), where
@@ -22,6 +22,11 @@ met only at arguments divisible by p^k.  The shifts are integer Taylor
 shifts, so nothing is divided and one method serves every (p, N).  The table
 of all Q_{k,d} with d < p is built once per cache, in about p*N^2 ring
 products; a fresh argument then costs sum_k ceil(N/(k+1)) Horner steps.
+
+GammaCache.residue(num, den) is the integer entry: Gamma_p(num/den) mod p^N
+from num * den^-1 mod p^N, den^-1 cached per den; gamma(x) is a facade over
+it.  The guard only keys the shared caches: reducing mod p^(N+guard) and then
+mod p^N would give the same residue.
 
 check_feasible refuses, before any context is built, a (p, N) whose table
 would take more than MAX_TABLE_WORK ring products.  Every value is memoized
@@ -103,6 +108,7 @@ class GammaCache:
         self.modulus = context.modulus
         self._table: list[list[tuple[int, ...]]] | None = None
         self._memo: dict[int, int] = {}
+        self._inverses: dict[int, int] = {}  # den -> den^-1 mod p^N
 
     def _unit_product(self, t: int) -> int:
         """prod_{0<j<t, p∤j} j mod p^N as prod_k Q_{k,d_k}(B_k), for 0 <= t < p^N."""
@@ -143,14 +149,19 @@ class GammaCache:
             raise ValueError("gamma_nat requires n >= 0")
         return ZpElement(self.context, self._nat_mod(n))
 
+    def residue(self, num: int, den: int) -> int:
+        """Gamma_p(num/den) mod p^N for integers num and den > 0 with p ∤ den."""
+        inv = self._inverses.get(den)
+        if inv is None:
+            if den % self.p == 0:
+                raise ValueError(f"argument {num}/{den} is not a p-adic integer for p={self.p}")
+            inv = self._inverses[den] = pow(den, -1, self.modulus)
+        return self._nat_mod(num * inv)
+
     def gamma(self, x) -> ZpElement:
         """Gamma_p at a rational p-adic integer (denominator coprime to p)."""
         x = Fraction(x)
-        if x.denominator % self.p == 0:
-            raise ValueError(f"argument {x} is not a p-adic integer for p={self.p}")
-        big = self.p ** (self.context.precision + self.guard)
-        rep = x.numerator * pow(x.denominator, -1, big) % big
-        return ZpElement(self.context, self._nat_mod(rep))
+        return ZpElement(self.context, self.residue(x.numerator, x.denominator))
 
 
 def gamma_cache(context: PadicContext, guard: int = 1) -> GammaCache:

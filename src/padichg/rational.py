@@ -1,8 +1,12 @@
 """Exact rational floor/fractional-part toolkit and integer floor identities.
 
-Rationals are stdlib ``fractions.Fraction`` values, which are always held in
-canonical reduced form (positive denominator, gcd 1), so equality and floor
-are bit-exact.  Nothing in this module touches floating point.
+frac and floor_int take stdlib ``fractions.Fraction`` values, which are
+always held in canonical reduced form (positive denominator, gcd 1), so
+equality and floor are bit-exact.  g_exponent and the floor identities hold
+every rational they meet as n/d over one common denominator d, so <n/d> is
+(n mod d)/d and each floor is the integer floor division n // d; the floor
+identities construct no Fraction.  Nothing in this module touches floating
+point.
 """
 
 from __future__ import annotations
@@ -47,43 +51,37 @@ def g_exponent(a_k, b_k, a: int, i: int, p: int, q: int) -> int:
     return -((alpha - u) // d) - ((beta + u) // d)
 
 
+def _sixths(p: int, q: int, a: int, i: int):
+    """(d, u, s) with d = lcm(q-1, 6), u/d = a p^i/(q-1) and s(k)/d = <k p^i/6>."""
+    d = math.lcm(q - 1, 6)
+    pi = p**i
+    return d, a * pi * (d // (q - 1)), lambda k: k * pi * (d // 6) % d
+
+
 def check_floor_identity_A(p: int, q: int, a: int, i: int) -> bool:
     """Eight-floor identity linking the 2a/6a multiples to the 1/6, 5/6, 1/2 shifts.
 
-    Defined for 0 <= a <= q-2 with a != (q-1)/2.  Both sides are evaluated
-    independently by exact rational arithmetic and compared.
+    Defined for 0 <= a <= q-2 with a != (q-1)/2.  With u = a p^i/(q-1) and
+    every term over d = lcm(q-1, 6), both sides are independent sums of
+    integer floor divisions, compared exactly.
     """
     if 2 * a == q - 1:
         raise ValueError("a = (q-1)/2 is excluded by the identity's hypothesis")
-    u = Fraction(a * p**i, q - 1)
-    lhs = (
-        -2 * math.floor(2 * u)
-        - math.floor(-6 * u)
-        + math.floor(u)
-        + math.floor(-3 * u)
-    )
-    rhs = (
-        -math.floor(frac(Fraction(p**i, 6)) - u)
-        - math.floor(frac(Fraction(5 * p**i, 6)) - u)
-        - math.floor(frac(Fraction(p**i, 2)) + u)
-        - math.floor(u)
-    )
+    d, u, s = _sixths(p, q, a, i)
+    lhs = -2 * (2 * u // d) - (-6 * u // d) + u // d + (-3 * u // d)
+    rhs = -((s(1) - u) // d) - ((s(5) - u) // d) - ((s(3) + u) // d) - u // d
     return lhs == rhs
 
 
 def check_floor_identity_B(p: int, q: int, a: int, i: int) -> bool:
     """Five-floor identity linking the 2a/3a multiples to the 1/3, 2/3, 1/2 shifts.
 
-    Defined for 0 < a <= q-2 (a = (q-1)/2 is allowed here).
+    Defined for 0 < a <= q-2 (a = (q-1)/2 is allowed here); integer floor
+    divisions over d = lcm(q-1, 6), as for family A.
     """
     if a == 0:
         raise ValueError("a = 0 is excluded by the identity's hypothesis")
-    u = Fraction(a * p**i, q - 1)
-    lhs = -math.floor(2 * u) - math.floor(-3 * u)
-    rhs = (
-        1
-        - math.floor(frac(Fraction(p**i, 3)) - u)
-        - math.floor(frac(Fraction(2 * p**i, 3)) - u)
-        - math.floor(frac(Fraction(p**i, 2)) + u)
-    )
+    d, u, s = _sixths(p, q, a, i)
+    lhs = -(2 * u // d) - (-3 * u // d)
+    rhs = 1 - ((s(2) - u) // d) - ((s(4) - u) // d) - ((s(3) + u) // d)
     return lhs == rhs

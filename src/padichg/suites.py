@@ -14,6 +14,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from math import lcm
 
 from .charsums import sum_A, sum_a, sum_B, sum_h, verify_aop_identity
 from .finitefield import (
@@ -27,7 +28,8 @@ from .finitefield import (
 from .gfunction import GParams, evaluate_g, evaluate_g_inverted
 from .padic import UnramifiedContext, ZqElement, balanced_lift, recover_bounded_integer
 from .pgamma import check_feasible, gamma_cache
-from .rational import check_floor_identity_A, check_floor_identity_B, frac
+from .rational import check_floor_identity_A, check_floor_identity_B
+from .rational import frac  # noqa: F401  (bench/tracing.py wraps suites.frac)
 
 DEFAULT_BATTERY = ((3, 1), (5, 1), (7, 1), (11, 1), (13, 1), (3, 2), (5, 2), (7, 2))
 
@@ -425,91 +427,68 @@ def verify_charsum_chain(job: JobSpec) -> Report:
 def verify_gamma_identities(job: JobSpec) -> Report:
     """Gamma_p product identities: the reflection product over i, the
     half-shift ratio, the multiplication products for t in {2, 3, 6} in both
-    directions, and the one-off sixth/thirds ratio equal to phi(3)."""
+    directions, and the one-off sixth/thirds ratio equal to phi(3).
+
+    Arguments are residues num/d, d = lcm(q-1, t in {2, 3, 6} with p ∤ t):
+    with j/(q-1) = u/d, <(c/t ± j/(q-1)) p^i> = ((c d/t ± u) p^i mod d)/d.
+    """
     _require(job)
     fq, zq = contexts(job.p, job.r, job.precision)
     p, r, q, m = job.p, job.r, job.q, zq.modulus
     cache = gamma_cache(zq.base)
-    minus_one = -fq.one
+    d = lcm(q - 1, *(t for t in (2, 3, 6) if t % p))
+    step = d // (q - 1)  # j/(q-1) = j * step / d
+    pis = [p**i % d for i in range(r)]
+    gammas = [cache.residue(num, d) for num in range(d)]
+    omega = zq.omega_generator_powers()
+    log_minus_one = zq.dlog(-fq.one)
     sweep = _Sweep(job)
 
-    def gprod(args) -> int:
+    def gprod(nums) -> int:
         acc = 1
-        for arg in args:
-            acc = acc * cache.gamma(arg).residue % m
+        for num in nums:
+            acc = acc * gammas[num % d] % m
         return acc
 
     for j in range(1, q - 1):
-        u = Fraction(j, q - 1)
-        val = gprod(
-            [frac((1 - u) * p**i) for i in range(r)]
-            + [frac(u * p**i) for i in range(r)]
-        )
-        lhs = zq.scalar(val * pow(-1, r))
-        rhs = zq.char_value(j, minus_one)
+        u = j * step
+        val = gprod([-u * pi for pi in pis] + [u * pi for pi in pis])  # <(1-u) p^i>, <u p^i>
+        lhs = zq.scalar(val * (-1) ** r)
+        rhs = omega[-j * log_minus_one % (q - 1)]  # omega-bar^j(-1)
         sweep.case(f"reflection j={j}", lhs == rhs, lambda: (_fmt(lhs), _fmt(rhs)))
 
+    half = d // 2
+    inv_den = pow(gprod(half * pi for pi in pis) ** 2, -1, m)
     for j in range(q - 1):
         if 2 * j == q - 1:
             continue
-        u = Fraction(j, q - 1)
-        num = gprod(
-            [frac((_HALF - u) * p**i) for i in range(r)]
-            + [frac((_HALF + u) * p**i) for i in range(r)]
-        )
-        den = gprod([frac(_HALF * p**i) for i in range(r)]) ** 2 % m
-        lhs = zq.scalar(num * pow(den, -1, m))
-        rhs = zq.char_value(j, minus_one)
+        u = j * step
+        num = gprod([(half - u) * pi for pi in pis] + [(half + u) * pi for pi in pis])
+        lhs = zq.scalar(num * inv_den)
+        rhs = omega[-j * log_minus_one % (q - 1)]
         sweep.case(f"half-shift j={j}", lhs == rhs, lambda: (_fmt(lhs), _fmt(rhs)))
 
     for t in (2, 3, 6):
         if t % p == 0:
             continue  # lemma hypothesis p does not divide t
-        t_elem = fq.scalar(t)
-        base = gprod(
-            [frac(Fraction(h * p**i, t)) for i in range(r) for h in range(1, t)]
-        )
+        c = d // t
+        log_t = zq.dlog(fq.scalar(t))
+        base = gprod(h * c * pi for pi in pis for h in range(1, t))
         for a in range(q - 1):
-            u = Fraction(a, q - 1)
-            w_down = zq.char_value(t * a, t_elem)  # omega(t)^(-t a)
-            lhs = w_down.scale(
-                base * gprod([frac(-t * u * p**i) for i in range(r)]) % m
-            )
-            rhs = zq.scalar(
-                gprod(
-                    [
-                        frac((Fraction(1 + h, t) - u) * p**i)
-                        for i in range(r)
-                        for h in range(t)
-                    ]
-                )
-            )
+            u = a * step
+            w_down = omega[-t * a * log_t % (q - 1)]  # omega(t)^(-t a)
+            lhs = w_down.scale(base * gprod(-t * u * pi for pi in pis) % m)
+            rhs = zq.scalar(gprod(((1 + h) * c - u) * pi for pi in pis for h in range(t)))
             sweep.case(f"product-down t={t} a={a}", lhs == rhs, lambda: (_fmt(lhs), _fmt(rhs)))
 
-            w_up = zq.char_value(-t * a, t_elem)  # omega(t)^(t a)
-            lhs = w_up.scale(
-                base * gprod([frac(t * u * p**i) for i in range(r)]) % m
-            )
-            rhs = zq.scalar(
-                gprod(
-                    [
-                        frac((Fraction(h, t) + u) * p**i)
-                        for i in range(r)
-                        for h in range(t)
-                    ]
-                )
-            )
+            w_up = omega[t * a * log_t % (q - 1)]  # omega(t)^(t a)
+            lhs = w_up.scale(base * gprod(t * u * pi for pi in pis) % m)
+            rhs = zq.scalar(gprod((h * c + u) * pi for pi in pis for h in range(t)))
             sweep.case(f"product-up t={t} a={a}", lhs == rhs, lambda: (_fmt(lhs), _fmt(rhs)))
 
     if p >= 5:
-        num = gprod(
-            [frac(Fraction(p**i, 3)) for i in range(r)]
-            + [frac(Fraction(2 * p**i, 3)) for i in range(r)]
-        )
-        den = gprod(
-            [frac(Fraction(p**i, 6)) for i in range(r)]
-            + [frac(Fraction(5 * p**i, 6)) for i in range(r)]
-        )
+        num = gprod(k * (d // 3) * pi for pi in pis for k in (1, 2))
+        den = gprod(k * (d // 6) * pi for pi in pis for k in (1, 5))
         val = num * pow(den, -1, m) % m
         expect = quadratic_char(fq.scalar(3)) % m
         sweep.case(

@@ -23,6 +23,11 @@ integers and linear over blocks of polynomial slots.
 Gamma_p(n) mod p^N is read in production from a base-p digit table of
 truncated polynomials; its reference here is the checkpointed prefix product
 over every integer below p^N.
+
+The gamma suite and the floor identities run in production as integer index
+arithmetic over one common denominator; their references here are the
+Fraction forms, every argument and floor built by rational.frac and
+math.floor.
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ from padichg.finitefield import quadratic_char
 from padichg.gfunction import EvaluationIntegrityError
 from padichg.pgamma import gamma_cache
 from padichg.rational import frac
+from padichg.suites import _Sweep, _digits, _fmt, _require, contexts
 
 
 _PREFIX_BLOCK = 128
@@ -230,3 +236,111 @@ def block_correlation(u, v):
                     acc[t + w] += ut * vw
         out.append(acc)
     return out
+
+
+def floor_identity_A_fraction(p, q, a, i):
+    """The eight-floor identity of rational.check_floor_identity_A over Q."""
+    if 2 * a == q - 1:
+        raise ValueError("a = (q-1)/2 is excluded by the identity's hypothesis")
+    u = Fraction(a * p**i, q - 1)
+    lhs = -2 * floor(2 * u) - floor(-6 * u) + floor(u) + floor(-3 * u)
+    rhs = (
+        -floor(frac(Fraction(p**i, 6)) - u)
+        - floor(frac(Fraction(5 * p**i, 6)) - u)
+        - floor(frac(Fraction(p**i, 2)) + u)
+        - floor(u)
+    )
+    return lhs == rhs
+
+
+def floor_identity_B_fraction(p, q, a, i):
+    """The five-floor identity of rational.check_floor_identity_B over Q."""
+    if a == 0:
+        raise ValueError("a = 0 is excluded by the identity's hypothesis")
+    u = Fraction(a * p**i, q - 1)
+    lhs = -floor(2 * u) - floor(-3 * u)
+    rhs = (
+        1
+        - floor(frac(Fraction(p**i, 3)) - u)
+        - floor(frac(Fraction(2 * p**i, 3)) - u)
+        - floor(frac(Fraction(p**i, 2)) + u)
+    )
+    return lhs == rhs
+
+
+def gamma_identities_fraction(job):
+    """suites.verify_gamma_identities with every Gamma_p argument a Fraction."""
+    _require(job)
+    fq, zq = contexts(job.p, job.r, job.precision)
+    p, r, q, m = job.p, job.r, job.q, zq.modulus
+    cache = gamma_cache(zq.base)
+    minus_one = -fq.one
+    half = Fraction(1, 2)
+    sweep = _Sweep(job)
+
+    def gprod(args):
+        acc = 1
+        for arg in args:
+            acc = acc * cache.gamma(arg).residue % m
+        return acc
+
+    for j in range(1, q - 1):
+        u = Fraction(j, q - 1)
+        val = gprod(
+            [frac((1 - u) * p**i) for i in range(r)] + [frac(u * p**i) for i in range(r)]
+        )
+        lhs = zq.scalar(val * pow(-1, r))
+        rhs = zq.char_value(j, minus_one)
+        sweep.case(f"reflection j={j}", lhs == rhs, lambda: (_fmt(lhs), _fmt(rhs)))
+
+    for j in range(q - 1):
+        if 2 * j == q - 1:
+            continue
+        u = Fraction(j, q - 1)
+        num = gprod(
+            [frac((half - u) * p**i) for i in range(r)]
+            + [frac((half + u) * p**i) for i in range(r)]
+        )
+        den = gprod([frac(half * p**i) for i in range(r)]) ** 2 % m
+        lhs = zq.scalar(num * pow(den, -1, m))
+        rhs = zq.char_value(j, minus_one)
+        sweep.case(f"half-shift j={j}", lhs == rhs, lambda: (_fmt(lhs), _fmt(rhs)))
+
+    for t in (2, 3, 6):
+        if t % p == 0:
+            continue
+        t_elem = fq.scalar(t)
+        base = gprod([frac(Fraction(h * p**i, t)) for i in range(r) for h in range(1, t)])
+        for a in range(q - 1):
+            u = Fraction(a, q - 1)
+            w_down = zq.char_value(t * a, t_elem)
+            lhs = w_down.scale(base * gprod([frac(-t * u * p**i) for i in range(r)]) % m)
+            rhs = zq.scalar(
+                gprod([frac((Fraction(1 + h, t) - u) * p**i) for i in range(r) for h in range(t)])
+            )
+            sweep.case(f"product-down t={t} a={a}", lhs == rhs, lambda: (_fmt(lhs), _fmt(rhs)))
+
+            w_up = zq.char_value(-t * a, t_elem)
+            lhs = w_up.scale(base * gprod([frac(t * u * p**i) for i in range(r)]) % m)
+            rhs = zq.scalar(
+                gprod([frac((Fraction(h, t) + u) * p**i) for i in range(r) for h in range(t)])
+            )
+            sweep.case(f"product-up t={t} a={a}", lhs == rhs, lambda: (_fmt(lhs), _fmt(rhs)))
+
+    if p >= 5:
+        num = gprod(
+            [frac(Fraction(p**i, 3)) for i in range(r)]
+            + [frac(Fraction(2 * p**i, 3)) for i in range(r)]
+        )
+        den = gprod(
+            [frac(Fraction(p**i, 6)) for i in range(r)]
+            + [frac(Fraction(5 * p**i, 6)) for i in range(r)]
+        )
+        val = num * pow(den, -1, m) % m
+        expect = quadratic_char(fq.scalar(3)) % m
+        sweep.case(
+            "sixth-thirds ratio",
+            val == expect,
+            lambda: (_digits(val, p, job.precision), f"phi(3)={quadratic_char(fq.scalar(3))}"),
+        )
+    return sweep.done()

@@ -1,0 +1,113 @@
+"""Integer-residue fast paths against their Fraction references.
+
+GammaCache.residue(num, den) against GammaCache.gamma(Fraction(num, den)) and
+the prefix product; the integer floor identities against their Fraction
+forms; and the gamma suite, case by case, against its Fraction form, both
+clean and with every Gamma_p value perturbed.
+"""
+
+from fractions import Fraction as F
+from functools import lru_cache
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import (
+    floor_identity_A_fraction,
+    floor_identity_B_fraction,
+    gamma_identities_fraction,
+    prefix_gamma_nat,
+)
+
+from padichg.padic import PadicContext
+from padichg.pgamma import GammaCache
+from padichg.rational import check_floor_identity_A, check_floor_identity_B
+from padichg.suites import JobSpec, run_job
+
+
+@lru_cache(maxsize=None)
+def _cache(p, n):
+    return GammaCache(PadicContext(p, n))
+
+
+_PN = st.sampled_from([(3, 4), (5, 3), (7, 2), (11, 3), (211, 2)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_PN, st.integers(-10**6, 10**6), st.integers(1, 10**4), st.booleans())
+def test_residue_matches_gamma_and_prefix(pn, num, den, whole):
+    p, n = pn
+    if den % p == 0:
+        den += 1
+    if whole:
+        num = num * den  # num ≡ 0 mod den: an integer argument
+    cache, m = _cache(p, n), p**n
+    value = cache.residue(num, den)
+    assert value == cache.gamma(F(num, den)).residue
+    big = p ** (n + 1)  # the guard-digit representative of the former path
+    assert value == prefix_gamma_nat(p, m, num * pow(den, -1, big) % big)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_PN, st.integers(-10**6, 10**6), st.integers(1, 10**3))
+def test_residue_rejects_p_in_denominator(pn, num, k):
+    p, n = pn
+    with pytest.raises(ValueError, match="not a p-adic integer"):
+        _cache(p, n).residue(num, p * k)
+
+
+def _floor_case():
+    return st.sampled_from([5, 7, 11, 13, 211]).flatmap(
+        lambda p: st.integers(1, 3).flatmap(
+            lambda r: st.tuples(
+                st.just(p), st.just(p**r), st.integers(0, p**r - 2), st.integers(0, r - 1)
+            )
+        )
+    )
+
+
+def _outcome(check, *args):
+    try:
+        return check(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_floor_case())
+def test_floor_identities_match_fraction_forms(case):
+    assert _outcome(check_floor_identity_A, *case) == _outcome(floor_identity_A_fraction, *case)
+    assert _outcome(check_floor_identity_B, *case) == _outcome(floor_identity_B_fraction, *case)
+
+
+@pytest.mark.parametrize("p,r", [(5, 1), (7, 2), (11, 1), (13, 2), (5, 3), (211, 1)])
+def test_floor_identities_match_fraction_forms_exhaustive(p, r):
+    q = p**r
+    for a in range(q - 1):
+        for i in range(r):
+            case = (p, q, a, i)
+            assert _outcome(check_floor_identity_A, *case) == _outcome(
+                floor_identity_A_fraction, *case
+            )
+            assert _outcome(check_floor_identity_B, *case) == _outcome(
+                floor_identity_B_fraction, *case
+            )
+
+
+_GAMMA_JOBS = [(3, 1, None), (3, 2, None), (5, 2, None), (7, 2, None), (3, 3, None), (211, 1, 3)]
+
+
+@pytest.mark.parametrize("corrupt", [False, True], ids=["clean", "corrupted"])
+@pytest.mark.parametrize("p,r,precision", _GAMMA_JOBS)
+def test_gamma_suite_matches_fraction_form(request, corrupt, p, r, precision):
+    if corrupt:
+        request.getfixturevalue("corrupted_gamma")
+    job = JobSpec(p, r, "gamma", precision=precision, record_cases=True)
+    got = run_job(job)
+    want = gamma_identities_fraction(
+        JobSpec(p, r, "gamma", precision=got.precision, record_cases=True)
+    )
+    assert got.case_rows == want.case_rows
+    assert [f.to_dict() for f in got.failures] == [f.to_dict() for f in want.failures]
+    assert (got.cases_total, got.cases_passed) == (want.cases_total, want.cases_passed)
+    assert bool(got.failures) == corrupt

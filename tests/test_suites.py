@@ -199,3 +199,19 @@ def test_failure_reports_are_unchanged(monkeypatch):
         "ba8b74b52eebedbba3717b4b174691681abb6022353d48ebb9b6974fea6489d5",
         "75b9d931845df4dfaa6e6ef0e002f042aa80bde21997297b9965eb4bd69033e4",
     ]
+
+
+def test_gamma_suite_at_q_in_the_thousands():
+    q = 7**4
+    rep = run_job(JobSpec(7, 4, "gamma"))
+    # reflection q-2, half-shift q-2, products 2(q-1) per t in {2, 3, 6}, one ratio
+    assert rep.cases_total == 2 * (q - 2) + 6 * (q - 1) + 1
+    assert rep.cases_passed == rep.cases_total and not rep.failures
+
+
+def test_floors_suite_at_q_63001():
+    q = 251**2
+    rep = run_job(JobSpec(251, 2, "floors"))
+    # family A skips a = (q-1)/2, family B skips a = 0; each for i < r = 2
+    assert rep.cases_total == 2 * 2 * (q - 2)
+    assert rep.cases_passed == rep.cases_total and not rep.failures

@@ -36,3 +36,30 @@ def test_tracer_installs_against_src():
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+GAMMA_FLOORS_SCRIPT = """
+import sys
+sys.path[:0] = [sys.argv[1], sys.argv[2]]
+import tracing
+tracer = tracing.install()
+from padichg import cli
+for suite in ("gamma", "floors"):
+    assert cli.run(cli.parse_args(["--p", "5", "--suite", suite])) == 0, suite
+names = {span[0] for span in tracer.spans}
+assert "rational.check_floor_identity_A" in names, names
+"""
+
+
+def test_tracer_runs_gamma_and_floors():
+    # the tracer rebinds suites.frac, which the gamma suite no longer calls
+    env = dict(os.environ, PYTHONPATH="")
+    proc = subprocess.run(
+        [sys.executable, "-c", GAMMA_FLOORS_SCRIPT, str(ROOT / "src"), str(ROOT / "bench")],
+        cwd=ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
