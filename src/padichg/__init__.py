@@ -34,7 +34,6 @@ from .padic import (
 )
 from .pgamma import GammaCache, gamma_cache, gamma_p, gamma_p_nat
 from .rational import (
-    Rational,
     check_floor_identity_A,
     check_floor_identity_B,
     floor_int,

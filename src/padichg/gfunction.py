@@ -15,8 +15,8 @@ GammaCache once per distinct num.  With k = dlog t, omega-bar^a(t) =
 omega(g)^(-a k), so the values at every t of the field are one character
 transform of the table (UnramifiedContext.character_transform).  A field
 therefore costs an O(q) integer table plus one Kronecker product per
-parameter set, built on the first evaluation and cached on the Z_q context;
-every evaluation is a lookup by dlog t.
+parameter set: value_table builds it on first use and caches it on the Z_q
+context.  The suites index it by dlog t; evaluate_g is the GParams facade.
 
 Individual (k, i) factors can carry a negative floor exponent (the b_k = 1/2
 families do at a = (q-1)/2), but the exponents summed over one term always
@@ -34,11 +34,23 @@ from math import lcm
 from .finitefield import FqElement
 from .padic import UnramifiedContext, ZqElement
 from .pgamma import gamma_cache
-from .rational import frac, g_exponent
+from .rational import frac, g_exponent  # noqa: F401  (bench/tracing.py wraps frac here)
 
 
 class EvaluationIntegrityError(ArithmeticError):
     """An internal consistency guarantee of the evaluation was violated."""
+
+
+def _checked(upper, lower, p: int) -> tuple[tuple, tuple]:
+    """Parameter tuples as Fractions, of equal length >= 1, each in Z_p, or ValueError."""
+    upper = tuple(Fraction(a) for a in upper)
+    lower = tuple(Fraction(b) for b in lower)
+    if len(upper) != len(lower) or not upper:
+        raise ValueError("upper and lower parameter lists must have equal length >= 1")
+    for c in upper + lower:
+        if c.denominator % p == 0:
+            raise ValueError(f"parameter {c} is not in Z_p for p={p}")
+    return upper, lower
 
 
 @dataclass(frozen=True)
@@ -51,16 +63,9 @@ class GParams:
     context: UnramifiedContext
 
     def __post_init__(self):
-        upper = tuple(Fraction(a) for a in self.upper)
-        lower = tuple(Fraction(b) for b in self.lower)
+        upper, lower = _checked(self.upper, self.lower, self.context.base.p)
         object.__setattr__(self, "upper", upper)
         object.__setattr__(self, "lower", lower)
-        if len(upper) != len(lower) or not upper:
-            raise ValueError("upper and lower parameter lists must have equal length >= 1")
-        p = self.context.base.p
-        for c in upper + lower:
-            if c.denominator % p == 0:
-                raise ValueError(f"parameter {c} is not in Z_p for p={p}")
         if self.t.context is not self.context.fq:
             raise ValueError("t lives in a different field than the Z_q context")
 
@@ -98,13 +103,10 @@ def _coefficient_table(upper, lower, zq: UnramifiedContext) -> list[int]:
     for k in range(n):
         for i in range(r):
             pi = p**i
-            den = (
-                cache.gamma(frac(upper[k] * pi)).residue
-                * cache.gamma(frac(-lower[k] * pi)).residue
-            )
             alpha = upper[k].numerator * (d // upper[k].denominator) * pi % d
             beta = -lower[k].numerator * (d // lower[k].denominator) * pi % d
-            rows.append((k, i, alpha, beta, pi * (d // (q - 1)), pow(den, -1, m)))
+            inv = pow(gamma(alpha) * gamma(beta), -1, m)
+            rows.append((k, i, alpha, beta, pi * (d // (q - 1)), inv))
     powers = [pow(-p, e, m) for e in range(n * r + 1)]
 
     table = []
@@ -124,11 +126,13 @@ def _coefficient_table(upper, lower, zq: UnramifiedContext) -> list[int]:
     return table
 
 
-def _values(upper, lower, zq: UnramifiedContext) -> list[ZqElement]:
-    """nGn[upper; lower | g^k] for k in 0..q-2; one transform per context."""
+def value_table(upper: tuple, lower: tuple, zq: UnramifiedContext) -> list[ZqElement]:
+    """[nGn[upper; lower | g^k] for k in 0..q-2], built and parameter-checked on
+    first use per (upper, lower) and context, then cached on the context."""
     key = (upper, lower)
     values = zq.g_values.get(key)
     if values is None:
+        upper, lower = _checked(upper, lower, zq.base.p)
         m = zq.modulus
         lead = -pow(zq.q - 1, -1, m) % m
         table = _coefficient_table(upper, lower, zq)
@@ -145,7 +149,7 @@ def evaluate_g(params: GParams) -> GValue:
     zq = params.context
     if params.t.is_zero():
         return GValue(zq.zero, zq.precision)
-    values = _values(params.upper, params.lower, zq)
+    values = value_table(params.upper, params.lower, zq)
     return GValue(values[params.t.dlog()], zq.precision)
 
 

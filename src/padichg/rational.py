@@ -14,8 +14,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-Rational = Fraction
-
 
 def frac(x) -> Fraction:
     """Fractional part ``<x> = x - floor(x)``, always in [0, 1)."""

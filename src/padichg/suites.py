@@ -7,6 +7,11 @@ coefficient-lexicographic element order, so the first recorded failure is
 the smallest failing input.  Suites raise ValueError when called directly on
 a field violating their hypothesis; the battery runner (run_job) records
 such fields as skipped instead.
+
+The nGn suites read gfunction.value_table by k = dlog x.  With n = q-1 and
+h = n/2, indices mod n: 1/x is -k, 1 - x is zech[k+h], x + 1 is zech[k],
+(x-1)/x is zech[k+h] + h - k, -1/x is h - k, and phi is index parity.  The
+oracles (root counts, character sums) still take F_q elements.
 """
 
 from __future__ import annotations
@@ -25,11 +30,12 @@ from .finitefield import (
     discriminant_sign_check,
     quadratic_char,
 )
-from .gfunction import GParams, evaluate_g, evaluate_g_inverted
+from .gfunction import GParams, evaluate_g, value_table
+from .gfunction import evaluate_g_inverted  # noqa: F401  (bench/tracing.py wraps it here)
 from .padic import UnramifiedContext, ZqElement, balanced_lift, recover_bounded_integer
 from .pgamma import check_feasible, gamma_cache
 from .rational import check_floor_identity_A, check_floor_identity_B
-from .rational import frac  # noqa: F401  (bench/tracing.py wraps suites.frac)
+from .rational import frac  # noqa: F401  (bench/tracing.py wraps it here)
 
 DEFAULT_BATTERY = ((3, 1), (5, 1), (7, 1), (11, 1), (13, 1), (3, 2), (5, 2), (7, 2))
 
@@ -185,18 +191,13 @@ def _digits(v: int, p: int, n: int) -> str:
     return ".".join(out)
 
 
-def _fmt(value, zq: UnramifiedContext | None = None) -> str:
+def _fmt(value: ZqElement) -> str:
     """Base-p digit string (least significant first), plus a balanced lift."""
-    if isinstance(value, ZqElement):
-        ctx = value.context
-        parts = [_digits(c, ctx.base.p, ctx.precision) for c in value.coeffs]
-        s = "|".join(parts)
-        if all(c == 0 for c in value.coeffs[1:]):
-            s += f" (={balanced_lift(value)})"
-        return s
-    if isinstance(value, int) and zq is not None:
-        return _fmt(zq.scalar(value))
-    return str(value)
+    ctx = value.context
+    s = "|".join(_digits(c, ctx.base.p, ctx.precision) for c in value.coeffs)
+    if all(c == 0 for c in value.coeffs[1:]):
+        s += f" (={balanced_lift(value)})"
+    return s
 
 
 def _label(x: FqElement) -> str:
@@ -243,21 +244,22 @@ def _require(job: JobSpec):
         raise ValueError("insufficient precision: A-recovery needs p^N > 2q^2")
 
 
-def _sweep_elements(fq: FqContext, job: JobSpec, exclude=()):
-    excluded = set(exclude)
+def _sweep_points(fq: FqContext, job: JobSpec, skip=()):
+    """(x, dlog x) for each x != 0 with dlog x not in skip, inside job.restrict."""
     allowed = None
     if job.restrict is not None:
-        allowed = {fq.coerce(v) for v in job.restrict}
-    for x in fq.elements():
-        if x in excluded:
+        allowed = {fq.coerce(v).coeffs for v in job.restrict}
+    dlog = fq.dlog
+    for x in fq.elements()[1:]:  # elements()[0] is zero
+        k = dlog[x.coeffs]
+        if k in skip or (allowed is not None and x.coeffs not in allowed):
             continue
-        if allowed is not None and x not in allowed:
-            continue
-        yield x
+        yield x, k
 
 
-def _phi_scaled(value: ZqElement, sign: int) -> ZqElement:
-    return value.scale(sign % value.context.modulus)
+def _phi_scaled(value: ZqElement, k: int) -> ZqElement:
+    """phi(g^k) value; q - 1 is even, so any representative k gives (-1)^k."""
+    return -value if k & 1 else value
 
 
 def _recovery_bound(modulus: int) -> int:
@@ -270,20 +272,15 @@ def verify_euler_transform(job: JobSpec) -> Report:
     {0,1}, plus the x = 1 case with phi(3) in place of phi(1-x)."""
     _require(job)
     fq, zq = contexts(job.p, job.r, job.precision)
+    n, zech = fq.q - 1, fq.zech_table()
+    left, right = value_table(*_EULER_LEFT, zq), value_table(*_EULER_RIGHT, zq)
     sweep = _Sweep(job)
-    for x in _sweep_elements(fq, job, exclude=(fq.zero, fq.one)):
-        t = x.inverse()
-        lhs = evaluate_g(GParams(*_EULER_LEFT, t, zq)).value
-        rhs = _phi_scaled(
-            evaluate_g(GParams(*_EULER_RIGHT, t, zq)).value,
-            quadratic_char(fq.one - x),
-        )
+    for x, k in _sweep_points(fq, job, skip=(0,)):
+        lhs = left[-k % n]
+        rhs = _phi_scaled(right[-k % n], zech[(k + n // 2) % n])
         sweep.case(f"x={_label(x)}", lhs == rhs, lambda: (_fmt(lhs), _fmt(rhs)))
     lhs = evaluate_g(GParams(*_EULER_LEFT, fq.one, zq)).value
-    rhs = _phi_scaled(
-        evaluate_g(GParams(*_EULER_RIGHT, fq.one, zq)).value,
-        quadratic_char(fq.scalar(3)),
-    )
+    rhs = _phi_scaled(evaluate_g(GParams(*_EULER_RIGHT, fq.one, zq)).value, fq.scalar(3).dlog())
     sweep.case("x=1 (phi(3) case)", lhs == rhs, lambda: (_fmt(lhs), _fmt(rhs)))
     return sweep.done()
 
@@ -293,12 +290,12 @@ def verify_zero_classification(job: JobSpec) -> Report:
     27y^2(1-y) - 4x has exactly one root."""
     _require(job)
     fq, zq = contexts(job.p, job.r, job.precision)
-    bound = _recovery_bound(zq.modulus)
+    n, bound = fq.q - 1, _recovery_bound(zq.modulus)
+    left, right = value_table(*_EULER_LEFT, zq), value_table(*_EULER_RIGHT, zq)
     sweep = _Sweep(job)
-    for x in _sweep_elements(fq, job, exclude=(fq.zero, fq.one)):
-        t = x.inverse()
-        v1 = recover_bounded_integer(evaluate_g(GParams(*_EULER_LEFT, t, zq)).value, bound)
-        v2 = recover_bounded_integer(evaluate_g(GParams(*_EULER_RIGHT, t, zq)).value, bound)
+    for x, k in _sweep_points(fq, job, skip=(0,)):
+        v1 = recover_bounded_integer(left[-k % n], bound)
+        v2 = recover_bounded_integer(right[-k % n], bound)
         crit = discriminant_sign_check(x) == -1
         cubic = [fq.scalar(-4) * x, fq.zero, fq.scalar(27), fq.scalar(-27)]
         one_root = count_roots(cubic) == 1
@@ -319,12 +316,16 @@ def verify_clausen(job: JobSpec) -> Report:
     - q phi(1-x) for x outside {0,1}; admits p = 3."""
     _require(job)
     fq, zq = contexts(job.p, job.r, job.precision)
+    n, zech = fq.q - 1, fq.zech_table()
+    h = n // 2
+    cube, square = value_table(*_CLAUSEN_CUBE, zq), value_table(*_CLAUSEN_SQUARE, zq)
     q_elem = zq.scalar(fq.q)
     sweep = _Sweep(job)
-    for x in _sweep_elements(fq, job, exclude=(fq.zero, fq.one)):
-        lhs = evaluate_g(GParams(*_CLAUSEN_CUBE, x.inverse(), zq)).value
-        g = evaluate_g(GParams(*_CLAUSEN_SQUARE, (x - fq.one) / x, zq)).value
-        rhs = _phi_scaled(g * g - q_elem, quadratic_char(fq.one - x))
+    for x, k in _sweep_points(fq, job, skip=(0,)):
+        z = zech[(k + h) % n]
+        lhs = cube[-k % n]
+        g = square[(z + h - k) % n]
+        rhs = _phi_scaled(g * g - q_elem, z)
         sweep.case(f"x={_label(x)}", lhs == rhs, lambda: (_fmt(lhs), _fmt(rhs)))
     return sweep.done()
 
@@ -334,17 +335,17 @@ def verify_proposition_oracles(job: JobSpec) -> Report:
     equal the root count of the scaled cubic, for every x != 0."""
     _require(job)
     fq, zq = contexts(job.p, job.r, job.precision)
-    bound = _recovery_bound(zq.modulus)
+    n, bound = fq.q - 1, _recovery_bound(zq.modulus)
+    left, right = value_table(*_EULER_LEFT, zq), value_table(*_EULER_RIGHT, zq)
     inv27 = fq.scalar(27).inverse()
     sweep = _Sweep(job)
-    for x in _sweep_elements(fq, job, exclude=(fq.zero,)):
-        t = x.inverse()
+    for x, k in _sweep_points(fq, job):
         c1 = count_roots([fq.scalar(-4) * x, fq.zero, fq.scalar(27), fq.scalar(-27)])
         c2 = count_roots(
             [fq.scalar(4) * x * inv27, fq.zero, -fq.one, fq.one]
         )
-        v1 = recover_bounded_integer(evaluate_g(GParams(*_EULER_LEFT, t, zq)).value, bound)
-        v2 = recover_bounded_integer(evaluate_g(GParams(*_EULER_RIGHT, t, zq)).value, bound)
+        v1 = recover_bounded_integer(left[-k % n], bound)
+        v2 = recover_bounded_integer(right[-k % n], bound)
         phi3x = quadratic_char(fq.scalar(3) * x)
         ok = (v1 + 1 == c1) and (1 + phi3x * v2 == c2) and (c1 == c2)
         sweep.case(
@@ -362,10 +363,11 @@ def verify_inversion(job: JobSpec) -> Report:
     """G[0,1/2;1/6,5/6 | x] = G[1/6,5/6;0,1/2 | 1/x] for all x != 0."""
     _require(job)
     fq, zq = contexts(job.p, job.r, job.precision)
+    n = fq.q - 1
+    swapped, right = value_table(*_EULER_RIGHT[::-1], zq), value_table(*_EULER_RIGHT, zq)
     sweep = _Sweep(job)
-    for x in _sweep_elements(fq, job, exclude=(fq.zero,)):
-        lhs = evaluate_g_inverted(GParams(*_EULER_RIGHT, x, zq)).value
-        rhs = evaluate_g(GParams(*_EULER_RIGHT, x.inverse(), zq)).value
+    for x, k in _sweep_points(fq, job):
+        lhs, rhs = swapped[k], right[-k % n]
         sweep.case(f"x={_label(x)}", lhs == rhs, lambda: (_fmt(lhs), _fmt(rhs)))
     return sweep.done()
 
@@ -387,24 +389,21 @@ def verify_charsum_chain(job: JobSpec) -> Report:
     """
     _require(job)
     fq, zq = contexts(job.p, job.r, job.precision)
-    q = fq.q
+    q, n, zech = fq.q, fq.q - 1, fq.zech_table()
+    h = n // 2
+    cube, square = value_table(*_CLAUSEN_CUBE, zq), value_table(*_CLAUSEN_SQUARE, zq)
     phi2 = quadratic_char(fq.scalar(2))
     phim1 = quadratic_char(fq.scalar(-1))
     phim2 = quadratic_char(fq.scalar(-2))
     sweep = _Sweep(job)
-    for lam in _sweep_elements(fq, job, exclude=(fq.zero, -fq.one)):
+    for lam, k in _sweep_points(fq, job, skip=(h,)):
         a_val = sum_a(lam)
         big_a = sum_A(lam)
-        t3 = -(lam.inverse())
-        v3 = recover_bounded_integer(
-            evaluate_g(GParams(*_CLAUSEN_CUBE, t3, zq)).value, q * q
-        )
+        v3 = recover_bounded_integer(cube[(h - k) % n], q * q)
         h_val = sum_h(lam, zq)
         b_val = sum_B(lam, zq)
-        phi_shift = quadratic_char(fq.scalar(2) * lam / (lam + fq.one))
-        v2 = recover_bounded_integer(
-            evaluate_g(GParams(*_CLAUSEN_SQUARE, (lam + fq.one) / lam, zq)).value, q
-        )
+        phi_shift = -phi2 if (k - zech[k]) & 1 else phi2  # phi(2 lam/(lam+1)) by parity
+        v2 = recover_bounded_integer(square[(zech[k] - k) % n], q)
         checks = (
             v3 == big_a,
             h_val == zq.scalar(big_a),

@@ -28,6 +28,13 @@ The gamma suite and the floor identities run in production as integer index
 arithmetic over one common denominator; their references here are the
 Fraction forms, every argument and floor built by rational.frac and
 math.floor.
+
+The nGn suites (euler, zeros, clausen, oracles, inversion and the nGn half of
+charsums) read each value table in production by discrete-log index: 1/x,
+1 - x, x + 1 and (x-1)/x become index arithmetic and Zech-table lookups, and
+phi is index parity.  Their references here are the object sweeps, one
+GParams and evaluate_g call per point, with every argument built by F_q
+element arithmetic.
 """
 
 from __future__ import annotations
@@ -37,12 +44,25 @@ from functools import lru_cache
 from math import floor
 from operator import mul
 
-from padichg.charsums import jacobi_sum
-from padichg.finitefield import quadratic_char
-from padichg.gfunction import EvaluationIntegrityError
+from padichg.charsums import jacobi_sum, sum_A, sum_a, sum_B, sum_h, verify_aop_identity
+from padichg.finitefield import count_roots, discriminant_sign_check, quadratic_char
+from padichg.gfunction import EvaluationIntegrityError, GParams, evaluate_g, evaluate_g_inverted
+from padichg.padic import recover_bounded_integer
 from padichg.pgamma import gamma_cache
 from padichg.rational import frac
-from padichg.suites import _Sweep, _digits, _fmt, _require, contexts
+from padichg.suites import (
+    _CLAUSEN_CUBE,
+    _CLAUSEN_SQUARE,
+    _EULER_LEFT,
+    _EULER_RIGHT,
+    _Sweep,
+    _digits,
+    _fmt,
+    _label,
+    _recovery_bound,
+    _require,
+    contexts,
+)
 
 
 _PREFIX_BLOCK = 128
@@ -342,5 +362,165 @@ def gamma_identities_fraction(job):
             "sixth-thirds ratio",
             val == expect,
             lambda: (_digits(val, p, job.precision), f"phi(3)={quadratic_char(fq.scalar(3))}"),
+        )
+    return sweep.done()
+
+
+def phi_scaled(value, sign):
+    return value.scale(sign % value.context.modulus)
+
+
+def sweep_elements(fq, job, exclude=()):
+    """The x of fq.elements() outside exclude and, under job.restrict, inside it."""
+    excluded = set(exclude)
+    allowed = None
+    if job.restrict is not None:
+        allowed = {fq.coerce(v) for v in job.restrict}
+    for x in fq.elements():
+        if x in excluded:
+            continue
+        if allowed is not None and x not in allowed:
+            continue
+        yield x
+
+
+def euler_transform_pointwise(job):
+    """suites.verify_euler_transform, one GParams and F_q element argument per point."""
+    _require(job)
+    fq, zq = contexts(job.p, job.r, job.precision)
+    sweep = _Sweep(job)
+    for x in sweep_elements(fq, job, exclude=(fq.zero, fq.one)):
+        t = x.inverse()
+        lhs = evaluate_g(GParams(*_EULER_LEFT, t, zq)).value
+        rhs = phi_scaled(
+            evaluate_g(GParams(*_EULER_RIGHT, t, zq)).value,
+            quadratic_char(fq.one - x),
+        )
+        sweep.case(f"x={_label(x)}", lhs == rhs, lambda: (_fmt(lhs), _fmt(rhs)))
+    lhs = evaluate_g(GParams(*_EULER_LEFT, fq.one, zq)).value
+    rhs = phi_scaled(
+        evaluate_g(GParams(*_EULER_RIGHT, fq.one, zq)).value,
+        quadratic_char(fq.scalar(3)),
+    )
+    sweep.case("x=1 (phi(3) case)", lhs == rhs, lambda: (_fmt(lhs), _fmt(rhs)))
+    return sweep.done()
+
+
+def zero_classification_pointwise(job):
+    """suites.verify_zero_classification, one GParams and F_q element argument per point."""
+    _require(job)
+    fq, zq = contexts(job.p, job.r, job.precision)
+    bound = _recovery_bound(zq.modulus)
+    sweep = _Sweep(job)
+    for x in sweep_elements(fq, job, exclude=(fq.zero, fq.one)):
+        t = x.inverse()
+        v1 = recover_bounded_integer(evaluate_g(GParams(*_EULER_LEFT, t, zq)).value, bound)
+        v2 = recover_bounded_integer(evaluate_g(GParams(*_EULER_RIGHT, t, zq)).value, bound)
+        crit = discriminant_sign_check(x) == -1
+        cubic = [fq.scalar(-4) * x, fq.zero, fq.scalar(27), fq.scalar(-27)]
+        one_root = count_roots(cubic) == 1
+        ok = ((v1 == 0) == crit) and ((v2 == 0) == crit) and (crit == one_root)
+        sweep.case(
+            f"x={_label(x)}",
+            ok,
+            lambda: (
+                f"G values ({v1}, {v2})",
+                f"phi(3x(1-x))={'-1' if crit else '+1'}, single-root={one_root}",
+            ),
+        )
+    return sweep.done()
+
+
+def clausen_pointwise(job):
+    """suites.verify_clausen, one GParams and F_q element argument per point."""
+    _require(job)
+    fq, zq = contexts(job.p, job.r, job.precision)
+    q_elem = zq.scalar(fq.q)
+    sweep = _Sweep(job)
+    for x in sweep_elements(fq, job, exclude=(fq.zero, fq.one)):
+        lhs = evaluate_g(GParams(*_CLAUSEN_CUBE, x.inverse(), zq)).value
+        g = evaluate_g(GParams(*_CLAUSEN_SQUARE, (x - fq.one) / x, zq)).value
+        rhs = phi_scaled(g * g - q_elem, quadratic_char(fq.one - x))
+        sweep.case(f"x={_label(x)}", lhs == rhs, lambda: (_fmt(lhs), _fmt(rhs)))
+    return sweep.done()
+
+
+def proposition_oracles_pointwise(job):
+    """suites.verify_proposition_oracles, one GParams and F_q element argument per point."""
+    _require(job)
+    fq, zq = contexts(job.p, job.r, job.precision)
+    bound = _recovery_bound(zq.modulus)
+    inv27 = fq.scalar(27).inverse()
+    sweep = _Sweep(job)
+    for x in sweep_elements(fq, job, exclude=(fq.zero,)):
+        t = x.inverse()
+        c1 = count_roots([fq.scalar(-4) * x, fq.zero, fq.scalar(27), fq.scalar(-27)])
+        c2 = count_roots(
+            [fq.scalar(4) * x * inv27, fq.zero, -fq.one, fq.one]
+        )
+        v1 = recover_bounded_integer(evaluate_g(GParams(*_EULER_LEFT, t, zq)).value, bound)
+        v2 = recover_bounded_integer(evaluate_g(GParams(*_EULER_RIGHT, t, zq)).value, bound)
+        phi3x = quadratic_char(fq.scalar(3) * x)
+        ok = (v1 + 1 == c1) and (1 + phi3x * v2 == c2) and (c1 == c2)
+        sweep.case(
+            f"x={_label(x)}",
+            ok,
+            lambda: (
+                f"G+1={v1 + 1}, 1+phi(3x)G'={1 + phi3x * v2}",
+                f"root counts ({c1}, {c2})",
+            ),
+        )
+    return sweep.done()
+
+
+def inversion_pointwise(job):
+    """suites.verify_inversion, one GParams and F_q element argument per point."""
+    _require(job)
+    fq, zq = contexts(job.p, job.r, job.precision)
+    sweep = _Sweep(job)
+    for x in sweep_elements(fq, job, exclude=(fq.zero,)):
+        lhs = evaluate_g_inverted(GParams(*_EULER_RIGHT, x, zq)).value
+        rhs = evaluate_g(GParams(*_EULER_RIGHT, x.inverse(), zq)).value
+        sweep.case(f"x={_label(x)}", lhs == rhs, lambda: (_fmt(lhs), _fmt(rhs)))
+    return sweep.done()
+
+
+def charsum_chain_pointwise(job):
+    """suites.verify_charsum_chain, one GParams and F_q element argument per point."""
+    _require(job)
+    fq, zq = contexts(job.p, job.r, job.precision)
+    q = fq.q
+    phi2 = quadratic_char(fq.scalar(2))
+    phim1 = quadratic_char(fq.scalar(-1))
+    phim2 = quadratic_char(fq.scalar(-2))
+    sweep = _Sweep(job)
+    for lam in sweep_elements(fq, job, exclude=(fq.zero, -fq.one)):
+        a_val = sum_a(lam)
+        big_a = sum_A(lam)
+        t3 = -(lam.inverse())
+        v3 = recover_bounded_integer(
+            evaluate_g(GParams(*_CLAUSEN_CUBE, t3, zq)).value, q * q
+        )
+        h_val = sum_h(lam, zq)
+        b_val = sum_B(lam, zq)
+        phi_shift = quadratic_char(fq.scalar(2) * lam / (lam + fq.one))
+        v2 = recover_bounded_integer(
+            evaluate_g(GParams(*_CLAUSEN_SQUARE, (lam + fq.one) / lam, zq)).value, q
+        )
+        checks = (
+            v3 == big_a,
+            h_val == zq.scalar(big_a),
+            b_val == zq.scalar(-phi_shift + phim1 * a_val),
+            -phi2 * v2 == a_val,
+            verify_aop_identity(lam),
+            b_val == zq.scalar(-phi_shift - phim2 * v2),
+        )
+        sweep.case(
+            f"lam={_label(lam)}",
+            all(checks),
+            lambda: (
+                f"G3={v3}, h={_fmt(h_val)}, B={_fmt(b_val)}, -phi(2)G2={-phi2 * v2}",
+                f"A={big_a}, a={a_val}, checks={checks}",
+            ),
         )
     return sweep.done()

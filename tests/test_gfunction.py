@@ -11,6 +11,7 @@ from padichg.gfunction import (
     GValue,
     evaluate_g,
     evaluate_g_inverted,
+    value_table,
     _coefficient_table,
 )
 from padichg.padic import UnramifiedContext, balanced_lift
@@ -116,6 +117,19 @@ def test_parameter_validation():
         GParams((F(1, 2),), (F(0), F(1, 2)), fq.one, zq)  # length mismatch
     with pytest.raises(ValueError):
         GParams((F(1, 2),), (F(0),), other_fq.one, zq)  # foreign element
+
+
+def test_value_table_checks_parameters_when_it_builds():
+    fq, zq = _pair(5, 1, 4)
+    for upper, lower in (((F(1, 5),), (F(0),)), ((F(1, 2),), (F(0), F(1, 2))), ((), ())):
+        with pytest.raises(ValueError):
+            value_table(upper, lower, zq)
+    assert zq.g_values == {}
+    # a table is indexed by dlog t and matches the GParams facade
+    values = value_table(*G_CUBIC, zq)
+    assert value_table(*G_CUBIC, zq) is values
+    for t in fq.elements()[1:]:
+        assert values[t.dlog()] == evaluate_g(GParams(*G_CUBIC, t, zq)).value
 
 
 def test_negative_total_exponent_aborts():
