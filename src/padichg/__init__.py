@@ -36,7 +36,6 @@ from .pgamma import GammaCache, gamma_cache, gamma_p, gamma_p_nat
 from .rational import (
     check_floor_identity_A,
     check_floor_identity_B,
-    floor_int,
     frac,
     g_exponent,
 )

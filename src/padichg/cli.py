@@ -12,8 +12,6 @@ import io
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
 
 from .finitefield import MAX_Q, is_prime
 from .suites import DEFAULT_BATTERY, SUITE_NAMES, JobSpec, Report, check_admissible, run_job
@@ -27,14 +25,24 @@ class UsageError(Exception):
     pass
 
 
-@dataclass
 class Config:
-    jobs: list[JobSpec] = field(default_factory=list)
-    fmt: str = "text"
-    out: str | None = None
-    parallel: int = 1
-    fail_fast: bool = False
-    verbose: bool = False
+    """What one run does: its jobs, report format and destination, parallelism."""
+
+    def __init__(
+        self,
+        jobs: list[JobSpec] | None = None,
+        fmt: str = "text",
+        out: str | None = None,
+        parallel: int = 1,
+        fail_fast: bool = False,
+        verbose: bool = False,
+    ):
+        self.jobs = [] if jobs is None else jobs
+        self.fmt = fmt
+        self.out = out
+        self.parallel = parallel
+        self.fail_fast = fail_fast
+        self.verbose = verbose
 
 
 def _expand_group(suite: str, p, r, precision, verbose: bool) -> list[JobSpec]:
@@ -101,6 +109,8 @@ def _parse_config_file(path: str) -> tuple[dict, list[dict]]:
             lines = fh.readlines()
     except OSError as exc:
         raise UsageError(f"cannot read config file: {exc}") from exc
+    except UnicodeDecodeError:
+        raise UsageError(f"cannot read config file {path}: not valid UTF-8") from None
     for lineno, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -120,6 +130,8 @@ def _parse_config_file(path: str) -> tuple[dict, list[dict]]:
                     raise UsageError(
                         f"{where}: unknown job key {k!r}; expected {', '.join(JOB_KEYS)}"
                     )
+                if k in entry:
+                    raise UsageError(f"{where}: duplicate job key {k!r}")
                 entry[k] = v if k == "suite" else _int_value(where, k, v)
             if "suite" not in entry:
                 raise UsageError(f"{where}: job line needs suite=...")
@@ -283,6 +295,10 @@ def run(config: Config) -> int:
             if config.fail_fast and not rep.passed():
                 break
     else:
+        # imported here: a sequential run never loads concurrent.futures and
+        # multiprocessing, which cost more start-up than the checks of a small job
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             reports = list(pool.map(run_job, config.jobs))
 

@@ -27,7 +27,7 @@ aborts the evaluation as an integrity failure rather than silently wrap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import lcm
 
@@ -53,33 +53,31 @@ def _checked(upper, lower, p: int) -> tuple[tuple, tuple]:
     return upper, lower
 
 
-@dataclass(frozen=True)
-class GParams:
+class GParams(namedtuple("GParams", "upper lower t context")):
     """Parameter record (a_1..a_n; b_1..b_n; t; q) for one evaluation."""
 
-    upper: tuple
-    lower: tuple
-    t: FqElement
-    context: UnramifiedContext
+    __slots__ = ()
 
-    def __post_init__(self):
-        upper, lower = _checked(self.upper, self.lower, self.context.base.p)
-        object.__setattr__(self, "upper", upper)
-        object.__setattr__(self, "lower", lower)
-        if self.t.context is not self.context.fq:
+    def __new__(cls, upper, lower, t: FqElement, context: UnramifiedContext):
+        upper, lower = _checked(upper, lower, context.base.p)
+        if t.context is not context.fq:
             raise ValueError("t lives in a different field than the Z_q context")
+        return super().__new__(cls, upper, lower, t, context)
+
+    @classmethod
+    def _make(cls, iterable):
+        # route _replace through __new__, so a replaced field is checked too
+        return cls(*iterable)
 
     @property
     def n(self) -> int:
         return len(self.upper)
 
 
-@dataclass(frozen=True)
-class GValue:
+class GValue(namedtuple("GValue", "value precision")):
     """A full nGn sum reduced mod p^N."""
 
-    value: ZqElement
-    precision: int
+    __slots__ = ()
 
 
 def _coefficient_table(upper, lower, zq: UnramifiedContext) -> list[int]:

@@ -1,12 +1,11 @@
 """Exact rational floor/fractional-part toolkit and integer floor identities.
 
-frac and floor_int take stdlib ``fractions.Fraction`` values, which are
-always held in canonical reduced form (positive denominator, gcd 1), so
-equality and floor are bit-exact.  g_exponent and the floor identities hold
-every rational they meet as n/d over one common denominator d, so <n/d> is
-(n mod d)/d and each floor is the integer floor division n // d; the floor
-identities construct no Fraction.  Nothing in this module touches floating
-point.
+frac takes stdlib ``fractions.Fraction`` values, which are always held in
+canonical reduced form (positive denominator, gcd 1), so equality and floor
+are bit-exact.  g_exponent and the floor identities hold every rational they
+meet as n/d over one common denominator d, so <n/d> is (n mod d)/d and each
+floor is the integer floor division n // d; the floor identities construct no
+Fraction.  Nothing in this module touches floating point.
 """
 
 from __future__ import annotations
@@ -19,11 +18,6 @@ def frac(x) -> Fraction:
     """Fractional part ``<x> = x - floor(x)``, always in [0, 1)."""
     x = Fraction(x)
     return x - math.floor(x)
-
-
-def floor_int(x) -> int:
-    """Largest integer <= x (exact, correct for negative rationals)."""
-    return math.floor(Fraction(x))
 
 
 def g_exponent(a_k, b_k, a: int, i: int, p: int, q: int) -> int:

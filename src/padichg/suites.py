@@ -17,7 +17,7 @@ oracles (root counts, character sums) still take F_q elements.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from collections import namedtuple
 from fractions import Fraction
 from math import lcm
 
@@ -69,57 +69,75 @@ _CLAUSEN_CUBE = ((_HALF, _HALF, _HALF), (Fraction(0),) * 3)
 _CLAUSEN_SQUARE = ((Fraction(1, 4), Fraction(3, 4)), (Fraction(0), Fraction(0)))
 
 
-@dataclass(frozen=True)
-class JobSpec:
+class JobSpec(namedtuple("JobSpec", "p r suite precision restrict record_cases")):
     """One verification job: a field, a precision, a suite, optional restriction."""
 
-    p: int
-    r: int
-    suite: str
-    precision: int | None = None
-    restrict: tuple | None = None
-    record_cases: bool = False
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not is_prime(self.p) or self.p == 2:
-            raise ValueError(f"p must be an odd prime, got {self.p}")
-        if self.r < 1:
+    def __new__(
+        cls,
+        p: int,
+        r: int,
+        suite: str,
+        precision: int | None = None,
+        restrict: tuple | None = None,
+        record_cases: bool = False,
+    ):
+        if not is_prime(p) or p == 2:
+            raise ValueError(f"p must be an odd prime, got {p}")
+        if r < 1:
             raise ValueError("r must be >= 1")
-        if self.suite not in SUITE_NAMES:
-            raise ValueError(f"unknown suite {self.suite!r}")
-        if self.precision is not None and self.precision < 1:
+        if suite not in SUITE_NAMES:
+            raise ValueError(f"unknown suite {suite!r}")
+        if precision is not None and precision < 1:
             raise ValueError("precision must be >= 1")
+        return super().__new__(cls, p, r, suite, precision, restrict, record_cases)
+
+    @classmethod
+    def _make(cls, iterable):
+        # route _replace through __new__, so a replaced field is checked too
+        return cls(*iterable)
 
     @property
     def q(self) -> int:
         return self.p**self.r
 
 
-@dataclass
-class CaseFailure:
-    case: str
-    left: str
-    right: str
+class CaseFailure(namedtuple("CaseFailure", "case left right")):
+    __slots__ = ()
 
     def to_dict(self):
         return {"case": self.case, "left": self.left, "right": self.right}
 
 
-@dataclass
 class Report:
     """Outcome of one job; cases_total = cases_passed + len(failures)."""
 
-    suite: str
-    p: int
-    r: int
-    precision: int
-    q: int
-    cases_total: int = 0
-    cases_passed: int = 0
-    failures: list = field(default_factory=list)
-    elapsed_ms: float = 0.0
-    skipped: bool = False
-    case_rows: list = field(default_factory=list)
+    def __init__(
+        self,
+        suite: str,
+        p: int,
+        r: int,
+        precision: int,
+        q: int,
+        cases_total: int = 0,
+        cases_passed: int = 0,
+        failures: list | None = None,
+        elapsed_ms: float = 0.0,
+        skipped: bool = False,
+        case_rows: list | None = None,
+    ):
+        self.suite = suite
+        self.p = p
+        self.r = r
+        self.precision = precision
+        self.q = q
+        self.cases_total = cases_total
+        self.cases_passed = cases_passed
+        self.failures = [] if failures is None else failures
+        self.elapsed_ms = elapsed_ms
+        self.skipped = skipped
+        self.case_rows = [] if case_rows is None else case_rows
 
     def passed(self) -> bool:
         return self.skipped or not self.failures
@@ -430,6 +448,8 @@ def verify_gamma_identities(job: JobSpec) -> Report:
 
     Arguments are residues num/d, d = lcm(q-1, t in {2, 3, 6} with p ∤ t):
     with j/(q-1) = u/d, <(c/t ± j/(q-1)) p^i> = ((c d/t ± u) p^i mod d)/d.
+    Both sides are integers mod p^N: omega(-1) = -1, and for t in F_p,
+    omega(t) = t^(p^(N-1)) mod p^N.
     """
     _require(job)
     fq, zq = contexts(job.p, job.r, job.precision)
@@ -439,8 +459,6 @@ def verify_gamma_identities(job: JobSpec) -> Report:
     step = d // (q - 1)  # j/(q-1) = j * step / d
     pis = [p**i % d for i in range(r)]
     gammas = [cache.residue(num, d) for num in range(d)]
-    omega = zq.omega_generator_powers()
-    log_minus_one = zq.dlog(-fq.one)
     sweep = _Sweep(job)
 
     def gprod(nums) -> int:
@@ -449,12 +467,15 @@ def verify_gamma_identities(job: JobSpec) -> Report:
             acc = acc * gammas[num % d] % m
         return acc
 
+    def show():  # the current case's residues; _Sweep.case calls it at once
+        return _fmt(zq.scalar(lhs)), _fmt(zq.scalar(rhs))
+
     for j in range(1, q - 1):
         u = j * step
         val = gprod([-u * pi for pi in pis] + [u * pi for pi in pis])  # <(1-u) p^i>, <u p^i>
-        lhs = zq.scalar(val * (-1) ** r)
-        rhs = omega[-j * log_minus_one % (q - 1)]  # omega-bar^j(-1)
-        sweep.case(f"reflection j={j}", lhs == rhs, lambda: (_fmt(lhs), _fmt(rhs)))
+        lhs = val * (-1) ** r % m
+        rhs = (-1) ** j % m  # omega-bar^j(-1)
+        sweep.case(f"reflection j={j}", lhs == rhs, show)
 
     half = d // 2
     inv_den = pow(gprod(half * pi for pi in pis) ** 2, -1, m)
@@ -463,27 +484,28 @@ def verify_gamma_identities(job: JobSpec) -> Report:
             continue
         u = j * step
         num = gprod([(half - u) * pi for pi in pis] + [(half + u) * pi for pi in pis])
-        lhs = zq.scalar(num * inv_den)
-        rhs = omega[-j * log_minus_one % (q - 1)]
-        sweep.case(f"half-shift j={j}", lhs == rhs, lambda: (_fmt(lhs), _fmt(rhs)))
+        lhs = num * inv_den % m
+        rhs = (-1) ** j % m
+        sweep.case(f"half-shift j={j}", lhs == rhs, show)
 
     for t in (2, 3, 6):
         if t % p == 0:
             continue  # lemma hypothesis p does not divide t
         c = d // t
-        log_t = zq.dlog(fq.scalar(t))
         base = gprod(h * c * pi for pi in pis for h in range(1, t))
+        w_step = pow(t, t * p ** (job.precision - 1), m)  # omega(t)^t
+        w_step_inv = pow(w_step, -1, m)
+        w_up = w_down = 1  # omega(t)^(t a), omega(t)^(-t a)
         for a in range(q - 1):
             u = a * step
-            w_down = omega[-t * a * log_t % (q - 1)]  # omega(t)^(-t a)
-            lhs = w_down.scale(base * gprod(-t * u * pi for pi in pis) % m)
-            rhs = zq.scalar(gprod(((1 + h) * c - u) * pi for pi in pis for h in range(t)))
-            sweep.case(f"product-down t={t} a={a}", lhs == rhs, lambda: (_fmt(lhs), _fmt(rhs)))
+            lhs = w_down * base % m * gprod(-t * u * pi for pi in pis) % m
+            rhs = gprod(((1 + h) * c - u) * pi for pi in pis for h in range(t))
+            sweep.case(f"product-down t={t} a={a}", lhs == rhs, show)
 
-            w_up = omega[t * a * log_t % (q - 1)]  # omega(t)^(t a)
-            lhs = w_up.scale(base * gprod(t * u * pi for pi in pis) % m)
-            rhs = zq.scalar(gprod((h * c + u) * pi for pi in pis for h in range(t)))
-            sweep.case(f"product-up t={t} a={a}", lhs == rhs, lambda: (_fmt(lhs), _fmt(rhs)))
+            lhs = w_up * base % m * gprod(t * u * pi for pi in pis) % m
+            rhs = gprod((h * c + u) * pi for pi in pis for h in range(t))
+            sweep.case(f"product-up t={t} a={a}", lhs == rhs, show)
+            w_up, w_down = w_up * w_step % m, w_down * w_step_inv % m
 
     if p >= 5:
         num = gprod(k * (d // 3) * pi for pi in pis for k in (1, 2))
@@ -542,7 +564,7 @@ def check_admissible(job: JobSpec) -> None:
     if precision is None:
         precision = default_precision(job.suite, job.p, job.r)
     check_feasible(job.p, precision)
-    _require(replace(job, precision=precision))
+    _require(job._replace(precision=precision))
 
 
 def run_job(job: JobSpec) -> Report:
@@ -550,7 +572,7 @@ def run_job(job: JobSpec) -> Report:
     precision = job.precision
     if precision is None:
         precision = default_precision(job.suite, job.p, job.r)
-        job = replace(job, precision=precision)
+        job = job._replace(precision=precision)
     if job.p < SUITE_MIN_P[job.suite]:
         return Report(
             suite=job.suite,

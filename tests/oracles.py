@@ -65,6 +65,11 @@ from padichg.suites import (
 )
 
 
+def floor_int(x) -> int:
+    """Largest integer <= x (exact, correct for negative rationals)."""
+    return floor(Fraction(x))
+
+
 _PREFIX_BLOCK = 128
 
 

@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import io
 import json
@@ -198,6 +199,21 @@ def test_config_non_integer_job_value_is_usage_error(tmp_path, capsys, tokens):
     assert "must be an integer" in _usage_exit(capsys, argv)
 
 
+def test_config_not_utf8_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "jobs.cfg"
+    path.write_bytes(b"\xff\xfejob = suite=floors p=7\n")
+    err = _usage_exit(capsys, ["--config", str(path)])
+    assert f"cannot read config file {path}: not valid UTF-8" in err
+
+
+def test_config_duplicate_job_key_is_usage_error(tmp_path, capsys):
+    argv = _config(tmp_path, "format = json\njob = suite=euler p=5 p=7\n")
+    err = _usage_exit(capsys, argv)
+    assert "jobs.cfg:2: duplicate job key 'p'" in err
+    argv = _config(tmp_path, "job = suite=euler suite=floors p=7\n")
+    assert "jobs.cfg:1: duplicate job key 'suite'" in _usage_exit(capsys, argv)
+
+
 def test_config_zero_jobs_is_usage_error(tmp_path, capsys):
     err = _usage_exit(capsys, _config(tmp_path, "jobs = 0\njob = suite=floors p=7\n"))
     assert "jobs must be >= 1" in err
@@ -293,7 +309,8 @@ class _RecordingPool:
 @pytest.fixture
 def recording_pool(monkeypatch):
     _RecordingPool.created = []
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
+    # cli.run imports the pool class inside its parallel branch
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
     return _RecordingPool.created
 

@@ -119,6 +119,19 @@ def test_parameter_validation():
         GParams((F(1, 2),), (F(0),), other_fq.one, zq)  # foreign element
 
 
+def test_params_are_normalised_immutable_values():
+    fq, zq = _pair(5, 1, 4)
+    params = GParams(("1/2",), (0,), fq.one, zq)
+    same = GParams((F(1, 2),), (F(0),), fq.one, zq)
+    assert params.upper == (F(1, 2),) and params.n == 1
+    assert params == same and hash(params) == hash(same)
+    with pytest.raises(AttributeError):
+        params.t = fq.zero
+    with pytest.raises(ValueError):
+        params._replace(upper=(F(1, 5),))  # a replaced field is checked too
+    assert params._replace(t=fq.scalar(2)).t == fq.scalar(2)
+
+
 def test_value_table_checks_parameters_when_it_builds():
     fq, zq = _pair(5, 1, 4)
     for upper, lower in (((F(1, 5),), (F(0),)), ((F(1, 2),), (F(0), F(1, 2))), ((), ())):

@@ -4,12 +4,11 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracles import g_exponent_fraction
+from oracles import floor_int, g_exponent_fraction
 
 from padichg.rational import (
     check_floor_identity_A,
     check_floor_identity_B,
-    floor_int,
     frac,
     g_exponent,
 )

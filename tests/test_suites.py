@@ -5,12 +5,14 @@ from conftest import clear_shared_caches
 
 from padichg import pgamma, suites
 from padichg.cli import _render_csv, _render_json
+from padichg.padic import UnramifiedContext
 from padichg.suites import (
     DEFAULT_BATTERY,
     SUITE_MIN_P,
     SUITE_NAMES,
     SUITES,
     JobSpec,
+    Report,
     contexts,
     default_precision,
     run_job,
@@ -26,6 +28,21 @@ def test_jobspec_validation():
         JobSpec(5, 1, "nonsense")
     with pytest.raises(ValueError):
         JobSpec(5, 1, "euler", precision=0)
+
+
+def test_records_keep_their_value_semantics():
+    job = JobSpec(5, 1, "euler")
+    assert job == JobSpec(p=5, r=1, suite="euler", precision=None) and job.q == 5
+    assert hash(job) == hash(JobSpec(5, 1, "euler"))
+    with pytest.raises(AttributeError):
+        job.precision = 4
+    with pytest.raises(ValueError, match="precision must be >= 1"):
+        job._replace(precision=0)  # a replaced field is checked too
+    assert job._replace(precision=4).precision == 4
+    first, second = Report("euler", 5, 1, 4, 5), Report("euler", 5, 1, 4, 5)
+    first.failures.append(None)
+    first.case_rows.append(None)
+    assert second.failures == [] and second.case_rows == []
 
 
 def test_default_precision_policy():
@@ -207,6 +224,20 @@ def test_failure_reports_are_unchanged(monkeypatch):
         "ba8b74b52eebedbba3717b4b174691681abb6022353d48ebb9b6974fea6489d5",
         "75b9d931845df4dfaa6e6ef0e002f042aa80bde21997297b9965eb4bd69033e4",
     ]
+
+
+@pytest.mark.parametrize("p, r", [(5, 2), (7, 1)])
+def test_gamma_suite_builds_no_power_table(monkeypatch, p, r):
+    # omega(-1) and omega(t) for t in {2, 3, 6} are integers mod p^N, so the
+    # suite never builds the q-1 powers of omega(g) in Z_q
+    def refuse(self):
+        raise AssertionError("gamma suite built the omega(g) power table")
+
+    monkeypatch.setattr(UnramifiedContext, "omega_generator_powers", refuse)
+    rep = run_job(JobSpec(p, r, "gamma"))
+    q = p**r
+    assert rep.cases_total == 2 * (q - 2) + 6 * (q - 1) + 1
+    assert rep.cases_passed == rep.cases_total and not rep.failures
 
 
 def test_gamma_suite_at_q_in_the_thousands():
