@@ -6,7 +6,7 @@ cross-check in the tests.  Both are built for every lambda of a field at once
 from the context's Zech-log table dlog(1 + g^d): with phi(g^k) = (-1)^k each
 comes from cyclic correlations of integer sequences of length q-1: a field
 costs O(q) integer work and three packed products (finitefield.correlate),
-once per context, and sum_A and sum_a are lookups.
+once per context: A_values and a_values, which sum_A and sum_a read by dlog.
 
 Jacobi sums and the character-averaged sums h and B live in Z_q, with
 characters realized as powers of the inverse Teichmuller character.  Each
@@ -14,7 +14,8 @@ Jacobi family the sums need is one character transform
 (UnramifiedContext.character_transform) of an integer histogram over the
 pairs (dlog x, dlog(1-x)), and h and B at every lambda are one transform
 each of the Jacobi products; a field costs O(q) integer work plus five
-Kronecker products, once per Z_q context, and sum_h and sum_B are lookups.
+Kronecker products, once per Z_q context: h_values and B_values, which
+sum_h and sum_B read by dlog.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ def _a_weights(phi1: list[int]) -> list[int]:
     return [v if i % 2 == 0 else -v for i, v in enumerate(phi1)]
 
 
-def _A_values(fq: FqContext) -> list[int]:
+def A_values(fq: FqContext) -> list[int]:
     """[A(g^k, q) for k in 0..q-2]; built once per context.
 
     With S(c) = sum_x f(x) phi(x + c): S(g^k) = (-1)^k sum_i f_i phi(1 + g^(i-k))
@@ -58,7 +59,7 @@ def _A_values(fq: FqContext) -> list[int]:
     return table
 
 
-def _a_values(fq: FqContext) -> list[int]:
+def a_values(fq: FqContext) -> list[int]:
     """[a(lam, q) for 1/(lam+1) = g^k, k in 0..q-2]; built once per context.
 
     a = phi(1/(lam+1)) + (-1)^k sum_i phi(g^i - 1) phi(g^(2i-k) - 1), where
@@ -85,7 +86,7 @@ def sum_A(lam: FqElement) -> int:
         # phi(x^2) = 1 off x = 0: A(0) = sum_{x != 0} phi(x+1) * sum_y phi(y(y+1))
         phi1 = _phi_one_plus(fq)
         return sum(phi1) * sum(_a_weights(phi1))
-    return _A_values(fq)[lam.dlog()]
+    return A_values(fq)[lam.dlog()]
 
 
 def sum_a(lam: FqElement) -> int:
@@ -94,7 +95,7 @@ def sum_a(lam: FqElement) -> int:
     shifted = lam + fq.one
     if shifted.is_zero():
         raise ValueError("lam = -1 makes 1/(lam+1) undefined")
-    return _a_values(fq)[-shifted.dlog() % (fq.q - 1)]
+    return a_values(fq)[-shifted.dlog() % (fq.q - 1)]
 
 
 def jacobi_sum(i: int, j: int, zq: UnramifiedContext) -> ZqElement:
@@ -130,7 +131,7 @@ def _jacobi_family(zq: UnramifiedContext, u: int, v: int) -> list[ZqElement]:
     return zq.character_transform(c)
 
 
-def _h_values(zq: UnramifiedContext) -> list[ZqElement]:
+def h_values(zq: UnramifiedContext) -> list[ZqElement]:
     """[h(g^d) for d in 0..q-2]; built once per context.
 
     With cube_m = J(chi-bar phi, chi)^3 for chi = omega-bar^m, h(g^d) is
@@ -155,10 +156,10 @@ def sum_h(lam: FqElement, zq: UnramifiedContext) -> ZqElement:
     if lam.is_zero():
         raise ValueError("h(0) is undefined")
     d = zq.dlog(lam)
-    return _h_values(zq)[d]
+    return h_values(zq)[d]
 
 
-def _B_values(zq: UnramifiedContext) -> list[ZqElement]:
+def B_values(zq: UnramifiedContext) -> list[ZqElement]:
     """[B-sum at arg = g^d for d in 0..q-2]; built once per context.
 
     phi(-2)/(q-1) sum_m J(phi chi^2, chi-bar) J(phi chi, chi-bar) omega-bar^m(arg)
@@ -187,7 +188,7 @@ def sum_B(lam: FqElement, zq: UnramifiedContext) -> ZqElement:
     if lam.is_zero() or (lam + fq.one).is_zero():
         raise ValueError("B(lam) requires lam outside {0, -1}")
     d = zq.dlog(lam / (fq.scalar(4) * (lam + fq.one)))
-    return _B_values(zq)[d]
+    return B_values(zq)[d]
 
 
 def verify_aop_identity(lam: FqElement) -> bool:
@@ -195,5 +196,11 @@ def verify_aop_identity(lam: FqElement) -> bool:
     fq = lam.context
     if lam.is_zero() or (lam + fq.one).is_zero():
         raise ValueError("the identity requires lam outside {0, -1}")
-    a = sum_a(lam)
-    return sum_A(lam) == quadratic_char(lam + fq.one) * (a * a - fq.q)
+    return aop_identity_at(fq, lam.dlog())
+
+
+def aop_identity_at(fq: FqContext, k: int) -> bool:
+    """verify_aop_identity at lam = g^k != -1, where dlog(lam + 1) = zech[k]."""
+    z = fq.zech_table()[k]
+    a = a_values(fq)[-z % (fq.q - 1)]
+    return A_values(fq)[k] == (1 - 2 * (z & 1)) * (a * a - fq.q)

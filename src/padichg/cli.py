@@ -105,7 +105,7 @@ def _parse_config_file(path: str) -> tuple[dict, list[dict]]:
     settings: dict = {}
     groups: list[dict] = []
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:  # a leading byte-order mark is dropped
             lines = fh.readlines()
     except OSError as exc:
         raise UsageError(f"cannot read config file: {exc}") from exc

@@ -10,7 +10,7 @@ Fields are kept small on purpose (q <= 2^16): the dlog table makes every
 character evaluation O(1) inside the O(q) verification sweeps.  Each context
 also owns, built lazily once, the integer Zech-log table dlog(1 + g^d), from
 which the character-sum oracles of every lambda come at once, and the
-preimage histograms that answer root counts by lookup.  correlate computes
+dlog-keyed root tables that answer root counts by lookup.  correlate computes
 every whole-field correlation, over F_q and Z_q, as one exact packed product.
 """
 
@@ -270,14 +270,11 @@ class FqContext:
             self.exp_table.append(g)
             self.dlog[g.coeffs] = k
             g = self._mul(g, self.generator)
-        self._elements = [
-            FqElement(self, t) for t in itertools.product(range(p), repeat=r)
-        ]
         self._zech: list[int] | None = None
         self._jacobi_pairs: list[tuple[int, int]] | None = None
-        # whole-field oracle tables, filled by charsums (A, a) and count_roots
+        # whole-field oracle tables, filled by charsums (A, a) and root_table
         self.charsum_tables: dict[str, list[int]] = {}
-        self.root_histograms: dict[tuple, dict[tuple[int, ...], int]] = {}
+        self.root_histograms: dict[tuple, list[int]] = {}
 
     def _mul(self, a: FqElement, b: FqElement) -> FqElement:
         return FqElement(self, poly_mulmod(a.coeffs, b.coeffs, self._neg_poly, self.p))
@@ -325,11 +322,11 @@ class FqContext:
         raise TypeError(f"cannot coerce {type(value).__name__} into F_q")
 
     def elements(self) -> list[FqElement]:
-        """All q elements in coefficient-lexicographic order."""
-        return self._elements
+        """All q elements in coefficient-lexicographic order, built per call."""
+        return [FqElement(self, t) for t in itertools.product(range(self.p), repeat=self.r)]
 
     def nonzero_elements(self) -> list[FqElement]:
-        return [x for x in self._elements if not x.is_zero()]
+        return self.elements()[1:]  # zero comes first
 
     def zech_table(self) -> list[int]:
         """zech[d] = dlog(1 + g^d) for d in 0..q-2; ZECH_UNDEFINED at d = (q-1)/2,
@@ -379,11 +376,9 @@ def delta(j: int) -> int:
 def count_roots(coeffs) -> int:
     """Distinct roots in F_q of sum coeffs[i] * y^i; degree <= 3.
 
-    A root is a y with P1(y) = -c_0, where P1 is the non-constant part, so
-    the count is read from the preimage histogram of P1 over F_q.  That
-    histogram is built once per context and P1 (O(q) field operations), then
-    every constant term is a lookup.  The degree cap is a documented bound,
-    not intrinsic to the definition.  The zero polynomial is rejected.
+    A root is a y with P1(y) = -c_0, where P1 is the non-constant part, so the
+    count is root_table(ctx, P1) at dlog(-c_0).  The degree cap is a documented
+    bound, not intrinsic to the definition.  The zero polynomial is rejected.
     """
     coeffs = list(coeffs)
     if not coeffs:
@@ -396,22 +391,35 @@ def count_roots(coeffs) -> int:
     deg = nonzero[-1]
     if deg > 3:
         raise ValueError(f"degree {deg} exceeds the supported bound 3")
-    key = tuple(c.coeffs for c in coeffs[1 : deg + 1])
-    hist = ctx.root_histograms.get(key)
-    if hist is None:
-        hist = _preimage_histogram(ctx, coeffs[1 : deg + 1])
-        ctx.root_histograms[key] = hist
-    return hist.get((-coeffs[0]).coeffs, 0)
+    value = -coeffs[0]
+    return root_table(ctx, coeffs[1 : deg + 1])[-1 if value.is_zero() else value.dlog()]
 
 
-def _preimage_histogram(ctx: FqContext, upper: list[FqElement]) -> dict[tuple[int, ...], int]:
-    """value -> #{y : sum_{i>=1} upper[i-1] y^i = value}, over all y in F_q."""
-    hist: dict[tuple[int, ...], int] = {}
-    for y in ctx.elements():
-        acc = ctx.zero
-        for c in reversed(upper):
-            acc = (acc + c) * y
-        hist[acc.coeffs] = hist.get(acc.coeffs, 0) + 1
+def root_table(ctx: FqContext, upper) -> list[int]:
+    """[#{y : P1(y) = g^d} for d in 0..q-2] + [#{y : P1(y) = 0}], built once per
+    context and P1(y) = sum_{i>=1} upper[i-1] y^i (entries as ctx.coerce takes)."""
+    key = tuple(ctx.coerce(c).coeffs for c in upper)
+    if key not in ctx.root_histograms:
+        ctx.root_histograms[key] = _preimage_histogram(ctx, key)
+    return ctx.root_histograms[key]
+
+
+def _preimage_histogram(ctx: FqContext, upper: tuple) -> list[int]:
+    """root_table by Zech logs: at y = g^j, P1(y) sums the g^(dlog c_i + i j),
+    and g^a + g^b = g^(a + zech[b-a])."""
+    n, zech = ctx.q - 1, ctx.zech_table()
+    terms = [(i, ctx.dlog[c]) for i, c in enumerate(upper, 1) if any(c)]
+    hist = [0] * n + [1]  # y = 0
+    for j in range(n):
+        acc = -1  # dlog of the partial sum; -1, the zero slot, while it is 0
+        for i, d in terms:
+            e = (d + i * j) % n
+            if acc < 0:
+                acc = e
+            else:
+                z = zech[(e - acc) % n]
+                acc = -1 if z == ZECH_UNDEFINED else (acc + z) % n
+        hist[acc] += 1
     return hist
 
 

@@ -11,25 +11,22 @@ such fields as skipped instead.
 The nGn suites read gfunction.value_table by k = dlog x.  With n = q-1 and
 h = n/2, indices mod n: 1/x is -k, 1 - x is zech[k+h], x + 1 is zech[k],
 (x-1)/x is zech[k+h] + h - k, -1/x is h - k, and phi is index parity.  The
-oracles (root counts, character sums) still take F_q elements.
+oracle tables (finitefield.root_table, charsums) are read the same way.
 """
 
 from __future__ import annotations
 
+import itertools
 import time
 from collections import namedtuple
 from fractions import Fraction
 from math import lcm
 
-from .charsums import sum_A, sum_a, sum_B, sum_h, verify_aop_identity
-from .finitefield import (
-    FqContext,
-    FqElement,
-    is_prime,
-    count_roots,
-    discriminant_sign_check,
-    quadratic_char,
-)
+from .charsums import A_values, B_values, a_values, aop_identity_at, h_values
+from .charsums import sum_A, sum_a, sum_B, sum_h  # noqa: F401  (bench/tracing.py wraps them here)
+from .charsums import verify_aop_identity  # noqa: F401  (bench/tracing.py wraps it here)
+from .finitefield import FqContext, is_prime, quadratic_char, root_table
+from .finitefield import count_roots  # noqa: F401  (bench/tracing.py wraps it here)
 from .gfunction import GParams, evaluate_g, value_table
 from .gfunction import evaluate_g_inverted  # noqa: F401  (bench/tracing.py wraps it here)
 from .padic import UnramifiedContext, ZqElement, balanced_lift, recover_bounded_integer
@@ -67,6 +64,8 @@ _EULER_LEFT = ((Fraction(1, 3), Fraction(2, 3)), (Fraction(0), _HALF))
 _EULER_RIGHT = ((Fraction(1, 6), Fraction(5, 6)), (Fraction(0), _HALF))
 _CLAUSEN_CUBE = ((_HALF, _HALF, _HALF), (Fraction(0),) * 3)
 _CLAUSEN_SQUARE = ((Fraction(1, 4), Fraction(3, 4)), (Fraction(0), Fraction(0)))
+_CUBIC_27 = (0, 27, -27)  # P1 of the cubic 27y^2(1-y) - 4x
+_CUBIC_SCALED = (0, -1, 1)  # P1 of the cubic y^3 - y^2 + 4x/27
 
 
 class JobSpec(namedtuple("JobSpec", "p r suite precision restrict record_cases")):
@@ -218,8 +217,8 @@ def _fmt(value: ZqElement) -> str:
     return s
 
 
-def _label(x: FqElement) -> str:
-    return str(x.coeffs[0]) if x.context.r == 1 else str(x.coeffs)
+def _label(x: tuple) -> str:
+    return str(x[0]) if len(x) == 1 else str(x)
 
 
 class _Sweep:
@@ -263,16 +262,20 @@ def _require(job: JobSpec):
 
 
 def _sweep_points(fq: FqContext, job: JobSpec, skip=()):
-    """(x, dlog x) for each x != 0 with dlog x not in skip, inside job.restrict."""
+    """(x coefficients, dlog x) for each x != 0 with dlog x not in skip, inside job.restrict."""
     allowed = None
     if job.restrict is not None:
         allowed = {fq.coerce(v).coeffs for v in job.restrict}
     dlog = fq.dlog
-    for x in fq.elements()[1:]:  # elements()[0] is zero
-        k = dlog[x.coeffs]
-        if k in skip or (allowed is not None and x.coeffs not in allowed):
+    for x in itertools.islice(itertools.product(range(fq.p), repeat=fq.r), 1, None):  # x != 0
+        k = dlog[x]
+        if k in skip or (allowed is not None and x not in allowed):
             continue
         yield x, k
+
+
+def _phi(e: int) -> int:
+    return -1 if e & 1 else 1  # phi(g^e)
 
 
 def _phi_scaled(value: ZqElement, k: int) -> ZqElement:
@@ -308,15 +311,15 @@ def verify_zero_classification(job: JobSpec) -> Report:
     27y^2(1-y) - 4x has exactly one root."""
     _require(job)
     fq, zq = contexts(job.p, job.r, job.precision)
-    n, bound = fq.q - 1, _recovery_bound(zq.modulus)
+    n, zech, bound = fq.q - 1, fq.zech_table(), _recovery_bound(zq.modulus)
     left, right = value_table(*_EULER_LEFT, zq), value_table(*_EULER_RIGHT, zq)
+    roots, d3, d4 = root_table(fq, _CUBIC_27), fq.scalar(3).dlog(), fq.scalar(4).dlog()
     sweep = _Sweep(job)
     for x, k in _sweep_points(fq, job, skip=(0,)):
         v1 = recover_bounded_integer(left[-k % n], bound)
         v2 = recover_bounded_integer(right[-k % n], bound)
-        crit = discriminant_sign_check(x) == -1
-        cubic = [fq.scalar(-4) * x, fq.zero, fq.scalar(27), fq.scalar(-27)]
-        one_root = count_roots(cubic) == 1
+        crit = _phi(d3 + k + zech[(k + n // 2) % n]) == -1  # 1 - x != 0 off x = 1
+        one_root = roots[(d4 + k) % n] == 1  # the root count at -c_0 = 4x
         ok = ((v1 == 0) == crit) and ((v2 == 0) == crit) and (crit == one_root)
         sweep.case(
             f"x={_label(x)}",
@@ -355,16 +358,15 @@ def verify_proposition_oracles(job: JobSpec) -> Report:
     fq, zq = contexts(job.p, job.r, job.precision)
     n, bound = fq.q - 1, _recovery_bound(zq.modulus)
     left, right = value_table(*_EULER_LEFT, zq), value_table(*_EULER_RIGHT, zq)
-    inv27 = fq.scalar(27).inverse()
+    roots1, roots2 = root_table(fq, _CUBIC_27), root_table(fq, _CUBIC_SCALED)
+    d3, d4 = fq.scalar(3).dlog(), fq.scalar(4).dlog()
+    d4_27 = fq.scalar(-4).dlog() - fq.scalar(27).dlog()  # -c_0 = 4x, then -4x/27
     sweep = _Sweep(job)
     for x, k in _sweep_points(fq, job):
-        c1 = count_roots([fq.scalar(-4) * x, fq.zero, fq.scalar(27), fq.scalar(-27)])
-        c2 = count_roots(
-            [fq.scalar(4) * x * inv27, fq.zero, -fq.one, fq.one]
-        )
+        c1, c2 = roots1[(d4 + k) % n], roots2[(d4_27 + k) % n]
         v1 = recover_bounded_integer(left[-k % n], bound)
         v2 = recover_bounded_integer(right[-k % n], bound)
-        phi3x = quadratic_char(fq.scalar(3) * x)
+        phi3x = _phi(d3 + k)
         ok = (v1 + 1 == c1) and (1 + phi3x * v2 == c2) and (c1 == c2)
         sweep.case(
             f"x={_label(x)}",
@@ -408,26 +410,28 @@ def verify_charsum_chain(job: JobSpec) -> Report:
     _require(job)
     fq, zq = contexts(job.p, job.r, job.precision)
     q, n, zech = fq.q, fq.q - 1, fq.zech_table()
-    h = n // 2
+    h, d4 = n // 2, fq.scalar(4).dlog()
     cube, square = value_table(*_CLAUSEN_CUBE, zq), value_table(*_CLAUSEN_SQUARE, zq)
+    small_a, big_as, hs, bs = a_values(fq), A_values(fq), h_values(zq), B_values(zq)
     phi2 = quadratic_char(fq.scalar(2))
     phim1 = quadratic_char(fq.scalar(-1))
     phim2 = quadratic_char(fq.scalar(-2))
     sweep = _Sweep(job)
     for lam, k in _sweep_points(fq, job, skip=(h,)):
-        a_val = sum_a(lam)
-        big_a = sum_A(lam)
+        z = zech[k]  # dlog(lam + 1)
+        a_val = small_a[-z % n]
+        big_a = big_as[k]
         v3 = recover_bounded_integer(cube[(h - k) % n], q * q)
-        h_val = sum_h(lam, zq)
-        b_val = sum_B(lam, zq)
-        phi_shift = -phi2 if (k - zech[k]) & 1 else phi2  # phi(2 lam/(lam+1)) by parity
-        v2 = recover_bounded_integer(square[(zech[k] - k) % n], q)
+        h_val = hs[k]
+        b_val = bs[(k - d4 - z) % n]  # lam / (4 (lam + 1))
+        phi_shift = phi2 * _phi(k - z)  # phi(2 lam/(lam+1))
+        v2 = recover_bounded_integer(square[(z - k) % n], q)
         checks = (
             v3 == big_a,
             h_val == zq.scalar(big_a),
             b_val == zq.scalar(-phi_shift + phim1 * a_val),
             -phi2 * v2 == a_val,
-            verify_aop_identity(lam),
+            aop_identity_at(fq, k),
             b_val == zq.scalar(-phi_shift - phim2 * v2),
         )
         sweep.case(

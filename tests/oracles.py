@@ -401,7 +401,7 @@ def euler_transform_pointwise(job):
             evaluate_g(GParams(*_EULER_RIGHT, t, zq)).value,
             quadratic_char(fq.one - x),
         )
-        sweep.case(f"x={_label(x)}", lhs == rhs, lambda: (_fmt(lhs), _fmt(rhs)))
+        sweep.case(f"x={_label(x.coeffs)}", lhs == rhs, lambda: (_fmt(lhs), _fmt(rhs)))
     lhs = evaluate_g(GParams(*_EULER_LEFT, fq.one, zq)).value
     rhs = phi_scaled(
         evaluate_g(GParams(*_EULER_RIGHT, fq.one, zq)).value,
@@ -426,7 +426,7 @@ def zero_classification_pointwise(job):
         one_root = count_roots(cubic) == 1
         ok = ((v1 == 0) == crit) and ((v2 == 0) == crit) and (crit == one_root)
         sweep.case(
-            f"x={_label(x)}",
+            f"x={_label(x.coeffs)}",
             ok,
             lambda: (
                 f"G values ({v1}, {v2})",
@@ -446,7 +446,7 @@ def clausen_pointwise(job):
         lhs = evaluate_g(GParams(*_CLAUSEN_CUBE, x.inverse(), zq)).value
         g = evaluate_g(GParams(*_CLAUSEN_SQUARE, (x - fq.one) / x, zq)).value
         rhs = phi_scaled(g * g - q_elem, quadratic_char(fq.one - x))
-        sweep.case(f"x={_label(x)}", lhs == rhs, lambda: (_fmt(lhs), _fmt(rhs)))
+        sweep.case(f"x={_label(x.coeffs)}", lhs == rhs, lambda: (_fmt(lhs), _fmt(rhs)))
     return sweep.done()
 
 
@@ -468,7 +468,7 @@ def proposition_oracles_pointwise(job):
         phi3x = quadratic_char(fq.scalar(3) * x)
         ok = (v1 + 1 == c1) and (1 + phi3x * v2 == c2) and (c1 == c2)
         sweep.case(
-            f"x={_label(x)}",
+            f"x={_label(x.coeffs)}",
             ok,
             lambda: (
                 f"G+1={v1 + 1}, 1+phi(3x)G'={1 + phi3x * v2}",
@@ -486,7 +486,7 @@ def inversion_pointwise(job):
     for x in sweep_elements(fq, job, exclude=(fq.zero,)):
         lhs = evaluate_g_inverted(GParams(*_EULER_RIGHT, x, zq)).value
         rhs = evaluate_g(GParams(*_EULER_RIGHT, x.inverse(), zq)).value
-        sweep.case(f"x={_label(x)}", lhs == rhs, lambda: (_fmt(lhs), _fmt(rhs)))
+        sweep.case(f"x={_label(x.coeffs)}", lhs == rhs, lambda: (_fmt(lhs), _fmt(rhs)))
     return sweep.done()
 
 
@@ -521,7 +521,7 @@ def charsum_chain_pointwise(job):
             b_val == zq.scalar(-phi_shift - phim2 * v2),
         )
         sweep.case(
-            f"lam={_label(lam)}",
+            f"lam={_label(lam.coeffs)}",
             all(checks),
             lambda: (
                 f"G3={v3}, h={_fmt(h_val)}, B={_fmt(b_val)}, -phi(2)G2={-phi2 * v2}",

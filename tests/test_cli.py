@@ -206,6 +206,18 @@ def test_config_not_utf8_is_usage_error(tmp_path, capsys):
     assert f"cannot read config file {path}: not valid UTF-8" in err
 
 
+def test_config_with_byte_order_mark_runs(tmp_path, capsys):
+    path = tmp_path / "jobs.cfg"
+    path.write_bytes(b"\xef\xbb\xbfjob = suite=floors p=7\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(path)])
+    assert exc.value.code == 0
+    # the mark is dropped, and bytes that are not UTF-8 are still refused
+    path.write_bytes(b"\xef\xbb\xbfjob = suite=floors p=7 \xff\n")
+    err = _usage_exit(capsys, ["--config", str(path)])
+    assert f"cannot read config file {path}: not valid UTF-8" in err
+
+
 def test_config_duplicate_job_key_is_usage_error(tmp_path, capsys):
     argv = _config(tmp_path, "format = json\njob = suite=euler p=5 p=7\n")
     err = _usage_exit(capsys, argv)

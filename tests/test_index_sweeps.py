@@ -1,10 +1,11 @@
 """The index sweeps of the nGn suites against their object-sweep references.
 
-Each suite reads its nGn values by discrete-log index; tests/oracles.py keeps
-the earlier form, one GParams and F_q element argument per point.  Both must
-give the same case rows, failures and counts, on clean Gamma_p values, on
-corrupted ones, on value tables rotated by one index, and with a restriction
-list.
+Each suite reads its nGn values and its oracle tables (root counts, A, a, h
+and B) by discrete-log index; tests/oracles.py keeps the earlier form, one
+GParams and F_q element argument per point, with the oracles called through
+their facades.  Both must give the same case rows, failures and counts, on
+clean Gamma_p values, on corrupted ones, on value tables or oracle tables
+rotated by one index, and with a restriction list.
 """
 
 import pytest
@@ -18,10 +19,14 @@ from oracles import (
     zero_classification_pointwise,
 )
 
+from padichg.charsums import A_values, B_values, a_values, h_values
+from padichg.finitefield import root_table
 from padichg.gfunction import value_table
 from padichg.suites import (
     _CLAUSEN_CUBE,
     _CLAUSEN_SQUARE,
+    _CUBIC_27,
+    _CUBIC_SCALED,
     _EULER_LEFT,
     _EULER_RIGHT,
     SUITE_MIN_P,
@@ -120,3 +125,33 @@ def test_index_sweeps_match_object_sweeps_restricted(p, r, restrict):
     # each restriction holds x = 1 or -1, which some suites exclude, and a duplicate
     for o in _compare(p, r, restrict):
         assert 0 < o[2] <= len(set(restrict)) + 1 and not o[1]
+
+
+def _rotate_oracle_tables(p, r):
+    """Rotate, in place, the A, a, h and B tables and both cubic root tables
+    of the field by one index.
+
+    The facades read the same tables, so the references see the rotation too;
+    the suites and their references then agree only if both compute the same
+    index for every oracle.
+    """
+    fq, zq = contexts(p, r, default_precision("charsums", p, r))
+    tables = [A_values(fq), a_values(fq), h_values(zq), B_values(zq)]
+    if p > 3:
+        tables += [root_table(fq, _CUBIC_27), root_table(fq, _CUBIC_SCALED)]
+    for table in tables:
+        table[:] = table[1:] + table[:1]
+
+
+@pytest.mark.parametrize("p,r", FIELDS)
+def test_index_sweeps_match_object_sweeps_rotated_oracle_tables(p, r):
+    clear_shared_caches()
+    try:
+        _rotate_oracle_tables(p, r)
+        outcomes = _compare(p, r)
+    finally:
+        clear_shared_caches()
+    suites = [s for s in REFERENCES if p >= SUITE_MIN_P[s]]
+    failing = {s for s, o in zip(suites, outcomes) if o[1]}
+    # only the oracle suites read the rotated tables, and each of them fails
+    assert failing == {"zeros", "oracles", "charsums"} & set(suites)

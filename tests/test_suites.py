@@ -5,6 +5,7 @@ from conftest import clear_shared_caches
 
 from padichg import pgamma, suites
 from padichg.cli import _render_csv, _render_json
+from padichg.finitefield import FqElement
 from padichg.padic import UnramifiedContext
 from padichg.suites import (
     DEFAULT_BATTERY,
@@ -192,16 +193,15 @@ def test_failure_reports_are_unchanged(monkeypatch):
     ]
     monkeypatch.setattr(pgamma.GammaCache, "_nat_mod", nat_mod)
     clear_shared_caches()
-    sign = suites.discriminant_sign_check
-    monkeypatch.setattr(suites, "discriminant_sign_check", lambda x: -sign(x))
+    # the parity sign is phi(3x(1-x)) in zeros and phi(3x) in oracles
+    phi = suites._phi
+    monkeypatch.setattr(suites, "_phi", lambda e: -phi(e))
     reports.append(run_job(JobSpec(7, 1, "zeros", record_cases=True)))
-    monkeypatch.setattr(suites, "discriminant_sign_check", sign)
-    phi = suites.quadratic_char
-    monkeypatch.setattr(suites, "quadratic_char", lambda x: -phi(x))
     reports.append(run_job(JobSpec(5, 1, "oracles", record_cases=True)))
-    monkeypatch.setattr(suites, "quadratic_char", phi)
-    small_a = suites.sum_a
-    monkeypatch.setattr(suites, "sum_a", lambda lam: small_a(lam) + 1)
+    monkeypatch.setattr(suites, "_phi", phi)
+    # the a table the sweep reads; check (v) reads charsums' own tables
+    small_a = suites.a_values
+    monkeypatch.setattr(suites, "a_values", lambda fq: [v + 1 for v in small_a(fq)])
     reports.append(run_job(JobSpec(5, 1, "charsums", record_cases=True)))
     monkeypatch.undo()
     clear_shared_caches()
@@ -238,6 +238,30 @@ def test_gamma_suite_builds_no_power_table(monkeypatch, p, r):
     q = p**r
     assert rep.cases_total == 2 * (q - 2) + 6 * (q - 1) + 1
     assert rep.cases_passed == rep.cases_total and not rep.failures
+
+
+def test_oracle_sweeps_build_no_field_elements(monkeypatch):
+    # zeros, oracles and charsums read every oracle table by dlog index: once
+    # the tables are cached, a run builds a few constants, not one F_q element
+    # per point
+    init = FqElement.__init__
+    counts = {}
+    for p, r in ((7, 2), (5, 3)):
+        for suite in ("zeros", "oracles", "charsums"):
+            run_job(JobSpec(p, r, suite))  # builds and caches the tables
+            built = []
+
+            def counting(self, context, coeffs):
+                built.append(coeffs)
+                init(self, context, coeffs)
+
+            monkeypatch.setattr(FqElement, "__init__", counting)
+            rep = run_job(JobSpec(p, r, suite))
+            monkeypatch.setattr(FqElement, "__init__", init)
+            assert rep.cases_total >= p**r - 2 and rep.passed()
+            counts[p, r, suite] = len(built)
+    for suite in ("zeros", "oracles", "charsums"):
+        assert counts[7, 2, suite] == counts[5, 3, suite] <= 10, counts
 
 
 def test_gamma_suite_at_q_in_the_thousands():
