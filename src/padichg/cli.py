@@ -7,14 +7,13 @@ Exit codes: 0 all executed cases passed (skipped suites do not fail),
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import os
 import sys
 
-from .finitefield import MAX_Q, is_prime
-from .suites import DEFAULT_BATTERY, SUITE_NAMES, JobSpec, Report, check_admissible, run_job
+from .jobs import DEFAULT_BATTERY, SUITE_NAMES, JobSpec, Report, check_admissible, run_job
+from .zmod import MAX_Q, is_prime
 
 FORMATS = ("text", "json", "csv")
 SETTING_KEYS = ("format", "out", "jobs", "fail-fast", "verbose")
@@ -258,6 +257,8 @@ def _render_json(reports: list[Report]) -> str:
 
 
 def _render_csv(reports: list[Report], verbose: bool) -> str:
+    import csv  # only a csv report needs it
+
     buf = io.StringIO()
     writer = csv.writer(buf)
     if verbose:

@@ -21,20 +21,10 @@ import itertools
 import sys
 from decimal import Decimal
 
-MAX_Q = 1 << 16
+from .zmod import MAX_Q, is_prime
+
 # zech_table entry at d = (q-1)/2, where 1 + g^d = 0 has no dlog
 ZECH_UNDEFINED = -1
-
-
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 def _is_irreducible(poly: list[int], p: int) -> bool:
@@ -111,7 +101,7 @@ def correlate(u: list, v: tuple[Decimal, int, int]) -> list[list[int]]:
     decimal.Decimal product: libmpdec multiplies by number-theoretic
     transform, faster than the Karatsuba product of int.  A slot is read by
     int, or through Decimal when it is too wide for int <-> str
-    (sys.get_int_max_str_digits(), 4300 digits by default).
+    (sys.get_int_max_str_digits(), 4300 digits by default from Python 3.10.7).
     """
     packed, width, count = v
     n, block = len(u), 2 * len(u[0]) - 1
@@ -120,7 +110,8 @@ def correlate(u: list, v: tuple[Decimal, int, int]) -> list[list[int]]:
     size = width * block * (n + count - 1)
     digits, sign = prod.lstrip("-").rjust(size, "0"), -1 if prod[0] == "-" else 1
     base, out = 10**width, []
-    limit = sys.get_int_max_str_digits()  # 0: no limit
+    # 0: no limit, as on interpreters before 3.10.7, which lack the getter
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     read = int if not limit or width < limit else (lambda s: int(Decimal(s)))
     for k in range(count - n + 1):
         low = size - width * block * (n - 1 + k)  # the lowest slot of out[k] ends here

@@ -1,8 +1,9 @@
 """Fixed-precision arithmetic in Z_p and its unramified degree-r extension Z_q.
 
-Z_q is represented as Z[x] / (f(x), p^N) in the power basis of the same
-defining polynomial as the paired F_q context, lifted verbatim; reduction
-mod p therefore intertwines the two rings coefficient-wise.  Every
+Z_p at precision N is zmod.PadicContext, re-exported here.  Z_q is
+represented as Z[x] / (f(x), p^N) in the power basis of the same defining
+polynomial as the paired F_q context, lifted verbatim; reduction mod p
+therefore intertwines the two rings coefficient-wise.  Every
 Teichmuller and character value is read from one table per context, the
 powers of omega(g) for the F_q generator g, indexed by discrete log.
 
@@ -16,96 +17,8 @@ derived tables of a context are each filled once and never mutated.
 
 from __future__ import annotations
 
-from .finitefield import FqContext, FqElement, correlate, is_prime, pack, poly_mulmod, poly_reduce
-
-
-class PadicContext:
-    """The ring Z/p^N standing in for Z_p at precision N."""
-
-    def __init__(self, p: int, precision: int):
-        if not is_prime(p) or p == 2:
-            raise ValueError(f"p must be an odd prime, got {p}")
-        if precision < 1:
-            raise ValueError("precision must be >= 1")
-        self.p = p
-        self.precision = precision
-        self.modulus = p**precision
-
-    def element(self, value: int) -> "ZpElement":
-        return ZpElement(self, value % self.modulus)
-
-    def __repr__(self):
-        return f"PadicContext(p={self.p}, N={self.precision})"
-
-
-class ZpElement:
-    """Residue in Z/p^N."""
-
-    __slots__ = ("context", "residue")
-
-    def __init__(self, context: PadicContext, residue: int):
-        self.context = context
-        self.residue = residue % context.modulus
-
-    def is_unit(self) -> bool:
-        return self.residue % self.context.p != 0
-
-    def inverse(self) -> "ZpElement":
-        if not self.is_unit():
-            raise ZeroDivisionError("non-unit in Z_p (residue divisible by p)")
-        return ZpElement(self.context, pow(self.residue, -1, self.context.modulus))
-
-    def _coerce(self, other) -> int:
-        if isinstance(other, ZpElement):
-            if other.context is not self.context:
-                raise ValueError("mixed Z_p contexts")
-            return other.residue
-        if isinstance(other, int):
-            return other
-        return NotImplemented
-
-    def __add__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return ZpElement(self.context, self.residue + v)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return ZpElement(self.context, -self.residue)
-
-    def __sub__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return ZpElement(self.context, self.residue - v)
-
-    def __mul__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return ZpElement(self.context, self.residue * v)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            return self.residue == other % self.context.modulus
-        return (
-            isinstance(other, ZpElement)
-            and self.context is other.context
-            and self.residue == other.residue
-        )
-
-    def __hash__(self):
-        return hash((self.context.p, self.context.precision, self.residue))
-
-    def __int__(self):
-        return self.residue
-
-    def __repr__(self):
-        return f"Zp({self.residue} mod {self.context.p}^{self.context.precision})"
+from .finitefield import FqContext, FqElement, correlate, pack, poly_mulmod, poly_reduce
+from .zmod import PadicContext, ZpElement
 
 
 class UnramifiedContext:

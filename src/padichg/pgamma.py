@@ -39,7 +39,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-from .padic import PadicContext, ZpElement
+from .zmod import PadicContext, ZpElement
 
 # Bound on p*N^2, the ring products of one digit table.  Near the bound a
 # build took 1.3-3.1 s and 5-60 MB on one core (from (3, 816) to (65521, 5);

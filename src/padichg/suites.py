@@ -1,12 +1,17 @@
-"""Theorem-level verifiers sweeping all admissible inputs per field.
+"""The six field suites: theorem-level verifiers over every point of one F_q.
 
-Each suite compares hypergeometric values, character-sum oracles, or gamma
-products over every admissible x (or lambda, or character index) of one
-field, and returns a Report listing every failing case.  Sweeps follow the
-coefficient-lexicographic element order, so the first recorded failure is
-the smallest failing input.  Suites raise ValueError when called directly on
-a field violating their hypothesis; the battery runner (run_job) records
-such fields as skipped instead.
+Each suite compares hypergeometric values or character-sum oracles over
+every admissible x (or lambda) of one field, and returns a Report listing
+every failing case.  Sweeps follow the coefficient-lexicographic element
+order, so the first recorded failure is the smallest failing input.  Suites
+raise ValueError when called directly on a field violating their
+hypothesis; run_job records such fields as skipped instead.
+
+The job model (JobSpec, Report, run_job, admission) and the two integer
+suites, gamma and floors, live in jobs and are re-exported here, with SUITES
+naming all eight.  jobs.run_job imports this module, and with it the F_q,
+Z_q, nGn and character-sum layers, at the first field job.  The shared
+(F_q, Z_q) context caches are kept here.
 
 The nGn suites read gfunction.value_table by k = dlog x.  With n = q-1 and
 h = n/2, indices mod n: 1/x is -k, 1 - x is zech[k+h], x + 1 is zech[k],
@@ -17,47 +22,38 @@ oracle tables (finitefield.root_table, charsums) are read the same way.
 from __future__ import annotations
 
 import itertools
-import time
-from collections import namedtuple
 from fractions import Fraction
-from math import lcm
 
 from .charsums import A_values, B_values, a_values, aop_identity_at, h_values
 from .charsums import sum_A, sum_a, sum_B, sum_h  # noqa: F401  (bench/tracing.py wraps them here)
 from .charsums import verify_aop_identity  # noqa: F401  (bench/tracing.py wraps it here)
-from .finitefield import FqContext, is_prime, quadratic_char, root_table
+from .finitefield import FqContext, quadratic_char, root_table
 from .finitefield import count_roots  # noqa: F401  (bench/tracing.py wraps it here)
 from .gfunction import GParams, evaluate_g, value_table
 from .gfunction import evaluate_g_inverted  # noqa: F401  (bench/tracing.py wraps it here)
-from .padic import UnramifiedContext, ZqElement, balanced_lift, recover_bounded_integer
-from .pgamma import check_feasible, gamma_cache
-from .rational import check_floor_identity_A, check_floor_identity_B
-from .rational import frac  # noqa: F401  (bench/tracing.py wraps it here)
-
-DEFAULT_BATTERY = ((3, 1), (5, 1), (7, 1), (11, 1), (13, 1), (3, 2), (5, 2), (7, 2))
-
-SUITE_NAMES = (
-    "euler",
-    "zeros",
-    "clausen",
-    "oracles",
-    "inversion",
-    "charsums",
-    "gamma",
-    "floors",
+from .jobs import (  # noqa: F401  (the job model, re-exported)
+    DEFAULT_BATTERY,
+    SUITE_MIN_P,
+    SUITE_NAMES,
+    CaseFailure,
+    JobSpec,
+    Report,
+    _digits,
+    _fmt_scalar,
+    _require,
+    _Sweep,
+    check_admissible,
+    default_precision,
+    run_job,
+    verify_floor_lemmas,
+    verify_gamma_identities,
 )
-
-# smallest p admitted by each suite's hypothesis (denominators 3 and 6 need p >= 5)
-SUITE_MIN_P = {
-    "euler": 5,
-    "zeros": 5,
-    "clausen": 3,
-    "oracles": 5,
-    "inversion": 5,
-    "charsums": 3,
-    "gamma": 3,
-    "floors": 5,
-}
+from .padic import UnramifiedContext, ZqElement, recover_bounded_integer
+from .rational import (  # noqa: F401  (bench/tracing.py wraps them here)
+    check_floor_identity_A,
+    check_floor_identity_B,
+    frac,
+)
 
 _HALF = Fraction(1, 2)
 _EULER_LEFT = ((Fraction(1, 3), Fraction(2, 3)), (Fraction(0), _HALF))
@@ -66,114 +62,6 @@ _CLAUSEN_CUBE = ((_HALF, _HALF, _HALF), (Fraction(0),) * 3)
 _CLAUSEN_SQUARE = ((Fraction(1, 4), Fraction(3, 4)), (Fraction(0), Fraction(0)))
 _CUBIC_27 = (0, 27, -27)  # P1 of the cubic 27y^2(1-y) - 4x
 _CUBIC_SCALED = (0, -1, 1)  # P1 of the cubic y^3 - y^2 + 4x/27
-
-
-class JobSpec(namedtuple("JobSpec", "p r suite precision restrict record_cases")):
-    """One verification job: a field, a precision, a suite, optional restriction."""
-
-    __slots__ = ()
-
-    def __new__(
-        cls,
-        p: int,
-        r: int,
-        suite: str,
-        precision: int | None = None,
-        restrict: tuple | None = None,
-        record_cases: bool = False,
-    ):
-        if not is_prime(p) or p == 2:
-            raise ValueError(f"p must be an odd prime, got {p}")
-        if r < 1:
-            raise ValueError("r must be >= 1")
-        if suite not in SUITE_NAMES:
-            raise ValueError(f"unknown suite {suite!r}")
-        if precision is not None and precision < 1:
-            raise ValueError("precision must be >= 1")
-        return super().__new__(cls, p, r, suite, precision, restrict, record_cases)
-
-    @classmethod
-    def _make(cls, iterable):
-        # route _replace through __new__, so a replaced field is checked too
-        return cls(*iterable)
-
-    @property
-    def q(self) -> int:
-        return self.p**self.r
-
-
-class CaseFailure(namedtuple("CaseFailure", "case left right")):
-    __slots__ = ()
-
-    def to_dict(self):
-        return {"case": self.case, "left": self.left, "right": self.right}
-
-
-class Report:
-    """Outcome of one job; cases_total = cases_passed + len(failures)."""
-
-    def __init__(
-        self,
-        suite: str,
-        p: int,
-        r: int,
-        precision: int,
-        q: int,
-        cases_total: int = 0,
-        cases_passed: int = 0,
-        failures: list | None = None,
-        elapsed_ms: float = 0.0,
-        skipped: bool = False,
-        case_rows: list | None = None,
-    ):
-        self.suite = suite
-        self.p = p
-        self.r = r
-        self.precision = precision
-        self.q = q
-        self.cases_total = cases_total
-        self.cases_passed = cases_passed
-        self.failures = [] if failures is None else failures
-        self.elapsed_ms = elapsed_ms
-        self.skipped = skipped
-        self.case_rows = [] if case_rows is None else case_rows
-
-    def passed(self) -> bool:
-        return self.skipped or not self.failures
-
-    def to_dict(self):
-        return {
-            "suite": self.suite,
-            "p": self.p,
-            "r": self.r,
-            "N": self.precision,
-            "q": self.q,
-            "cases_total": self.cases_total,
-            "cases_passed": self.cases_passed,
-            "skipped": self.skipped,
-            "failures": [f.to_dict() for f in self.failures],
-            "elapsed_ms": self.elapsed_ms,
-        }
-
-
-def default_precision(suite: str, p: int, r: int) -> int:
-    """max(floor, smallest N with p^N > 2*bound).
-
-    bound is 4 for the congruence and root-count suites, q for the single-sum
-    recovery inside clausen's chain, q^2 for the double-sum recovery of the
-    charsums suite; clausen's floor of 5 matches its stated tolerance.
-    """
-    q = p**r
-    if suite == "charsums":
-        need, floor_n = 2 * q * q, 4
-    elif suite == "clausen":
-        need, floor_n = 2 * q, 5
-    else:
-        need, floor_n = 8, 4
-    n = 1
-    while p**n <= need:
-        n += 1
-    return max(floor_n, n)
 
 
 _fq_cache: dict[tuple[int, int], FqContext] = {}
@@ -200,65 +88,17 @@ def contexts(p: int, r: int, precision: int) -> tuple[FqContext, UnramifiedConte
     return fq, zq
 
 
-def _digits(v: int, p: int, n: int) -> str:
-    out = []
-    for _ in range(n):
-        v, d = divmod(v, p)
-        out.append(str(d))
-    return ".".join(out)
-
-
 def _fmt(value: ZqElement) -> str:
-    """Base-p digit string (least significant first), plus a balanced lift."""
+    """Base-p digit string (least significant first), plus a balanced lift of a scalar."""
     ctx = value.context
-    s = "|".join(_digits(c, ctx.base.p, ctx.precision) for c in value.coeffs)
-    if all(c == 0 for c in value.coeffs[1:]):
-        s += f" (={balanced_lift(value)})"
-    return s
+    p, n, coeffs = ctx.base.p, ctx.precision, value.coeffs
+    if not any(coeffs[1:]):
+        return _fmt_scalar(coeffs[0], p, ctx.r, n)
+    return "|".join(_digits(c, p, n) for c in coeffs)
 
 
 def _label(x: tuple) -> str:
     return str(x[0]) if len(x) == 1 else str(x)
-
-
-class _Sweep:
-    """Failure/counter accumulator shared by all suites."""
-
-    def __init__(self, job: JobSpec):
-        self.job = job
-        self.report = Report(
-            suite=job.suite, p=job.p, r=job.r, precision=job.precision, q=job.q
-        )
-        self._t0 = time.perf_counter()
-
-    def case(self, label: str, ok: bool, describe):
-        """Count one case; describe() -> (left, right) is called only on failure."""
-        rep = self.report
-        rep.cases_total += 1
-        if ok:
-            rep.cases_passed += 1
-            left = right = ""
-        else:
-            left, right = describe()
-            rep.failures.append(CaseFailure(label, left, right))
-        if self.job.record_cases:
-            rep.case_rows.append({"case": label, "ok": ok, "left": left, "right": right})
-
-    def done(self) -> Report:
-        self.report.elapsed_ms = (time.perf_counter() - self._t0) * 1000.0
-        return self.report
-
-
-def _require(job: JobSpec):
-    min_p = SUITE_MIN_P[job.suite]
-    if job.p < min_p:
-        raise ValueError(f"suite {job.suite!r} requires p >= {min_p}, got p={job.p}")
-    if job.precision is None:
-        raise ValueError("precision must be resolved before running a suite")
-    if job.suite in ("zeros", "oracles") and job.p**job.precision < 7:
-        raise ValueError("insufficient precision: integer recovery needs p^N >= 7")
-    if job.suite == "charsums" and job.p**job.precision <= 2 * job.q**2:
-        raise ValueError("insufficient precision: A-recovery needs p^N > 2q^2")
 
 
 def _sweep_points(fq: FqContext, job: JobSpec, skip=()):
@@ -445,104 +285,6 @@ def verify_charsum_chain(job: JobSpec) -> Report:
     return sweep.done()
 
 
-def verify_gamma_identities(job: JobSpec) -> Report:
-    """Gamma_p product identities: the reflection product over i, the
-    half-shift ratio, the multiplication products for t in {2, 3, 6} in both
-    directions, and the one-off sixth/thirds ratio equal to phi(3).
-
-    Arguments are residues num/d, d = lcm(q-1, t in {2, 3, 6} with p ∤ t):
-    with j/(q-1) = u/d, <(c/t ± j/(q-1)) p^i> = ((c d/t ± u) p^i mod d)/d.
-    Both sides are integers mod p^N: omega(-1) = -1, and for t in F_p,
-    omega(t) = t^(p^(N-1)) mod p^N.
-    """
-    _require(job)
-    fq, zq = contexts(job.p, job.r, job.precision)
-    p, r, q, m = job.p, job.r, job.q, zq.modulus
-    cache = gamma_cache(zq.base)
-    d = lcm(q - 1, *(t for t in (2, 3, 6) if t % p))
-    step = d // (q - 1)  # j/(q-1) = j * step / d
-    pis = [p**i % d for i in range(r)]
-    gammas = [cache.residue(num, d) for num in range(d)]
-    sweep = _Sweep(job)
-
-    def gprod(nums) -> int:
-        acc = 1
-        for num in nums:
-            acc = acc * gammas[num % d] % m
-        return acc
-
-    def show():  # the current case's residues; _Sweep.case calls it at once
-        return _fmt(zq.scalar(lhs)), _fmt(zq.scalar(rhs))
-
-    for j in range(1, q - 1):
-        u = j * step
-        val = gprod([-u * pi for pi in pis] + [u * pi for pi in pis])  # <(1-u) p^i>, <u p^i>
-        lhs = val * (-1) ** r % m
-        rhs = (-1) ** j % m  # omega-bar^j(-1)
-        sweep.case(f"reflection j={j}", lhs == rhs, show)
-
-    half = d // 2
-    inv_den = pow(gprod(half * pi for pi in pis) ** 2, -1, m)
-    for j in range(q - 1):
-        if 2 * j == q - 1:
-            continue
-        u = j * step
-        num = gprod([(half - u) * pi for pi in pis] + [(half + u) * pi for pi in pis])
-        lhs = num * inv_den % m
-        rhs = (-1) ** j % m
-        sweep.case(f"half-shift j={j}", lhs == rhs, show)
-
-    for t in (2, 3, 6):
-        if t % p == 0:
-            continue  # lemma hypothesis p does not divide t
-        c = d // t
-        base = gprod(h * c * pi for pi in pis for h in range(1, t))
-        w_step = pow(t, t * p ** (job.precision - 1), m)  # omega(t)^t
-        w_step_inv = pow(w_step, -1, m)
-        w_up = w_down = 1  # omega(t)^(t a), omega(t)^(-t a)
-        for a in range(q - 1):
-            u = a * step
-            lhs = w_down * base % m * gprod(-t * u * pi for pi in pis) % m
-            rhs = gprod(((1 + h) * c - u) * pi for pi in pis for h in range(t))
-            sweep.case(f"product-down t={t} a={a}", lhs == rhs, show)
-
-            lhs = w_up * base % m * gprod(t * u * pi for pi in pis) % m
-            rhs = gprod((h * c + u) * pi for pi in pis for h in range(t))
-            sweep.case(f"product-up t={t} a={a}", lhs == rhs, show)
-            w_up, w_down = w_up * w_step % m, w_down * w_step_inv % m
-
-    if p >= 5:
-        num = gprod(k * (d // 3) * pi for pi in pis for k in (1, 2))
-        den = gprod(k * (d // 6) * pi for pi in pis for k in (1, 5))
-        val = num * pow(den, -1, m) % m
-        expect = quadratic_char(fq.scalar(3)) % m
-        sweep.case(
-            "sixth-thirds ratio",
-            val == expect,
-            lambda: (_digits(val, p, job.precision), f"phi(3)={quadratic_char(fq.scalar(3))}"),
-        )
-    return sweep.done()
-
-
-def verify_floor_lemmas(job: JobSpec) -> Report:
-    """Exhaustive integer floor identities: family A over a != (q-1)/2, then
-    family B over a > 0, each for all i < r, in ascending (a, i) order."""
-    _require(job)
-    p, q, r = job.p, job.q, job.r
-    sweep = _Sweep(job)
-    for a in range(q - 1):
-        if 2 * a == q - 1:
-            continue
-        for i in range(r):
-            ok = check_floor_identity_A(p, q, a, i)
-            sweep.case(f"A a={a} i={i}", ok, lambda: ("sides differ", ""))
-    for a in range(1, q - 1):
-        for i in range(r):
-            ok = check_floor_identity_B(p, q, a, i)
-            sweep.case(f"B a={a} i={i}", ok, lambda: ("sides differ", ""))
-    return sweep.done()
-
-
 SUITES = {
     "euler": verify_euler_transform,
     "zeros": verify_zero_classification,
@@ -553,37 +295,3 @@ SUITES = {
     "gamma": verify_gamma_identities,
     "floors": verify_floor_lemmas,
 }
-
-
-def check_admissible(job: JobSpec) -> None:
-    """Refuse a job whose Gamma_p digit table would exceed pgamma.MAX_TABLE_WORK
-    (pgamma.InfeasibleError), or whose p^N its suite refuses (ValueError).
-
-    Raises before any context is built, from the job and the resolved
-    precision alone.  Skipped jobs and the floors suite evaluate no Gamma_p.
-    """
-    if job.suite == "floors" or job.p < SUITE_MIN_P[job.suite]:
-        return
-    precision = job.precision
-    if precision is None:
-        precision = default_precision(job.suite, job.p, job.r)
-    check_feasible(job.p, precision)
-    _require(job._replace(precision=precision))
-
-
-def run_job(job: JobSpec) -> Report:
-    """Run one job, skipping (not failing) fields outside the suite hypothesis."""
-    precision = job.precision
-    if precision is None:
-        precision = default_precision(job.suite, job.p, job.r)
-        job = job._replace(precision=precision)
-    if job.p < SUITE_MIN_P[job.suite]:
-        return Report(
-            suite=job.suite,
-            p=job.p,
-            r=job.r,
-            precision=precision,
-            q=job.q,
-            skipped=True,
-        )
-    return SUITES[job.suite](job)

@@ -1,3 +1,6 @@
+import random
+import sys
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -72,3 +75,19 @@ def test_pack_rejects_slots_past_the_bound():
         pack([[10], [0]], 4)
     with pytest.raises(ValueError):
         correlate([[0], [10]], pack([[1], [0], [0]], 4))
+
+
+
+@pytest.mark.parametrize("r,n,extra", [(1, 5, 0), (2, 7, 3), (3, 4, 6)])
+def test_correlate_without_the_digit_limit_getter(monkeypatch, r, n, extra):
+    # interpreters before 3.10.7 have no sys.get_int_max_str_digits and no
+    # limit; slots stay under the 4300 digits this interpreter still enforces
+    rng = random.Random(r * 100 + n)
+    big = 10**1000
+
+    def operand(size):
+        return [[rng.randint(-big, big) for _ in range(r)] for _ in range(size)]
+
+    u, v = operand(n), operand(n + extra)
+    monkeypatch.delattr(sys, "get_int_max_str_digits")
+    assert correlate(u, pack(v, _bound(u, v))) == block_correlation(u, v)

@@ -94,7 +94,16 @@ def test_floor_identities_match_fraction_forms_exhaustive(p, r):
             )
 
 
-_GAMMA_JOBS = [(3, 1, None), (3, 2, None), (5, 2, None), (7, 2, None), (3, 3, None), (211, 1, 3)]
+# (5, 2) and (5, 3) compare the integer phi(3) with the F_q one at +1 and -1
+_GAMMA_JOBS = [
+    (3, 1, None),
+    (3, 2, None),
+    (5, 2, None),
+    (7, 2, None),
+    (3, 3, None),
+    (5, 3, None),
+    (211, 1, 3),
+]
 
 
 @pytest.mark.parametrize("corrupt", [False, True], ids=["clean", "corrupted"])
