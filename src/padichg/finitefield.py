@@ -91,8 +91,10 @@ def pack(blocks: list, bound: int) -> tuple[Decimal, int, int]:
     return _to_decimal(blocks, width), width, len(blocks)
 
 
-def correlate(u: list, v: tuple[Decimal, int, int]) -> list[list[int]]:
-    """[sum_a u[a] * v[a+k] for k in 0..len(v) - len(u)], v packed by pack.
+def correlate(u: list, v: tuple[Decimal, int, int], rows=None) -> list[list[int]]:
+    """[sum_a u[a] * v[a+k] for k in rows], v packed by pack; rows defaults
+    to every k in 0..len(v) - len(u), and a caller that needs only some
+    blocks reads only those.
 
     Entries are blocks of r integer slots multiplied as polynomials, so
     out[k][s] = sum_a sum_(t+w=s) u[a][t] v[a+k][w].  Each operand is one big
@@ -110,10 +112,8 @@ def correlate(u: list, v: tuple[Decimal, int, int]) -> list[list[int]]:
     size = width * block * (n + count - 1)
     digits, sign = prod.lstrip("-").rjust(size, "0"), -1 if prod[0] == "-" else 1
     base, out = 10**width, []
-    # 0: no limit, as on interpreters before 3.10.7, which lack the getter
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    read = int if not limit or width < limit else (lambda s: int(Decimal(s)))
-    for k in range(count - n + 1):
+    read = int if _int_str_fits(width) else (lambda s: int(Decimal(s)))
+    for k in range(count - n + 1) if rows is None else rows:
         low = size - width * block * (n - 1 + k)  # the lowest slot of out[k] ends here
         slots = []
         for end in range(low, low - width * block, -width):
@@ -124,15 +124,24 @@ def correlate(u: list, v: tuple[Decimal, int, int]) -> list[list[int]]:
     return out
 
 
+def _int_str_fits(width: int) -> bool:
+    """Whether int <-> str converts numbers of width digits: the limit is
+    sys.get_int_max_str_digits(), 4300 by default from Python 3.10.7; earlier
+    interpreters lack the getter and have no limit."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    return not limit or width < limit
+
+
 def _to_decimal(blocks: list, width: int) -> Decimal:
     """sum_j sum_t blocks[j][t] 10^(width ((2r-1) j + t)), exactly."""
     base, pad = 10**width, width * (len(blocks[0]) - 1)
+    write = str if _int_str_fits(width) else (lambda x: str(Decimal(x)))
     digits, borrow = [], 0  # least significant slot first; a negative slot borrows one
     for b in blocks:
         for x in b:
             x -= borrow
             borrow = x < 0
-            digits.append(str(Decimal(x + base if borrow else x)).zfill(width))
+            digits.append(write(x + base if borrow else x).zfill(width))
         digits.append(("9" if borrow else "0") * pad)
     text = "".join(reversed(digits))
     if len(text) != (width + 2 * pad) * len(blocks):

@@ -7,16 +7,25 @@ For parameters a_1..a_n, b_1..b_n in Q ∩ Z_p and t in F_q,
           * Gamma_p(<(a_k - a/(q-1)) p^i>) / Gamma_p(<a_k p^i>)
           * Gamma_p(<(-b_k + a/(q-1)) p^i>) / Gamma_p(<-b_k p^i>)
 
-with e the floor exponent from rational.g_exponent.  Everything except
-omega-bar^a(t) is a Z_p scalar c_a independent of t.  The table of the c_a
-is built in integer arithmetic: with D = lcm(q-1, parameter denominators),
-every Gamma_p argument above is a residue num/D, read from the shared
-GammaCache once per distinct num.  With k = dlog t, omega-bar^a(t) =
-omega(g)^(-a k), so the values at every t of the field are one character
-transform of the table (UnramifiedContext.character_transform).  A field
+with e(a_k, b_k, a, i) = -floor(<a_k p^i> - a p^i/(q-1)) - floor(<-b_k p^i>
++ a p^i/(q-1)).  Everything except omega-bar^a(t) is a Z_p scalar c_a
+independent of t.  The table of the c_a is built in integer arithmetic: with
+D = lcm(q-1, parameter denominators), every Gamma_p argument above is a
+residue num/D, read from the shared GammaCache once per distinct num, and
+one floor division by D gives both an argument and its floor in e.
+
+With k = dlog t, omega-bar^a(t) = omega(g)^(-a k), so the values at every t
+of the field are one character transform of the table.  Where a -> p a
+only permutes the factors of c_a among the (k, i), as for every suite
+family, c[p a mod (q-1)] = c[a].  value_table checks this
+certificate, O(q) integer compares, and the values are then Z_p scalars,
+built as integers mod p^N by UnramifiedContext.scalar_transform; a table
+that fails it raises EvaluationIntegrityError.  evaluate_g, the GParams
+facade, accepts any parameters and serves a family that fails the
+certificate by the full Z_q transform (character_transform).  A field
 therefore costs an O(q) integer table plus one Kronecker product per
-parameter set: value_table builds it on first use and caches it on the Z_q
-context.  The suites index it by dlog t; evaluate_g is the GParams facade.
+parameter set, cached on the Z_q context; the suites index the table by
+dlog t.
 
 Individual (k, i) factors can carry a negative floor exponent (the b_k = 1/2
 families do at a = (q-1)/2), but the exponents summed over one term always
@@ -34,7 +43,10 @@ from math import lcm
 from .finitefield import FqElement
 from .padic import UnramifiedContext, ZqElement
 from .pgamma import gamma_cache
-from .rational import frac, g_exponent  # noqa: F401  (bench/tracing.py wraps frac here)
+from .rational import (  # noqa: F401  (bench/tracing.py wraps frac and g_exponent here)
+    frac,
+    g_exponent,
+)
 
 
 class EvaluationIntegrityError(ArithmeticError):
@@ -80,20 +92,25 @@ class GValue(namedtuple("GValue", "value precision")):
     __slots__ = ()
 
 
+class _GammaResidues(dict):
+    """num -> Gamma_p(num / d) mod p^N, read from the GammaCache once per num."""
+
+    def __init__(self, cache, d: int):
+        super().__init__()
+        self.cache, self.d = cache, d
+
+    def __missing__(self, num: int) -> int:
+        v = self[num] = self.cache.residue(num, self.d)
+        return v
+
+
 def _coefficient_table(upper, lower, zq: UnramifiedContext) -> list[int]:
     """Z_p coefficients c_a of omega-bar^a(t), indexed by a, in integer arithmetic."""
     fq = zq.fq
     p, r, q, m = fq.p, fq.r, fq.q, zq.modulus
     n = len(upper)
     d = lcm(q - 1, *(c.denominator for c in upper + lower))
-    cache = gamma_cache(zq.base)
-    gammas: dict[int, int] = {}  # num -> Gamma_p(num / d)
-
-    def gamma(num: int) -> int:
-        v = gammas.get(num)
-        if v is None:
-            v = gammas[num] = cache.residue(num, d)
-        return v
+    gamma = _GammaResidues(gamma_cache(zq.base), d)
 
     # per (k, i): d * <a_k p^i>, d * <-b_k p^i>, d * p^i/(q-1) and the
     # a-independent unit 1 / (Gamma(<a_k p^i>) Gamma(<-b_k p^i>))
@@ -103,18 +120,22 @@ def _coefficient_table(upper, lower, zq: UnramifiedContext) -> list[int]:
             pi = p**i
             alpha = upper[k].numerator * (d // upper[k].denominator) * pi % d
             beta = -lower[k].numerator * (d // lower[k].denominator) * pi % d
-            inv = pow(gamma(alpha) * gamma(beta), -1, m)
-            rows.append((k, i, alpha, beta, pi * (d // (q - 1)), inv))
+            inv = pow(gamma[alpha] * gamma[beta], -1, m)
+            rows.append((alpha, beta, pi * (d // (q - 1)), inv))
     powers = [pow(-p, e, m) for e in range(n * r + 1)]
 
     table = []
     for a in range(q - 1):
         acc = 1 if (a * n) % 2 == 0 else m - 1
         exponent = 0
-        for k, i, alpha, beta, step, inv in rows:
+        for alpha, beta, step, inv in rows:
             u = a * step
-            exponent += g_exponent(upper[k], lower[k], a, i, p, q)
-            acc = acc * gamma((alpha - u) % d) % m * gamma((beta + u) % d) % m * inv % m
+            # the (-p) exponent -floor(<a_k p^i> - u/d) - floor(<-b_k p^i> + u/d)
+            # and the two Gamma_p arguments, from one division each
+            low, lo_num = divmod(alpha - u, d)
+            high, hi_num = divmod(beta + u, d)
+            exponent -= low + high
+            acc = acc * gamma[lo_num] % m * gamma[hi_num] % m * inv % m
         if exponent < 0:
             raise EvaluationIntegrityError(
                 f"negative total (-p) exponent {exponent} at a={a} for "
@@ -124,18 +145,40 @@ def _coefficient_table(upper, lower, zq: UnramifiedContext) -> list[int]:
     return table
 
 
-def value_table(upper: tuple, lower: tuple, zq: UnramifiedContext) -> list[ZqElement]:
-    """[nGn[upper; lower | g^k] for k in 0..q-2], built and parameter-checked on
-    first use per (upper, lower) and context, then cached on the context."""
+def _values(upper: tuple, lower: tuple, zq: UnramifiedContext) -> list:
+    """The cached values of one parameter set: residues mod p^N (scalar_transform)
+    when its coefficient table is Frobenius invariant, else Z_q elements."""
     key = (upper, lower)
     values = zq.g_values.get(key)
     if values is None:
         upper, lower = _checked(upper, lower, zq.base.p)
-        m = zq.modulus
-        lead = -pow(zq.q - 1, -1, m) % m
-        table = _coefficient_table(upper, lower, zq)
-        values = zq.character_transform([c * lead % m for c in table])
+        m, n, p = zq.modulus, zq.q - 1, zq.base.p
+        lead = -pow(n, -1, m) % m
+        table = [c * lead % m for c in _coefficient_table(upper, lower, zq)]
+        # the certificate: c[p a] = c[a] for every a makes every value a Z_p scalar
+        if all(table[p * a % n] == c for a, c in enumerate(table)):
+            values = zq.scalar_transform(table)
+        else:
+            values = zq.character_transform(table)
         zq.g_values[key] = values
+    return values
+
+
+def value_table(upper: tuple, lower: tuple, zq: UnramifiedContext) -> list[int]:
+    """[nGn[upper; lower | g^k] mod p^N for k in 0..q-2], built and
+    parameter-checked on first use per (upper, lower) and context, then
+    cached on the context.
+
+    The values are certified Z_p scalars.  A parameter set whose coefficient
+    table is not Frobenius invariant has values outside Z_p and raises
+    EvaluationIntegrityError; evaluate_g serves such a set in Z_q.
+    """
+    values = _values(upper, lower, zq)
+    if not isinstance(values[0], int):
+        raise EvaluationIntegrityError(
+            f"coefficient table of {upper}; {lower} fails the Frobenius certificate "
+            f"c[p a] = c[a], so its values are not Z_p scalars"
+        )
     return values
 
 
@@ -147,8 +190,8 @@ def evaluate_g(params: GParams) -> GValue:
     zq = params.context
     if params.t.is_zero():
         return GValue(zq.zero, zq.precision)
-    values = value_table(params.upper, params.lower, zq)
-    return GValue(values[params.t.dlog()], zq.precision)
+    value = _values(params.upper, params.lower, zq)[params.t.dlog()]
+    return GValue(zq.scalar(value) if isinstance(value, int) else value, zq.precision)
 
 
 def evaluate_g_inverted(params: GParams) -> GValue:

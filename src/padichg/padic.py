@@ -11,11 +11,18 @@ A character sum over a whole field, sum_a c_a omega(g)^(-a k) for every k
 at once, is the context's character transform: a binomial-chirp correlation
 computed by finitefield.correlate, O(q r^2) small-integer work plus one exact
 product of two big integers.  The nGn values and the Jacobi-sum
-families are built this way, so a point of a field is a lookup.  The
-derived tables of a context are each filled once and never mutated.
+families are built this way, so a point of a field is a lookup.  When the
+integer coefficients satisfy c[p a] = c[a], Frobenius fixes every sum, so
+each lies in Z_p and the sums at k and p k agree: the scalar transform
+returns them as integers mod p^N, reads one correlation block per Frobenius
+orbit of k, and takes each value as a dot product of the unreduced block
+with weights built once per context.  The derived tables of a context are
+each filled once and never mutated.
 """
 
 from __future__ import annotations
+
+from operator import mul
 
 from .finitefield import FqContext, FqElement, correlate, pack, poly_mulmod, poly_reduce
 from .zmod import PadicContext, ZpElement
@@ -37,10 +44,12 @@ class UnramifiedContext:
         self.zero = ZqElement(self, (0,) * self.r)
         self.one = ZqElement(self, (1,) + (0,) * (self.r - 1))
         self._omega_pows: list[ZqElement] | None = None
-        self._chirp: tuple | None = None  # the packed chirp of character_transform
+        self._chirp: tuple | None = None  # the packed chirp of both transforms
+        self._weights: tuple | None = None  # orbits and post-twiddles of scalar_transform
         # filled on first use, indexed by dlog: nGn values by gfunction, keyed
-        # by (upper, lower); h and B values by charsums, keyed by name
-        self.g_values: dict[tuple, list[ZqElement]] = {}
+        # by (upper, lower), residues mod p^N where certified and ZqElements
+        # otherwise; h and B values by charsums, keyed by name
+        self.g_values: dict[tuple, list] = {}
         self.charsum_tables: dict[str, list[ZqElement]] = {}
 
     def element(self, coeffs) -> "ZqElement":
@@ -112,6 +121,36 @@ class UnramifiedContext:
         each output block is then reduced mod (f, p^N) and multiplied by W^C(k,2).
         """
         n, m, neg = self.q - 1, self.modulus, self._neg_poly
+        pows = self.omega_generator_powers()
+        out = []
+        for k, slots in enumerate(self._chirp_correlation(coeffs)):
+            x = poly_reduce(slots, neg, m)
+            post = pows[k * (k - 1) // 2 % n].coeffs
+            out.append(ZqElement(self, poly_mulmod(x, post, neg, m)))
+        return out
+
+    def scalar_transform(self, coeffs) -> list[int]:
+        """character_transform of a Frobenius-invariant integer table, as residues mod p^N.
+
+        coeffs holds q-1 integers with coeffs[p a mod (q-1)] = coeffs[a] for
+        every a, which the caller certifies.  Frobenius sends W^j to W^(p j),
+        so it fixes every T[k], and T[p k] = T[k]: each T[k] is a Z_p
+        scalar, equal to its constant coefficient, and one k per orbit of
+        k -> p k mod (q-1) is read from the correlation.  The post-twiddle
+        is then a dot product of the 2r-1 unreduced slots of block k with
+        mu_k[s], the constant coefficient of x^s W^C(k,2) mod f, built once
+        per context; no polynomial is reduced per k.
+        """
+        m, b = self.modulus, 2 * self.r - 1
+        reps, orbit, mu = self._scalar_weights()
+        blocks = self._chirp_correlation(coeffs, reps)
+        values = [sum(map(mul, x, mu[i * b : i * b + b])) % m for i, x in enumerate(blocks)]
+        return values if orbit is None else [values[i] for i in orbit]
+
+    def _chirp_correlation(self, coeffs, rows=None) -> list[list[int]]:
+        """The unreduced blocks sum_a (c_a W^C(a,2)) W^-C(a+k,2) of both
+        transforms, for k in rows (every k by default)."""
+        n, m, neg = self.q - 1, self.modulus, self._neg_poly
         if len(coeffs) != n:
             raise ValueError(f"expected {n} coefficients")
         pows = self.omega_generator_powers()
@@ -128,12 +167,38 @@ class UnramifiedContext:
                 u.append(poly_mulmod(c.coeffs, w, neg, m))
             else:
                 u.append([c * v % m for v in w])
-        out = []
-        for k, slots in enumerate(correlate(u, self._chirp)):
-            x = poly_reduce(slots, neg, m)
-            post = pows[k * (k - 1) // 2 % n].coeffs
-            out.append(ZqElement(self, poly_mulmod(x, post, neg, m)))
-        return out
+        return correlate(u, self._chirp, rows)
+
+    def _scalar_weights(self) -> tuple:
+        """(reps, orbit, mu) of scalar_transform: the least k of each Frobenius
+        orbit; the index in reps of the orbit of every k, or None at r = 1,
+        where every orbit is one k; and mu_k[s] for each k in reps, s in
+        0..2r-2, as one flat list."""
+        if self._weights is None:
+            n, p, r, m = self.q - 1, self.base.p, self.r, self.modulus
+            reps, orbit = range(n), None
+            if r > 1:
+                reps, orbit = [], [-1] * n
+                for k in range(n):
+                    if orbit[k] < 0:
+                        j = k
+                        while orbit[j] < 0:  # p is a unit mod q-1, so the walk returns to k
+                            orbit[j] = len(reps)
+                            j = j * p % n
+                        reps.append(k)
+            # e[t]: the constant coefficient of x^t mod f, for t in 0..3r-3
+            e, x = [], [1] + [0] * (r - 1)
+            for _ in range(3 * r - 2):
+                e.append(x[0])
+                top = x[-1]
+                x = [(lo + top * c) % m for lo, c in zip([0] + x[:-1], self._neg_poly)]
+            pows = self.omega_generator_powers()
+            mu = []
+            for k in reps:
+                post = pows[k * (k - 1) // 2 % n].coeffs
+                mu += [sum(map(mul, post, e[s : s + r])) % m for s in range(2 * r - 1)]
+            self._weights = reps, orbit, mu
+        return self._weights
 
     def reduce_mod_p(self, x: "ZqElement") -> FqElement:
         return FqElement(self.fq, tuple(c % self.base.p for c in x.coeffs))

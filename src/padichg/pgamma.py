@@ -36,7 +36,6 @@ readers.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb
 
 from .zmod import PadicContext, ZpElement
@@ -160,6 +159,8 @@ class GammaCache:
 
     def gamma(self, x) -> ZpElement:
         """Gamma_p at a rational p-adic integer (denominator coprime to p)."""
+        from fractions import Fraction  # the integer suites never build one
+
         x = Fraction(x)
         return ZpElement(self.context, self.residue(x.numerator, x.denominator))
 

@@ -5,17 +5,20 @@ canonical reduced form (positive denominator, gcd 1), so equality and floor
 are bit-exact.  g_exponent and the floor identities hold every rational they
 meet as n/d over one common denominator d, so <n/d> is (n mod d)/d and each
 floor is the integer floor division n // d; the floor identities construct no
-Fraction.  Nothing in this module touches floating point.
+Fraction.  fractions (and the decimal module it loads) is imported by the
+functions that build a Fraction, so the integer suites never load it.
+Nothing in this module touches floating point.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 
-def frac(x) -> Fraction:
-    """Fractional part ``<x> = x - floor(x)``, always in [0, 1)."""
+def frac(x):
+    """Fractional part ``<x> = x - floor(x)`` as a Fraction, always in [0, 1)."""
+    from fractions import Fraction
+
     x = Fraction(x)
     return x - math.floor(x)
 
@@ -27,6 +30,8 @@ def g_exponent(a_k, b_k, a: int, i: int, p: int, q: int) -> int:
     The parameters a_k, b_k must be p-adic integers, i.e. have denominators
     coprime to p.
     """
+    from fractions import Fraction
+
     if not isinstance(a_k, Fraction):
         a_k = Fraction(a_k)
     if not isinstance(b_k, Fraction):

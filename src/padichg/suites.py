@@ -17,6 +17,10 @@ The nGn suites read gfunction.value_table by k = dlog x.  With n = q-1 and
 h = n/2, indices mod n: 1/x is -k, 1 - x is zech[k+h], x + 1 is zech[k],
 (x-1)/x is zech[k+h] + h - k, -1/x is h - k, and phi is index parity.  The
 oracle tables (finitefield.root_table, charsums) are read the same way.
+The nGn values are certified Z_p scalars, so the suites compare residues
+mod p^N as integers, recover small values by an integer balanced lift, and
+print a failing value with jobs._fmt_scalar, as _fmt prints a scalar; h and
+B, which are built from Z_q-valued Jacobi sums, stay Z_q elements.
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ from .jobs import (  # noqa: F401  (the job model, re-exported)
     verify_floor_lemmas,
     verify_gamma_identities,
 )
-from .padic import UnramifiedContext, ZqElement, recover_bounded_integer
+from .padic import UnramifiedContext, ZqElement
 from .rational import (  # noqa: F401  (bench/tracing.py wraps them here)
     check_floor_identity_A,
     check_floor_identity_B,
@@ -118,9 +122,24 @@ def _phi(e: int) -> int:
     return -1 if e & 1 else 1  # phi(g^e)
 
 
-def _phi_scaled(value: ZqElement, k: int) -> ZqElement:
-    """phi(g^k) value; q - 1 is even, so any representative k gives (-1)^k."""
-    return -value if k & 1 else value
+def _phi_scaled(value: int, k: int, m: int) -> int:
+    """phi(g^k) value mod m; q - 1 is even, so any representative k gives (-1)^k."""
+    return -value % m if k & 1 else value
+
+
+def _recover(value: int, m: int, bound: int) -> int:
+    """recover_bounded_integer of the scalar value mod m; each suite's
+    precision already gives m > 2 bound."""
+    v = value - m if value > m // 2 else value
+    if abs(v) > bound:
+        raise ArithmeticError(f"lifted value {v} violates the stated bound {bound}")
+    return v
+
+
+def _fmt_pair(zq: UnramifiedContext, lhs: int, rhs: int) -> tuple[str, str]:
+    """Two scalar residues as _fmt prints them."""
+    p, r, n = zq.base.p, zq.r, zq.precision
+    return _fmt_scalar(lhs, p, r, n), _fmt_scalar(rhs, p, r, n)
 
 
 def _recovery_bound(modulus: int) -> int:
@@ -133,16 +152,18 @@ def verify_euler_transform(job: JobSpec) -> Report:
     {0,1}, plus the x = 1 case with phi(3) in place of phi(1-x)."""
     _require(job)
     fq, zq = contexts(job.p, job.r, job.precision)
-    n, zech = fq.q - 1, fq.zech_table()
+    n, m, zech = fq.q - 1, zq.modulus, fq.zech_table()
     left, right = value_table(*_EULER_LEFT, zq), value_table(*_EULER_RIGHT, zq)
     sweep = _Sweep(job)
     for x, k in _sweep_points(fq, job, skip=(0,)):
         lhs = left[-k % n]
-        rhs = _phi_scaled(right[-k % n], zech[(k + n // 2) % n])
-        sweep.case(f"x={_label(x)}", lhs == rhs, lambda: (_fmt(lhs), _fmt(rhs)))
-    lhs = evaluate_g(GParams(*_EULER_LEFT, fq.one, zq)).value
-    rhs = _phi_scaled(evaluate_g(GParams(*_EULER_RIGHT, fq.one, zq)).value, fq.scalar(3).dlog())
-    sweep.case("x=1 (phi(3) case)", lhs == rhs, lambda: (_fmt(lhs), _fmt(rhs)))
+        rhs = _phi_scaled(right[-k % n], zech[(k + n // 2) % n], m)
+        sweep.case(f"x={_label(x)}", lhs == rhs, lambda: _fmt_pair(zq, lhs, rhs))
+    # x = 1 through the GParams facade, whose values here are Z_p scalars
+    lhs = evaluate_g(GParams(*_EULER_LEFT, fq.one, zq)).value.coeffs[0]
+    rhs = evaluate_g(GParams(*_EULER_RIGHT, fq.one, zq)).value.coeffs[0]
+    rhs = _phi_scaled(rhs, fq.scalar(3).dlog(), m)
+    sweep.case("x=1 (phi(3) case)", lhs == rhs, lambda: _fmt_pair(zq, lhs, rhs))
     return sweep.done()
 
 
@@ -151,13 +172,14 @@ def verify_zero_classification(job: JobSpec) -> Report:
     27y^2(1-y) - 4x has exactly one root."""
     _require(job)
     fq, zq = contexts(job.p, job.r, job.precision)
-    n, zech, bound = fq.q - 1, fq.zech_table(), _recovery_bound(zq.modulus)
+    n, m, zech = fq.q - 1, zq.modulus, fq.zech_table()
+    bound = _recovery_bound(m)
     left, right = value_table(*_EULER_LEFT, zq), value_table(*_EULER_RIGHT, zq)
     roots, d3, d4 = root_table(fq, _CUBIC_27), fq.scalar(3).dlog(), fq.scalar(4).dlog()
     sweep = _Sweep(job)
     for x, k in _sweep_points(fq, job, skip=(0,)):
-        v1 = recover_bounded_integer(left[-k % n], bound)
-        v2 = recover_bounded_integer(right[-k % n], bound)
+        v1 = _recover(left[-k % n], m, bound)
+        v2 = _recover(right[-k % n], m, bound)
         crit = _phi(d3 + k + zech[(k + n // 2) % n]) == -1  # 1 - x != 0 off x = 1
         one_root = roots[(d4 + k) % n] == 1  # the root count at -c_0 = 4x
         ok = ((v1 == 0) == crit) and ((v2 == 0) == crit) and (crit == one_root)
@@ -177,17 +199,16 @@ def verify_clausen(job: JobSpec) -> Report:
     - q phi(1-x) for x outside {0,1}; admits p = 3."""
     _require(job)
     fq, zq = contexts(job.p, job.r, job.precision)
-    n, zech = fq.q - 1, fq.zech_table()
+    q, n, m, zech = fq.q, fq.q - 1, zq.modulus, fq.zech_table()
     h = n // 2
     cube, square = value_table(*_CLAUSEN_CUBE, zq), value_table(*_CLAUSEN_SQUARE, zq)
-    q_elem = zq.scalar(fq.q)
     sweep = _Sweep(job)
     for x, k in _sweep_points(fq, job, skip=(0,)):
         z = zech[(k + h) % n]
         lhs = cube[-k % n]
         g = square[(z + h - k) % n]
-        rhs = _phi_scaled(g * g - q_elem, z)
-        sweep.case(f"x={_label(x)}", lhs == rhs, lambda: (_fmt(lhs), _fmt(rhs)))
+        rhs = _phi_scaled((g * g - q) % m, z, m)
+        sweep.case(f"x={_label(x)}", lhs == rhs, lambda: _fmt_pair(zq, lhs, rhs))
     return sweep.done()
 
 
@@ -196,7 +217,8 @@ def verify_proposition_oracles(job: JobSpec) -> Report:
     equal the root count of the scaled cubic, for every x != 0."""
     _require(job)
     fq, zq = contexts(job.p, job.r, job.precision)
-    n, bound = fq.q - 1, _recovery_bound(zq.modulus)
+    n, m = fq.q - 1, zq.modulus
+    bound = _recovery_bound(m)
     left, right = value_table(*_EULER_LEFT, zq), value_table(*_EULER_RIGHT, zq)
     roots1, roots2 = root_table(fq, _CUBIC_27), root_table(fq, _CUBIC_SCALED)
     d3, d4 = fq.scalar(3).dlog(), fq.scalar(4).dlog()
@@ -204,8 +226,8 @@ def verify_proposition_oracles(job: JobSpec) -> Report:
     sweep = _Sweep(job)
     for x, k in _sweep_points(fq, job):
         c1, c2 = roots1[(d4 + k) % n], roots2[(d4_27 + k) % n]
-        v1 = recover_bounded_integer(left[-k % n], bound)
-        v2 = recover_bounded_integer(right[-k % n], bound)
+        v1 = _recover(left[-k % n], m, bound)
+        v2 = _recover(right[-k % n], m, bound)
         phi3x = _phi(d3 + k)
         ok = (v1 + 1 == c1) and (1 + phi3x * v2 == c2) and (c1 == c2)
         sweep.case(
@@ -228,7 +250,7 @@ def verify_inversion(job: JobSpec) -> Report:
     sweep = _Sweep(job)
     for x, k in _sweep_points(fq, job):
         lhs, rhs = swapped[k], right[-k % n]
-        sweep.case(f"x={_label(x)}", lhs == rhs, lambda: (_fmt(lhs), _fmt(rhs)))
+        sweep.case(f"x={_label(x)}", lhs == rhs, lambda: _fmt_pair(zq, lhs, rhs))
     return sweep.done()
 
 
@@ -249,7 +271,7 @@ def verify_charsum_chain(job: JobSpec) -> Report:
     """
     _require(job)
     fq, zq = contexts(job.p, job.r, job.precision)
-    q, n, zech = fq.q, fq.q - 1, fq.zech_table()
+    q, n, m, zech = fq.q, fq.q - 1, zq.modulus, fq.zech_table()
     h, d4 = n // 2, fq.scalar(4).dlog()
     cube, square = value_table(*_CLAUSEN_CUBE, zq), value_table(*_CLAUSEN_SQUARE, zq)
     small_a, big_as, hs, bs = a_values(fq), A_values(fq), h_values(zq), B_values(zq)
@@ -261,11 +283,11 @@ def verify_charsum_chain(job: JobSpec) -> Report:
         z = zech[k]  # dlog(lam + 1)
         a_val = small_a[-z % n]
         big_a = big_as[k]
-        v3 = recover_bounded_integer(cube[(h - k) % n], q * q)
+        v3 = _recover(cube[(h - k) % n], m, q * q)
         h_val = hs[k]
         b_val = bs[(k - d4 - z) % n]  # lam / (4 (lam + 1))
         phi_shift = phi2 * _phi(k - z)  # phi(2 lam/(lam+1))
-        v2 = recover_bounded_integer(square[(z - k) % n], q)
+        v2 = _recover(square[(z - k) % n], m, q)
         checks = (
             v3 == big_a,
             h_val == zq.scalar(big_a),

@@ -153,10 +153,10 @@ def test_negative_total_exponent_aborts():
 
 def test_sweep_reuses_one_coefficient_table(monkeypatch):
     # the first evaluation at t != 0 builds one coefficient table and one
-    # character transform per (upper, lower, context); the rest are lookups
+    # scalar transform per (upper, lower, context); the rest are lookups
     builds = []
     table_fn = gfunction._coefficient_table
-    transform = UnramifiedContext.character_transform
+    transform = UnramifiedContext.scalar_transform
 
     def counting_table(upper, lower, zq):
         builds.append(("table", upper))
@@ -167,7 +167,7 @@ def test_sweep_reuses_one_coefficient_table(monkeypatch):
         return transform(zq, coeffs)
 
     monkeypatch.setattr(gfunction, "_coefficient_table", counting_table)
-    monkeypatch.setattr(UnramifiedContext, "character_transform", counting_transform)
+    monkeypatch.setattr(UnramifiedContext, "scalar_transform", counting_transform)
     fq, zq = _pair(5, 1, 4)
     evaluate_g(GParams(*G_CUBIC, fq.zero, zq))
     assert builds == []

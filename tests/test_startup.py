@@ -4,7 +4,9 @@
 only when it starts one) or `dataclasses` and the `inspect` it pulls in.
 Nor may it, or a run whose jobs are all gamma or floors, load the field
 layers (suites, finitefield, padic, gfunction, charsums) or `csv`: those
-load at the first field job and the first csv report.  Each check runs in a
+load at the first field job and the first csv report.  Such a run builds no
+Fraction either, so it loads neither `fractions` nor the `decimal` that
+`fractions` imports; a field run loads both.  Each check runs in a
 fresh interpreter and compares `sys.modules` before and after, so modules
 that site packages preload do not count.
 """
@@ -14,6 +16,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 HEAVY = ("concurrent.futures", "multiprocessing", "dataclasses", "inspect")
@@ -84,3 +88,25 @@ def test_field_run_loads_the_field_layer(tmp_path):
     code, loaded = _loaded("--p", "5", "--suite", "euler", "--format", "csv", "--out", out)
     assert code == 0
     assert [name for name in FIELD if name not in loaded] == []
+
+
+def _integer_run(tmp_path):
+    config = tmp_path / "integer.conf"
+    config.write_text(
+        "format = json\n"
+        f"out = {tmp_path / 'report.json'}\n"
+        "job = suite=gamma p=211 precision=3\n"
+        "job = suite=floors p=211 precision=3\n"
+    )
+    return ("--config", str(config))
+
+
+def _field_run(tmp_path):
+    return ("--p", "5", "--suite", "euler", "--format", "csv", "--out", str(tmp_path / "r.csv"))
+
+
+@pytest.mark.parametrize("argv,loads", [(_integer_run, False), (_field_run, True)])
+def test_fractions_load_only_with_the_field_layer(tmp_path, argv, loads):
+    code, loaded = _loaded(*argv(tmp_path))
+    assert code == 0
+    assert [name in loaded for name in ("fractions", "decimal")] == [loads, loads]

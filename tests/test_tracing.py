@@ -25,7 +25,7 @@ tracer = tracing.install()
 from padichg import cli
 assert cli.run(cli.parse_args(["--p", "5", "--suite", "euler"])) == 0
 names = {span[0] for span in tracer.spans}
-assert "gfunction.evaluate_g.first" in names and "rational.g_exponent" in names, names
+assert "gfunction.evaluate_g.first" in names and "finitefield.build" in names, names
 """
 
 
