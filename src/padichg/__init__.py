@@ -32,7 +32,7 @@ _EXPORTS = {
     "discriminant_sign_check": "finitefield",
     "make_fq": "finitefield",
     "quadratic_char": "finitefield",
-    "EvaluationIntegrityError": "gfunction",
+    "EvaluationIntegrityError": "padic",
     "GParams": "gfunction",
     "GValue": "gfunction",
     "evaluate_g": "gfunction",

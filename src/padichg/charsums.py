@@ -8,14 +8,17 @@ comes from cyclic correlations of integer sequences of length q-1: a field
 costs O(q) integer work and three packed products (finitefield.correlate),
 once per context: A_values and a_values, which sum_A and sum_a read by dlog.
 
-Jacobi sums and the character-averaged sums h and B live in Z_q, with
+Jacobi sums and the character-averaged sums h and B are sums in Z_q, with
 characters realized as powers of the inverse Teichmuller character.  Each
-Jacobi family the sums need is one character transform
-(UnramifiedContext.character_transform) of an integer histogram over the
-pairs (dlog x, dlog(1-x)), and h and B at every lambda are one transform
-each of the Jacobi products; a field costs O(q) integer work plus five
-Kronecker products, once per Z_q context: h_values and B_values, which
-sum_h and sum_B read by dlog.
+Jacobi family the sums need is one transform of an integer histogram c_e
+over the pairs (dlog x, dlog(1-x)).  x -> x^p permutes the x outside
+{0, 1}, multiplies dlog x and dlog(1-x) by p and keeps the parity of
+dlog x, so c[p e] = c[e]: the families, and the cubes and products built
+from them, are certified Z_p scalars, and every transform is
+UnramifiedContext.scalar_transform on integers mod p^N.  h and B at every
+lambda are one transform each of the Jacobi products; a field costs O(q)
+integer work plus five Kronecker products, once per Z_q context: h_values
+and B_values, which sum_h and sum_B read by dlog and return as Z_q scalars.
 """
 
 from __future__ import annotations
@@ -117,32 +120,32 @@ def jacobi_sum(i: int, j: int, zq: UnramifiedContext) -> ZqElement:
     return zq.element(acc)
 
 
-def _jacobi_family(zq: UnramifiedContext, u: int, v: int) -> list[ZqElement]:
-    """[J(omega-bar^(half + u m), omega-bar^(v m)) for m in 0..q-2].
+def _jacobi_family(zq: UnramifiedContext, u: int, v: int) -> list[int]:
+    """[J(omega-bar^(half + u m), omega-bar^(v m)) mod p^N for m in 0..q-2].
 
     omega-bar^half(x) = (-1)^(dlog x), so the m-th sum is
     sum_x (-1)^(dlog x) W^(-m e(x)) with e = u dlog x + v dlog(1-x):
-    the character transform of c_e = sum of (-1)^(dlog x) over e(x) = e.
+    the scalar transform of c_e = sum of (-1)^(dlog x) over e(x) = e.
     """
     n = zq.q - 1
     c = [0] * n
     for d1, d2 in zq.fq.jacobi_dlog_pairs():
         c[(u * d1 + v * d2) % n] += 1 - 2 * (d1 & 1)
-    return zq.character_transform(c)
+    return zq.scalar_transform(c)
 
 
-def h_values(zq: UnramifiedContext) -> list[ZqElement]:
-    """[h(g^d) for d in 0..q-2]; built once per context.
+def h_values(zq: UnramifiedContext) -> list[int]:
+    """[h(g^d) mod p^N for d in 0..q-2]; built once per context.
 
     With cube_m = J(chi-bar phi, chi)^3 for chi = omega-bar^m, h(g^d) is
     1/(q-1) sum_m omega(g)^(m d) cube_m, transform entry -d.
     """
     values = zq.charsum_tables.get("h")
     if values is None:
-        n = zq.q - 1
-        scale = pow(n, -1, zq.modulus)
-        cubes = [(j * j * j).scale(scale) for j in _jacobi_family(zq, -1, 1)]
-        by_index = zq.character_transform(cubes)
+        n, m = zq.q - 1, zq.modulus
+        scale = pow(n, -1, m)
+        cubes = [pow(j, 3, m) * scale % m for j in _jacobi_family(zq, -1, 1)]
+        by_index = zq.scalar_transform(cubes)
         values = [by_index[-d % n] for d in range(n)]
         zq.charsum_tables["h"] = values
     return values
@@ -156,22 +159,21 @@ def sum_h(lam: FqElement, zq: UnramifiedContext) -> ZqElement:
     if lam.is_zero():
         raise ValueError("h(0) is undefined")
     d = zq.dlog(lam)
-    return h_values(zq)[d]
+    return zq.scalar(h_values(zq)[d])
 
 
-def B_values(zq: UnramifiedContext) -> list[ZqElement]:
-    """[B-sum at arg = g^d for d in 0..q-2]; built once per context.
+def B_values(zq: UnramifiedContext) -> list[int]:
+    """[B-sum mod p^N at arg = g^d for d in 0..q-2]; built once per context.
 
     phi(-2)/(q-1) sum_m J(phi chi^2, chi-bar) J(phi chi, chi-bar) omega-bar^m(arg)
     for chi = omega-bar^m is transform entry d.
     """
     values = zq.charsum_tables.get("B")
     if values is None:
-        fq = zq.fq
         m = zq.modulus
-        lead = quadratic_char(fq.scalar(-2)) * pow(zq.q - 1, -1, m) % m
+        lead = quadratic_char(zq.fq.scalar(-2)) * pow(zq.q - 1, -1, m) % m
         pairs = zip(_jacobi_family(zq, 2, -1), _jacobi_family(zq, 1, -1))
-        values = zq.character_transform([(x * y).scale(lead) for x, y in pairs])
+        values = zq.scalar_transform([x * y % m * lead % m for x, y in pairs])
         zq.charsum_tables["B"] = values
     return values
 
@@ -188,7 +190,7 @@ def sum_B(lam: FqElement, zq: UnramifiedContext) -> ZqElement:
     if lam.is_zero() or (lam + fq.one).is_zero():
         raise ValueError("B(lam) requires lam outside {0, -1}")
     d = zq.dlog(lam / (fq.scalar(4) * (lam + fq.one)))
-    return B_values(zq)[d]
+    return zq.scalar(B_values(zq)[d])
 
 
 def verify_aop_identity(lam: FqElement) -> bool:

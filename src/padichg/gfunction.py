@@ -17,12 +17,12 @@ one floor division by D gives both an argument and its floor in e.
 With k = dlog t, omega-bar^a(t) = omega(g)^(-a k), so the values at every t
 of the field are one character transform of the table.  Where a -> p a
 only permutes the factors of c_a among the (k, i), as for every suite
-family, c[p a mod (q-1)] = c[a].  value_table checks this
-certificate, O(q) integer compares, and the values are then Z_p scalars,
-built as integers mod p^N by UnramifiedContext.scalar_transform; a table
-that fails it raises EvaluationIntegrityError.  evaluate_g, the GParams
-facade, accepts any parameters and serves a family that fails the
-certificate by the full Z_q transform (character_transform).  A field
+family, c[p a mod (q-1)] = c[a].  UnramifiedContext.scalar_transform checks
+this certificate, O(q) integer compares, and builds the values as integers
+mod p^N; value_table raises EvaluationIntegrityError for a table that fails
+it.  evaluate_g, the GParams facade, accepts any parameters and serves a
+family that fails the certificate by the full Z_q transform
+(character_transform), the one production use of that transform.  A field
 therefore costs an O(q) integer table plus one Kronecker product per
 parameter set, cached on the Z_q context; the suites index the table by
 dlog t.
@@ -41,16 +41,12 @@ from fractions import Fraction
 from math import lcm
 
 from .finitefield import FqElement
-from .padic import UnramifiedContext, ZqElement
+from .padic import EvaluationIntegrityError, UnramifiedContext
 from .pgamma import gamma_cache
 from .rational import (  # noqa: F401  (bench/tracing.py wraps frac and g_exponent here)
     frac,
     g_exponent,
 )
-
-
-class EvaluationIntegrityError(ArithmeticError):
-    """An internal consistency guarantee of the evaluation was violated."""
 
 
 def _checked(upper, lower, p: int) -> tuple[tuple, tuple]:
@@ -152,13 +148,12 @@ def _values(upper: tuple, lower: tuple, zq: UnramifiedContext) -> list:
     values = zq.g_values.get(key)
     if values is None:
         upper, lower = _checked(upper, lower, zq.base.p)
-        m, n, p = zq.modulus, zq.q - 1, zq.base.p
-        lead = -pow(n, -1, m) % m
+        m = zq.modulus
+        lead = -pow(zq.q - 1, -1, m) % m
         table = [c * lead % m for c in _coefficient_table(upper, lower, zq)]
-        # the certificate: c[p a] = c[a] for every a makes every value a Z_p scalar
-        if all(table[p * a % n] == c for a, c in enumerate(table)):
+        try:
             values = zq.scalar_transform(table)
-        else:
+        except EvaluationIntegrityError:
             values = zq.character_transform(table)
         zq.g_values[key] = values
     return values

@@ -334,7 +334,12 @@ def check_admissible(job: JobSpec) -> None:
 
 
 def run_job(job: JobSpec) -> Report:
-    """Run one job, skipping (not failing) fields outside the suite hypothesis."""
+    """Run one job, skipping (not failing) fields outside the suite hypothesis.
+
+    A suite that raises ArithmeticError (a value past its recovery bound, a
+    broken certificate) fails its job: the Report holds one failure naming
+    the exception, so the run still writes every record.
+    """
     precision = job.precision
     if precision is None:
         precision = default_precision(job.suite, job.p, job.r)
@@ -353,4 +358,9 @@ def run_job(job: JobSpec) -> Report:
         from .suites import SUITES  # the field layers load at the first field job
 
         verify = SUITES[job.suite]
-    return verify(job)
+    aborted = _Sweep(job)  # started now, so it times the job up to the exception
+    try:
+        return verify(job)
+    except ArithmeticError as exc:
+        aborted.case("aborted", False, lambda: (type(exc).__name__, str(exc)))
+        return aborted.done()

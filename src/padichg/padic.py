@@ -8,16 +8,18 @@ Teichmuller and character value is read from one table per context, the
 powers of omega(g) for the F_q generator g, indexed by discrete log.
 
 A character sum over a whole field, sum_a c_a omega(g)^(-a k) for every k
-at once, is the context's character transform: a binomial-chirp correlation
-computed by finitefield.correlate, O(q r^2) small-integer work plus one exact
-product of two big integers.  The nGn values and the Jacobi-sum
-families are built this way, so a point of a field is a lookup.  When the
-integer coefficients satisfy c[p a] = c[a], Frobenius fixes every sum, so
-each lies in Z_p and the sums at k and p k agree: the scalar transform
-returns them as integers mod p^N, reads one correlation block per Frobenius
-orbit of k, and takes each value as a dot product of the unreduced block
-with weights built once per context.  The derived tables of a context are
-each filled once and never mutated.
+at once and integer c_a, is a binomial-chirp correlation computed by
+finitefield.correlate, O(q r^2) small-integer work plus one exact product of
+two big integers.  When c[p a] = c[a] for every a, Frobenius fixes every
+sum, so each lies in Z_p and the sums at k and p k agree: scalar_transform
+checks this certificate, returns the sums as integers mod p^N, reads one
+correlation block per Frobenius orbit of k, and takes each value as a dot
+product of the unreduced block with weights built once per context.  Every
+production whole-field table (the nGn values, the Jacobi families, h and B)
+is built this way, so a point of a field is an integer lookup.  The full
+Z_q character_transform serves only evaluate_g's parameter families that
+fail the certificate.  The derived tables of a context are each filled once
+and never mutated.
 """
 
 from __future__ import annotations
@@ -26,6 +28,10 @@ from operator import mul
 
 from .finitefield import FqContext, FqElement, correlate, pack, poly_mulmod, poly_reduce
 from .zmod import PadicContext, ZpElement
+
+
+class EvaluationIntegrityError(ArithmeticError):
+    """An internal consistency guarantee of the evaluation was violated."""
 
 
 class UnramifiedContext:
@@ -48,9 +54,9 @@ class UnramifiedContext:
         self._weights: tuple | None = None  # orbits and post-twiddles of scalar_transform
         # filled on first use, indexed by dlog: nGn values by gfunction, keyed
         # by (upper, lower), residues mod p^N where certified and ZqElements
-        # otherwise; h and B values by charsums, keyed by name
+        # otherwise; h and B values by charsums, residues mod p^N keyed by name
         self.g_values: dict[tuple, list] = {}
-        self.charsum_tables: dict[str, list[ZqElement]] = {}
+        self.charsum_tables: dict[str, list[int]] = {}
 
     def element(self, coeffs) -> "ZqElement":
         coeffs = tuple(int(c) % self.modulus for c in coeffs)
@@ -111,8 +117,8 @@ class UnramifiedContext:
     def character_transform(self, coeffs) -> list["ZqElement"]:
         """[sum_a coeffs[a] * omega(g)^(-a k) for k in 0..q-2], every k at once.
 
-        coeffs holds q-1 integers or elements of this context.  With
-        a k = C(a+k, 2) - C(a, 2) - C(k, 2) and W = omega(g),
+        coeffs holds q-1 integers.  With a k = C(a+k, 2) - C(a, 2) - C(k, 2)
+        and W = omega(g),
 
             T[k] = W^C(k,2) * sum_a (c_a W^C(a,2)) W^-C(a+k,2),
 
@@ -133,15 +139,21 @@ class UnramifiedContext:
         """character_transform of a Frobenius-invariant integer table, as residues mod p^N.
 
         coeffs holds q-1 integers with coeffs[p a mod (q-1)] = coeffs[a] for
-        every a, which the caller certifies.  Frobenius sends W^j to W^(p j),
-        so it fixes every T[k], and T[p k] = T[k]: each T[k] is a Z_p
+        every a; a table without this certificate raises
+        EvaluationIntegrityError before any correlation.  Frobenius sends W^j
+        to W^(p j), so it fixes every T[k], and T[p k] = T[k]: each T[k] is a Z_p
         scalar, equal to its constant coefficient, and one k per orbit of
         k -> p k mod (q-1) is read from the correlation.  The post-twiddle
         is then a dot product of the 2r-1 unreduced slots of block k with
         mu_k[s], the constant coefficient of x^s W^C(k,2) mod f, built once
         per context; no polynomial is reduced per k.
         """
-        m, b = self.modulus, 2 * self.r - 1
+        m, b, n, p = self.modulus, 2 * self.r - 1, self.q - 1, self.base.p
+        # a table of the wrong length is refused by _chirp_correlation
+        if len(coeffs) == n and any(coeffs[p * a % n] != c for a, c in enumerate(coeffs)):
+            raise EvaluationIntegrityError(
+                "coefficient table fails the Frobenius certificate c[p a] = c[a]"
+            )
         reps, orbit, mu = self._scalar_weights()
         blocks = self._chirp_correlation(coeffs, reps)
         values = [sum(map(mul, x, mu[i * b : i * b + b])) % m for i, x in enumerate(blocks)]
@@ -150,7 +162,7 @@ class UnramifiedContext:
     def _chirp_correlation(self, coeffs, rows=None) -> list[list[int]]:
         """The unreduced blocks sum_a (c_a W^C(a,2)) W^-C(a+k,2) of both
         transforms, for k in rows (every k by default)."""
-        n, m, neg = self.q - 1, self.modulus, self._neg_poly
+        n, m = self.q - 1, self.modulus
         if len(coeffs) != n:
             raise ValueError(f"expected {n} coefficients")
         pows = self.omega_generator_powers()
@@ -158,15 +170,7 @@ class UnramifiedContext:
             chirp = [pows[-(j * (j - 1) // 2) % n].coeffs for j in range(2 * n - 1)]
             # a slot sums at most n * r products of residues below m
             self._chirp = pack(chirp, n * self.r * (m - 1) ** 2)
-        u = []
-        for a, c in enumerate(coeffs):
-            w = pows[a * (a - 1) // 2 % n].coeffs
-            if isinstance(c, ZqElement):
-                if c.context is not self:
-                    raise ValueError("mixed Z_q contexts")
-                u.append(poly_mulmod(c.coeffs, w, neg, m))
-            else:
-                u.append([c * v % m for v in w])
+        u = [[c * w % m for w in pows[a * (a - 1) // 2 % n].coeffs] for a, c in enumerate(coeffs)]
         return correlate(u, self._chirp, rows)
 
     def _scalar_weights(self) -> tuple:

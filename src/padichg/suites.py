@@ -17,10 +17,10 @@ The nGn suites read gfunction.value_table by k = dlog x.  With n = q-1 and
 h = n/2, indices mod n: 1/x is -k, 1 - x is zech[k+h], x + 1 is zech[k],
 (x-1)/x is zech[k+h] + h - k, -1/x is h - k, and phi is index parity.  The
 oracle tables (finitefield.root_table, charsums) are read the same way.
-The nGn values are certified Z_p scalars, so the suites compare residues
-mod p^N as integers, recover small values by an integer balanced lift, and
-print a failing value with jobs._fmt_scalar, as _fmt prints a scalar; h and
-B, which are built from Z_q-valued Jacobi sums, stay Z_q elements.
+Every table a sweep reads holds integers: the nGn, h and B values are
+certified Z_p scalars, so the suites compare residues mod p^N as integers,
+recover small values by an integer balanced lift, and print a failing value
+with jobs._fmt_scalar, in the Z_q coordinates of a scalar.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from .jobs import (  # noqa: F401  (the job model, re-exported)
     verify_floor_lemmas,
     verify_gamma_identities,
 )
-from .padic import UnramifiedContext, ZqElement
+from .padic import UnramifiedContext
 from .rational import (  # noqa: F401  (bench/tracing.py wraps them here)
     check_floor_identity_A,
     check_floor_identity_B,
@@ -92,15 +92,6 @@ def contexts(p: int, r: int, precision: int) -> tuple[FqContext, UnramifiedConte
     return fq, zq
 
 
-def _fmt(value: ZqElement) -> str:
-    """Base-p digit string (least significant first), plus a balanced lift of a scalar."""
-    ctx = value.context
-    p, n, coeffs = ctx.base.p, ctx.precision, value.coeffs
-    if not any(coeffs[1:]):
-        return _fmt_scalar(coeffs[0], p, ctx.r, n)
-    return "|".join(_digits(c, p, n) for c in coeffs)
-
-
 def _label(x: tuple) -> str:
     return str(x[0]) if len(x) == 1 else str(x)
 
@@ -137,7 +128,7 @@ def _recover(value: int, m: int, bound: int) -> int:
 
 
 def _fmt_pair(zq: UnramifiedContext, lhs: int, rhs: int) -> tuple[str, str]:
-    """Two scalar residues as _fmt prints them."""
+    """Two scalar residues as jobs._fmt_scalar prints them."""
     p, r, n = zq.base.p, zq.r, zq.precision
     return _fmt_scalar(lhs, p, r, n), _fmt_scalar(rhs, p, r, n)
 
@@ -258,7 +249,7 @@ def verify_charsum_chain(job: JobSpec) -> Report:
     """Six checks per lambda outside {0,-1}:
 
     (i)   G3[1/2,1/2,1/2;0,0,0 | -1/lam] recovers to A(lam,q);
-    (ii)  h(lam) = A(lam,q) in Z_q;
+    (ii)  h(lam) = A(lam,q) mod p^N;
     (iii) B(lam) = -phi(2 lam/(lam+1)) + phi(-1) a(lam,q);
     (iv)  -phi(2) G2[1/4,3/4;0,0 | (lam+1)/lam] recovers to a(lam,q);
     (v)   A(lam,q) = phi(lam+1) (a(lam,q)^2 - q) as exact integers;
@@ -290,17 +281,18 @@ def verify_charsum_chain(job: JobSpec) -> Report:
         v2 = _recover(square[(z - k) % n], m, q)
         checks = (
             v3 == big_a,
-            h_val == zq.scalar(big_a),
-            b_val == zq.scalar(-phi_shift + phim1 * a_val),
+            h_val == big_a % m,
+            b_val == (-phi_shift + phim1 * a_val) % m,
             -phi2 * v2 == a_val,
             aop_identity_at(fq, k),
-            b_val == zq.scalar(-phi_shift - phim2 * v2),
+            b_val == (-phi_shift - phim2 * v2) % m,
         )
         sweep.case(
             f"lam={_label(lam)}",
             all(checks),
             lambda: (
-                f"G3={v3}, h={_fmt(h_val)}, B={_fmt(b_val)}, -phi(2)G2={-phi2 * v2}",
+                f"G3={v3}, h={_fmt_scalar(h_val, job.p, job.r, job.precision)}, "
+                f"B={_fmt_scalar(b_val, job.p, job.r, job.precision)}, -phi(2)G2={-phi2 * v2}",
                 f"A={big_a}, a={a_val}, checks={checks}",
             ),
         )

@@ -57,12 +57,22 @@ from padichg.suites import (
     _EULER_RIGHT,
     _Sweep,
     _digits,
-    _fmt,
+    _fmt_scalar,
     _label,
     _recovery_bound,
     _require,
     contexts,
 )
+
+
+def _fmt(value) -> str:
+    """A Z_q value as its base-p digit strings (least significant first), one
+    per coordinate; a scalar as jobs._fmt_scalar prints it."""
+    ctx = value.context
+    p, n, coeffs = ctx.base.p, ctx.precision, value.coeffs
+    if not any(coeffs[1:]):
+        return _fmt_scalar(coeffs[0], p, ctx.r, n)
+    return "|".join(_digits(c, p, n) for c in coeffs)
 
 
 def floor_int(x) -> int:

@@ -1,4 +1,8 @@
+from functools import lru_cache
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import (
     jacobi_sum_elementwise,
     sum_A_bruteforce,
@@ -164,7 +168,9 @@ def test_sum_h_and_B_match_pointwise_oracle(p, r, n):
             assert sum_B(lam, zq) == sum_B_pointwise(lam, zq), lam
 
 
-@pytest.mark.parametrize("p,r,n", [(3, 1, 3), (5, 1, 3), (7, 1, 2), (3, 2, 3), (5, 2, 2), (5, 3, 2)])
+@pytest.mark.parametrize(
+    "p,r,n", [(3, 1, 3), (5, 1, 3), (7, 1, 2), (3, 2, 3), (5, 2, 2), (5, 3, 2), (3, 4, 2)]
+)
 def test_jacobi_families_match_jacobi_sum(p, r, n):
     # the three transformed families behind h and B, every character index,
     # against the dlog-histogram sum and the element-by-element Z_q sum
@@ -178,15 +184,38 @@ def test_jacobi_families_match_jacobi_sum(p, r, n):
             assert family[m] == jacobi_sum(i, j, zq) == jacobi_sum_elementwise(i, j, zq), (u, v, m)
 
 
+@lru_cache(maxsize=None)
+def _dlog_pairs(p, r):
+    return make_fq(p, r).jacobi_dlog_pairs()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([(3, 1), (5, 1), (3, 2), (5, 2), (7, 2), (3, 3), (5, 3), (3, 4), (3, 5)]),
+    st.integers(),
+    st.integers(),
+)
+def test_jacobi_histograms_are_frobenius_invariant(field, u, v):
+    # x -> x^p permutes the x outside {0, 1}, multiplies dlog x and dlog(1-x)
+    # by p and keeps the parity of dlog x, so every histogram the Jacobi
+    # families transform carries the certificate of scalar_transform
+    p, r = field
+    n = p**r - 1
+    c = [0] * n
+    for d1, d2 in _dlog_pairs(p, r):
+        c[(u * d1 + v * d2) % n] += 1 - 2 * (d1 & 1)
+    assert all(c[p * e % n] == c[e] for e in range(n))
+
+
 def test_h_and_B_built_once_per_context(monkeypatch):
     transforms = []
-    original = UnramifiedContext.character_transform
+    original = UnramifiedContext.scalar_transform
 
     def counting(zq, coeffs):
         transforms.append(len(coeffs))
         return original(zq, coeffs)
 
-    monkeypatch.setattr(UnramifiedContext, "character_transform", counting)
+    monkeypatch.setattr(UnramifiedContext, "scalar_transform", counting)
     fq, zq = _pair(7, 1, 3)
     lams = [lam for lam in fq.nonzero_elements() if not (lam + fq.one).is_zero()]
     first = [(sum_h(lam, zq), sum_B(lam, zq)) for lam in lams]

@@ -154,6 +154,39 @@ def test_fail_fast_stops_after_first_failure(corrupted_gamma, capsys):
     assert "p=7" not in out  # second job never ran
 
 
+def test_suite_arithmetic_failure_is_a_failed_job(corrupted_gamma, tmp_path):
+    # a zeros value past its recovery bound fails that job in the report; the
+    # run neither raises nor loses the record
+    out = tmp_path / "zeros.csv"
+    argv = ["--p", "5", "--r", "2", "--suite", "zeros", "--format", "csv", "--verbose"]
+    assert run(parse_args(argv + ["--out", str(out)])) == 1
+    rows = list(csv.reader(out.read_text().splitlines()))
+    assert rows[1:] == [
+        ["zeros", "5", "2", "4", "25", "aborted", "False", "ArithmeticError",
+         "lifted value 280 violates the stated bound 4"],
+    ]  # fmt: skip
+
+
+@pytest.mark.parametrize("mode", [["--jobs", "2"], []])
+def test_aborted_jobs_keep_every_record(corrupted_gamma, capsys, mode):
+    argv = ["--p", "5", "--r", "2", "--suite", "all", "--format", "json"] + mode
+    assert run(parse_args(argv)) == 1
+    records = json.loads(capsys.readouterr().out)
+    assert len(records) == 8
+    cases = {rec["suite"]: [f["case"] for f in rec["failures"]] for rec in records}
+    aborted = [suite for suite, c in cases.items() if c == ["aborted"]]
+    assert aborted == ["zeros", "oracles", "charsums"]
+    assert all(rec["cases_total"] == rec["cases_passed"] + len(rec["failures"]) for rec in records)
+
+
+def test_fail_fast_stops_at_an_aborted_job(corrupted_gamma, tmp_path, capsys):
+    argv = _config(tmp_path, "job = suite=zeros p=5 r=2\njob = suite=euler p=7\n")
+    assert run(parse_args(argv + ["--fail-fast"])) == 1
+    out = capsys.readouterr().out
+    assert "FAIL aborted: left=ArithmeticError right=lifted value 280" in out
+    assert "p=7" not in out
+
+
 def test_parallel_jobs_match_sequential():
     jobs = [JobSpec(5, 1, "euler", precision=4), JobSpec(7, 1, "floors", precision=4)]
     seq = Config(jobs=list(jobs), fmt="json", out="-")

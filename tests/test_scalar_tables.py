@@ -10,6 +10,7 @@ coefficient and 0 in every other.
 """
 
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -170,3 +171,28 @@ def test_euler_tables_take_the_integer_path(monkeypatch):
     for upper, lower in (_EULER_LEFT, _EULER_RIGHT):
         value_table(upper, lower, zq)
     assert calls == [("blocks", 118), ("blocks", 118)]
+
+
+
+@pytest.mark.parametrize("p,r", [(5, 2), (3, 3)])
+def test_scalar_transform_refuses_a_table_without_the_certificate(monkeypatch, p, r):
+    # gcd(a, q-1) is constant on each Frobenius orbit; broken at a = 1 alone
+    # (1 and p share an orbit for r >= 2), the table is refused before any
+    # correlation runs
+    calls = []
+    read = padic.correlate
+
+    def counting(*args):
+        calls.append(len(args[0]))
+        return read(*args)
+
+    monkeypatch.setattr(padic, "correlate", counting)
+    zq = _zq(p, r, 2)
+    table = [gcd(a, zq.q - 1) for a in range(zq.q - 1)]
+    table[1] += 1
+    with pytest.raises(EvaluationIntegrityError):
+        zq.scalar_transform(table)
+    assert calls == []
+    table[1] -= 1
+    assert len(zq.scalar_transform(table)) == zq.q - 1
+    assert calls == [zq.q - 1]

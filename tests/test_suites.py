@@ -6,7 +6,7 @@ from conftest import clear_shared_caches
 from padichg import pgamma, suites
 from padichg.cli import _render_csv, _render_json
 from padichg.finitefield import FqElement
-from padichg.padic import UnramifiedContext
+from padichg.padic import UnramifiedContext, ZqElement
 from padichg.suites import (
     DEFAULT_BATTERY,
     SUITE_MIN_P,
@@ -262,6 +262,46 @@ def test_oracle_sweeps_build_no_field_elements(monkeypatch):
             counts[p, r, suite] = len(built)
     for suite in ("zeros", "oracles", "charsums"):
         assert counts[7, 2, suite] == counts[5, 3, suite] <= 10, counts
+
+
+def test_charsums_builds_integer_tables_and_no_zq_values(monkeypatch):
+    # every whole-field table of charsums is a scalar transform: two nGn
+    # tables, three Jacobi families, h and B per Z_q context, and no Z_q
+    # transform; once they are cached, a run builds no Z_q element at all
+    clear_shared_caches()
+    transforms = []
+    scalar = UnramifiedContext.scalar_transform
+
+    def counting(zq, coeffs):
+        transforms.append((zq.q, len(coeffs)))
+        return scalar(zq, coeffs)
+
+    def refuse(zq, coeffs):
+        raise AssertionError("charsums ran the Z_q character transform")
+
+    monkeypatch.setattr(UnramifiedContext, "scalar_transform", counting)
+    monkeypatch.setattr(UnramifiedContext, "character_transform", refuse)
+    for p, r in ((7, 2), (5, 3)):
+        q = p**r
+        assert run_job(JobSpec(p, r, "charsums")).passed()
+        assert transforms == [(q, q - 1)] * 7
+        transforms.clear()
+        _, zq = contexts(p, r, default_precision("charsums", p, r))
+        assert all(isinstance(v, int) for name in ("h", "B") for v in zq.charsum_tables[name])
+
+        init = ZqElement.__init__
+        built = []
+
+        def counting_init(self, context, coeffs):
+            built.append(coeffs)
+            init(self, context, coeffs)
+
+        monkeypatch.setattr(ZqElement, "__init__", counting_init)
+        rep = run_job(JobSpec(p, r, "charsums"))
+        monkeypatch.setattr(ZqElement, "__init__", init)
+        assert rep.passed() and rep.cases_total == q - 2
+        assert built == [] and transforms == []
+    clear_shared_caches()
 
 
 def test_gamma_suite_at_q_in_the_thousands():
