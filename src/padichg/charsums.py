@@ -5,8 +5,8 @@ over the integers, never through Z_q; the Z_q path exists only as a
 cross-check in the tests.  Both are built for every lambda of a field at once
 from the context's Zech-log table dlog(1 + g^d): with phi(g^k) = (-1)^k each
 comes from cyclic correlations of integer sequences of length q-1: a field
-costs O(q) integer work and three packed products (finitefield.correlate),
-once per context: A_values and a_values, which sum_A and sum_a read by dlog.
+costs O(q) integer work and three packed products (finitefield.correlate)
+for A_values and a_values, F_q context tables that sum_A and sum_a read by dlog.
 
 Jacobi sums and the character-averaged sums h and B are sums in Z_q, with
 characters realized as powers of the inverse Teichmuller character.  Each
@@ -17,13 +17,14 @@ dlog x, so c[p e] = c[e]: the families, and the cubes and products built
 from them, are certified Z_p scalars, and every transform is
 UnramifiedContext.scalar_transform on integers mod p^N.  h and B at every
 lambda are one transform each of the Jacobi products; a field costs O(q)
-integer work plus five Kronecker products, once per Z_q context: h_values
-and B_values, which sum_h and sum_B read by dlog and return as Z_q scalars.
+integer work plus five Kronecker products for h_values and B_values, Z_q
+context tables that sum_h and sum_B read by dlog and return as Z_q scalars.
 """
 
 from __future__ import annotations
 
-from .finitefield import ZECH_UNDEFINED, FqContext, FqElement, correlate, pack, quadratic_char
+from .finitefield import ZECH_UNDEFINED, FqContext, FqElement, correlate, memo, pack
+from .finitefield import quadratic_char
 from .padic import UnramifiedContext, ZqElement
 
 
@@ -45,41 +46,41 @@ def _a_weights(phi1: list[int]) -> list[int]:
 
 
 def A_values(fq: FqContext) -> list[int]:
-    """[A(g^k, q) for k in 0..q-2]; built once per context.
+    """[A(g^k, q) for k in 0..q-2].
 
     With S(c) = sum_x f(x) phi(x + c): S(g^k) = (-1)^k sum_i f_i phi(1 + g^(i-k))
     and A(g^k) = sum_j f_j S(g^(k+j)).
     """
-    table = fq.charsum_tables.get("A")
-    if table is None:
-        n = fq.q - 1
-        phi1 = _phi_one_plus(fq)
-        f = _a_weights(phi1)
-        c = _cyclic(f, phi1)
-        s = [c[-k % n] if k % 2 == 0 else -c[-k % n] for k in range(n)]
-        table = _cyclic(f, s)
-        fq.charsum_tables["A"] = table
-    return table
+    return memo(fq, _A_table)
+
+
+def _A_table(fq: FqContext) -> list[int]:
+    n = fq.q - 1
+    phi1 = _phi_one_plus(fq)
+    f = _a_weights(phi1)
+    c = _cyclic(f, phi1)
+    s = [c[-k % n] if k % 2 == 0 else -c[-k % n] for k in range(n)]
+    return _cyclic(f, s)
 
 
 def a_values(fq: FqContext) -> list[int]:
-    """[a(lam, q) for 1/(lam+1) = g^k, k in 0..q-2]; built once per context.
+    """[a(lam, q) for 1/(lam+1) = g^k, k in 0..q-2].
 
     a = phi(1/(lam+1)) + (-1)^k sum_i phi(g^i - 1) phi(g^(2i-k) - 1), where
     phi(g^d - 1) = phi(-1) phi(1 + g^(d + (q-1)/2)); the two phi(-1) cancel.
     """
-    table = fq.charsum_tables.get("a")
-    if table is None:
-        n = fq.q - 1
-        phi1 = _phi_one_plus(fq)
-        psi = phi1[n // 2 :] + phi1[: n // 2]  # psi[d] = phi(-1) phi(g^d - 1)
-        w = [0] * n  # w[e] = sum of psi[i] over 2i = e mod n
-        for i, v in enumerate(psi):
-            w[2 * i % n] += v
-        c = _cyclic(w, psi)
-        table = [1 + c[-k % n] if k % 2 == 0 else -1 - c[-k % n] for k in range(n)]
-        fq.charsum_tables["a"] = table
-    return table
+    return memo(fq, _a_table)
+
+
+def _a_table(fq: FqContext) -> list[int]:
+    n = fq.q - 1
+    phi1 = _phi_one_plus(fq)
+    psi = phi1[n // 2 :] + phi1[: n // 2]  # psi[d] = phi(-1) phi(g^d - 1)
+    w = [0] * n  # w[e] = sum of psi[i] over 2i = e mod n
+    for i, v in enumerate(psi):
+        w[2 * i % n] += v
+    c = _cyclic(w, psi)
+    return [1 + c[-k % n] if k % 2 == 0 else -1 - c[-k % n] for k in range(n)]
 
 
 def sum_A(lam: FqElement) -> int:
@@ -135,20 +136,20 @@ def _jacobi_family(zq: UnramifiedContext, u: int, v: int) -> list[int]:
 
 
 def h_values(zq: UnramifiedContext) -> list[int]:
-    """[h(g^d) mod p^N for d in 0..q-2]; built once per context.
+    """[h(g^d) mod p^N for d in 0..q-2].
 
     With cube_m = J(chi-bar phi, chi)^3 for chi = omega-bar^m, h(g^d) is
     1/(q-1) sum_m omega(g)^(m d) cube_m, transform entry -d.
     """
-    values = zq.charsum_tables.get("h")
-    if values is None:
-        n, m = zq.q - 1, zq.modulus
-        scale = pow(n, -1, m)
-        cubes = [pow(j, 3, m) * scale % m for j in _jacobi_family(zq, -1, 1)]
-        by_index = zq.scalar_transform(cubes)
-        values = [by_index[-d % n] for d in range(n)]
-        zq.charsum_tables["h"] = values
-    return values
+    return memo(zq, _h_table)
+
+
+def _h_table(zq: UnramifiedContext) -> list[int]:
+    n, m = zq.q - 1, zq.modulus
+    scale = pow(n, -1, m)
+    cubes = [pow(j, 3, m) * scale % m for j in _jacobi_family(zq, -1, 1)]
+    by_index = zq.scalar_transform(cubes)
+    return [by_index[-d % n] for d in range(n)]
 
 
 def sum_h(lam: FqElement, zq: UnramifiedContext) -> ZqElement:
@@ -163,19 +164,19 @@ def sum_h(lam: FqElement, zq: UnramifiedContext) -> ZqElement:
 
 
 def B_values(zq: UnramifiedContext) -> list[int]:
-    """[B-sum mod p^N at arg = g^d for d in 0..q-2]; built once per context.
+    """[B-sum mod p^N at arg = g^d for d in 0..q-2].
 
     phi(-2)/(q-1) sum_m J(phi chi^2, chi-bar) J(phi chi, chi-bar) omega-bar^m(arg)
     for chi = omega-bar^m is transform entry d.
     """
-    values = zq.charsum_tables.get("B")
-    if values is None:
-        m = zq.modulus
-        lead = quadratic_char(zq.fq.scalar(-2)) * pow(zq.q - 1, -1, m) % m
-        pairs = zip(_jacobi_family(zq, 2, -1), _jacobi_family(zq, 1, -1))
-        values = zq.scalar_transform([x * y % m * lead % m for x, y in pairs])
-        zq.charsum_tables["B"] = values
-    return values
+    return memo(zq, _B_table)
+
+
+def _B_table(zq: UnramifiedContext) -> list[int]:
+    m = zq.modulus
+    lead = quadratic_char(zq.fq.scalar(-2)) * pow(zq.q - 1, -1, m) % m
+    pairs = zip(_jacobi_family(zq, 2, -1), _jacobi_family(zq, 1, -1))
+    return zq.scalar_transform([x * y % m * lead % m for x, y in pairs])
 
 
 def sum_B(lam: FqElement, zq: UnramifiedContext) -> ZqElement:

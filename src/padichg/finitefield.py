@@ -7,11 +7,12 @@ coefficient-lexicographic order of multiplicative order q - 1.  Elements are
 coefficient vectors in the power basis of that polynomial.
 
 Fields are kept small on purpose (q <= 2^16): the dlog table makes every
-character evaluation O(1) inside the O(q) verification sweeps.  Each context
-also owns, built lazily once, the integer Zech-log table dlog(1 + g^d), from
-which the character-sum oracles of every lambda come at once, and the
-dlog-keyed root tables that answer root counts by lookup.  correlate computes
-every whole-field correlation, over F_q and Z_q, as one exact packed product.
+character evaluation O(1) inside the O(q) verification sweeps.  All else
+derived from a field is built on first use by memo and held in the context's
+tables: the Zech-log table dlog(1 + g^d), from which the character-sum
+oracles of every lambda come at once, the dlog-keyed root tables, and the
+tables of the layers above.  correlate computes every whole-field
+correlation, over F_q and Z_q, as one exact packed product.
 """
 
 from __future__ import annotations
@@ -25,6 +26,16 @@ from .zmod import MAX_Q, is_prime
 
 # zech_table entry at d = (q-1)/2, where 1 + g^d = 0 has no dlog
 ZECH_UNDEFINED = -1
+
+
+def memo(ctx, build, *key):
+    """build(ctx, *key), built on the first call and held in ctx.tables under
+    (build, *key); a table is never mutated, so every caller shares it."""
+    slot = (build, *key)
+    table = ctx.tables.get(slot)
+    if table is None:
+        table = ctx.tables[slot] = build(ctx, *key)
+    return table
 
 
 def _is_irreducible(poly: list[int], p: int) -> bool:
@@ -270,11 +281,7 @@ class FqContext:
             self.exp_table.append(g)
             self.dlog[g.coeffs] = k
             g = self._mul(g, self.generator)
-        self._zech: list[int] | None = None
-        self._jacobi_pairs: list[tuple[int, int]] | None = None
-        # whole-field oracle tables, filled by charsums (A, a) and root_table
-        self.charsum_tables: dict[str, list[int]] = {}
-        self.root_histograms: dict[tuple, list[int]] = {}
+        self.tables: dict[tuple, object] = {}  # filled by memo
 
     def _mul(self, a: FqElement, b: FqElement) -> FqElement:
         return FqElement(self, poly_mulmod(a.coeffs, b.coeffs, self._neg_poly, self.p))
@@ -330,30 +337,28 @@ class FqContext:
 
     def zech_table(self) -> list[int]:
         """zech[d] = dlog(1 + g^d) for d in 0..q-2; ZECH_UNDEFINED at d = (q-1)/2,
-        where 1 + g^d = 0.  Cached."""
-        if self._zech is None:
-            p, dlog = self.p, self.dlog
-            zech = []
-            for x in self.exp_table:
-                c = x.coeffs
-                shifted = ((c[0] + 1) % p,) + c[1:]
-                zech.append(dlog.get(shifted, ZECH_UNDEFINED))
-            self._zech = zech
-        return self._zech
+        where 1 + g^d = 0."""
+        return memo(self, _one_plus_logs)
 
     def jacobi_dlog_pairs(self) -> list[tuple[int, int]]:
-        """(dlog x, dlog(1-x)) for every x outside {0, 1}; cached.
+        """(dlog x, dlog(1-x)) for every x outside {0, 1}, built per call.
 
         1 - g^i = 1 + g^(i + (q-1)/2), so dlog(1 - g^i) is a Zech-table entry.
         """
-        if self._jacobi_pairs is None:
-            n = self.q - 1
-            zech = self.zech_table()
-            self._jacobi_pairs = [(i, zech[(i + n // 2) % n]) for i in range(1, n)]
-        return self._jacobi_pairs
+        n, zech = self.q - 1, self.zech_table()
+        return [(i, zech[(i + n // 2) % n]) for i in range(1, n)]
 
     def __repr__(self):
         return f"FqContext(p={self.p}, r={self.r})"
+
+
+def _one_plus_logs(ctx: FqContext) -> list[int]:
+    p, dlog = ctx.p, ctx.dlog
+    zech = []
+    for x in ctx.exp_table:
+        c = x.coeffs
+        zech.append(dlog.get(((c[0] + 1) % p,) + c[1:], ZECH_UNDEFINED))
+    return zech
 
 
 def make_fq(p: int, r: int) -> FqContext:
@@ -396,12 +401,9 @@ def count_roots(coeffs) -> int:
 
 
 def root_table(ctx: FqContext, upper) -> list[int]:
-    """[#{y : P1(y) = g^d} for d in 0..q-2] + [#{y : P1(y) = 0}], built once per
-    context and P1(y) = sum_{i>=1} upper[i-1] y^i (entries as ctx.coerce takes)."""
-    key = tuple(ctx.coerce(c).coeffs for c in upper)
-    if key not in ctx.root_histograms:
-        ctx.root_histograms[key] = _preimage_histogram(ctx, key)
-    return ctx.root_histograms[key]
+    """[#{y : P1(y) = g^d} for d in 0..q-2] + [#{y : P1(y) = 0}] for
+    P1(y) = sum_{i>=1} upper[i-1] y^i (entries as ctx.coerce takes)."""
+    return memo(ctx, _preimage_histogram, tuple(ctx.coerce(c).coeffs for c in upper))
 
 
 def _preimage_histogram(ctx: FqContext, upper: tuple) -> list[int]:

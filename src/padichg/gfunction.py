@@ -24,8 +24,8 @@ it.  evaluate_g, the GParams facade, accepts any parameters and serves a
 family that fails the certificate by the full Z_q transform
 (character_transform), the one production use of that transform.  A field
 therefore costs an O(q) integer table plus one Kronecker product per
-parameter set, cached on the Z_q context; the suites index the table by
-dlog t.
+parameter set, a table of the Z_q context keyed by (upper, lower); the
+suites index the table by dlog t.
 
 Individual (k, i) factors can carry a negative floor exponent (the b_k = 1/2
 families do at a = (q-1)/2), but the exponents summed over one term always
@@ -40,7 +40,7 @@ from collections import namedtuple
 from fractions import Fraction
 from math import lcm
 
-from .finitefield import FqElement
+from .finitefield import FqElement, memo
 from .padic import EvaluationIntegrityError, UnramifiedContext
 from .pgamma import gamma_cache
 from .rational import (  # noqa: F401  (bench/tracing.py wraps frac and g_exponent here)
@@ -141,34 +141,29 @@ def _coefficient_table(upper, lower, zq: UnramifiedContext) -> list[int]:
     return table
 
 
-def _values(upper: tuple, lower: tuple, zq: UnramifiedContext) -> list:
-    """The cached values of one parameter set: residues mod p^N (scalar_transform)
-    when its coefficient table is Frobenius invariant, else Z_q elements."""
-    key = (upper, lower)
-    values = zq.g_values.get(key)
-    if values is None:
-        upper, lower = _checked(upper, lower, zq.base.p)
-        m = zq.modulus
-        lead = -pow(zq.q - 1, -1, m) % m
-        table = [c * lead % m for c in _coefficient_table(upper, lower, zq)]
-        try:
-            values = zq.scalar_transform(table)
-        except EvaluationIntegrityError:
-            values = zq.character_transform(table)
-        zq.g_values[key] = values
-    return values
+def _values(zq: UnramifiedContext, upper: tuple, lower: tuple) -> list:
+    """The values of one parameter set, indexed by dlog t: residues mod p^N
+    (scalar_transform) when its coefficient table is Frobenius invariant,
+    else Z_q elements."""
+    upper, lower = _checked(upper, lower, zq.base.p)
+    m = zq.modulus
+    lead = -pow(zq.q - 1, -1, m) % m
+    table = [c * lead % m for c in _coefficient_table(upper, lower, zq)]
+    try:
+        return zq.scalar_transform(table)
+    except EvaluationIntegrityError:
+        return zq.character_transform(table)
 
 
 def value_table(upper: tuple, lower: tuple, zq: UnramifiedContext) -> list[int]:
-    """[nGn[upper; lower | g^k] mod p^N for k in 0..q-2], built and
-    parameter-checked on first use per (upper, lower) and context, then
-    cached on the context.
+    """[nGn[upper; lower | g^k] mod p^N for k in 0..q-2], parameter-checked
+    when it is built.
 
     The values are certified Z_p scalars.  A parameter set whose coefficient
     table is not Frobenius invariant has values outside Z_p and raises
     EvaluationIntegrityError; evaluate_g serves such a set in Z_q.
     """
-    values = _values(upper, lower, zq)
+    values = memo(zq, _values, upper, lower)
     if not isinstance(values[0], int):
         raise EvaluationIntegrityError(
             f"coefficient table of {upper}; {lower} fails the Frobenius certificate "
@@ -185,7 +180,7 @@ def evaluate_g(params: GParams) -> GValue:
     zq = params.context
     if params.t.is_zero():
         return GValue(zq.zero, zq.precision)
-    value = _values(params.upper, params.lower, zq)[params.t.dlog()]
+    value = memo(zq, _values, params.upper, params.lower)[params.t.dlog()]
     return GValue(zq.scalar(value) if isinstance(value, int) else value, zq.precision)
 
 

@@ -20,7 +20,7 @@ from collections import namedtuple
 from math import lcm
 
 from . import rational
-from .pgamma import check_feasible, gamma_cache
+from .pgamma import InfeasibleError, check_feasible, gamma_cache
 from .zmod import PadicContext, is_prime
 
 DEFAULT_BATTERY = ((3, 1), (5, 1), (7, 1), (11, 1), (13, 1), (3, 2), (5, 2), (7, 2))
@@ -50,7 +50,10 @@ SUITE_MIN_P = {
 
 
 class JobSpec(namedtuple("JobSpec", "p r suite precision restrict record_cases")):
-    """One verification job: a field, a precision, a suite, optional restriction."""
+    """One verification job: a field, a precision, a suite, optional restriction.
+
+    A precision of None is resolved here, to default_precision(suite, p, r).
+    """
 
     __slots__ = ()
 
@@ -69,7 +72,9 @@ class JobSpec(namedtuple("JobSpec", "p r suite precision restrict record_cases")
             raise ValueError("r must be >= 1")
         if suite not in SUITE_NAMES:
             raise ValueError(f"unknown suite {suite!r}")
-        if precision is not None and precision < 1:
+        if precision is None:
+            precision = default_precision(suite, p, r)
+        elif precision < 1:
             raise ValueError("precision must be >= 1")
         return super().__new__(cls, p, r, suite, precision, restrict, record_cases)
 
@@ -206,8 +211,6 @@ def _require(job: JobSpec):
     min_p = SUITE_MIN_P[job.suite]
     if job.p < min_p:
         raise ValueError(f"suite {job.suite!r} requires p >= {min_p}, got p={job.p}")
-    if job.precision is None:
-        raise ValueError("precision must be resolved before running a suite")
     if job.suite in ("zeros", "oracles") and job.p**job.precision < 7:
         raise ValueError("insufficient precision: integer recovery needs p^N >= 7")
     if job.suite == "charsums" and job.p**job.precision <= 2 * job.q**2:
@@ -317,20 +320,44 @@ def verify_floor_lemmas(job: JobSpec) -> Report:
 INTEGER_SUITES = {"gamma": verify_gamma_identities, "floors": verify_floor_lemmas}
 
 
+# Bound on the decimal digits of the packed correlation product of a field
+# suite (packed_digits).  Of the runs measured on a 2-vCPU shared machine,
+# the largest it admits, 7^5 euler at N = 200 (1.56e8 digits), took 29-65 s
+# and peaked at 501 MB of RSS; 3^10 clausen at N = 300 (9.9e8 digits) ran
+# out of a 1.5 GB address space after 55 s.  Every default precision at
+# q <= 2^16 is below 10^8 digits.
+MAX_PACKED_DIGITS = 3 * 10**8
+
+
+def packed_digits(p: int, r: int, precision: int) -> int:
+    """Decimal digits of the product that correlates a coefficient table
+    with the packed chirp: 3(q-1)-2 blocks of 2r-1 slots, each slot as wide
+    as finitefield.pack makes it for the chirp bound (q-1) r (p^N-1)^2."""
+    n = p**r - 1
+    width = len(str(2 * n * r * (p**precision - 1) ** 2))
+    return (3 * n - 2) * (2 * r - 1) * width
+
+
 def check_admissible(job: JobSpec) -> None:
     """Refuse a job whose Gamma_p digit table would exceed pgamma.MAX_TABLE_WORK
+    or whose packed correlation would exceed MAX_PACKED_DIGITS
     (pgamma.InfeasibleError), or whose p^N its suite refuses (ValueError).
 
-    Raises before any context is built, from the job and the resolved
-    precision alone.  Skipped jobs and the floors suite evaluate no Gamma_p.
+    Raises before any context is built, from the job alone.  Skipped jobs
+    and the floors suite evaluate no Gamma_p, and only the field suites
+    correlate.
     """
     if job.suite == "floors" or job.p < SUITE_MIN_P[job.suite]:
         return
-    precision = job.precision
-    if precision is None:
-        precision = default_precision(job.suite, job.p, job.r)
-    check_feasible(job.p, precision)
-    _require(job._replace(precision=precision))
+    check_feasible(job.p, job.precision)
+    _require(job)
+    if job.suite not in INTEGER_SUITES:
+        digits = packed_digits(job.p, job.r, job.precision)
+        if digits > MAX_PACKED_DIGITS:
+            raise InfeasibleError(
+                f"the packed correlation at q = {job.q}, N = {job.precision} has about"
+                f" {digits:.2e} digits (more than {MAX_PACKED_DIGITS:.0e})"
+            )
 
 
 def run_job(job: JobSpec) -> Report:
@@ -340,16 +367,12 @@ def run_job(job: JobSpec) -> Report:
     broken certificate) fails its job: the Report holds one failure naming
     the exception, so the run still writes every record.
     """
-    precision = job.precision
-    if precision is None:
-        precision = default_precision(job.suite, job.p, job.r)
-        job = job._replace(precision=precision)
     if job.p < SUITE_MIN_P[job.suite]:
         return Report(
             suite=job.suite,
             p=job.p,
             r=job.r,
-            precision=precision,
+            precision=job.precision,
             q=job.q,
             skipped=True,
         )

@@ -14,19 +14,20 @@ two big integers.  When c[p a] = c[a] for every a, Frobenius fixes every
 sum, so each lies in Z_p and the sums at k and p k agree: scalar_transform
 checks this certificate, returns the sums as integers mod p^N, reads one
 correlation block per Frobenius orbit of k, and takes each value as a dot
-product of the unreduced block with weights built once per context.  Every
-production whole-field table (the nGn values, the Jacobi families, h and B)
-is built this way, so a point of a field is an integer lookup.  The full
-Z_q character_transform serves only evaluate_g's parameter families that
-fail the certificate.  The derived tables of a context are each filled once
-and never mutated.
+product of the unreduced block with per-context weights.  Every production
+whole-field table (the nGn values, the Jacobi families, h and B) is built
+this way, so a point of a field is an integer lookup.  The full Z_q
+character_transform serves only evaluate_g's parameter families that fail
+the certificate.  A Z_q context is a table of its F_q context, keyed by
+precision, and holds its own tables (the Teichmuller powers, the packed
+chirp, the weights, the nGn, h and B values) through finitefield.memo.
 """
 
 from __future__ import annotations
 
 from operator import mul
 
-from .finitefield import FqContext, FqElement, correlate, pack, poly_mulmod, poly_reduce
+from .finitefield import FqContext, FqElement, correlate, memo, pack, poly_mulmod, poly_reduce
 from .zmod import PadicContext, ZpElement
 
 
@@ -49,14 +50,7 @@ class UnramifiedContext:
         self._neg_poly = tuple((-c) % self.modulus for c in self.poly)
         self.zero = ZqElement(self, (0,) * self.r)
         self.one = ZqElement(self, (1,) + (0,) * (self.r - 1))
-        self._omega_pows: list[ZqElement] | None = None
-        self._chirp: tuple | None = None  # the packed chirp of both transforms
-        self._weights: tuple | None = None  # orbits and post-twiddles of scalar_transform
-        # filled on first use, indexed by dlog: nGn values by gfunction, keyed
-        # by (upper, lower), residues mod p^N where certified and ZqElements
-        # otherwise; h and B values by charsums, residues mod p^N keyed by name
-        self.g_values: dict[tuple, list] = {}
-        self.charsum_tables: dict[str, list[int]] = {}
+        self.tables: dict[tuple, object] = {}  # filled by finitefield.memo
 
     def element(self, coeffs) -> "ZqElement":
         coeffs = tuple(int(c) % self.modulus for c in coeffs)
@@ -99,20 +93,7 @@ class UnramifiedContext:
         omega(g) is the limit of x -> x^q from the verbatim lift of g: each
         step gains r digits, so N + 2 steps are a safe cap.
         """
-        if self._omega_pows is None:
-            w = ZqElement(self, self.fq.generator.coeffs)
-            for _ in range(self.precision + 2):
-                y = w**self.q
-                if y == w:
-                    break
-                w = y
-            else:
-                raise ArithmeticError("Teichmuller iteration failed to stabilize")
-            pows = [self.one]
-            for _ in range(self.q - 2):
-                pows.append(pows[-1] * w)
-            self._omega_pows = pows
-        return self._omega_pows
+        return memo(self, _teichmuller_powers)
 
     def character_transform(self, coeffs) -> list["ZqElement"]:
         """[sum_a coeffs[a] * omega(g)^(-a k) for k in 0..q-2], every k at once.
@@ -145,8 +126,8 @@ class UnramifiedContext:
         scalar, equal to its constant coefficient, and one k per orbit of
         k -> p k mod (q-1) is read from the correlation.  The post-twiddle
         is then a dot product of the 2r-1 unreduced slots of block k with
-        mu_k[s], the constant coefficient of x^s W^C(k,2) mod f, built once
-        per context; no polynomial is reduced per k.
+        mu_k[s], the constant coefficient of x^s W^C(k,2) mod f; no
+        polynomial is reduced per k.
         """
         m, b, n, p = self.modulus, 2 * self.r - 1, self.q - 1, self.base.p
         # a table of the wrong length is refused by _chirp_correlation
@@ -165,50 +146,73 @@ class UnramifiedContext:
         n, m = self.q - 1, self.modulus
         if len(coeffs) != n:
             raise ValueError(f"expected {n} coefficients")
-        pows = self.omega_generator_powers()
-        if self._chirp is None:  # W^-C(j,2) for j in 0..2q-4, packed once per context
-            chirp = [pows[-(j * (j - 1) // 2) % n].coeffs for j in range(2 * n - 1)]
-            # a slot sums at most n * r products of residues below m
-            self._chirp = pack(chirp, n * self.r * (m - 1) ** 2)
+        # the chirp is packed before u exists, so their peaks do not add up
+        pows, chirp = self.omega_generator_powers(), memo(self, _packed_chirp)
         u = [[c * w % m for w in pows[a * (a - 1) // 2 % n].coeffs] for a, c in enumerate(coeffs)]
-        return correlate(u, self._chirp, rows)
+        return correlate(u, chirp, rows)
 
     def _scalar_weights(self) -> tuple:
         """(reps, orbit, mu) of scalar_transform: the least k of each Frobenius
         orbit; the index in reps of the orbit of every k, or None at r = 1,
         where every orbit is one k; and mu_k[s] for each k in reps, s in
         0..2r-2, as one flat list."""
-        if self._weights is None:
-            n, p, r, m = self.q - 1, self.base.p, self.r, self.modulus
-            reps, orbit = range(n), None
-            if r > 1:
-                reps, orbit = [], [-1] * n
-                for k in range(n):
-                    if orbit[k] < 0:
-                        j = k
-                        while orbit[j] < 0:  # p is a unit mod q-1, so the walk returns to k
-                            orbit[j] = len(reps)
-                            j = j * p % n
-                        reps.append(k)
-            # e[t]: the constant coefficient of x^t mod f, for t in 0..3r-3
-            e, x = [], [1] + [0] * (r - 1)
-            for _ in range(3 * r - 2):
-                e.append(x[0])
-                top = x[-1]
-                x = [(lo + top * c) % m for lo, c in zip([0] + x[:-1], self._neg_poly)]
-            pows = self.omega_generator_powers()
-            mu = []
-            for k in reps:
-                post = pows[k * (k - 1) // 2 % n].coeffs
-                mu += [sum(map(mul, post, e[s : s + r])) % m for s in range(2 * r - 1)]
-            self._weights = reps, orbit, mu
-        return self._weights
+        return memo(self, _frobenius_weights)
 
     def reduce_mod_p(self, x: "ZqElement") -> FqElement:
         return FqElement(self.fq, tuple(c % self.base.p for c in x.coeffs))
 
     def __repr__(self):
         return f"UnramifiedContext(p={self.base.p}, r={self.r}, N={self.precision})"
+
+
+def _teichmuller_powers(zq: UnramifiedContext) -> list["ZqElement"]:
+    w = ZqElement(zq, zq.fq.generator.coeffs)
+    for _ in range(zq.precision + 2):
+        y = w**zq.q
+        if y == w:
+            break
+        w = y
+    else:
+        raise ArithmeticError("Teichmuller iteration failed to stabilize")
+    pows = [zq.one]
+    for _ in range(zq.q - 2):
+        pows.append(pows[-1] * w)
+    return pows
+
+
+def _packed_chirp(zq: UnramifiedContext) -> tuple:
+    """W^-C(j,2) for j in 0..2q-4, packed as the v of finitefield.correlate."""
+    n, m = zq.q - 1, zq.modulus
+    pows = zq.omega_generator_powers()
+    chirp = [pows[-(j * (j - 1) // 2) % n].coeffs for j in range(2 * n - 1)]
+    # a slot sums at most n * r products of residues below m
+    return pack(chirp, n * zq.r * (m - 1) ** 2)
+
+
+def _frobenius_weights(zq: UnramifiedContext) -> tuple:
+    n, p, r, m = zq.q - 1, zq.base.p, zq.r, zq.modulus
+    reps, orbit = range(n), None
+    if r > 1:
+        reps, orbit = [], [-1] * n
+        for k in range(n):
+            if orbit[k] < 0:
+                j = k
+                while orbit[j] < 0:  # p is a unit mod q-1, so the walk returns to k
+                    orbit[j] = len(reps)
+                    j = j * p % n
+                reps.append(k)
+    # e[t]: the constant coefficient of x^t mod f, for t in 0..3r-3
+    e, x = [], [1] + [0] * (r - 1)
+    for _ in range(3 * r - 2):
+        e.append(x[0])
+        top = x[-1]
+        x = [(lo + top * c) % m for lo, c in zip([0] + x[:-1], zq._neg_poly)]
+    pows = zq.omega_generator_powers()
+    mu = []
+    for k in reps:
+        post = pows[k * (k - 1) // 2 % n].coeffs
+        mu += [sum(map(mul, post, e[s : s + r])) % m for s in range(2 * r - 1)]
+    return reps, orbit, mu
 
 
 class ZqElement:

@@ -10,8 +10,9 @@ hypothesis; run_job records such fields as skipped instead.
 The job model (JobSpec, Report, run_job, admission) and the two integer
 suites, gamma and floors, live in jobs and are re-exported here, with SUITES
 naming all eight.  jobs.run_job imports this module, and with it the F_q,
-Z_q, nGn and character-sum layers, at the first field job.  The shared
-(F_q, Z_q) context caches are kept here.
+Z_q, nGn and character-sum layers, at the first field job.  The shared F_q
+contexts are kept here, one per (p, r); each holds its Z_q contexts and
+every other table derived from it (finitefield.memo).
 
 The nGn suites read gfunction.value_table by k = dlog x.  With n = q-1 and
 h = n/2, indices mod n: 1/x is -k, 1 - x is zech[k+h], x + 1 is zech[k],
@@ -31,7 +32,7 @@ from fractions import Fraction
 from .charsums import A_values, B_values, a_values, aop_identity_at, h_values
 from .charsums import sum_A, sum_a, sum_B, sum_h  # noqa: F401  (bench/tracing.py wraps them here)
 from .charsums import verify_aop_identity  # noqa: F401  (bench/tracing.py wraps it here)
-from .finitefield import FqContext, quadratic_char, root_table
+from .finitefield import FqContext, memo, quadratic_char, root_table
 from .finitefield import count_roots  # noqa: F401  (bench/tracing.py wraps it here)
 from .gfunction import GParams, evaluate_g, value_table
 from .gfunction import evaluate_g_inverted  # noqa: F401  (bench/tracing.py wraps it here)
@@ -69,27 +70,19 @@ _CUBIC_SCALED = (0, -1, 1)  # P1 of the cubic y^3 - y^2 + 4x/27
 
 
 _fq_cache: dict[tuple[int, int], FqContext] = {}
-_zq_cache: dict[tuple[int, int, int], UnramifiedContext] = {}
 
 
 def field_context(p: int, r: int) -> FqContext:
-    key = (p, r)
-    ctx = _fq_cache.get(key)
+    ctx = _fq_cache.get((p, r))
     if ctx is None:
-        ctx = FqContext(p, r)
-        _fq_cache[key] = ctx
+        ctx = _fq_cache[p, r] = FqContext(p, r)
     return ctx
 
 
 def contexts(p: int, r: int, precision: int) -> tuple[FqContext, UnramifiedContext]:
-    """Shared (F_q, Z_q) pair built from one defining polynomial."""
+    """The shared F_q context and the Z_q context at this precision that it holds."""
     fq = field_context(p, r)
-    key = (p, r, precision)
-    zq = _zq_cache.get(key)
-    if zq is None:
-        zq = UnramifiedContext(fq, precision)
-        _zq_cache[key] = zq
-    return fq, zq
+    return fq, memo(fq, UnramifiedContext, precision)
 
 
 def _label(x: tuple) -> str:

@@ -5,8 +5,7 @@ from padichg import pgamma, suites
 
 def clear_shared_caches():
     pgamma._caches.clear()
-    suites._fq_cache.clear()
-    suites._zq_cache.clear()
+    suites._fq_cache.clear()  # each F_q context holds its Z_q contexts
 
 
 @pytest.fixture

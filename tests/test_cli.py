@@ -284,17 +284,45 @@ def test_huge_field_parameters_are_refused_at_once(capsys):
 def test_infeasible_gamma_job_is_refused_before_running(capsys):
     from padichg import pgamma, suites
 
-    caches_before = (len(pgamma._caches), len(suites._fq_cache), len(suites._zq_cache))
+    caches_before = (len(pgamma._caches), len(suites._fq_cache))
     err = _usage_exit(capsys, ["--p", "3", "--suite", "gamma", "--precision", "1000000"])
     assert "refused" in err and "3^1000000" in err
     err = _usage_exit(capsys, ["--p", "65521", "--suite", "euler", "--precision", "60000"])
     assert "refused" in err and "65521^60000" in err
-    assert (len(pgamma._caches), len(suites._fq_cache), len(suites._zq_cache)) == caches_before
+    assert (len(pgamma._caches), len(suites._fq_cache)) == caches_before
     # one refused job refuses the whole run, before any job starts
     err = _usage_exit(capsys, ["--p", "3", "--suite", "all", "--precision", "1000000"])
     assert "refused" in err
     # the floors suite evaluates no Gamma_p, so any precision is admitted
     assert parse_args(["--p", "5", "--suite", "floors", "--precision", "1000000"]).jobs
+
+
+def test_packed_correlation_past_its_bound_is_refused():
+    # parse_args only: a refused job would run for minutes and exhaust memory
+    from padichg.jobs import MAX_PACKED_DIGITS, default_precision, packed_digits
+
+    argv = ["--p", "3", "--r", "10", "--suite", "clausen", "--precision", "300"]
+    with pytest.raises(UsageError, match=r"refused: the packed correlation .* 9\.86e\+08 digits"):
+        parse_args(argv)
+    # the largest runs measured to finish stay admitted
+    for p, r, suite, n in ((7, 5, "euler", 200), (3, 8, "clausen", 400)):
+        assert packed_digits(p, r, n) > 10**8
+        assert parse_args(["--p", str(p), "--r", str(r), "--suite", suite, "--precision", str(n)])
+    # and so does every suite at its default precision at the large fields
+    for p, r in ((65521, 1), (251, 2), (5, 6), (7, 5), (3, 10)):
+        assert len(parse_args(["--p", str(p), "--r", str(r)]).jobs) == 8
+    assert packed_digits(3, 10, default_precision("charsums", 3, 10)) < MAX_PACKED_DIGITS
+
+
+@pytest.mark.parametrize("p,r,n", [(5, 1, 4), (7, 2, 5), (3, 3, 9)])
+def test_packed_digits_is_the_size_of_the_correlation_product(p, r, n):
+    from padichg.finitefield import make_fq
+    from padichg.jobs import packed_digits
+    from padichg.padic import UnramifiedContext, _packed_chirp
+
+    # finitefield.correlate multiplies q-1 blocks of the table by the packed chirp
+    _, width, count = _packed_chirp(UnramifiedContext(make_fq(p, r), n))
+    assert packed_digits(p, r, n) == width * (2 * r - 1) * (p**r - 1 + count - 1)
 
 
 @pytest.mark.parametrize(
@@ -308,10 +336,10 @@ def test_infeasible_gamma_job_is_refused_before_running(capsys):
 def test_too_small_precision_is_refused_before_running(capsys, argv, need):
     from padichg import pgamma, suites
 
-    caches_before = (len(pgamma._caches), len(suites._fq_cache), len(suites._zq_cache))
+    caches_before = (len(pgamma._caches), len(suites._fq_cache))
     err = _usage_exit(capsys, argv)
     assert "refused" in err and "insufficient precision" in err and need in err
-    assert (len(pgamma._caches), len(suites._fq_cache), len(suites._zq_cache)) == caches_before
+    assert (len(pgamma._caches), len(suites._fq_cache)) == caches_before
 
 
 def test_suites_without_integer_recovery_admit_precision_one():

@@ -137,7 +137,7 @@ def test_value_table_checks_parameters_when_it_builds():
     for upper, lower in (((F(1, 5),), (F(0),)), ((F(1, 2),), (F(0), F(1, 2))), ((), ())):
         with pytest.raises(ValueError):
             value_table(upper, lower, zq)
-    assert zq.g_values == {}
+    assert zq.tables == {}
     # a table is indexed by dlog t and matches the GParams facade
     values = value_table(*G_CUBIC, zq)
     assert value_table(*G_CUBIC, zq) is values
@@ -175,12 +175,12 @@ def test_sweep_reuses_one_coefficient_table(monkeypatch):
         evaluate_g(GParams(*G_CUBIC, t, zq))
     once = [("table", G_CUBIC[0]), ("transform", fq.q - 1)]
     assert builds == once
-    values = zq.g_values[G_CUBIC]
+    values = value_table(*G_CUBIC, zq)
     for t in fq.elements():
         evaluate_g(GParams(*G_SEXTIC, t, zq))
         evaluate_g(GParams(*G_CUBIC, t, zq))
     assert builds == once + [("table", G_SEXTIC[0]), ("transform", fq.q - 1)]
-    assert zq.g_values[G_CUBIC] is values
+    assert value_table(*G_CUBIC, zq) is values
     # another Z_q context of the same field owns its own values
     evaluate_g(GParams(*G_CUBIC, fq.one, UnramifiedContext(fq, 4)))
     assert len(builds) == 6

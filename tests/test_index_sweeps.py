@@ -19,6 +19,7 @@ from oracles import (
     zero_classification_pointwise,
 )
 
+from padichg import gfunction
 from padichg.charsums import A_values, B_values, a_values, h_values
 from padichg.finitefield import root_table
 from padichg.gfunction import value_table
@@ -72,7 +73,7 @@ def _rotate_value_tables(zq):
         families += [_EULER_LEFT, _EULER_RIGHT, _EULER_RIGHT[::-1]]
     for upper, lower in families:
         values = value_table(upper, lower, zq)
-        zq.g_values[upper, lower] = values[1:] + values[:1]
+        zq.tables[gfunction._values, upper, lower] = values[1:] + values[:1]
 
 
 def _compare(p, r, restrict=None, rotate=False):

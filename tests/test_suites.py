@@ -4,6 +4,7 @@ import pytest
 from conftest import clear_shared_caches
 
 from padichg import pgamma, suites
+from padichg.charsums import B_values, h_values
 from padichg.cli import _render_csv, _render_json
 from padichg.finitefield import FqElement
 from padichg.padic import UnramifiedContext, ZqElement
@@ -44,6 +45,15 @@ def test_records_keep_their_value_semantics():
     first.failures.append(None)
     first.case_rows.append(None)
     assert second.failures == [] and second.case_rows == []
+
+
+def test_job_resolves_its_default_precision():
+    for suite in SUITE_NAMES:
+        for p, r in ((5, 1), (7, 2), (3, 4)):
+            job = JobSpec(p, r, suite)
+            assert job.precision == default_precision(suite, p, r)
+            assert job._replace(precision=None) == job
+            assert JobSpec(p, r, suite, precision=2).precision == 2
 
 
 def test_default_precision_policy():
@@ -287,7 +297,7 @@ def test_charsums_builds_integer_tables_and_no_zq_values(monkeypatch):
         assert transforms == [(q, q - 1)] * 7
         transforms.clear()
         _, zq = contexts(p, r, default_precision("charsums", p, r))
-        assert all(isinstance(v, int) for name in ("h", "B") for v in zq.charsum_tables[name])
+        assert all(isinstance(v, int) for values in (h_values(zq), B_values(zq)) for v in values)
 
         init = ZqElement.__init__
         built = []
