@@ -116,7 +116,7 @@ def jacobi_sum(i: int, j: int, zq: UnramifiedContext) -> ZqElement:
     acc = [0] * zq.r
     for e, c in enumerate(counts):
         if c:
-            for t, w in enumerate(pows[e].coeffs):
+            for t, w in enumerate(pows[e]):
                 acc[t] += c * w
     return zq.element(acc)
 

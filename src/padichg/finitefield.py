@@ -4,7 +4,9 @@ Contexts are deterministic: the defining polynomial is the lexicographically
 smallest monic irreducible of degree r over F_p (coefficients ordered
 c_0, c_1, ..., c_{r-1}), and the generator is the smallest element in
 coefficient-lexicographic order of multiplicative order q - 1.  Elements are
-coefficient vectors in the power basis of that polynomial.
+coefficient vectors in the power basis of that polynomial; tables hold bare
+tuples (powers[k] = g^k), and FqElement is the API facade, made on demand.
+F_q and Z_q share poly_mulmod, poly_powmod and poly_powers.
 
 Fields are kept small on purpose (q <= 2^16): the dlog table makes every
 character evaluation O(1) inside the O(q) verification sweeps.  All else
@@ -21,6 +23,7 @@ import decimal
 import itertools
 import sys
 from decimal import Decimal
+from operator import mul
 
 from .zmod import MAX_Q, is_prime
 
@@ -70,6 +73,31 @@ def poly_mulmod(a: tuple, b: tuple, neg_poly: tuple, m: int) -> tuple[int, ...]:
             for j, bj in enumerate(b):
                 prod[i + j] += ai * bj
     return poly_reduce(prod, neg_poly, m)
+
+
+def poly_powmod(a: tuple, e: int, neg_poly: tuple, m: int) -> tuple[int, ...]:
+    """a^e in (Z/m)[x] / (f) for e >= 0, by square-and-multiply; a^0 = 1."""
+    out = (1,) + (0,) * (len(a) - 1)
+    for bit in bin(e)[2:]:  # most significant first
+        out = poly_mulmod(out, out, neg_poly, m)
+        if bit == "1":
+            out = poly_mulmod(out, a, neg_poly, m)
+    return out
+
+
+def poly_powers(a: tuple, count: int, neg_poly: tuple, m: int) -> list[tuple[int, ...]]:
+    """[a^k in (Z/m)[x] / (f) for k in 0..count-1], for a reduced mod m.
+
+    Multiplication by a is the fixed r x r matrix whose column j is
+    a x^j mod f, so each power costs r^2 products and no reduction.
+    """
+    r = len(a)
+    rows = list(zip(*(poly_reduce([0] * j + list(a), neg_poly, m) for j in range(r))))
+    x, out = (1,) + (0,) * (r - 1), []
+    for _ in range(count):
+        out.append(x)
+        x = tuple(sum(map(mul, row, x)) % m for row in rows)
+    return out
 
 
 def poly_reduce(prod: list, neg_poly: tuple, m: int) -> tuple[int, ...]:
@@ -218,8 +246,8 @@ class FqElement:
         return self.context.coerce(other) - self
 
     def __mul__(self, other):
-        other = self.context.coerce(other)
-        return self.context._mul(self, other)
+        ctx, other = self.context, self.context.coerce(other)
+        return FqElement(ctx, poly_mulmod(self.coeffs, other.coeffs, ctx._neg_poly, ctx.p))
 
     __rmul__ = __mul__
 
@@ -227,8 +255,7 @@ class FqElement:
         ctx = self.context
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero in F_q")
-        k = ctx.dlog[self.coeffs]
-        return ctx.exp_table[(ctx.q - 1 - k) % (ctx.q - 1)]
+        return FqElement(ctx, ctx.powers[-ctx.dlog[self.coeffs] % (ctx.q - 1)])
 
     def __truediv__(self, other):
         return self * self.context.coerce(other).inverse()
@@ -239,8 +266,7 @@ class FqElement:
             if e < 0:
                 raise ZeroDivisionError("negative power of zero in F_q")
             return ctx.one if e == 0 else ctx.zero
-        k = ctx.dlog[self.coeffs]
-        return ctx.exp_table[(k * e) % (ctx.q - 1)]
+        return FqElement(ctx, ctx.powers[ctx.dlog[self.coeffs] * e % (ctx.q - 1)])
 
     def dlog(self) -> int:
         """Discrete log base the context generator; undefined at zero."""
@@ -274,35 +300,18 @@ class FqContext:
         self.zero = FqElement(self, (0,) * r)
         self.one = FqElement(self, (1,) + (0,) * (r - 1))
         self.generator = self._find_generator()
-        self.exp_table: list[FqElement] = []
-        self.dlog: dict[tuple[int, ...], int] = {}
-        g = self.one
-        for k in range(q - 1):
-            self.exp_table.append(g)
-            self.dlog[g.coeffs] = k
-            g = self._mul(g, self.generator)
+        # powers[k] = g^k as a coefficient tuple, and dlog its inverse
+        self.powers = poly_powers(self.generator.coeffs, q - 1, self._neg_poly, p)
+        self.dlog = {c: k for k, c in enumerate(self.powers)}
         self.tables: dict[tuple, object] = {}  # filled by memo
 
-    def _mul(self, a: FqElement, b: FqElement) -> FqElement:
-        return FqElement(self, poly_mulmod(a.coeffs, b.coeffs, self._neg_poly, self.p))
-
     def _order(self, x: FqElement) -> bool:
-        """True iff x has multiplicative order exactly q - 1."""
-        n = self.q - 1
-        if x.is_zero():
-            return False
-        for ell in _prime_factors(n):
-            y = self.one
-            e = n // ell
-            base = x
-            while e:  # square-and-multiply without the dlog table
-                if e & 1:
-                    y = self._mul(y, base)
-                base = self._mul(base, base)
-                e >>= 1
-            if y == self.one:
-                return False
-        return True
+        """True iff x has multiplicative order exactly q - 1 (no dlog table needed)."""
+        n, one = self.q - 1, self.one.coeffs
+        return not x.is_zero() and all(
+            poly_powmod(x.coeffs, n // ell, self._neg_poly, self.p) != one
+            for ell in _prime_factors(n)
+        )
 
     def _find_generator(self) -> FqElement:
         for t in itertools.product(range(self.p), repeat=self.r):
@@ -354,11 +363,7 @@ class FqContext:
 
 def _one_plus_logs(ctx: FqContext) -> list[int]:
     p, dlog = ctx.p, ctx.dlog
-    zech = []
-    for x in ctx.exp_table:
-        c = x.coeffs
-        zech.append(dlog.get(((c[0] + 1) % p,) + c[1:], ZECH_UNDEFINED))
-    return zech
+    return [dlog.get(((c[0] + 1) % p,) + c[1:], ZECH_UNDEFINED) for c in ctx.powers]
 
 
 def make_fq(p: int, r: int) -> FqContext:
@@ -382,13 +387,17 @@ def count_roots(coeffs) -> int:
     """Distinct roots in F_q of sum coeffs[i] * y^i; degree <= 3.
 
     A root is a y with P1(y) = -c_0, where P1 is the non-constant part, so the
-    count is root_table(ctx, P1) at dlog(-c_0).  The degree cap is a documented
-    bound, not intrinsic to the definition.  The zero polynomial is rejected.
+    count is root_table(ctx, P1) at dlog(-c_0).  Coefficients are FqElements or
+    ints, and the first FqElement names the field; with none, TypeError.  The
+    degree cap is a documented bound, not intrinsic to the definition.  The
+    zero polynomial is rejected.
     """
     coeffs = list(coeffs)
     if not coeffs:
         raise ValueError("zero polynomial has no well-defined root count")
-    ctx = coeffs[0].context
+    ctx = next((c.context for c in coeffs if isinstance(c, FqElement)), None)
+    if ctx is None:
+        raise TypeError("count_roots needs an F_q element among the coefficients")
     coeffs = [ctx.coerce(c) for c in coeffs]
     nonzero = [i for i, c in enumerate(coeffs) if not c.is_zero()]
     if not nonzero:

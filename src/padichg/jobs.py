@@ -145,9 +145,10 @@ class Report:
 def default_precision(suite: str, p: int, r: int) -> int:
     """max(floor, smallest N with p^N > 2*bound).
 
-    bound is 4 for the congruence and root-count suites, q for the single-sum
-    recovery inside clausen's chain, q^2 for the double-sum recovery of the
-    charsums suite; clausen's floor of 5 matches its stated tolerance.
+    bound is 4 for the congruence and root-count suites, q for clausen, which
+    compares residues and recovers no integer but keeps its q phi(1-x) term
+    nonzero mod p^N, q^2 for the double-sum recovery of the charsums suite;
+    clausen's floor of 5 matches its stated tolerance.
     """
     q = p**r
     if suite == "charsums":

@@ -5,7 +5,8 @@ represented as Z[x] / (f(x), p^N) in the power basis of the same defining
 polynomial as the paired F_q context, lifted verbatim; reduction mod p
 therefore intertwines the two rings coefficient-wise.  Every
 Teichmuller and character value is read from one table per context, the
-powers of omega(g) for the F_q generator g, indexed by discrete log.
+powers of omega(g) for the F_q generator g, indexed by discrete log, held as
+coefficient tuples (finitefield.poly_powers); ZqElement is the API facade.
 
 A character sum over a whole field, sum_a c_a omega(g)^(-a k) for every k
 at once and integer c_a, is a binomial-chirp correlation computed by
@@ -27,7 +28,8 @@ from __future__ import annotations
 
 from operator import mul
 
-from .finitefield import FqContext, FqElement, correlate, memo, pack, poly_mulmod, poly_reduce
+from .finitefield import FqContext, FqElement, correlate, memo, pack
+from .finitefield import poly_mulmod, poly_powers, poly_powmod, poly_reduce
 from .zmod import PadicContext, ZpElement
 
 
@@ -66,9 +68,6 @@ class UnramifiedContext:
             value = value.residue
         return ZqElement(self, (value % self.modulus,) + (0,) * (self.r - 1))
 
-    def _mul(self, a: "ZqElement", b: "ZqElement") -> "ZqElement":
-        return ZqElement(self, poly_mulmod(a.coeffs, b.coeffs, self._neg_poly, self.modulus))
-
     def dlog(self, t: FqElement) -> int:
         """dlog of a nonzero t of this context's field, the index into the power table."""
         if t.context is not self.fq:
@@ -79,16 +78,17 @@ class UnramifiedContext:
         """The (q-1)-th root of unity congruent to t mod p: omega(g)^(dlog t)."""
         if t.is_zero():
             raise ValueError("Teichmuller lift of 0 is undefined; use char_value")
-        return self.omega_generator_powers()[self.dlog(t)]
+        return ZqElement(self, self.omega_generator_powers()[self.dlog(t)])
 
     def char_value(self, j: int, t: FqElement) -> "ZqElement":
         """omega-bar^j(t) with the chi(0) = 0 convention (0 for t = 0, all j)."""
         if t.is_zero():
             return self.zero
-        return self.omega_generator_powers()[-j * self.dlog(t) % (self.q - 1)]
+        return ZqElement(self, self.omega_generator_powers()[-j * self.dlog(t) % (self.q - 1)])
 
-    def omega_generator_powers(self) -> list["ZqElement"]:
-        """[omega(g)^m for m in 0..q-2]; omega(g^k) = omega(g)^k exactly.
+    def omega_generator_powers(self) -> list[tuple[int, ...]]:
+        """[omega(g)^m for m in 0..q-2] as coefficient tuples; omega(g^k) =
+        omega(g)^k exactly.
 
         omega(g) is the limit of x -> x^q from the verbatim lift of g: each
         step gains r digits, so N + 2 steps are a safe cap.
@@ -112,7 +112,7 @@ class UnramifiedContext:
         out = []
         for k, slots in enumerate(self._chirp_correlation(coeffs)):
             x = poly_reduce(slots, neg, m)
-            post = pows[k * (k - 1) // 2 % n].coeffs
+            post = pows[k * (k - 1) // 2 % n]
             out.append(ZqElement(self, poly_mulmod(x, post, neg, m)))
         return out
 
@@ -148,7 +148,7 @@ class UnramifiedContext:
             raise ValueError(f"expected {n} coefficients")
         # the chirp is packed before u exists, so their peaks do not add up
         pows, chirp = self.omega_generator_powers(), memo(self, _packed_chirp)
-        u = [[c * w % m for w in pows[a * (a - 1) // 2 % n].coeffs] for a, c in enumerate(coeffs)]
+        u = [[c * w % m for w in pows[a * (a - 1) // 2 % n]] for a, c in enumerate(coeffs)]
         return correlate(u, chirp, rows)
 
     def _scalar_weights(self) -> tuple:
@@ -165,26 +165,23 @@ class UnramifiedContext:
         return f"UnramifiedContext(p={self.base.p}, r={self.r}, N={self.precision})"
 
 
-def _teichmuller_powers(zq: UnramifiedContext) -> list["ZqElement"]:
-    w = ZqElement(zq, zq.fq.generator.coeffs)
+def _teichmuller_powers(zq: UnramifiedContext) -> list[tuple[int, ...]]:
+    m, neg, w = zq.modulus, zq._neg_poly, zq.fq.generator.coeffs
     for _ in range(zq.precision + 2):
-        y = w**zq.q
+        y = poly_powmod(w, zq.q, neg, m)
         if y == w:
             break
         w = y
     else:
         raise ArithmeticError("Teichmuller iteration failed to stabilize")
-    pows = [zq.one]
-    for _ in range(zq.q - 2):
-        pows.append(pows[-1] * w)
-    return pows
+    return poly_powers(w, zq.q - 1, neg, m)
 
 
 def _packed_chirp(zq: UnramifiedContext) -> tuple:
     """W^-C(j,2) for j in 0..2q-4, packed as the v of finitefield.correlate."""
     n, m = zq.q - 1, zq.modulus
     pows = zq.omega_generator_powers()
-    chirp = [pows[-(j * (j - 1) // 2) % n].coeffs for j in range(2 * n - 1)]
+    chirp = [pows[-(j * (j - 1) // 2) % n] for j in range(2 * n - 1)]
     # a slot sums at most n * r products of residues below m
     return pack(chirp, n * zq.r * (m - 1) ** 2)
 
@@ -202,15 +199,12 @@ def _frobenius_weights(zq: UnramifiedContext) -> tuple:
                     j = j * p % n
                 reps.append(k)
     # e[t]: the constant coefficient of x^t mod f, for t in 0..3r-3
-    e, x = [], [1] + [0] * (r - 1)
-    for _ in range(3 * r - 2):
-        e.append(x[0])
-        top = x[-1]
-        x = [(lo + top * c) % m for lo, c in zip([0] + x[:-1], zq._neg_poly)]
+    x = poly_reduce([0, 1] + [0] * (r - 1), zq._neg_poly, m)
+    e = [c[0] for c in poly_powers(x, 3 * r - 2, zq._neg_poly, m)]
     pows = zq.omega_generator_powers()
     mu = []
     for k in reps:
-        post = pows[k * (k - 1) // 2 % n].coeffs
+        post = pows[k * (k - 1) // 2 % n]
         mu += [sum(map(mul, post, e[s : s + r])) % m for s in range(2 * r - 1)]
     return reps, orbit, mu
 
@@ -271,26 +265,22 @@ class ZqElement:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return self.context._mul(self, o)
+        ctx = self.context
+        return ZqElement(ctx, poly_mulmod(self.coeffs, o.coeffs, ctx._neg_poly, ctx.modulus))
 
     __rmul__ = __mul__
 
     def scale(self, n: int) -> "ZqElement":
-        """Fast scalar multiple (used by the hot evaluation loops)."""
+        """The scalar multiple n x, coefficient-wise mod p^N; no evaluation
+        path calls it, only the point-wise references of the tests do."""
         m = self.context.modulus
         return ZqElement(self.context, tuple(a * n % m for a in self.coeffs))
 
     def __pow__(self, e: int) -> "ZqElement":
         if e < 0:
             return self.inverse() ** (-e)
-        base = self
-        out = self.context.one
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
+        ctx = self.context
+        return ZqElement(ctx, poly_powmod(self.coeffs, e, ctx._neg_poly, ctx.modulus))
 
     def inverse(self) -> "ZqElement":
         """Unit inverse via Hensel lifting from the residue-field inverse."""

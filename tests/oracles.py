@@ -1,15 +1,17 @@
 """Point-wise reference forms of the character values, kept as test oracles.
 
 The production code reads every Teichmuller and character value from the
-dlog-indexed table `UnramifiedContext.omega_generator_powers()`, and builds
-the nGn, h and B values of a whole field as one character transform each.
-These references compute the same values the slow, obvious way, one point at
-a time: the Teichmuller lift by iterating x -> x^q from the verbatim lift of
-t, omega-bar(t) as its Hensel inverse, and each sum over characters by a
-running power product.  The nGn coefficients come from the rational-
-arithmetic table below (Fractions, rational.frac and rational floors for every
-Gamma_p argument and exponent), and the Jacobi sums from the point-wise
-`jacobi_sum`.
+dlog-indexed table `UnramifiedContext.omega_generator_powers()`, coefficient
+tuples built by `finitefield.poly_powers` as is the F_q table `powers`, and
+builds the nGn, h and B values of a whole field as one character transform
+each.  These references compute the same values the slow, obvious way, one
+point at a time: both power tables by a running product of element objects,
+the Teichmuller lift by iterating x -> x^q (square-and-multiply on objects)
+from the verbatim lift of t, omega-bar(t) as its Hensel inverse, and each sum
+over characters by a running power product.  The nGn coefficients come from
+the rational-arithmetic table below (Fractions, rational.frac and rational
+floors for every Gamma_p argument and exponent), and the Jacobi sums from the
+point-wise `jacobi_sum`.
 
 The integer oracles A(lam), a(lam) and the cubic root counts are read in
 production from whole-field tables built on the Zech-log table; their
@@ -111,11 +113,40 @@ def teichmuller_by_iteration(zq, t):
     """The fixed point of x -> x^q starting from the verbatim lift of t != 0."""
     x = zq.element(t.coeffs)
     for _ in range(zq.precision + 2):
-        y = x**zq.q
+        y = power_by_objects(x, zq.q)
         if y == x:
             return x
         x = y
     raise AssertionError("Teichmuller iteration failed to stabilize")
+
+
+def power_by_objects(x, e):
+    """x^e for e >= 0 by square-and-multiply on element objects, one product
+    at a time."""
+    out = x.context.one
+    while e:
+        if e & 1:
+            out = out * x
+        x = x * x
+        e >>= 1
+    return out
+
+
+def field_powers_by_objects(fq):
+    """[g^k for k in 0..q-2] as FqElements, by a running product."""
+    pows = [fq.one]
+    for _ in range(fq.q - 2):
+        pows.append(pows[-1] * fq.generator)
+    return pows
+
+
+def teichmuller_powers_by_objects(zq):
+    """[omega(g)^k for k in 0..q-2] as ZqElements, by a running product."""
+    w = teichmuller_by_iteration(zq, zq.fq.generator)
+    pows = [zq.one]
+    for _ in range(zq.q - 2):
+        pows.append(pows[-1] * w)
+    return pows
 
 
 def _power_sum(zq, base, weights):

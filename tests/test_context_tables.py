@@ -83,7 +83,7 @@ def test_every_table_is_built_once_and_held_by_its_context(monkeypatch, p, r):
         assert [dict(ctx.tables.builds) for ctx in held] == builds
         for ctx in held:
             kept = {name for name, v in vars(ctx).items() if isinstance(v, (list, dict))}
-            assert kept <= {"tables", "exp_table", "dlog"}, ctx
+            assert kept <= {"tables", "powers", "dlog"}, ctx
     finally:
         clear_shared_caches()
 

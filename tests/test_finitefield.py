@@ -115,7 +115,7 @@ def test_generator_order_and_dlog():
         seen = set()
         for x in ctx.nonzero_elements():
             k = x.dlog()
-            assert ctx.exp_table[k] == x
+            assert ctx.powers[k] == x.coeffs
             seen.add(k)
         assert seen == set(range(ctx.q - 1))
 
@@ -159,6 +159,9 @@ def test_count_roots_frozen_values():
     assert count_roots(_cubic_27(f5, f5.scalar(1))) == 2  # roots y = 3, 4
     assert count_roots(_cubic_27(f5, f5.scalar(2))) == 0
     assert count_roots(_cubic_27(f5, f5.scalar(3))) == 1  # root y = 2
+    # int coefficients beside an F_q element, which names the field
+    assert count_roots([-1, 0, f5.one]) == 2  # y^2 - 1: y = 1, 4
+    assert count_roots([f5.scalar(-4), 0, 27, -27]) == 2
 
 
 def test_count_roots_errors():
@@ -167,6 +170,8 @@ def test_count_roots_errors():
         count_roots([f5.zero, f5.zero])
     with pytest.raises(ValueError):
         count_roots([f5.one, f5.zero, f5.zero, f5.zero, f5.one])  # degree 4
+    with pytest.raises(TypeError):  # no F_q element names the field
+        count_roots([-1, 0, 1])
 
 
 def test_count_roots_against_direct_scan():
@@ -290,11 +295,11 @@ def test_zech_table_definition():
         n = ctx.q - 1
         zech = ctx.zech_table()
         for d in range(n):
-            s = ctx.one + ctx.exp_table[d]
+            s = ctx.one + ctx.coerce(ctx.powers[d])
             if d == n // 2:
                 assert s.is_zero() and zech[d] == finitefield.ZECH_UNDEFINED
             else:
-                assert ctx.exp_table[zech[d]] == s
+                assert ctx.powers[zech[d]] == s.coeffs
 
 
 def test_discriminant_sign_check():

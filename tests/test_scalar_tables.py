@@ -97,7 +97,7 @@ def test_orbit_reads_equal_a_read_of_every_block(p, r, n):
     blocks = zq._chirp_correlation(table)
     assert len(blocks) == q1
     for k, block in enumerate(blocks):
-        post = pows[k * (k - 1) // 2 % q1].coeffs
+        post = pows[k * (k - 1) // 2 % q1]
         value = poly_mulmod(poly_reduce(list(block), neg, m), post, neg, m)
         assert value == (values[k],) + (0,) * (r - 1), k
     reps, orbit, _ = zq._scalar_weights()
