@@ -13,7 +13,6 @@ import os
 import sys
 
 from .jobs import DEFAULT_BATTERY, SUITE_NAMES, JobSpec, Report, check_admissible, run_job
-from .zmod import MAX_Q, is_prime
 
 FORMATS = ("text", "json", "csv")
 SETTING_KEYS = ("format", "out", "jobs", "fail-fast", "verbose")
@@ -49,30 +48,15 @@ def _expand_group(suite: str, p, r, precision, verbose: bool) -> list[JobSpec]:
     if suite not in SUITE_NAMES and suite != "all":
         raise UsageError(f"unknown suite {suite!r}; choose from {', '.join(SUITE_NAMES)} or all")
     suites = SUITE_NAMES if suite == "all" else (suite,)
-    if p is not None:
-        # bound p and r before the primality scan and the power, so huge
-        # values are refused at once
-        if p > MAX_Q:
-            raise UsageError(f"p = {p} exceeds the supported bound {MAX_Q}")
-        if not is_prime(p) or p == 2:
-            raise UsageError("p must be an odd prime")
-        r = r if r is not None else 1
-        if r < 1:
-            raise UsageError("r must be >= 1")
-        if r >= MAX_Q.bit_length() or p**r > MAX_Q:
-            raise UsageError(f"q = {p}^{r} exceeds the supported bound {MAX_Q}")
-        fields = [(p, r)]
-    elif r is not None:
+    if p is None and r is not None:
         raise UsageError("r needs p: without p the default battery is swept")
-    else:
-        fields = list(DEFAULT_BATTERY)
-    if precision is not None and precision < 1:
-        raise UsageError("precision must be >= 1")
-    return [
-        JobSpec(p=fp, r=fr, suite=s, precision=precision, record_cases=verbose)
-        for fp, fr in fields
-        for s in suites
-    ]
+    fields = DEFAULT_BATTERY if p is None else [(p, 1 if r is None else r)]
+    try:
+        return [
+            JobSpec(fp, fr, s, precision, record_cases=verbose) for fp, fr in fields for s in suites
+        ]
+    except ValueError as exc:  # JobSpec checks the field and the precision
+        raise UsageError(str(exc)) from None
 
 
 def _int_value(where: str, key: str, value: str) -> int:

@@ -6,7 +6,10 @@ c_0, c_1, ..., c_{r-1}), and the generator is the smallest element in
 coefficient-lexicographic order of multiplicative order q - 1.  Elements are
 coefficient vectors in the power basis of that polynomial; tables hold bare
 tuples (powers[k] = g^k), and FqElement is the API facade, made on demand.
-F_q and Z_q share poly_mulmod, poly_powmod and poly_powers.
+F_q = Z[x]/(f, p) and Z_q/p^N = Z[x]/(f, p^N) share poly_mulmod,
+poly_powmod and poly_powers, and their facades FqElement and
+padic.ZqElement share one ring base, _PolyResidue, which reduces mod its
+context's modulus; each facade keeps its own coercions, inverse and power.
 
 Fields are kept small on purpose (q <= 2^16): the dlog table makes every
 character evaluation O(1) inside the O(q) verification sweeps.  All else
@@ -25,7 +28,7 @@ import sys
 from decimal import Decimal
 from operator import mul
 
-from .zmod import MAX_Q, is_prime
+from .zmod import check_field
 
 # zech_table entry at d = (q-1)/2, where 1 + g^d = 0 has no dlog
 ZECH_UNDEFINED = -1
@@ -203,12 +206,17 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
-class FqElement:
-    """Element of F_q as an immutable coefficient vector."""
+class _PolyResidue:
+    """An immutable coefficient vector of (Z/m)[x] / (f), m = context.modulus.
+
+    The ring operations shared by FqElement (m = p) and ZqElement (m = p^N);
+    each reads the other operand through its own _coerce, which returns a
+    residue of the same context or NotImplemented.
+    """
 
     __slots__ = ("context", "coeffs")
 
-    def __init__(self, context: "FqContext", coeffs: tuple[int, ...]):
+    def __init__(self, context, coeffs: tuple[int, ...]):
         self.context = context
         self.coeffs = coeffs
 
@@ -217,7 +225,7 @@ class FqElement:
 
     def __eq__(self, other) -> bool:
         return (
-            isinstance(other, FqElement)
+            isinstance(other, type(self))
             and self.context is other.context
             and self.coeffs == other.coeffs
         )
@@ -226,39 +234,53 @@ class FqElement:
         return hash(self.coeffs)
 
     def __add__(self, other):
-        other = self.context.coerce(other)
-        p = self.context.p
-        return FqElement(
-            self.context,
-            tuple((a + b) % p for a, b in zip(self.coeffs, other.coeffs)),
-        )
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return NotImplemented
+        m = self.context.modulus
+        return type(self)(self.context, tuple((a + b) % m for a, b in zip(self.coeffs, o.coeffs)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        p = self.context.p
-        return FqElement(self.context, tuple((-a) % p for a in self.coeffs))
+        m = self.context.modulus
+        return type(self)(self.context, tuple((-a) % m for a in self.coeffs))
 
     def __sub__(self, other):
-        return self + (-self.context.coerce(other))
+        o = self._coerce(other)
+        return NotImplemented if o is NotImplemented else self + (-o)
 
     def __rsub__(self, other):
-        return self.context.coerce(other) - self
+        o = self._coerce(other)
+        return NotImplemented if o is NotImplemented else o - self
 
     def __mul__(self, other):
-        ctx, other = self.context, self.context.coerce(other)
-        return FqElement(ctx, poly_mulmod(self.coeffs, other.coeffs, ctx._neg_poly, ctx.p))
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return NotImplemented
+        ctx = self.context
+        return type(self)(ctx, poly_mulmod(self.coeffs, o.coeffs, ctx._neg_poly, ctx.modulus))
 
     __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        o = self._coerce(other)
+        return NotImplemented if o is NotImplemented else self * o.inverse()
+
+
+class FqElement(_PolyResidue):
+    """Element of F_q as an immutable coefficient vector."""
+
+    __slots__ = ()
+
+    def _coerce(self, other):
+        return self.context.coerce(other)  # TypeError for what F_q cannot take
 
     def inverse(self) -> "FqElement":
         ctx = self.context
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero in F_q")
         return FqElement(ctx, ctx.powers[-ctx.dlog[self.coeffs] % (ctx.q - 1)])
-
-    def __truediv__(self, other):
-        return self * self.context.coerce(other).inverse()
 
     def __pow__(self, e: int) -> "FqElement":
         ctx = self.context
@@ -284,16 +306,10 @@ class FqContext:
     """The field F_q, q = p^r, with generator and complete dlog table."""
 
     def __init__(self, p: int, r: int):
-        if not is_prime(p) or p == 2:
-            raise ValueError(f"p must be an odd prime, got {p}")
-        if r < 1:
-            raise ValueError("r must be >= 1")
-        q = p**r
-        if q > MAX_Q:
-            raise ValueError(f"q = {q} exceeds the supported bound {MAX_Q}")
-        self.p = p
+        check_field(p, r)
+        self.p = self.modulus = p
         self.r = r
-        self.q = q
+        self.q = q = p**r
         self.poly = smallest_irreducible(p, r)
         # x^r = -(c_0 + c_1 x + ... + c_{r-1} x^{r-1})
         self._neg_poly = tuple((-c) % p for c in self.poly)

@@ -21,7 +21,7 @@ from math import lcm
 
 from . import rational
 from .pgamma import InfeasibleError, check_feasible, gamma_cache
-from .zmod import PadicContext, is_prime
+from .zmod import PadicContext, balanced_residue, check_field
 
 DEFAULT_BATTERY = ((3, 1), (5, 1), (7, 1), (11, 1), (13, 1), (3, 2), (5, 2), (7, 2))
 
@@ -66,12 +66,9 @@ class JobSpec(namedtuple("JobSpec", "p r suite precision restrict record_cases")
         restrict: tuple | None = None,
         record_cases: bool = False,
     ):
-        if not is_prime(p) or p == 2:
-            raise ValueError(f"p must be an odd prime, got {p}")
-        if r < 1:
-            raise ValueError("r must be >= 1")
         if suite not in SUITE_NAMES:
             raise ValueError(f"unknown suite {suite!r}")
+        check_field(p, r)
         if precision is None:
             precision = default_precision(suite, p, r)
         elif precision < 1:
@@ -177,7 +174,7 @@ def _fmt_scalar(v: int, p: int, r: int, n: int) -> str:
     m = p**n
     v %= m
     coords = [_digits(v, p, n)] + [_digits(0, p, n)] * (r - 1)
-    return "|".join(coords) + f" (={v - m if v > m // 2 else v})"
+    return "|".join(coords) + f" (={balanced_residue(v, m)})"
 
 
 class _Sweep:
@@ -185,9 +182,7 @@ class _Sweep:
 
     def __init__(self, job: JobSpec):
         self.job = job
-        self.report = Report(
-            suite=job.suite, p=job.p, r=job.r, precision=job.precision, q=job.q
-        )
+        self.report = Report(job.suite, job.p, job.r, job.precision, job.q)
         self._t0 = time.perf_counter()
 
     def case(self, label: str, ok: bool, describe):
@@ -369,14 +364,7 @@ def run_job(job: JobSpec) -> Report:
     the exception, so the run still writes every record.
     """
     if job.p < SUITE_MIN_P[job.suite]:
-        return Report(
-            suite=job.suite,
-            p=job.p,
-            r=job.r,
-            precision=job.precision,
-            q=job.q,
-            skipped=True,
-        )
+        return Report(job.suite, job.p, job.r, job.precision, job.q, skipped=True)
     verify = INTEGER_SUITES.get(job.suite)
     if verify is None:
         from .suites import SUITES  # the field layers load at the first field job

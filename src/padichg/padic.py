@@ -6,7 +6,8 @@ polynomial as the paired F_q context, lifted verbatim; reduction mod p
 therefore intertwines the two rings coefficient-wise.  Every
 Teichmuller and character value is read from one table per context, the
 powers of omega(g) for the F_q generator g, indexed by discrete log, held as
-coefficient tuples (finitefield.poly_powers); ZqElement is the API facade.
+coefficient tuples (finitefield.poly_powers); ZqElement is the API facade,
+on the ring base it shares with FqElement (finitefield._PolyResidue).
 
 A character sum over a whole field, sum_a c_a omega(g)^(-a k) for every k
 at once and integer c_a, is a binomial-chirp correlation computed by
@@ -28,9 +29,9 @@ from __future__ import annotations
 
 from operator import mul
 
-from .finitefield import FqContext, FqElement, correlate, memo, pack
+from .finitefield import FqContext, FqElement, _PolyResidue, correlate, memo, pack
 from .finitefield import poly_mulmod, poly_powers, poly_powmod, poly_reduce
-from .zmod import PadicContext, ZpElement
+from .zmod import PadicContext, ZpElement, balanced_residue, recover_residue
 
 
 class EvaluationIntegrityError(ArithmeticError):
@@ -138,7 +139,7 @@ class UnramifiedContext:
         reps, orbit, mu = self._scalar_weights()
         blocks = self._chirp_correlation(coeffs, reps)
         values = [sum(map(mul, x, mu[i * b : i * b + b])) % m for i, x in enumerate(blocks)]
-        return values if orbit is None else [values[i] for i in orbit]
+        return [values[i] for i in orbit]
 
     def _chirp_correlation(self, coeffs, rows=None) -> list[list[int]]:
         """The unreduced blocks sum_a (c_a W^C(a,2)) W^-C(a+k,2) of both
@@ -153,9 +154,9 @@ class UnramifiedContext:
 
     def _scalar_weights(self) -> tuple:
         """(reps, orbit, mu) of scalar_transform: the least k of each Frobenius
-        orbit; the index in reps of the orbit of every k, or None at r = 1,
-        where every orbit is one k; and mu_k[s] for each k in reps, s in
-        0..2r-2, as one flat list."""
+        orbit (every k at r = 1, where each orbit is one k); the index in reps
+        of the orbit of every k; and mu_k[s] for each k in reps, s in 0..2r-2,
+        as one flat list."""
         return memo(self, _frobenius_weights)
 
     def reduce_mod_p(self, x: "ZqElement") -> FqElement:
@@ -188,16 +189,14 @@ def _packed_chirp(zq: UnramifiedContext) -> tuple:
 
 def _frobenius_weights(zq: UnramifiedContext) -> tuple:
     n, p, r, m = zq.q - 1, zq.base.p, zq.r, zq.modulus
-    reps, orbit = range(n), None
-    if r > 1:
-        reps, orbit = [], [-1] * n
-        for k in range(n):
-            if orbit[k] < 0:
-                j = k
-                while orbit[j] < 0:  # p is a unit mod q-1, so the walk returns to k
-                    orbit[j] = len(reps)
-                    j = j * p % n
-                reps.append(k)
+    reps, orbit = [], [-1] * n
+    for k in range(n):
+        if orbit[k] < 0:
+            j = k
+            while orbit[j] < 0:  # p is a unit mod q-1, so the walk returns to k
+                orbit[j] = len(reps)
+                j = j * p % n
+            reps.append(k)
     # e[t]: the constant coefficient of x^t mod f, for t in 0..3r-3
     x = poly_reduce([0, 1] + [0] * (r - 1), zq._neg_poly, m)
     e = [c[0] for c in poly_powers(x, 3 * r - 2, zq._neg_poly, m)]
@@ -209,17 +208,10 @@ def _frobenius_weights(zq: UnramifiedContext) -> tuple:
     return reps, orbit, mu
 
 
-class ZqElement:
+class ZqElement(_PolyResidue):
     """Residue in Z_q / p^N Z_q as a coefficient vector in the power basis."""
 
-    __slots__ = ("context", "coeffs")
-
-    def __init__(self, context: UnramifiedContext, coeffs: tuple[int, ...]):
-        self.context = context
-        self.coeffs = coeffs
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+    __slots__ = ()
 
     def is_unit(self) -> bool:
         return not self.context.reduce_mod_p(self).is_zero()
@@ -233,42 +225,6 @@ class ZqElement:
         if isinstance(other, (int, ZpElement)):
             return ctx.scalar(other)
         return NotImplemented
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        m = self.context.modulus
-        return ZqElement(
-            self.context, tuple((a + b) % m for a, b in zip(self.coeffs, o.coeffs))
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        m = self.context.modulus
-        return ZqElement(self.context, tuple((-a) % m for a in self.coeffs))
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return o - self
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        ctx = self.context
-        return ZqElement(ctx, poly_mulmod(self.coeffs, o.coeffs, ctx._neg_poly, ctx.modulus))
-
-    __rmul__ = __mul__
 
     def scale(self, n: int) -> "ZqElement":
         """The scalar multiple n x, coefficient-wise mod p^N; no evaluation
@@ -299,23 +255,12 @@ class ZqElement:
             raise ArithmeticError("Hensel inversion failed")  # defensive
         return y
 
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self * o.inverse()
-
     def __eq__(self, other):
         if isinstance(other, (int, ZpElement)):
             other = self.context.scalar(other)
-        return (
-            isinstance(other, ZqElement)
-            and self.context is other.context
-            and self.coeffs == other.coeffs
-        )
+        return super().__eq__(other)
 
-    def __hash__(self):
-        return hash(self.coeffs)
+    __hash__ = _PolyResidue.__hash__  # a class defining __eq__ must restate it
 
     def __repr__(self):
         ctx = self.context
@@ -330,15 +275,7 @@ def balanced_lift(x) -> int:
     Accepts a ZpElement or a scalar ZqElement (all higher coefficients zero);
     a non-scalar argument is an integrity failure.
     """
-    if isinstance(x, ZpElement):
-        v, m = x.residue, x.context.modulus
-    elif isinstance(x, ZqElement):
-        if any(c != 0 for c in x.coeffs[1:]):
-            raise ArithmeticError(f"value is not a Z_p scalar: {x!r}")
-        v, m = x.coeffs[0], x.context.modulus
-    else:
-        raise TypeError("balanced_lift expects a ZpElement or ZqElement")
-    return v - m if v > m // 2 else v
+    return balanced_residue(*_scalar_residue(x))
 
 
 def recover_bounded_integer(x, bound: int) -> int:
@@ -346,7 +283,15 @@ def recover_bounded_integer(x, bound: int) -> int:
     m = x.context.modulus
     if m <= 2 * bound:
         raise ValueError(f"modulus {m} too small to certify |v| <= {bound}")
-    v = balanced_lift(x)
-    if abs(v) > bound:
-        raise ArithmeticError(f"lifted value {v} violates the stated bound {bound}")
-    return v
+    return recover_residue(*_scalar_residue(x), bound)
+
+
+def _scalar_residue(x) -> tuple[int, int]:
+    """(residue, modulus) of the scalar x that balanced_lift takes."""
+    if isinstance(x, ZpElement):
+        return x.residue, x.context.modulus
+    if not isinstance(x, ZqElement):
+        raise TypeError("balanced_lift expects a ZpElement or ZqElement")
+    if any(x.coeffs[1:]):
+        raise ArithmeticError(f"value is not a Z_p scalar: {x!r}")
+    return x.coeffs[0], x.context.modulus

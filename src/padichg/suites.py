@@ -59,6 +59,7 @@ from .rational import (  # noqa: F401  (bench/tracing.py wraps them here)
     check_floor_identity_B,
     frac,
 )
+from .zmod import recover_residue
 
 _HALF = Fraction(1, 2)
 _EULER_LEFT = ((Fraction(1, 3), Fraction(2, 3)), (Fraction(0), _HALF))
@@ -111,15 +112,6 @@ def _phi_scaled(value: int, k: int, m: int) -> int:
     return -value % m if k & 1 else value
 
 
-def _recover(value: int, m: int, bound: int) -> int:
-    """recover_bounded_integer of the scalar value mod m; each suite's
-    precision already gives m > 2 bound."""
-    v = value - m if value > m // 2 else value
-    if abs(v) > bound:
-        raise ArithmeticError(f"lifted value {v} violates the stated bound {bound}")
-    return v
-
-
 def _fmt_pair(zq: UnramifiedContext, lhs: int, rhs: int) -> tuple[str, str]:
     """Two scalar residues as jobs._fmt_scalar prints them."""
     p, r, n = zq.base.p, zq.r, zq.precision
@@ -162,8 +154,8 @@ def verify_zero_classification(job: JobSpec) -> Report:
     roots, d3, d4 = root_table(fq, _CUBIC_27), fq.scalar(3).dlog(), fq.scalar(4).dlog()
     sweep = _Sweep(job)
     for x, k in _sweep_points(fq, job, skip=(0,)):
-        v1 = _recover(left[-k % n], m, bound)
-        v2 = _recover(right[-k % n], m, bound)
+        v1 = recover_residue(left[-k % n], m, bound)
+        v2 = recover_residue(right[-k % n], m, bound)
         crit = _phi(d3 + k + zech[(k + n // 2) % n]) == -1  # 1 - x != 0 off x = 1
         one_root = roots[(d4 + k) % n] == 1  # the root count at -c_0 = 4x
         ok = ((v1 == 0) == crit) and ((v2 == 0) == crit) and (crit == one_root)
@@ -210,8 +202,8 @@ def verify_proposition_oracles(job: JobSpec) -> Report:
     sweep = _Sweep(job)
     for x, k in _sweep_points(fq, job):
         c1, c2 = roots1[(d4 + k) % n], roots2[(d4_27 + k) % n]
-        v1 = _recover(left[-k % n], m, bound)
-        v2 = _recover(right[-k % n], m, bound)
+        v1 = recover_residue(left[-k % n], m, bound)
+        v2 = recover_residue(right[-k % n], m, bound)
         phi3x = _phi(d3 + k)
         ok = (v1 + 1 == c1) and (1 + phi3x * v2 == c2) and (c1 == c2)
         sweep.case(
@@ -267,11 +259,11 @@ def verify_charsum_chain(job: JobSpec) -> Report:
         z = zech[k]  # dlog(lam + 1)
         a_val = small_a[-z % n]
         big_a = big_as[k]
-        v3 = _recover(cube[(h - k) % n], m, q * q)
+        v3 = recover_residue(cube[(h - k) % n], m, q * q)
         h_val = hs[k]
         b_val = bs[(k - d4 - z) % n]  # lam / (4 (lam + 1))
         phi_shift = phi2 * _phi(k - z)  # phi(2 lam/(lam+1))
-        v2 = _recover(square[(z - k) % n], m, q)
+        v2 = recover_residue(square[(z - k) % n], m, q)
         checks = (
             v3 == big_a,
             h_val == big_a % m,

@@ -1,25 +1,47 @@
-"""The integer layer under every field: primality, the field-size bound, and Z/p^N.
+"""The integer layer under every field: primality, the field bound, the
+balanced lift, and Z/p^N.
 
 PadicContext and ZpElement are the ring Z/p^N standing in for Z_p at
 precision N.  They need no F_q context, so the Gamma_p cache and the
-integer suites (gamma, floors) run on this module alone; padic and
-finitefield re-export its names.
+integer suites (gamma, floors) run on this module alone; padic
+re-exports them.
 """
 
 from __future__ import annotations
+
+from math import isqrt
 
 MAX_Q = 1 << 16
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+    return n > 1 and all(n % d for d in range(2, isqrt(n) + 1))
+
+
+def check_field(p: int, r: int) -> None:
+    """Refuse (ValueError) all but an odd prime p and r >= 1 with p^r <= MAX_Q;
+    p and r are bounded before the primality scan and the power."""
+    if p > MAX_Q:
+        raise ValueError(f"p = {p} exceeds the supported bound {MAX_Q}")
+    if not is_prime(p) or p == 2:
+        raise ValueError("p must be an odd prime")
+    if r < 1:
+        raise ValueError("r must be >= 1")
+    if r >= MAX_Q.bit_length() or p**r > MAX_Q:
+        raise ValueError(f"q = {p}^{r} exceeds the supported bound {MAX_Q}")
+
+
+def balanced_residue(v: int, m: int) -> int:
+    """The representative in (-m/2, m/2] of a residue 0 <= v < m."""
+    return v - m if v > m // 2 else v
+
+
+def recover_residue(v: int, m: int, bound: int) -> int:
+    """balanced_residue(v, m), certified by |value| <= bound; the caller makes m > 2 bound."""
+    v = balanced_residue(v, m)
+    if abs(v) > bound:
+        raise ArithmeticError(f"lifted value {v} violates the stated bound {bound}")
+    return v
 
 
 class PadicContext:
@@ -69,9 +91,7 @@ class ZpElement:
 
     def __add__(self, other):
         v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return ZpElement(self.context, self.residue + v)
+        return v if v is NotImplemented else ZpElement(self.context, self.residue + v)
 
     __radd__ = __add__
 
@@ -80,15 +100,11 @@ class ZpElement:
 
     def __sub__(self, other):
         v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return ZpElement(self.context, self.residue - v)
+        return v if v is NotImplemented else ZpElement(self.context, self.residue - v)
 
     def __mul__(self, other):
         v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return ZpElement(self.context, self.residue * v)
+        return v if v is NotImplemented else ZpElement(self.context, self.residue * v)
 
     __rmul__ = __mul__
 

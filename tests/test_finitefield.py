@@ -32,6 +32,10 @@ def test_make_fq_examples():
         make_fq(2, 1)
     with pytest.raises(ValueError):
         make_fq(257, 3)  # q above the documented bound
+    with pytest.raises(ValueError):
+        make_fq(2**61 - 1, 1)  # refused before a primality scan
+    with pytest.raises(ValueError):
+        make_fq(3, 10**9)  # refused before p^r
 
 
 def test_defining_polynomial_is_lex_smallest_irreducible():

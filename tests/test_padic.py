@@ -175,9 +175,91 @@ def test_zq_product_reduces_to_fq_product():
     fq = make_fq(3, 3)
     zq = UnramifiedContext(fq, 3)
     sample = [zq.element((a, b, c)) for a in (0, 1, 26) for b in (2, 13) for c in (0, 25)]
+    assert all(y.is_unit() for y in sample)  # b is nonzero mod 3
     for x in sample:
+        rx = zq.reduce_mod_p(x)
+        assert zq.reduce_mod_p(-x) == -rx
         for y in sample:
-            assert zq.reduce_mod_p(x * y) == zq.reduce_mod_p(x) * zq.reduce_mod_p(y)
+            ry = zq.reduce_mod_p(y)
+            assert zq.reduce_mod_p(x * y) == rx * ry
+            assert zq.reduce_mod_p(x + y) == rx + ry
+            assert zq.reduce_mod_p(x - y) == rx - ry
+            assert zq.reduce_mod_p(x / y) == rx / ry
+
+
+# What each ring facade takes as its other operand and how it compares: one
+# row per case, with the F_q (5^2) and the Z_q (5^2 at N = 3) outcome.  An
+# outcome is the result's coefficients, a bool, or the exception raised.
+_COERCIONS = {
+    "one == 1": (False, True),
+    "one == Z_p one": (False, True),
+    "x + (1, 0)": ((3, 3), TypeError),
+    "x + 'a'": (TypeError, TypeError),
+    "'a' * x": (TypeError, TypeError),
+    "x == 'a'": (False, False),
+    "x + foreign": (ValueError, ValueError),
+    "foreign - x": (ValueError, ValueError),
+    "x + other facade": (TypeError, TypeError),
+    "other facade * x": (TypeError, TypeError),
+    "Z_p one + x": (TypeError, (3, 3)),
+    "3 - x": ((1, 2), (1, 122)),
+    "2 * x": ((4, 1), (4, 6)),
+    "x / 2": ((1, 4), (1, 64)),
+    "-x": ((3, 2), (123, 122)),
+}
+
+
+def _coercion_case(ring, case):
+    fq = make_fq(5, 2)
+    zq = UnramifiedContext(fq, 3)
+    ctx, other = (fq, zq) if ring == "F_q" else (zq, fq)
+    make = fq.coerce if ring == "F_q" else zq.element
+    x = make((2, 3))
+    foreign = make_fq(5, 2).one if ring == "F_q" else UnramifiedContext(fq, 3).one
+    zp_one = ZpElement(zq.base, 1)
+    return ctx, {
+        "one == 1": lambda: ctx.one == 1,
+        "one == Z_p one": lambda: ctx.one == zp_one,
+        "x + (1, 0)": lambda: x + (1, 0),
+        "x + 'a'": lambda: x + "a",
+        "'a' * x": lambda: "a" * x,
+        "x == 'a'": lambda: x == "a",
+        "x + foreign": lambda: x + foreign,
+        "foreign - x": lambda: foreign - x,
+        "x + other facade": lambda: x + other.one,
+        "other facade * x": lambda: other.one * x,
+        "Z_p one + x": lambda: zp_one + x,
+        "3 - x": lambda: 3 - x,
+        "2 * x": lambda: 2 * x,
+        "x / 2": lambda: x / 2,
+        "-x": lambda: -x,
+    }[case]
+
+
+@pytest.mark.parametrize("case", list(_COERCIONS))
+@pytest.mark.parametrize("ring", ["F_q", "Z_q"])
+def test_facade_coercion_table(ring, case):
+    ctx, run = _coercion_case(ring, case)
+    expected = _COERCIONS[case][ring == "Z_q"]
+    if isinstance(expected, type):
+        with pytest.raises(expected):
+            run()
+    elif isinstance(expected, bool):
+        assert run() is expected
+    else:
+        result = run()
+        assert type(result) is type(ctx.one) and result.context is ctx
+        assert result.coeffs == expected
+
+
+@pytest.mark.parametrize("ring", ["F_q", "Z_q"])
+def test_facade_equal_elements_hash_equal(ring):
+    fq = make_fq(5, 2)
+    make = fq.coerce if ring == "F_q" else UnramifiedContext(fq, 3).element
+    x, y = make((2, 3)), make((4, 1))
+    assert make((2, 3)) == x and hash(make((2, 3))) == hash(x)
+    assert x + y - y == x and hash(x + y - y) == hash(x)
+    assert len({x, make((2, 3)), y, make((4, 1))}) == 2
 
 
 def test_balanced_lift_and_recovery():

@@ -84,7 +84,7 @@ def test_scalar_transform_matches_zq_transform_on_invariant_tables(case):
     _assert_scalars(zq.scalar_transform(table), zq.character_transform(table))
 
 
-@pytest.mark.parametrize("p,r,n", [(7, 2, 3), (3, 3, 4), (5, 3, 2), (3, 4, 3)])
+@pytest.mark.parametrize("p,r,n", [(13, 1, 4), (7, 2, 3), (3, 3, 4), (5, 3, 2), (3, 4, 3)])
 def test_orbit_reads_equal_a_read_of_every_block(p, r, n):
     # every block of the correlation, reduced and post-twiddled in Z_q on its
     # own, gives the value that scalar_transform copied from its orbit's block

@@ -30,6 +30,12 @@ def test_jobspec_validation():
         JobSpec(5, 1, "nonsense")
     with pytest.raises(ValueError):
         JobSpec(5, 1, "euler", precision=0)
+    with pytest.raises(ValueError, match="exceeds the supported bound"):
+        JobSpec(3, 20, "floors")  # q = 3^20
+    with pytest.raises(ValueError, match="exceeds the supported bound"):
+        JobSpec(2**61 - 1, 1, "gamma")  # refused before a primality scan
+    with pytest.raises(ValueError, match="exceeds the supported bound"):
+        JobSpec(3, 10**9, "gamma")  # refused before p^r
 
 
 def test_records_keep_their_value_semantics():

@@ -7,6 +7,7 @@ longer the same function object in every module that imports it.  A traced
 run must also report exactly what an untraced one does.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -120,3 +121,47 @@ def test_traced_reports_equal_untraced(tmp_path):
         assert _without_elapsed(traced / name) == untraced, name
         reports += untraced
     assert len(reports) == 10 and all(report["cases_total"] for report in reports)
+
+
+WRAPPED_SCRIPT = """
+import importlib
+import sys
+sys.path[:0] = [sys.argv[1], sys.argv[2]]
+import tracing
+tracing.install()
+for item in sys.argv[3:]:
+    module, name = item.split(":")
+    value = getattr(importlib.import_module("padichg." + module), name)
+    assert hasattr(value, "__wrapped__"), item
+"""
+
+
+def _imports_kept_for_the_tracer():
+    """module:name for every name imported on a line whose noqa comment says
+    that bench/tracing.py rebinds it."""
+    out = []
+    for path in sorted((ROOT / "src" / "padichg").glob("*.py")):
+        lines = path.read_text().splitlines()
+        for node in ast.walk(ast.parse("\n".join(lines))):
+            if isinstance(node, ast.ImportFrom):
+                line = lines[node.lineno - 1]
+                if "# noqa: F401" in line and "bench/tracing.py" in line:
+                    out += [f"{path.stem}:{alias.asname or alias.name}" for alias in node.names]
+    return out
+
+
+def test_imports_kept_for_the_tracer_are_wrapped():
+    # no linter reads the noqa comments, so check their claim: each name they
+    # keep is one that the installed tracer has replaced by its wrapper
+    names = _imports_kept_for_the_tracer()
+    assert names
+    env = dict(os.environ, PYTHONPATH="")
+    proc = subprocess.run(
+        [sys.executable, "-c", WRAPPED_SCRIPT, str(ROOT / "src"), str(ROOT / "bench"), *names],
+        cwd=ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
