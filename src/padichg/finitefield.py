@@ -28,20 +28,10 @@ import sys
 from decimal import Decimal
 from operator import mul
 
-from .zmod import check_field
+from .zmod import check_field, memo
 
 # zech_table entry at d = (q-1)/2, where 1 + g^d = 0 has no dlog
 ZECH_UNDEFINED = -1
-
-
-def memo(ctx, build, *key):
-    """build(ctx, *key), built on the first call and held in ctx.tables under
-    (build, *key); a table is never mutated, so every caller shares it."""
-    slot = (build, *key)
-    table = ctx.tables.get(slot)
-    if table is None:
-        table = ctx.tables[slot] = build(ctx, *key)
-    return table
 
 
 def _is_irreducible(poly: list[int], p: int) -> bool:

@@ -11,8 +11,8 @@ with e(a_k, b_k, a, i) = -floor(<a_k p^i> - a p^i/(q-1)) - floor(<-b_k p^i>
 + a p^i/(q-1)).  Everything except omega-bar^a(t) is a Z_p scalar c_a
 independent of t.  The table of the c_a is built in integer arithmetic: with
 D = lcm(q-1, parameter denominators), every Gamma_p argument above is a
-residue num/D, read from the shared GammaCache once per distinct num, and
-one floor division by D gives both an argument and its floor in e.
+residue num/D, read from the shared GammaCache's one residue table for D,
+and one floor division by D gives both an argument and its floor in e.
 
 With k = dlog t, omega-bar^a(t) = omega(g)^(-a k), so the values at every t
 of the field are one character transform of the table.  Where a -> p a
@@ -88,25 +88,12 @@ class GValue(namedtuple("GValue", "value precision")):
     __slots__ = ()
 
 
-class _GammaResidues(dict):
-    """num -> Gamma_p(num / d) mod p^N, read from the GammaCache once per num."""
-
-    def __init__(self, cache, d: int):
-        super().__init__()
-        self.cache, self.d = cache, d
-
-    def __missing__(self, num: int) -> int:
-        v = self[num] = self.cache.residue(num, self.d)
-        return v
-
-
 def _coefficient_table(upper, lower, zq: UnramifiedContext) -> list[int]:
     """Z_p coefficients c_a of omega-bar^a(t), indexed by a, in integer arithmetic."""
-    fq = zq.fq
-    p, r, q, m = fq.p, fq.r, fq.q, zq.modulus
+    p, r, q, m = zq.base.p, zq.r, zq.q, zq.modulus
     n = len(upper)
     d = lcm(q - 1, *(c.denominator for c in upper + lower))
-    gamma = _GammaResidues(gamma_cache(zq.base), d)
+    gamma = gamma_cache(zq.base).residues(d)
 
     # per (k, i): d * <a_k p^i>, d * <-b_k p^i>, d * p^i/(q-1) and the
     # a-independent unit 1 / (Gamma(<a_k p^i>) Gamma(<-b_k p^i>))

@@ -227,11 +227,10 @@ def verify_gamma_identities(job: JobSpec) -> Report:
     _require(job)
     p, r, q, n = job.p, job.r, job.q, job.precision
     m = p**n
-    cache = gamma_cache(PadicContext(p, n))
     d = lcm(q - 1, *(t for t in (2, 3, 6) if t % p))
     step = d // (q - 1)  # j/(q-1) = j * step / d
     pis = [p**i % d for i in range(r)]
-    gammas = [cache.residue(num, d) for num in range(d)]
+    gammas = gamma_cache(PadicContext(p, n)).residues(d)
     sweep = _Sweep(job)
 
     def gprod(nums) -> int:

@@ -22,7 +22,7 @@ this way, so a point of a field is an integer lookup.  The full Z_q
 character_transform serves only evaluate_g's parameter families that fail
 the certificate.  A Z_q context is a table of its F_q context, keyed by
 precision, and holds its own tables (the Teichmuller powers, the packed
-chirp, the weights, the nGn, h and B values) through finitefield.memo.
+chirp, the weights, the nGn, h and B values) through zmod.memo.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ class UnramifiedContext:
         self._neg_poly = tuple((-c) % self.modulus for c in self.poly)
         self.zero = ZqElement(self, (0,) * self.r)
         self.one = ZqElement(self, (1,) + (0,) * (self.r - 1))
-        self.tables: dict[tuple, object] = {}  # filled by finitefield.memo
+        self.tables: dict[tuple, object] = {}  # filled by zmod.memo
 
     def element(self, coeffs) -> "ZqElement":
         coeffs = tuple(int(c) % self.modulus for c in coeffs)

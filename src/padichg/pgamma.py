@@ -23,22 +23,25 @@ shifts, so nothing is divided and one method serves every (p, N).  The table
 of all Q_{k,d} with d < p is built once per cache, in about p*N^2 ring
 products; a fresh argument then costs sum_k ceil(N/(k+1)) Horner steps.
 
-GammaCache.residue(num, den) is the integer entry: Gamma_p(num/den) mod p^N
-from num * den^-1 mod p^N, den^-1 cached per den; gamma(x) is a facade over
-it.  The guard only keys the shared caches: reducing mod p^(N+guard) and then
-mod p^N would give the same residue.
+GammaCache.residue(num, den) is the integer point entry, Gamma_p(num/den)
+mod p^N from num * den^-1 mod p^N; gamma(x) is a facade over it.  Like a
+field context, a cache holds its tables in its tables dict through
+zmod.memo: the digit table, and per denominator d the list residues(d) of
+Gamma_p(num/d) mod p^N for num < d, which every nGn coefficient table and
+the gamma suite index.  The guard only keys the shared caches: reducing mod
+p^(N+guard) and then mod p^N would give the same residue.
 
 check_feasible refuses, before any context is built, a (p, N) whose table
 would take more than MAX_TABLE_WORK ring products.  Every value is memoized
-per residue t; the memo is write-once per key and safe for concurrent
-readers.
+per residue t, shared by the residue tables of every d; tables and memo are
+write-once per key and safe for concurrent readers.
 """
 
 from __future__ import annotations
 
 from math import comb
 
-from .zmod import PadicContext, ZpElement
+from .zmod import PadicContext, ZpElement, memo
 
 # Bound on p*N^2, the ring products of one digit table.  Near the bound a
 # build took 1.3-3.1 s and 5-60 MB on one core (from (3, 816) to (65521, 5);
@@ -63,8 +66,9 @@ def check_feasible(p: int, precision: int) -> None:
         )
 
 
-def _digit_table(p: int, n: int, m: int) -> list[list[tuple[int, ...]]]:
+def _digit_table(cache: "GammaCache") -> list[list[tuple[int, ...]]]:
     """table[k][d]: coefficients of Q_{k,d}(X) mod (X^ceil(n/(k+1)), m), ascending, d < p."""
+    p, n, m = cache.p, cache.context.precision, cache.modulus
     poly = [1] + [0] * (n - 1)
     row = [tuple(poly)]
     for c in range(1, p):
@@ -94,6 +98,11 @@ def _digit_table(p: int, n: int, m: int) -> list[list[tuple[int, ...]]]:
     return table
 
 
+def _residue_table(cache: "GammaCache", d: int) -> list[int]:
+    inv = cache._inverse(d)
+    return [cache._nat_mod(num * inv) for num in range(d)]
+
+
 class GammaCache:
     """Gamma_p evaluator bound to one PadicContext."""
 
@@ -105,17 +114,14 @@ class GammaCache:
         self.guard = guard
         self.p = context.p
         self.modulus = context.modulus
-        self._table: list[list[tuple[int, ...]]] | None = None
+        self.tables: dict[tuple, object] = {}  # filled by memo
         self._memo: dict[int, int] = {}
-        self._inverses: dict[int, int] = {}  # den -> den^-1 mod p^N
 
     def _unit_product(self, t: int) -> int:
         """prod_{0<j<t, p∤j} j mod p^N as prod_k Q_{k,d_k}(B_k), for 0 <= t < p^N."""
         p, m = self.p, self.modulus
-        if self._table is None:
-            self._table = _digit_table(p, self.context.precision, m)
         acc, scale, high = 1, 1, t
-        for row in self._table:
+        for row in memo(self, _digit_table):
             if not high:
                 break
             high, d = divmod(high, p)
@@ -148,14 +154,18 @@ class GammaCache:
             raise ValueError("gamma_nat requires n >= 0")
         return ZpElement(self.context, self._nat_mod(n))
 
+    def _inverse(self, den: int, num: object = "num") -> int:
+        if den % self.p == 0:
+            raise ValueError(f"argument {num}/{den} is not a p-adic integer for p={self.p}")
+        return pow(den, -1, self.modulus)
+
     def residue(self, num: int, den: int) -> int:
         """Gamma_p(num/den) mod p^N for integers num and den > 0 with p ∤ den."""
-        inv = self._inverses.get(den)
-        if inv is None:
-            if den % self.p == 0:
-                raise ValueError(f"argument {num}/{den} is not a p-adic integer for p={self.p}")
-            inv = self._inverses[den] = pow(den, -1, self.modulus)
-        return self._nat_mod(num * inv)
+        return self._nat_mod(num * self._inverse(den, num))
+
+    def residues(self, d: int) -> list[int]:
+        """[Gamma_p(num/d) mod p^N for num < d], d > 0 with p ∤ d, built once and shared."""
+        return memo(self, _residue_table, d)
 
     def gamma(self, x) -> ZpElement:
         """Gamma_p at a rational p-adic integer (denominator coprime to p)."""

@@ -12,7 +12,7 @@ suites, gamma and floors, live in jobs and are re-exported here, with SUITES
 naming all eight.  jobs.run_job imports this module, and with it the F_q,
 Z_q, nGn and character-sum layers, at the first field job.  The shared F_q
 contexts are kept here, one per (p, r); each holds its Z_q contexts and
-every other table derived from it (finitefield.memo).
+every other table derived from it (zmod.memo).
 
 The nGn suites read gfunction.value_table by k = dlog x.  With n = q-1 and
 h = n/2, indices mod n: 1/x is -k, 1 - x is zech[k+h], x + 1 is zech[k],

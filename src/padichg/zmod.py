@@ -1,10 +1,10 @@
 """The integer layer under every field: primality, the field bound, the
-balanced lift, and Z/p^N.
+balanced lift, the table memo, and Z/p^N.
 
 PadicContext and ZpElement are the ring Z/p^N standing in for Z_p at
 precision N.  They need no F_q context, so the Gamma_p cache and the
 integer suites (gamma, floors) run on this module alone; padic
-re-exports them.
+re-exports them.  memo holds the tables of a field context or a Gamma_p cache.
 """
 
 from __future__ import annotations
@@ -18,17 +18,31 @@ def is_prime(n: int) -> bool:
     return n > 1 and all(n % d for d in range(2, isqrt(n) + 1))
 
 
-def check_field(p: int, r: int) -> None:
-    """Refuse (ValueError) all but an odd prime p and r >= 1 with p^r <= MAX_Q;
-    p and r are bounded before the primality scan and the power."""
+def check_prime(p: int) -> None:
+    """Refuse (ValueError) all but an odd prime p <= MAX_Q, bounding p before the scan."""
     if p > MAX_Q:
         raise ValueError(f"p = {p} exceeds the supported bound {MAX_Q}")
     if not is_prime(p) or p == 2:
         raise ValueError("p must be an odd prime")
+
+
+def check_field(p: int, r: int) -> None:
+    """check_prime(p), then refuse r < 1 and p^r > MAX_Q, bounding r before the power."""
+    check_prime(p)
     if r < 1:
         raise ValueError("r must be >= 1")
     if r >= MAX_Q.bit_length() or p**r > MAX_Q:
         raise ValueError(f"q = {p}^{r} exceeds the supported bound {MAX_Q}")
+
+
+def memo(owner, build, *key):
+    """build(owner, *key), built on the first call and held in owner.tables
+    under (build, *key); a table is never mutated, so every caller shares it."""
+    slot = (build, *key)
+    table = owner.tables.get(slot)
+    if table is None:
+        table = owner.tables[slot] = build(owner, *key)
+    return table
 
 
 def balanced_residue(v: int, m: int) -> int:
@@ -48,8 +62,7 @@ class PadicContext:
     """The ring Z/p^N standing in for Z_p at precision N."""
 
     def __init__(self, p: int, precision: int):
-        if not is_prime(p) or p == 2:
-            raise ValueError(f"p must be an odd prime, got {p}")
+        check_prime(p)
         if precision < 1:
             raise ValueError("precision must be >= 1")
         self.p = p

@@ -3,7 +3,9 @@
 finitefield.memo builds a table on first use and keeps it in the context's
 tables dict, and suites keeps only the F_q contexts, each holding its Z_q
 contexts.  So a full run builds every table once, a second run builds none,
-and no context keeps a table anywhere else.
+and no context keeps a table anywhere else.  A Gamma_p cache holds its
+digit table and its residue tables the same way, so every nGn table and the
+gamma suite read one residue list per denominator.
 """
 
 import gc
@@ -13,7 +15,7 @@ from collections import Counter
 import pytest
 from conftest import clear_shared_caches
 
-from padichg import suites
+from padichg import pgamma, suites
 from padichg.finitefield import FqContext, memo
 from padichg.jobs import INTEGER_SUITES
 from padichg.padic import UnramifiedContext
@@ -84,6 +86,50 @@ def test_every_table_is_built_once_and_held_by_its_context(monkeypatch, p, r):
         for ctx in held:
             kept = {name for name, v in vars(ctx).items() if isinstance(v, (list, dict))}
             assert kept <= {"tables", "powers", "dlog"}, ctx
+    finally:
+        clear_shared_caches()
+
+
+@pytest.mark.parametrize("p,r", [(7, 1), (5, 2)])
+def test_one_residue_table_per_denominator(monkeypatch, p, r):
+    cls = pgamma.GammaCache
+
+    def counting_init(self, *args, _init=cls.__init__):
+        _init(self, *args)
+        self.tables = _CountingTables()
+
+    reads = []  # (suite, d, the list read)
+
+    def recording_residues(self, d, _residues=cls.residues):
+        table = _residues(self, d)
+        reads.append((suite, d, table))
+        return table
+
+    monkeypatch.setattr(cls, "__init__", counting_init)
+    monkeypatch.setattr(cls, "residues", recording_residues)
+    clear_shared_caches()
+    try:
+        names = ("euler", "zeros", "oracles", "inversion", "gamma")
+        for suite in names:
+            assert run_job(JobSpec(p, r, suite, precision=4)).passed(), suite
+        (cache,) = pgamma._caches.values()  # one precision, so one cache
+        builds = dict(cache.tables.builds)
+        assert all(count == 1 for count in builds.values())
+        built = sorted(key[1] for key in builds if key[0].__name__ == "_residue_table")
+        assert built == sorted({d for _, d, _ in reads})
+        # every read of one d is the one list its cache holds
+        for suite, d, table in reads:
+            assert table is cache.tables[pgamma._residue_table, d], (suite, d)
+        # the two Euler families and the gamma suite share their d
+        euler = [d for s, d, _ in reads if s == "euler"]
+        assert len(euler) == 2 and euler[0] == euler[1]
+        assert euler[0] in {d for s, d, _ in reads if s == "gamma"}
+        for suite in names:
+            run_job(JobSpec(p, r, suite, precision=4))
+        assert list(pgamma._caches.values()) == [cache]
+        assert dict(cache.tables.builds) == builds
+        kept = {name for name, v in vars(cache).items() if isinstance(v, (list, dict))}
+        assert kept == {"tables", "_memo"}
     finally:
         clear_shared_caches()
 

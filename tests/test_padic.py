@@ -26,6 +26,13 @@ def test_context_validation():
         PadicContext(6, 3)
     with pytest.raises(ValueError):
         PadicContext(5, 0)
+    # bounded before the primality scan, with check_field's messages
+    with pytest.raises(ValueError, match="exceeds the supported bound"):
+        PadicContext(2**61 - 1, 1)
+    with pytest.raises(ValueError, match="exceeds the supported bound"):
+        PadicContext(65537, 1)
+    with pytest.raises(ValueError, match="^p must be an odd prime$"):
+        PadicContext(9, 2)
 
 
 def test_zp_arithmetic_and_inverse():

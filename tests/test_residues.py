@@ -1,7 +1,8 @@
 """Integer-residue fast paths against their Fraction references.
 
 GammaCache.residue(num, den) against GammaCache.gamma(Fraction(num, den)) and
-the prefix product; the integer floor identities against their Fraction
+the prefix product; the residue table GammaCache.residues(d) against both
+point entries; the integer floor identities against their Fraction
 forms; and the gamma suite, case by case, against its Fraction form, both
 clean and with every Gamma_p value perturbed.
 """
@@ -54,6 +55,30 @@ def test_residue_rejects_p_in_denominator(pn, num, k):
     p, n = pn
     with pytest.raises(ValueError, match="not a p-adic integer"):
         _cache(p, n).residue(num, p * k)
+
+
+# d <= 300, so no example builds a large table
+@settings(max_examples=300, deadline=None)
+@given(_PN, st.integers(-10**6, 10**6), st.integers(1, 300))
+def test_residue_table_matches_residue_and_prefix(pn, num, d):
+    p, n = pn
+    if d % p == 0:
+        d += 1
+    cache, m = _cache(p, n), p**n
+    num %= d
+    value = cache.residues(d)[num]
+    assert value == cache.residue(num, d)
+    big = p ** (n + 1)
+    assert value == prefix_gamma_nat(p, m, num * pow(d, -1, big) % big)
+    assert len(cache.residues(d)) == d and cache.residues(d) is cache.residues(d)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_PN, st.integers(1, 10**3))
+def test_residue_table_rejects_p_in_denominator(pn, k):
+    p, n = pn
+    with pytest.raises(ValueError, match="not a p-adic integer"):
+        _cache(p, n).residues(p * k)
 
 
 def _floor_case():
