@@ -90,7 +90,8 @@ class GValue(namedtuple("GValue", "value precision")):
 
 def _coefficient_table(upper, lower, zq: UnramifiedContext) -> list[int]:
     """Z_p coefficients c_a of omega-bar^a(t), indexed by a, in integer arithmetic."""
-    p, r, q, m = zq.base.p, zq.r, zq.q, zq.modulus
+    fq = zq.fq
+    p, r, q, m = fq.p, fq.r, fq.q, zq.modulus
     n = len(upper)
     d = lcm(q - 1, *(c.denominator for c in upper + lower))
     gamma = gamma_cache(zq.base).residues(d)

@@ -24,17 +24,16 @@ of all Q_{k,d} with d < p is built once per cache, in about p*N^2 ring
 products; a fresh argument then costs sum_k ceil(N/(k+1)) Horner steps.
 
 GammaCache.residue(num, den) is the integer point entry, Gamma_p(num/den)
-mod p^N from num * den^-1 mod p^N; gamma(x) is a facade over it.  Like a
-field context, a cache holds its tables in its tables dict through
-zmod.memo: the digit table, and per denominator d the list residues(d) of
-Gamma_p(num/d) mod p^N for num < d, which every nGn coefficient table and
-the gamma suite index.  The guard only keys the shared caches: reducing mod
-p^(N+guard) and then mod p^N would give the same residue.
+mod p^N from num * den^-1 mod p^N; gamma(x) is a facade over it.  A cache
+holds its tables through zmod.memo: the digit table and, per denominator d,
+residues(d) = {num: Gamma_p(num/d) mod p^N}, filled as read, so it costs
+what its readers read, not d.  The guard only keys the shared caches:
+reducing mod p^(N+guard) and then mod p^N would give the same residue.
 
 check_feasible refuses, before any context is built, a (p, N) whose table
 would take more than MAX_TABLE_WORK ring products.  Every value is memoized
-per residue t, shared by the residue tables of every d; tables and memo are
-write-once per key and safe for concurrent readers.
+per residue t; the memo and the tables are write-once per key and safe for
+concurrent readers.
 """
 
 from __future__ import annotations
@@ -98,9 +97,16 @@ def _digit_table(cache: "GammaCache") -> list[list[tuple[int, ...]]]:
     return table
 
 
-def _residue_table(cache: "GammaCache", d: int) -> list[int]:
-    inv = cache._inverse(d)
-    return [cache._nat_mod(num * inv) for num in range(d)]
+class _ResidueTable(dict):
+    """num -> Gamma_p(num/d) mod p^N, each value computed on its first read."""
+
+    def __init__(self, cache: "GammaCache", d: int):
+        if d % cache.p == 0:
+            raise ValueError(f"1/{d} is not a p-adic integer for p={cache.p}")
+        self.cache, self.inverse = cache, pow(d, -1, cache.modulus)
+
+    def __missing__(self, num: int) -> int:
+        return self.setdefault(num, self.cache._nat_mod(num * self.inverse))
 
 
 class GammaCache:
@@ -154,18 +160,15 @@ class GammaCache:
             raise ValueError("gamma_nat requires n >= 0")
         return ZpElement(self.context, self._nat_mod(n))
 
-    def _inverse(self, den: int, num: object = "num") -> int:
-        if den % self.p == 0:
-            raise ValueError(f"argument {num}/{den} is not a p-adic integer for p={self.p}")
-        return pow(den, -1, self.modulus)
-
     def residue(self, num: int, den: int) -> int:
         """Gamma_p(num/den) mod p^N for integers num and den > 0 with p ∤ den."""
-        return self._nat_mod(num * self._inverse(den, num))
+        if den % self.p == 0:
+            raise ValueError(f"argument {num}/{den} is not a p-adic integer for p={self.p}")
+        return self._nat_mod(num * pow(den, -1, self.modulus))
 
-    def residues(self, d: int) -> list[int]:
-        """[Gamma_p(num/d) mod p^N for num < d], d > 0 with p ∤ d, built once and shared."""
-        return memo(self, _residue_table, d)
+    def residues(self, d: int) -> _ResidueTable:
+        """num -> Gamma_p(num/d) mod p^N for 0 <= num < d, d > 0 with p ∤ d; one per d."""
+        return memo(self, _ResidueTable, d)
 
     def gamma(self, x) -> ZpElement:
         """Gamma_p at a rational p-adic integer (denominator coprime to p)."""

@@ -18,17 +18,13 @@ def is_prime(n: int) -> bool:
     return n > 1 and all(n % d for d in range(2, isqrt(n) + 1))
 
 
-def check_prime(p: int) -> None:
-    """Refuse (ValueError) all but an odd prime p <= MAX_Q, bounding p before the scan."""
+def check_field(p: int, r: int) -> None:
+    """Refuse (ValueError) all but an odd prime p and r >= 1 with p^r <= MAX_Q;
+    p and r are bounded before the primality scan and the power."""
     if p > MAX_Q:
         raise ValueError(f"p = {p} exceeds the supported bound {MAX_Q}")
     if not is_prime(p) or p == 2:
         raise ValueError("p must be an odd prime")
-
-
-def check_field(p: int, r: int) -> None:
-    """check_prime(p), then refuse r < 1 and p^r > MAX_Q, bounding r before the power."""
-    check_prime(p)
     if r < 1:
         raise ValueError("r must be >= 1")
     if r >= MAX_Q.bit_length() or p**r > MAX_Q:
@@ -37,7 +33,7 @@ def check_field(p: int, r: int) -> None:
 
 def memo(owner, build, *key):
     """build(owner, *key), built on the first call and held in owner.tables
-    under (build, *key); a table is never mutated, so every caller shares it."""
+    under (build, *key); a value once set never changes, so callers share it."""
     slot = (build, *key)
     table = owner.tables.get(slot)
     if table is None:
@@ -62,7 +58,7 @@ class PadicContext:
     """The ring Z/p^N standing in for Z_p at precision N."""
 
     def __init__(self, p: int, precision: int):
-        check_prime(p)
+        check_field(p, 1)  # p is bounded before the primality scan
         if precision < 1:
             raise ValueError("precision must be >= 1")
         self.p = p

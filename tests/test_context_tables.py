@@ -5,7 +5,7 @@ tables dict, and suites keeps only the F_q contexts, each holding its Z_q
 contexts.  So a full run builds every table once, a second run builds none,
 and no context keeps a table anywhere else.  A Gamma_p cache holds its
 digit table and its residue tables the same way, so every nGn table and the
-gamma suite read one residue list per denominator.
+gamma suite read one residue table per denominator.
 """
 
 import gc
@@ -98,7 +98,7 @@ def test_one_residue_table_per_denominator(monkeypatch, p, r):
         _init(self, *args)
         self.tables = _CountingTables()
 
-    reads = []  # (suite, d, the list read)
+    reads = []  # (suite, d, the table read)
 
     def recording_residues(self, d, _residues=cls.residues):
         table = _residues(self, d)
@@ -115,11 +115,11 @@ def test_one_residue_table_per_denominator(monkeypatch, p, r):
         (cache,) = pgamma._caches.values()  # one precision, so one cache
         builds = dict(cache.tables.builds)
         assert all(count == 1 for count in builds.values())
-        built = sorted(key[1] for key in builds if key[0].__name__ == "_residue_table")
+        built = sorted(key[1] for key in builds if key[0] is pgamma._ResidueTable)
         assert built == sorted({d for _, d, _ in reads})
-        # every read of one d is the one list its cache holds
+        # every read of one d is the one table its cache holds
         for suite, d, table in reads:
-            assert table is cache.tables[pgamma._residue_table, d], (suite, d)
+            assert table is cache.tables[pgamma._ResidueTable, d], (suite, d)
         # the two Euler families and the gamma suite share their d
         euler = [d for s, d, _ in reads if s == "euler"]
         assert len(euler) == 2 and euler[0] == euler[1]

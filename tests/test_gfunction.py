@@ -186,6 +186,18 @@ def test_sweep_reuses_one_coefficient_table(monkeypatch):
     assert len(builds) == 6
 
 
+def test_large_denominator_reads_few_residues():
+    # D = lcm(q-1, 1000003) = 6000018, but a coefficient table reads at most
+    # 2 n r (q-1) residue classes mod D, and only those are computed
+    fq, zq = _pair(7, 1, 3)
+    upper, lower = (F(1, 1000003),), (F(0),)
+    assert _coefficient_table(upper, lower, zq) == coefficient_table_fraction(upper, lower, zq)
+    for t in fq.elements():
+        params = GParams(upper, lower, t, zq)
+        assert evaluate_g(params).value == evaluate_g_pointwise(params), t
+    assert 0 < len(gamma_cache(zq.base).residues(6 * 1000003)) <= 2 * 1 * 1 * 6
+
+
 @pytest.mark.parametrize(
     "p,r,n",
     [

@@ -70,7 +70,7 @@ def test_residue_table_matches_residue_and_prefix(pn, num, d):
     assert value == cache.residue(num, d)
     big = p ** (n + 1)
     assert value == prefix_gamma_nat(p, m, num * pow(d, -1, big) % big)
-    assert len(cache.residues(d)) == d and cache.residues(d) is cache.residues(d)
+    assert cache.residues(d) is cache.residues(d) and all(0 <= k < d for k in cache.residues(d))
 
 
 @settings(max_examples=100, deadline=None)
