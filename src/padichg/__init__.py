@@ -28,9 +28,7 @@ _EXPORTS = {
     "FqContext": "finitefield",
     "FqElement": "finitefield",
     "count_roots": "finitefield",
-    "delta": "finitefield",
     "discriminant_sign_check": "finitefield",
-    "make_fq": "finitefield",
     "quadratic_char": "finitefield",
     "EvaluationIntegrityError": "padic",
     "GParams": "gfunction",
@@ -45,8 +43,6 @@ _EXPORTS = {
     "recover_bounded_integer": "padic",
     "GammaCache": "pgamma",
     "gamma_cache": "pgamma",
-    "gamma_p": "pgamma",
-    "gamma_p_nat": "pgamma",
     "check_floor_identity_A": "rational",
     "check_floor_identity_B": "rational",
     "frac": "rational",

@@ -372,21 +372,11 @@ def _one_plus_logs(ctx: FqContext) -> list[int]:
     return [dlog.get(((c[0] + 1) % p,) + c[1:], ZECH_UNDEFINED) for c in ctx.powers]
 
 
-def make_fq(p: int, r: int) -> FqContext:
-    """Deterministic F_{p^r} context (see module docstring for the choices)."""
-    return FqContext(p, r)
-
-
 def quadratic_char(x: FqElement) -> int:
     """phi(x): 0 at zero, +1 on even dlog, -1 on odd dlog."""
     if x.is_zero():
         return 0
     return 1 if x.context.dlog[x.coeffs] % 2 == 0 else -1
-
-
-def delta(j: int) -> int:
-    """1 on the trivial character index, 0 otherwise (0 <= j <= q-2)."""
-    return 1 if j == 0 else 0
 
 
 def count_roots(coeffs) -> int:

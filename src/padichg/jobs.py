@@ -49,8 +49,9 @@ SUITE_MIN_P = {
 }
 
 
-class JobSpec(namedtuple("JobSpec", "p r suite precision restrict record_cases")):
-    """One verification job: a field, a precision, a suite, optional restriction.
+class JobSpec(namedtuple("JobSpec", "p r suite precision record_cases")):
+    """One verification job: a field, a precision, a suite, and whether its
+    report keeps one row per case (csv --verbose).
 
     A precision of None is resolved here, to default_precision(suite, p, r).
     """
@@ -63,7 +64,6 @@ class JobSpec(namedtuple("JobSpec", "p r suite precision restrict record_cases")
         r: int,
         suite: str,
         precision: int | None = None,
-        restrict: tuple | None = None,
         record_cases: bool = False,
     ):
         if suite not in SUITE_NAMES:
@@ -73,7 +73,7 @@ class JobSpec(namedtuple("JobSpec", "p r suite precision restrict record_cases")
             precision = default_precision(suite, p, r)
         elif precision < 1:
             raise ValueError("precision must be >= 1")
-        return super().__new__(cls, p, r, suite, precision, restrict, record_cases)
+        return super().__new__(cls, p, r, suite, precision, record_cases)
 
     @classmethod
     def _make(cls, iterable):

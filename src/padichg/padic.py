@@ -226,12 +226,6 @@ class ZqElement(_PolyResidue):
             return ctx.scalar(other)
         return NotImplemented
 
-    def scale(self, n: int) -> "ZqElement":
-        """The scalar multiple n x, coefficient-wise mod p^N; no evaluation
-        path calls it, only the point-wise references of the tests do."""
-        m = self.context.modulus
-        return ZqElement(self.context, tuple(a * n % m for a in self.coeffs))
-
     def __pow__(self, e: int) -> "ZqElement":
         if e < 0:
             return self.inverse() ** (-e)

@@ -27,8 +27,7 @@ GammaCache.residue(num, den) is the integer point entry, Gamma_p(num/den)
 mod p^N from num * den^-1 mod p^N; gamma(x) is a facade over it.  A cache
 holds its tables through zmod.memo: the digit table and, per denominator d,
 residues(d) = {num: Gamma_p(num/d) mod p^N}, filled as read, so it costs
-what its readers read, not d.  The guard only keys the shared caches:
-reducing mod p^(N+guard) and then mod p^N would give the same residue.
+what its readers read, not d.  gamma_cache shares one cache per (p, N).
 
 check_feasible refuses, before any context is built, a (p, N) whose table
 would take more than MAX_TABLE_WORK ring products.  Every value is memoized
@@ -48,7 +47,7 @@ from .zmod import PadicContext, ZpElement, memo
 # below it; the largest, clausen at p = 65521 with N = 5, is 1.6e6.
 MAX_TABLE_WORK = 2 * 10**6
 
-_caches: dict[tuple[int, int, int], "GammaCache"] = {}
+_caches: dict[tuple[int, int], "GammaCache"] = {}
 
 
 class InfeasibleError(ValueError):
@@ -112,12 +111,13 @@ class _ResidueTable(dict):
 class GammaCache:
     """Gamma_p evaluator bound to one PadicContext."""
 
-    def __init__(self, context: PadicContext, guard: int = 1):
-        if guard < 1:
-            raise ValueError("guard must be >= 1")
+    # read only by bench/tracing.py, which names its spans by (p, N, guard);
+    # ROADMAP item 5 removes it with that tracer
+    guard = 1
+
+    def __init__(self, context: PadicContext):
         check_feasible(context.p, context.precision)
         self.context = context
-        self.guard = guard
         self.p = context.p
         self.modulus = context.modulus
         self.tables: dict[tuple, object] = {}  # filled by memo
@@ -154,12 +154,6 @@ class GammaCache:
             self._memo[t] = v
         return v
 
-    def gamma_nat(self, n: int) -> ZpElement:
-        """Gamma_p at a non-negative integer, by the defining product."""
-        if n < 0:
-            raise ValueError("gamma_nat requires n >= 0")
-        return ZpElement(self.context, self._nat_mod(n))
-
     def residue(self, num: int, den: int) -> int:
         """Gamma_p(num/den) mod p^N for integers num and den > 0 with p ∤ den."""
         if den % self.p == 0:
@@ -178,19 +172,11 @@ class GammaCache:
         return ZpElement(self.context, self.residue(x.numerator, x.denominator))
 
 
-def gamma_cache(context: PadicContext, guard: int = 1) -> GammaCache:
-    """Shared per-(p, N, guard) cache; evaluations are pure, so sharing is safe."""
-    key = (context.p, context.precision, guard)
+def gamma_cache(context: PadicContext) -> GammaCache:
+    """Shared per-(p, N) cache; evaluations are pure, so sharing is safe."""
+    key = (context.p, context.precision)
     cache = _caches.get(key)
     if cache is None:
-        cache = GammaCache(context, guard)
+        cache = GammaCache(context)
         _caches[key] = cache
     return cache
-
-
-def gamma_p_nat(n: int, context: PadicContext) -> ZpElement:
-    return gamma_cache(context).gamma_nat(n)
-
-
-def gamma_p(x, context: PadicContext) -> ZpElement:
-    return gamma_cache(context).gamma(x)

@@ -13,6 +13,11 @@ from math import isqrt
 
 MAX_Q = 1 << 16
 
+# Bound on precision * p.bit_length(), which caps the bits of p^N.  Every
+# context the CLI admits (p*N^2 <= pgamma.MAX_TABLE_WORK) needs under 1,700
+# bits; the largest a test builds, 3^5000, is 10,000 by this measure.
+MAX_MODULUS_BITS = 1 << 16
+
 
 def is_prime(n: int) -> bool:
     return n > 1 and all(n % d for d in range(2, isqrt(n) + 1))
@@ -61,6 +66,10 @@ class PadicContext:
         check_field(p, 1)  # p is bounded before the primality scan
         if precision < 1:
             raise ValueError("precision must be >= 1")
+        if precision * p.bit_length() > MAX_MODULUS_BITS:  # bounded before the power
+            raise ValueError(
+                f"p^N = {p}^{precision} exceeds the supported bound of {MAX_MODULUS_BITS} bits"
+            )
         self.p = p
         self.precision = precision
         self.modulus = p**precision

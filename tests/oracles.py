@@ -208,7 +208,7 @@ def evaluate_g_pointwise(params):
         return zq.zero
     table = coefficient_table_fraction(params.upper, params.lower, zq)
     u = teichmuller_by_iteration(zq, params.t).inverse()
-    return _power_sum(zq, u, [zq.scalar(c) for c in table]).scale(-pow(q - 1, -1, m) % m)
+    return _power_sum(zq, u, [zq.scalar(c) for c in table]) * (-pow(q - 1, -1, m) % m)
 
 
 def jacobi_sum_elementwise(i, j, zq):
@@ -226,7 +226,7 @@ def sum_h_pointwise(lam, zq):
     half = n // 2
     cubes = [jacobi_sum((half - k) % n, k, zq) ** 3 for k in range(n)]
     w = teichmuller_by_iteration(zq, lam)
-    return _power_sum(zq, w, cubes).scale(pow(n, -1, zq.modulus))
+    return _power_sum(zq, w, cubes) * pow(n, -1, zq.modulus)
 
 
 def sum_B_pointwise(lam, zq):
@@ -242,7 +242,7 @@ def sum_B_pointwise(lam, zq):
     arg = lam / (fq.scalar(4) * (lam + fq.one))
     u = teichmuller_by_iteration(zq, arg).inverse()
     lead = quadratic_char(fq.scalar(-2)) * pow(n, -1, zq.modulus) % zq.modulus
-    return _power_sum(zq, u, pairs).scale(lead)
+    return _power_sum(zq, u, pairs) * lead
 
 
 def sum_A_bruteforce(lam):
@@ -380,14 +380,14 @@ def gamma_identities_fraction(job):
         for a in range(q - 1):
             u = Fraction(a, q - 1)
             w_down = zq.char_value(t * a, t_elem)
-            lhs = w_down.scale(base * gprod([frac(-t * u * p**i) for i in range(r)]) % m)
+            lhs = w_down * (base * gprod([frac(-t * u * p**i) for i in range(r)]) % m)
             rhs = zq.scalar(
                 gprod([frac((Fraction(1 + h, t) - u) * p**i) for i in range(r) for h in range(t)])
             )
             sweep.case(f"product-down t={t} a={a}", lhs == rhs, lambda: (_fmt(lhs), _fmt(rhs)))
 
             w_up = zq.char_value(-t * a, t_elem)
-            lhs = w_up.scale(base * gprod([frac(t * u * p**i) for i in range(r)]) % m)
+            lhs = w_up * (base * gprod([frac(t * u * p**i) for i in range(r)]) % m)
             rhs = zq.scalar(
                 gprod([frac((Fraction(h, t) + u) * p**i) for i in range(r) for h in range(t)])
             )
@@ -413,21 +413,13 @@ def gamma_identities_fraction(job):
 
 
 def phi_scaled(value, sign):
-    return value.scale(sign % value.context.modulus)
+    return value * (sign % value.context.modulus)
 
 
-def sweep_elements(fq, job, exclude=()):
-    """The x of fq.elements() outside exclude and, under job.restrict, inside it."""
+def sweep_elements(fq, exclude=()):
+    """The x of fq.elements() outside exclude."""
     excluded = set(exclude)
-    allowed = None
-    if job.restrict is not None:
-        allowed = {fq.coerce(v) for v in job.restrict}
-    for x in fq.elements():
-        if x in excluded:
-            continue
-        if allowed is not None and x not in allowed:
-            continue
-        yield x
+    return (x for x in fq.elements() if x not in excluded)
 
 
 def euler_transform_pointwise(job):
@@ -435,7 +427,7 @@ def euler_transform_pointwise(job):
     _require(job)
     fq, zq = contexts(job.p, job.r, job.precision)
     sweep = _Sweep(job)
-    for x in sweep_elements(fq, job, exclude=(fq.zero, fq.one)):
+    for x in sweep_elements(fq, exclude=(fq.zero, fq.one)):
         t = x.inverse()
         lhs = evaluate_g(GParams(*_EULER_LEFT, t, zq)).value
         rhs = phi_scaled(
@@ -458,7 +450,7 @@ def zero_classification_pointwise(job):
     fq, zq = contexts(job.p, job.r, job.precision)
     bound = _recovery_bound(zq.modulus)
     sweep = _Sweep(job)
-    for x in sweep_elements(fq, job, exclude=(fq.zero, fq.one)):
+    for x in sweep_elements(fq, exclude=(fq.zero, fq.one)):
         t = x.inverse()
         v1 = recover_bounded_integer(evaluate_g(GParams(*_EULER_LEFT, t, zq)).value, bound)
         v2 = recover_bounded_integer(evaluate_g(GParams(*_EULER_RIGHT, t, zq)).value, bound)
@@ -483,7 +475,7 @@ def clausen_pointwise(job):
     fq, zq = contexts(job.p, job.r, job.precision)
     q_elem = zq.scalar(fq.q)
     sweep = _Sweep(job)
-    for x in sweep_elements(fq, job, exclude=(fq.zero, fq.one)):
+    for x in sweep_elements(fq, exclude=(fq.zero, fq.one)):
         lhs = evaluate_g(GParams(*_CLAUSEN_CUBE, x.inverse(), zq)).value
         g = evaluate_g(GParams(*_CLAUSEN_SQUARE, (x - fq.one) / x, zq)).value
         rhs = phi_scaled(g * g - q_elem, quadratic_char(fq.one - x))
@@ -498,7 +490,7 @@ def proposition_oracles_pointwise(job):
     bound = _recovery_bound(zq.modulus)
     inv27 = fq.scalar(27).inverse()
     sweep = _Sweep(job)
-    for x in sweep_elements(fq, job, exclude=(fq.zero,)):
+    for x in sweep_elements(fq, exclude=(fq.zero,)):
         t = x.inverse()
         c1 = count_roots([fq.scalar(-4) * x, fq.zero, fq.scalar(27), fq.scalar(-27)])
         c2 = count_roots(
@@ -524,7 +516,7 @@ def inversion_pointwise(job):
     _require(job)
     fq, zq = contexts(job.p, job.r, job.precision)
     sweep = _Sweep(job)
-    for x in sweep_elements(fq, job, exclude=(fq.zero,)):
+    for x in sweep_elements(fq, exclude=(fq.zero,)):
         lhs = evaluate_g_inverted(GParams(*_EULER_RIGHT, x, zq)).value
         rhs = evaluate_g(GParams(*_EULER_RIGHT, x.inverse(), zq)).value
         sweep.case(f"x={_label(x.coeffs)}", lhs == rhs, lambda: (_fmt(lhs), _fmt(rhs)))
@@ -540,7 +532,7 @@ def charsum_chain_pointwise(job):
     phim1 = quadratic_char(fq.scalar(-1))
     phim2 = quadratic_char(fq.scalar(-2))
     sweep = _Sweep(job)
-    for lam in sweep_elements(fq, job, exclude=(fq.zero, -fq.one)):
+    for lam in sweep_elements(fq, exclude=(fq.zero, -fq.one)):
         a_val = sum_a(lam)
         big_a = sum_A(lam)
         t3 = -(lam.inverse())

@@ -14,12 +14,12 @@ from oracles import (
 from padichg import charsums
 from padichg.charsums import A_values, a_values, jacobi_sum, sum_A, sum_B, sum_a, sum_h
 from padichg.charsums import verify_aop_identity
-from padichg.finitefield import make_fq, quadratic_char
+from padichg.finitefield import FqContext, quadratic_char
 from padichg.padic import UnramifiedContext, balanced_lift
 
 
 def _pair(p, r, n):
-    fq = make_fq(p, r)
+    fq = FqContext(p, r)
     return fq, UnramifiedContext(fq, n)
 
 
@@ -32,7 +32,7 @@ def euler_phi_int(x):
 
 
 def test_sum_A_frozen_and_brute():
-    fq = make_fq(5, 1)
+    fq = FqContext(5, 1)
     one = fq.one
     for lam in fq.elements():  # lam = 0 degenerates to phi(x^2 y (x+1)(y+1))
         brute = 0
@@ -44,7 +44,7 @@ def test_sum_A_frozen_and_brute():
 
 
 def test_sum_a_frozen_values():
-    fq = make_fq(5, 1)
+    fq = FqContext(5, 1)
     assert sum_a(fq.one) == 0  # terms phi(3), 0, phi(1), phi(2), phi(4)
     assert sum_a(fq.scalar(2)) == -2
     with pytest.raises(ValueError):
@@ -52,7 +52,7 @@ def test_sum_a_frozen_values():
 
 
 def test_sum_bounds():
-    fq = make_fq(3, 2)
+    fq = FqContext(3, 2)
     for lam in fq.elements():
         assert abs(sum_A(lam)) <= (fq.q - 1) ** 2
         if not (lam + fq.one).is_zero():
@@ -129,12 +129,12 @@ def test_sum_B_coupling_exhaustive(p, r):
 
 def test_aop_identity_exhaustive():
     for p, r in ((3, 2), (7, 1)):
-        fq = make_fq(p, r)
+        fq = FqContext(p, r)
         for lam in fq.elements():
             if lam.is_zero() or (lam + fq.one).is_zero():
                 continue
             assert verify_aop_identity(lam), lam
-    fq5 = make_fq(5, 1)
+    fq5 = FqContext(5, 1)
     assert verify_aop_identity(fq5.one)  # 5 = phi(2)(0 - 5)
     with pytest.raises(ValueError):
         verify_aop_identity(fq5.zero)
@@ -187,7 +187,7 @@ def test_jacobi_families_match_jacobi_sum(p, r, n):
 
 @lru_cache(maxsize=None)
 def _dlog_pairs(p, r):
-    return make_fq(p, r).jacobi_dlog_pairs()
+    return FqContext(p, r).jacobi_dlog_pairs()
 
 
 @settings(max_examples=60, deadline=None)
@@ -227,7 +227,7 @@ def test_h_and_B_built_once_per_context(monkeypatch):
 
 def test_sums_reject_foreign_field():
     _, zq = _pair(5, 1, 3)
-    foreign = make_fq(7, 1).scalar(2)
+    foreign = FqContext(7, 1).scalar(2)
     with pytest.raises(ValueError):
         sum_h(foreign, zq)
     with pytest.raises(ValueError):
@@ -240,7 +240,7 @@ ORACLE_FIELDS = [(3, 1), (5, 1), (7, 1), (13, 1), (3, 2), (5, 2), (7, 2), (5, 3)
 @pytest.mark.parametrize("p,r", ORACLE_FIELDS)
 def test_whole_field_tables_match_bruteforce(p, r):
     # every lam (lam = 0 included for A) against the per-lambda double sum
-    fq = make_fq(p, r)
+    fq = FqContext(p, r)
     for lam in fq.elements():
         assert sum_A(lam) == sum_A_bruteforce(lam), lam
         if not (lam + fq.one).is_zero():
@@ -256,7 +256,7 @@ def test_oracle_tables_built_once_per_context(monkeypatch):
         return original(u, v)
 
     monkeypatch.setattr(charsums, "correlate", counting)
-    fq = make_fq(7, 2)
+    fq = FqContext(7, 2)
     zech = fq.zech_table()
     lams = [lam for lam in fq.elements() if not (lam + fq.one).is_zero()]
     first = [(sum_A(lam), sum_a(lam)) for lam in lams]
@@ -269,6 +269,6 @@ def test_oracle_tables_built_once_per_context(monkeypatch):
     assert A_values(fq) is tables["A"] and a_values(fq) is tables["a"]
     assert fq.zech_table() is zech
     # a second context of the same field owns its own tables
-    other = make_fq(7, 2)
+    other = FqContext(7, 2)
     sum_A(other.one)
     assert len(correlations) == 5 and A_values(other) is not tables["A"]

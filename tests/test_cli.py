@@ -316,12 +316,12 @@ def test_packed_correlation_past_its_bound_is_refused():
 
 @pytest.mark.parametrize("p,r,n", [(5, 1, 4), (7, 2, 5), (3, 3, 9)])
 def test_packed_digits_is_the_size_of_the_correlation_product(p, r, n):
-    from padichg.finitefield import make_fq
+    from padichg.finitefield import FqContext
     from padichg.jobs import packed_digits
     from padichg.padic import UnramifiedContext, _packed_chirp
 
     # finitefield.correlate multiplies q-1 blocks of the table by the packed chirp
-    _, width, count = _packed_chirp(UnramifiedContext(make_fq(p, r), n))
+    _, width, count = _packed_chirp(UnramifiedContext(FqContext(p, r), n))
     assert packed_digits(p, r, n) == width * (2 * r - 1) * (p**r - 1 + count - 1)
 
 

@@ -12,9 +12,7 @@ from padichg.finitefield import (
     FqContext,
     FqElement,
     count_roots,
-    delta,
     discriminant_sign_check,
-    make_fq,
     quadratic_char,
     smallest_irreducible,
 )
@@ -22,27 +20,27 @@ from padichg.suites import DEFAULT_BATTERY
 
 
 def test_make_fq_examples():
-    f5 = make_fq(5, 1)
+    f5 = FqContext(5, 1)
     assert f5.generator == f5.scalar(2)
-    f3 = make_fq(3, 1)
+    f3 = FqContext(3, 1)
     assert f3.generator == f3.scalar(2)
     with pytest.raises(ValueError):
-        make_fq(4, 1)
+        FqContext(4, 1)
     with pytest.raises(ValueError):
-        make_fq(2, 1)
+        FqContext(2, 1)
     with pytest.raises(ValueError):
-        make_fq(257, 3)  # q above the documented bound
+        FqContext(257, 3)  # q above the documented bound
     with pytest.raises(ValueError):
-        make_fq(2**61 - 1, 1)  # refused before a primality scan
+        FqContext(2**61 - 1, 1)  # refused before a primality scan
     with pytest.raises(ValueError):
-        make_fq(3, 10**9)  # refused before p^r
+        FqContext(3, 10**9)  # refused before p^r
 
 
 def test_defining_polynomial_is_lex_smallest_irreducible():
     # independent scan: no lex-smaller monic polynomial may be irreducible
     for p, r in ((3, 2), (5, 2), (7, 2)):
         chosen = smallest_irreducible(p, r)
-        ctx = make_fq(p, r)
+        ctx = FqContext(p, r)
         assert ctx.poly == chosen
         alpha = FqElement(ctx, (0, 1))
         # the power-basis root satisfies the polynomial
@@ -97,7 +95,7 @@ def test_smallest_irreducible_unchanged():
 
 
 def test_field_axioms_exhaustive_f9():
-    ctx = make_fq(3, 2)
+    ctx = FqContext(3, 2)
     elems = ctx.elements()
     for a in elems:
         assert a + ctx.zero == a
@@ -115,7 +113,7 @@ def test_field_axioms_exhaustive_f9():
 
 def test_generator_order_and_dlog():
     for p, r in ((5, 1), (7, 1), (5, 2)):
-        ctx = make_fq(p, r)
+        ctx = FqContext(p, r)
         seen = set()
         for x in ctx.nonzero_elements():
             k = x.dlog()
@@ -125,7 +123,7 @@ def test_generator_order_and_dlog():
 
 
 def test_quadratic_char_examples():
-    f5 = make_fq(5, 1)
+    f5 = FqContext(5, 1)
     assert quadratic_char(f5.zero) == 0
     assert quadratic_char(f5.scalar(4)) == 1  # 4 = 2^2
     assert quadratic_char(f5.scalar(2)) == -1  # Euler: 2^2 = 4 = -1 mod 5
@@ -133,7 +131,7 @@ def test_quadratic_char_examples():
 
 def test_quadratic_char_euler_criterion_exhaustive():
     for p, r in ((5, 1), (13, 1), (5, 2)):
-        ctx = make_fq(p, r)
+        ctx = FqContext(p, r)
         for x in ctx.nonzero_elements():
             euler = x ** ((ctx.q - 1) // 2)
             assert euler == ctx.one or euler == -ctx.one
@@ -141,16 +139,10 @@ def test_quadratic_char_euler_criterion_exhaustive():
 
 
 def test_quadratic_char_multiplicative():
-    ctx = make_fq(3, 2)
+    ctx = FqContext(3, 2)
     for x in ctx.nonzero_elements():
         for y in ctx.nonzero_elements():
             assert quadratic_char(x * y) == quadratic_char(x) * quadratic_char(y)
-
-
-def test_delta():
-    assert delta(0) == 1
-    assert delta(1) == 0
-    assert delta(11) == 0
 
 
 def _cubic_27(ctx, x):
@@ -159,7 +151,7 @@ def _cubic_27(ctx, x):
 
 
 def test_count_roots_frozen_values():
-    f5 = make_fq(5, 1)
+    f5 = FqContext(5, 1)
     assert count_roots(_cubic_27(f5, f5.scalar(1))) == 2  # roots y = 3, 4
     assert count_roots(_cubic_27(f5, f5.scalar(2))) == 0
     assert count_roots(_cubic_27(f5, f5.scalar(3))) == 1  # root y = 2
@@ -169,7 +161,7 @@ def test_count_roots_frozen_values():
 
 
 def test_count_roots_errors():
-    f5 = make_fq(5, 1)
+    f5 = FqContext(5, 1)
     with pytest.raises(ValueError):
         count_roots([f5.zero, f5.zero])
     with pytest.raises(ValueError):
@@ -179,7 +171,7 @@ def test_count_roots_errors():
 
 
 def test_count_roots_against_direct_scan():
-    ctx = make_fq(7, 1)
+    ctx = FqContext(7, 1)
     rng = random.Random(7)
     for _ in range(25):
         coeffs = [ctx.scalar(rng.randint(0, 6)) for _ in range(4)]
@@ -207,7 +199,7 @@ def test_count_roots_generator_independent():
                         return cand
             raise AssertionError
 
-    std = make_fq(7, 1)
+    std = FqContext(7, 1)
     alt = AltGenContext(7, 1)
     assert std.generator != alt.generator
     for xv in range(7):
@@ -226,7 +218,7 @@ def _cubic_scaled(ctx, x):
 
 @pytest.mark.parametrize("p,r", ROOT_FIELDS)
 def test_count_roots_matches_scan_every_x(p, r):
-    ctx = make_fq(p, r)
+    ctx = FqContext(p, r)
     families = [_cubic_27] if p == 3 else [_cubic_27, _cubic_scaled]
     for x in ctx.elements():
         for family in families:
@@ -237,7 +229,7 @@ def test_count_roots_matches_scan_every_x(p, r):
 
 @functools.lru_cache(maxsize=None)
 def _small_field(p, r):
-    return make_fq(p, r)
+    return FqContext(p, r)
 
 
 @st.composite
@@ -269,7 +261,7 @@ def test_root_histograms_built_once_per_context(monkeypatch):
         return original(ctx, upper)
 
     monkeypatch.setattr(finitefield, "_preimage_histogram", counting)
-    ctx = make_fq(5, 2)  # 27 = 2 mod 5: the two families have distinct P1
+    ctx = FqContext(5, 2)  # 27 = 2 mod 5: the two families have distinct P1
     for x in ctx.elements():
         count_roots(_cubic_27(ctx, x))
         count_roots(_cubic_scaled(ctx, x))
@@ -278,12 +270,12 @@ def test_root_histograms_built_once_per_context(monkeypatch):
     padded = _cubic_27(ctx, ctx.one) + [ctx.zero]
     assert count_roots(padded) == count_roots_scan(padded)
     assert builds == [3, 3]
-    assert make_fq(5, 2).tables == {}
+    assert FqContext(5, 2).tables == {}
 
 
 def test_jacobi_dlog_pairs_match_elementwise():
     for p, r in ((5, 1), (3, 2), (7, 2)):
-        ctx = make_fq(p, r)
+        ctx = FqContext(p, r)
         expected = {
             (x.dlog(), (ctx.one - x).dlog())
             for x in ctx.elements()
@@ -295,7 +287,7 @@ def test_jacobi_dlog_pairs_match_elementwise():
 
 def test_zech_table_definition():
     for p, r in ((5, 1), (3, 2), (5, 2)):
-        ctx = make_fq(p, r)
+        ctx = FqContext(p, r)
         n = ctx.q - 1
         zech = ctx.zech_table()
         for d in range(n):
@@ -307,7 +299,7 @@ def test_zech_table_definition():
 
 
 def test_discriminant_sign_check():
-    f5 = make_fq(5, 1)
+    f5 = FqContext(5, 1)
     assert discriminant_sign_check(f5.scalar(3)) == -1
     assert discriminant_sign_check(f5.one) == 0
     assert discriminant_sign_check(f5.scalar(2)) == 1
@@ -315,7 +307,7 @@ def test_discriminant_sign_check():
 
 @pytest.mark.parametrize("p,r", [(5, 1), (7, 1), (13, 1), (5, 2)])
 def test_single_root_iff_nonsquare_discriminant(p, r):
-    ctx = make_fq(p, r)
+    ctx = FqContext(p, r)
     for x in ctx.elements():
         if x.is_zero() or x == ctx.one:
             continue

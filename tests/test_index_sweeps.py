@@ -4,8 +4,8 @@ Each suite reads its nGn values and its oracle tables (root counts, A, a, h
 and B) by discrete-log index; tests/oracles.py keeps the earlier form, one
 GParams and F_q element argument per point, with the oracles called through
 their facades.  Both must give the same case rows, failures and counts, on
-clean Gamma_p values, on corrupted ones, on value tables or oracle tables
-rotated by one index, and with a restriction list.
+clean Gamma_p values, on corrupted ones, and on value tables or oracle
+tables rotated by one index.
 """
 
 import pytest
@@ -57,9 +57,9 @@ def _outcome(verify, job):
     return rep.case_rows, rep.failures, rep.cases_total, rep.cases_passed
 
 
-def _job(p, r, suite, restrict=None):
+def _job(p, r, suite):
     precision = default_precision(suite, p, r)
-    return JobSpec(p, r, suite, precision=precision, restrict=restrict, record_cases=True)
+    return JobSpec(p, r, suite, precision=precision, record_cases=True)
 
 
 def _rotate_value_tables(zq):
@@ -76,18 +76,18 @@ def _rotate_value_tables(zq):
         zq.tables[gfunction._values, upper, lower] = values[1:] + values[:1]
 
 
-def _compare(p, r, restrict=None, rotate=False):
+def _compare(p, r, rotate=False):
     outcomes, rotated = [], set()
     for suite, reference in REFERENCES.items():
         if p < SUITE_MIN_P[suite]:
             continue
-        job = _job(p, r, suite, restrict)
+        job = _job(p, r, suite)
         _, zq = contexts(p, r, job.precision)
         if rotate and zq not in rotated:  # suites at one precision share a context
             _rotate_value_tables(zq)
             rotated.add(zq)
         got = _outcome(SUITES[suite], job)
-        assert got == _outcome(reference, job), (suite, p, r, restrict)
+        assert got == _outcome(reference, job), (suite, p, r)
         outcomes.append(got)
     return outcomes
 
@@ -112,20 +112,6 @@ def test_index_sweeps_match_object_sweeps_rotated_tables(p, r):
         clear_shared_caches()
     # the rotated values fail cases of every suite without leaving a bound
     assert all(len(o) == 4 and o[1] for o in outcomes)
-
-
-@pytest.mark.parametrize(
-    "p,r,restrict",
-    [
-        (7, 1, (1, 2, 6, 2)),
-        (5, 2, ((0, 1), (1, 0), (4, 0), (3, 2), (0, 1))),
-        (3, 3, (2, (1, 1, 0), (0, 0, 1), (2, 0, 0))),
-    ],
-)
-def test_index_sweeps_match_object_sweeps_restricted(p, r, restrict):
-    # each restriction holds x = 1 or -1, which some suites exclude, and a duplicate
-    for o in _compare(p, r, restrict):
-        assert 0 < o[2] <= len(set(restrict)) + 1 and not o[1]
 
 
 def _rotate_oracle_tables(p, r):

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import teichmuller_by_iteration
 
-from padichg.finitefield import make_fq, quadratic_char
+from padichg.finitefield import FqContext, quadratic_char
 from padichg.padic import (
     PadicContext,
     UnramifiedContext,
@@ -16,7 +16,7 @@ from padichg.padic import (
 
 
 def _zq(p, r, n):
-    return UnramifiedContext(make_fq(p, r), n)
+    return UnramifiedContext(FqContext(p, r), n)
 
 
 def test_context_validation():
@@ -33,6 +33,9 @@ def test_context_validation():
         PadicContext(65537, 1)
     with pytest.raises(ValueError, match="^p must be an odd prime$"):
         PadicContext(9, 2)
+    # the precision is bounded before p^N is computed
+    with pytest.raises(ValueError, match="exceeds the supported bound"):
+        PadicContext(3, 10**8)
 
 
 def test_zp_arithmetic_and_inverse():
@@ -70,7 +73,7 @@ def test_zq_scalar_embedding_mixes():
     assert x * 1 == x
     assert x + 0 == x
     zp = ZpElement(zq.base, 7)
-    assert x * zp == x.scale(7)
+    assert x * zp == x * 7
 
 
 def test_zq_inverse_hensel():
@@ -85,7 +88,7 @@ def test_zq_inverse_hensel():
 
 
 def test_teichmuller_fixed_values():
-    fq = make_fq(5, 1)
+    fq = FqContext(5, 1)
     zq = UnramifiedContext(fq, 3)
     assert zq.teichmuller(fq.one) == zq.one
     assert zq.teichmuller(-fq.one) == -zq.one
@@ -93,7 +96,7 @@ def test_teichmuller_fixed_values():
 
 
 def test_teichmuller_rejects_zero():
-    fq = make_fq(5, 1)
+    fq = FqContext(5, 1)
     zq = UnramifiedContext(fq, 3)
     with pytest.raises(ValueError):
         zq.teichmuller(fq.zero)
@@ -101,7 +104,7 @@ def test_teichmuller_rejects_zero():
 
 @pytest.mark.parametrize("p,r,n", [(5, 1, 4), (7, 1, 3), (5, 2, 4), (3, 2, 5)])
 def test_teichmuller_postconditions_exhaustive(p, r, n):
-    fq = make_fq(p, r)
+    fq = FqContext(p, r)
     zq = UnramifiedContext(fq, n)
     for t in fq.nonzero_elements():
         w = zq.teichmuller(t)
@@ -110,7 +113,7 @@ def test_teichmuller_postconditions_exhaustive(p, r, n):
 
 
 def test_teichmuller_multiplicative():
-    fq = make_fq(5, 2)
+    fq = FqContext(5, 2)
     zq = UnramifiedContext(fq, 3)
     elems = fq.nonzero_elements()
     for s in elems:
@@ -119,7 +122,7 @@ def test_teichmuller_multiplicative():
 
 
 def test_precision_monotonicity():
-    fq = make_fq(5, 2)
+    fq = FqContext(5, 2)
     lo = UnramifiedContext(fq, 3)
     hi = UnramifiedContext(fq, 5)
     cut = lo.modulus
@@ -130,7 +133,7 @@ def test_precision_monotonicity():
 
 
 def test_char_value_conventions():
-    fq = make_fq(5, 2)
+    fq = FqContext(5, 2)
     zq = UnramifiedContext(fq, 3)
     for j in (0, 1, 12, 23):
         assert zq.char_value(j, fq.zero).is_zero()
@@ -145,7 +148,7 @@ def test_char_value_conventions():
 def test_omega_generator_powers_match_teichmuller():
     # the table against the per-element Frobenius iteration it replaced
     for p, r, n in ((7, 1, 4), (5, 1, 1), (3, 2, 5), (5, 2, 3), (3, 3, 4)):
-        fq = make_fq(p, r)
+        fq = FqContext(p, r)
         zq = UnramifiedContext(fq, n)
         pows = zq.omega_generator_powers()
         assert len(pows) == fq.q - 1
@@ -158,7 +161,7 @@ def test_omega_generator_powers_match_teichmuller():
 @pytest.mark.parametrize("p,r,n", [(7, 1, 3), (3, 2, 4), (3, 3, 3)])
 def test_char_value_matches_iteration_oracle(p, r, n):
     # omega-bar^j(t) = (Hensel inverse of the iterated lift)^j for every j, t
-    fq = make_fq(p, r)
+    fq = FqContext(p, r)
     zq = UnramifiedContext(fq, n)
     for t in fq.nonzero_elements():
         u = teichmuller_by_iteration(zq, t).inverse()
@@ -170,7 +173,7 @@ def test_char_value_matches_iteration_oracle(p, r, n):
 
 def test_lifts_reject_foreign_field():
     zq = _zq(5, 1, 3)
-    foreign = make_fq(7, 1).one
+    foreign = FqContext(7, 1).one
     with pytest.raises(ValueError):
         zq.teichmuller(foreign)
     with pytest.raises(ValueError):
@@ -179,7 +182,7 @@ def test_lifts_reject_foreign_field():
 
 def test_zq_product_reduces_to_fq_product():
     # F_q and Z_q share one polynomial product; reduction mod p intertwines them
-    fq = make_fq(3, 3)
+    fq = FqContext(3, 3)
     zq = UnramifiedContext(fq, 3)
     sample = [zq.element((a, b, c)) for a in (0, 1, 26) for b in (2, 13) for c in (0, 25)]
     assert all(y.is_unit() for y in sample)  # b is nonzero mod 3
@@ -217,12 +220,12 @@ _COERCIONS = {
 
 
 def _coercion_case(ring, case):
-    fq = make_fq(5, 2)
+    fq = FqContext(5, 2)
     zq = UnramifiedContext(fq, 3)
     ctx, other = (fq, zq) if ring == "F_q" else (zq, fq)
     make = fq.coerce if ring == "F_q" else zq.element
     x = make((2, 3))
-    foreign = make_fq(5, 2).one if ring == "F_q" else UnramifiedContext(fq, 3).one
+    foreign = FqContext(5, 2).one if ring == "F_q" else UnramifiedContext(fq, 3).one
     zp_one = ZpElement(zq.base, 1)
     return ctx, {
         "one == 1": lambda: ctx.one == 1,
@@ -261,7 +264,7 @@ def test_facade_coercion_table(ring, case):
 
 @pytest.mark.parametrize("ring", ["F_q", "Z_q"])
 def test_facade_equal_elements_hash_equal(ring):
-    fq = make_fq(5, 2)
+    fq = FqContext(5, 2)
     make = fq.coerce if ring == "F_q" else UnramifiedContext(fq, 3).element
     x, y = make((2, 3)), make((4, 1))
     assert make((2, 3)) == x and hash(make((2, 3))) == hash(x)

@@ -14,8 +14,6 @@ from padichg.pgamma import (
     InfeasibleError,
     check_feasible,
     gamma_cache,
-    gamma_p,
-    gamma_p_nat,
 )
 
 
@@ -33,17 +31,16 @@ def test_gamma_nat_matches_brute_force(p, n):
     ctx = PadicContext(p, n)
     cache = GammaCache(ctx)
     for k in range(0, 300):
-        assert cache.gamma_nat(k).residue == brute_gamma_nat(k, p, p**n), k
+        assert cache.gamma(k).residue == brute_gamma_nat(k, p, p**n), k
 
 
 def test_gamma_nat_examples():
     ctx = PadicContext(5, 3)
     cache = GammaCache(ctx)
-    assert cache.gamma_nat(0).residue == 1
-    assert cache.gamma_nat(1) == -1
-    assert cache.gamma_nat(3) == -2  # (-1)^3 * (1*2)
-    with pytest.raises(ValueError):
-        cache.gamma_nat(-1)
+    assert cache.gamma(0).residue == 1
+    assert cache.gamma(1) == -1
+    assert cache.gamma(3) == -2  # (-1)^3 * (1*2)
+    assert cache.gamma(-1) == 1  # Gamma_p(0) = -(-1) * Gamma_p(-1)
 
 
 def test_gamma_rational_frozen_values():
@@ -64,8 +61,6 @@ def test_gamma_rejects_non_padic_argument():
         cache.gamma(F(1, 5))
     with pytest.raises(ValueError):
         cache.gamma(F(3, 10))
-    with pytest.raises(ValueError):
-        GammaCache(PadicContext(5, 3), guard=0)
 
 
 def test_period_fold_is_exact():
@@ -78,7 +73,7 @@ def test_period_fold_is_exact():
         base = brute_gamma_nat(t, p, m)
         for k in (1, 2, 5):
             assert brute_gamma_nat(t + k * m, p, m) == base
-            assert cache.gamma_nat(t + k * m).residue == base
+            assert cache.gamma(t + k * m).residue == base
 
 
 def test_functional_equation_random_rationals():
@@ -101,16 +96,6 @@ def test_functional_equation_random_rationals():
                 assert ratio == m - 1
 
 
-def test_guard_doubling_self_test():
-    for p, n in ((5, 4), (3, 5)):
-        ctx = PadicContext(p, n)
-        lo = GammaCache(ctx, guard=1)
-        hi = GammaCache(ctx, guard=3)
-        for x in (F(1, 2), F(1, 3), F(5, 6), F(3, 4), F(7, 12)):
-            if x.denominator % p:
-                assert lo.gamma(x) == hi.gamma(x)
-
-
 def test_precision_truncation_agrees():
     for p in (5, 7):
         lo = GammaCache(PadicContext(p, 3))
@@ -123,9 +108,9 @@ def test_precision_truncation_agrees():
 
 def test_module_level_helpers_share_cache():
     ctx = PadicContext(5, 3)
-    assert gamma_p_nat(10, ctx) == gamma_cache(ctx).gamma_nat(10)
-    assert gamma_p(F(1, 2), ctx).residue == 68
-    assert gamma_cache(ctx) is gamma_cache(ctx)
+    assert gamma_cache(ctx) is gamma_cache(PadicContext(5, 3))
+    assert gamma_cache(ctx).gamma(10) == GammaCache(ctx).gamma(10)
+    assert gamma_cache(ctx).gamma(F(1, 2)).residue == 68
 
 
 def _edge_and_random_args(p, n, count, seed):
@@ -146,7 +131,7 @@ def test_block_log_matches_brute_force_and_prefix(p, n):
     m = p**n
     cache = GammaCache(PadicContext(p, n))
     for t in _edge_and_random_args(p, n, 25, seed=p * 100 + n):
-        value = cache.gamma_nat(t).residue
+        value = cache.gamma(t).residue
         assert value == brute_gamma_nat(t, p, m), t
         assert value == prefix_gamma_nat(p, m, t), t
 
@@ -160,10 +145,10 @@ def test_block_log_matches_prefix_large_modulus(p, n):
     limit = min(m, 3 * p * p)
     rng = random.Random(p + n)
     for t in sorted({0, 1, p - 1, p, p * p, limit - 1} | {rng.randrange(limit) for _ in range(20)}):
-        assert cache.gamma_nat(t).residue == brute_gamma_nat(t, p, m), t
+        assert cache.gamma(t).residue == brute_gamma_nat(t, p, m), t
     if m <= 10**7:
         for t in _edge_and_random_args(p, n, 200, seed=7):
-            assert cache.gamma_nat(t).residue == prefix_gamma_nat(p, m, t), t
+            assert cache.gamma(t).residue == prefix_gamma_nat(p, m, t), t
 
 
 # p^N above 10^7, where the prefix pass was refused: brute force on a bounded
@@ -175,9 +160,9 @@ def test_digit_table_beyond_old_refusal(p, n, low):
     limit = 3 * p**3
     rng = random.Random(p * n)
     for t in sorted({0, 1, p - 1, p, limit - 1} | {rng.randrange(limit) for _ in range(20)}):
-        assert cache.gamma_nat(t).residue == brute_gamma_nat(t, p, m), t
+        assert cache.gamma(t).residue == brute_gamma_nat(t, p, m), t
     for t in _edge_and_random_args(p, n, 200, seed=p + n):
-        assert cache.gamma_nat(t).residue % cut == prefix_gamma_nat(p, cut, t), t
+        assert cache.gamma(t).residue % cut == prefix_gamma_nat(p, cut, t), t
 
 
 def test_admission_refuses_long_prefix_pass():

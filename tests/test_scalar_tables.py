@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from oracles import block_correlation, evaluate_g_pointwise
 
 from padichg import gfunction, padic, rational
-from padichg.finitefield import correlate, make_fq, pack, poly_mulmod, poly_reduce
+from padichg.finitefield import FqContext, correlate, pack, poly_mulmod, poly_reduce
 from padichg.gfunction import EvaluationIntegrityError, GParams, evaluate_g, value_table
 from padichg.padic import UnramifiedContext
 from padichg.suites import _CLAUSEN_CUBE, _CLAUSEN_SQUARE, _EULER_LEFT, _EULER_RIGHT
@@ -29,7 +29,7 @@ NOT_P_STABLE = ((F(1, 3),), (F(0),))  # {1/3} is not closed under x -> p x mod 1
 
 
 def _zq(p, r, n):
-    return UnramifiedContext(make_fq(p, r), n)
+    return UnramifiedContext(FqContext(p, r), n)
 
 
 def _scaled_table(upper, lower, zq):
@@ -116,7 +116,7 @@ def test_correlate_reads_the_requested_rows(rows):
 
 
 def test_broken_certificate_raises(monkeypatch):
-    fq = make_fq(7, 2)
+    fq = FqContext(7, 2)
     build = gfunction._coefficient_table
 
     def broken(upper, lower, zq):
@@ -134,7 +134,7 @@ def test_broken_certificate_raises(monkeypatch):
 def test_family_outside_zp_keeps_the_zq_path():
     # {1/3} is not p-stable at 5^3 (3 does not divide q - 1), so the values lie
     # in Z_q and not in Z_p: evaluate_g serves them, value_table refuses them
-    fq = make_fq(5, 3)
+    fq = FqContext(5, 3)
     zq = UnramifiedContext(fq, 3)
     values = [evaluate_g(GParams(*NOT_P_STABLE, t, zq)).value for t in fq.elements()]
     for t, value in zip(fq.elements(), values):

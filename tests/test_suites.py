@@ -126,21 +126,6 @@ def test_report_invariant_and_schema():
     }
 
 
-def test_restriction_list():
-    rep = run_job(JobSpec(7, 1, "euler", restrict=(2, 3)))
-    assert rep.cases_total == 3  # two restricted x plus the x = 1 case
-    rep = run_job(JobSpec(7, 1, "inversion", restrict=(5,)))
-    assert rep.cases_total == 1 and rep.passed()
-    # r = 2, elements given as coefficient tuples
-    rep = run_job(JobSpec(5, 2, "clausen", restrict=((1, 2), (0, 3), (4, 4))))
-    assert rep.cases_total == 3 and rep.passed()
-    # 0, 1 and -1 count only where a suite admits them; a duplicate counts once
-    points = (0, 1, 6, 3, 3)
-    for suite, total in (("euler", 3), ("oracles", 3), ("inversion", 3), ("charsums", 2)):
-        rep = run_job(JobSpec(7, 1, suite, restrict=points))
-        assert rep.cases_total == total and rep.passed(), suite
-
-
 def test_determinism():
     a = run_job(JobSpec(5, 2, "zeros")).to_dict()
     b = run_job(JobSpec(5, 2, "zeros")).to_dict()
