@@ -19,7 +19,6 @@ __version__ = "0.1.0"
 
 # exported name -> the submodule that defines it
 _EXPORTS = {
-    "jacobi_sum": "charsums",
     "sum_A": "charsums",
     "sum_a": "charsums",
     "sum_B": "charsums",

@@ -102,25 +102,6 @@ def sum_a(lam: FqElement) -> int:
     return a_values(fq)[-shifted.dlog() % (fq.q - 1)]
 
 
-def jacobi_sum(i: int, j: int, zq: UnramifiedContext) -> ZqElement:
-    """J(omega-bar^i, omega-bar^j) = sum_x omega-bar^i(x) omega-bar^j(1-x) in Z_q.
-
-    The chi(0) = 0 convention drops x in {0, 1}, so J(eps, eps) = q - 2.
-    """
-    fq = zq.fq
-    n = fq.q - 1
-    counts = [0] * n  # counts[e] = #{x : omega-bar^i(x) omega-bar^j(1-x) = W^e}
-    for d1, d2 in fq.jacobi_dlog_pairs():
-        counts[(-i * d1 - j * d2) % n] += 1
-    pows = zq.omega_generator_powers()
-    acc = [0] * zq.r
-    for e, c in enumerate(counts):
-        if c:
-            for t, w in enumerate(pows[e]):
-                acc[t] += c * w
-    return zq.element(acc)
-
-
 def _jacobi_family(zq: UnramifiedContext, u: int, v: int) -> list[int]:
     """[J(omega-bar^(half + u m), omega-bar^(v m)) mod p^N for m in 0..q-2].
 

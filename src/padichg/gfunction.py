@@ -16,16 +16,16 @@ and one floor division by D gives both an argument and its floor in e.
 
 With k = dlog t, omega-bar^a(t) = omega(g)^(-a k), so the values at every t
 of the field are one character transform of the table.  Where a -> p a
-only permutes the factors of c_a among the (k, i), as for every suite
-family, c[p a mod (q-1)] = c[a].  UnramifiedContext.scalar_transform checks
-this certificate, O(q) integer compares, and builds the values as integers
-mod p^N; value_table raises EvaluationIntegrityError for a table that fails
-it.  evaluate_g, the GParams facade, accepts any parameters and serves a
-family that fails the certificate by the full Z_q transform
-(character_transform), the one production use of that transform.  A field
-therefore costs an O(q) integer table plus one Kronecker product per
-parameter set, a table of the Z_q context keyed by (upper, lower); the
-suites index the table by dlog t.
+only permutes the factors of c_a among the (k, i), as for every family of
+the paper's transformations and special values, c[p a mod (q-1)] = c[a].
+UnramifiedContext.scalar_transform checks this certificate, O(q) integer
+compares, and builds the values as integers mod p^N; value_table raises
+EvaluationIntegrityError for a table that fails it.  A field therefore
+costs an O(q) integer table plus one Kronecker product per parameter set,
+a table of the Z_q context keyed by (upper, lower); the suites index the
+table by dlog t.  evaluate_g, the GParams facade, accepts any parameters:
+it reads a certified family from its value table and sums any other
+point by point in Z_q, O(q n r) per call for the table and the sum.
 
 Individual (k, i) factors can carry a negative floor exponent (the b_k = 1/2
 families do at a = (q-1)/2), but the exponents summed over one term always
@@ -41,7 +41,7 @@ from fractions import Fraction
 from math import lcm
 
 from .finitefield import FqElement, memo
-from .padic import EvaluationIntegrityError, UnramifiedContext
+from .padic import EvaluationIntegrityError, UnramifiedContext, ZqElement
 from .pgamma import gamma_cache
 from .rational import (  # noqa: F401  (bench/tracing.py wraps frac and g_exponent here)
     frac,
@@ -50,15 +50,22 @@ from .rational import (  # noqa: F401  (bench/tracing.py wraps frac and g_expone
 
 
 def _checked(upper, lower, p: int) -> tuple[tuple, tuple]:
-    """Parameter tuples as Fractions, of equal length >= 1, each in Z_p, or ValueError."""
-    upper = tuple(Fraction(a) for a in upper)
-    lower = tuple(Fraction(b) for b in lower)
+    """Parameter tuples as Fractions, of equal length >= 1, each in Z_p, or
+    ValueError; a float is refused with TypeError, as it is no exact rational."""
+    upper = tuple(_exact(a, "upper") for a in upper)
+    lower = tuple(_exact(b, "lower") for b in lower)
     if len(upper) != len(lower) or not upper:
         raise ValueError("upper and lower parameter lists must have equal length >= 1")
     for c in upper + lower:
         if c.denominator % p == 0:
             raise ValueError(f"parameter {c} is not in Z_p for p={p}")
     return upper, lower
+
+
+def _exact(c, role: str) -> Fraction:
+    if isinstance(c, float):
+        raise TypeError(f"{role} parameter {c!r} is a float; pass an int or a Fraction")
+    return Fraction(c)
 
 
 class GParams(namedtuple("GParams", "upper lower t context")):
@@ -129,18 +136,17 @@ def _coefficient_table(upper, lower, zq: UnramifiedContext) -> list[int]:
     return table
 
 
-def _values(zq: UnramifiedContext, upper: tuple, lower: tuple) -> list:
-    """The values of one parameter set, indexed by dlog t: residues mod p^N
-    (scalar_transform) when its coefficient table is Frobenius invariant,
-    else Z_q elements."""
+def _values(zq: UnramifiedContext, upper: tuple, lower: tuple) -> list[int]:
+    """The values of one parameter set mod p^N, indexed by dlog t."""
     upper, lower = _checked(upper, lower, zq.base.p)
+    return zq.scalar_transform(_scaled_table(upper, lower, zq))
+
+
+def _scaled_table(upper, lower, zq: UnramifiedContext) -> list[int]:
+    """-1/(q-1) times the coefficient table, the input of the transform."""
     m = zq.modulus
     lead = -pow(zq.q - 1, -1, m) % m
-    table = [c * lead % m for c in _coefficient_table(upper, lower, zq)]
-    try:
-        return zq.scalar_transform(table)
-    except EvaluationIntegrityError:
-        return zq.character_transform(table)
+    return [c * lead % m for c in _coefficient_table(upper, lower, zq)]
 
 
 def value_table(upper: tuple, lower: tuple, zq: UnramifiedContext) -> list[int]:
@@ -149,15 +155,10 @@ def value_table(upper: tuple, lower: tuple, zq: UnramifiedContext) -> list[int]:
 
     The values are certified Z_p scalars.  A parameter set whose coefficient
     table is not Frobenius invariant has values outside Z_p and raises
-    EvaluationIntegrityError; evaluate_g serves such a set in Z_q.
+    EvaluationIntegrityError, with nothing stored; evaluate_g serves such a
+    set point by point in Z_q.
     """
-    values = memo(zq, _values, upper, lower)
-    if not isinstance(values[0], int):
-        raise EvaluationIntegrityError(
-            f"coefficient table of {upper}; {lower} fails the Frobenius certificate "
-            f"c[p a] = c[a], so its values are not Z_p scalars"
-        )
-    return values
+    return memo(zq, _values, upper, lower)
 
 
 def evaluate_g(params: GParams) -> GValue:
@@ -168,8 +169,23 @@ def evaluate_g(params: GParams) -> GValue:
     zq = params.context
     if params.t.is_zero():
         return GValue(zq.zero, zq.precision)
-    value = memo(zq, _values, params.upper, params.lower)[params.t.dlog()]
-    return GValue(zq.scalar(value) if isinstance(value, int) else value, zq.precision)
+    k = params.t.dlog()
+    try:
+        values = value_table(params.upper, params.lower, zq)
+    except EvaluationIntegrityError:
+        return GValue(_pointwise(params.upper, params.lower, zq, k), zq.precision)
+    return GValue(zq.scalar(values[k]), zq.precision)
+
+
+def _pointwise(upper, lower, zq: UnramifiedContext, k: int) -> ZqElement:
+    """nGn at t = g^k in Z_q, sum_a c_a omega(g)^(-a k) over the scaled
+    table, for a parameter set without the certificate."""
+    n, pows = zq.q - 1, zq.omega_generator_powers()
+    acc = [0] * zq.r
+    for a, c in enumerate(_scaled_table(upper, lower, zq)):
+        for i, w in enumerate(pows[-a * k % n]):
+            acc[i] += c * w
+    return zq.element(acc)
 
 
 def evaluate_g_inverted(params: GParams) -> GValue:

@@ -9,20 +9,22 @@ powers of omega(g) for the F_q generator g, indexed by discrete log, held as
 coefficient tuples (finitefield.poly_powers); ZqElement is the API facade,
 on the ring base it shares with FqElement (finitefield._PolyResidue).
 
-A character sum over a whole field, sum_a c_a omega(g)^(-a k) for every k
-at once and integer c_a, is a binomial-chirp correlation computed by
-finitefield.correlate, O(q r^2) small-integer work plus one exact product of
-two big integers.  When c[p a] = c[a] for every a, Frobenius fixes every
-sum, so each lies in Z_p and the sums at k and p k agree: scalar_transform
-checks this certificate, returns the sums as integers mod p^N, reads one
-correlation block per Frobenius orbit of k, and takes each value as a dot
-product of the unreduced block with per-context weights.  Every production
-whole-field table (the nGn values, the Jacobi families, h and B) is built
-this way, so a point of a field is an integer lookup.  The full Z_q
-character_transform serves only evaluate_g's parameter families that fail
-the certificate.  A Z_q context is a table of its F_q context, keyed by
-precision, and holds its own tables (the Teichmuller powers, the packed
-chirp, the weights, the nGn, h and B values) through zmod.memo.
+The character transform of an integer table c_a, a in 0..q-2, is
+
+    T[k] = sum_a c_a omega(g)^(-a k)    for every k in 0..q-2 at once,
+
+a binomial-chirp correlation computed by finitefield.correlate, O(q r^2)
+small-integer work plus one exact product of two big integers.  When
+c[p a] = c[a] for every a, Frobenius fixes every T[k], so each lies in Z_p
+and T[k] = T[p k]: scalar_transform checks this certificate, returns the
+sums as integers mod p^N, reads one correlation block per Frobenius orbit of
+k, and takes each value as a dot product of the unreduced block with
+per-context weights.  It is the one whole-field transform: every production
+table (the nGn values, the Jacobi families, h and B) has the certificate, so
+a point of a field is an integer lookup.  A Z_q context is a table of its
+F_q context, keyed by precision, and holds its own tables (the Teichmuller
+powers, the packed chirp, the weights, the nGn, h and B values) through
+zmod.memo.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from __future__ import annotations
 from operator import mul
 
 from .finitefield import FqContext, FqElement, _PolyResidue, correlate, memo, pack
-from .finitefield import poly_mulmod, poly_powers, poly_powmod, poly_reduce
+from .finitefield import poly_powers, poly_powmod, poly_reduce
 from .zmod import PadicContext, ZpElement, balanced_residue, recover_residue
 
 
@@ -78,14 +80,8 @@ class UnramifiedContext:
     def teichmuller(self, t: FqElement) -> "ZqElement":
         """The (q-1)-th root of unity congruent to t mod p: omega(g)^(dlog t)."""
         if t.is_zero():
-            raise ValueError("Teichmuller lift of 0 is undefined; use char_value")
+            raise ValueError("Teichmuller lift of 0 is undefined")
         return ZqElement(self, self.omega_generator_powers()[self.dlog(t)])
-
-    def char_value(self, j: int, t: FqElement) -> "ZqElement":
-        """omega-bar^j(t) with the chi(0) = 0 convention (0 for t = 0, all j)."""
-        if t.is_zero():
-            return self.zero
-        return ZqElement(self, self.omega_generator_powers()[-j * self.dlog(t) % (self.q - 1)])
 
     def omega_generator_powers(self) -> list[tuple[int, ...]]:
         """[omega(g)^m for m in 0..q-2] as coefficient tuples; omega(g^k) =
@@ -96,39 +92,24 @@ class UnramifiedContext:
         """
         return memo(self, _teichmuller_powers)
 
-    def character_transform(self, coeffs) -> list["ZqElement"]:
-        """[sum_a coeffs[a] * omega(g)^(-a k) for k in 0..q-2], every k at once.
+    def scalar_transform(self, coeffs) -> list[int]:
+        """[sum_a coeffs[a] * omega(g)^(-a k) mod p^N for k in 0..q-2], the
+        character transform of a Frobenius-invariant integer table.
 
-        coeffs holds q-1 integers.  With a k = C(a+k, 2) - C(a, 2) - C(k, 2)
-        and W = omega(g),
+        coeffs holds q-1 integers with coeffs[p a mod (q-1)] = coeffs[a] for
+        every a; a table without this certificate raises
+        EvaluationIntegrityError before any correlation.  With
+        a k = C(a+k, 2) - C(a, 2) - C(k, 2) and W = omega(g),
 
             T[k] = W^C(k,2) * sum_a (c_a W^C(a,2)) W^-C(a+k,2),
 
         one correlation of length q-1; the binomial chirp needs no square
-        root of W.  finitefield.correlate computes it on power-basis vectors;
-        each output block is then reduced mod (f, p^N) and multiplied by W^C(k,2).
-        """
-        n, m, neg = self.q - 1, self.modulus, self._neg_poly
-        pows = self.omega_generator_powers()
-        out = []
-        for k, slots in enumerate(self._chirp_correlation(coeffs)):
-            x = poly_reduce(slots, neg, m)
-            post = pows[k * (k - 1) // 2 % n]
-            out.append(ZqElement(self, poly_mulmod(x, post, neg, m)))
-        return out
-
-    def scalar_transform(self, coeffs) -> list[int]:
-        """character_transform of a Frobenius-invariant integer table, as residues mod p^N.
-
-        coeffs holds q-1 integers with coeffs[p a mod (q-1)] = coeffs[a] for
-        every a; a table without this certificate raises
-        EvaluationIntegrityError before any correlation.  Frobenius sends W^j
-        to W^(p j), so it fixes every T[k], and T[p k] = T[k]: each T[k] is a Z_p
-        scalar, equal to its constant coefficient, and one k per orbit of
-        k -> p k mod (q-1) is read from the correlation.  The post-twiddle
-        is then a dot product of the 2r-1 unreduced slots of block k with
-        mu_k[s], the constant coefficient of x^s W^C(k,2) mod f; no
-        polynomial is reduced per k.
+        root of W.  Frobenius sends W^j to W^(p j), so it fixes every T[k],
+        and T[p k] = T[k]: each T[k] is a Z_p scalar, equal to its constant
+        coefficient, and one k per orbit of k -> p k mod (q-1) is read from
+        the correlation.  The post-twiddle W^C(k,2) is then a dot product of
+        the 2r-1 unreduced slots of block k with mu_k[s], the constant
+        coefficient of x^s W^C(k,2) mod f; no polynomial is reduced per k.
         """
         m, b, n, p = self.modulus, 2 * self.r - 1, self.q - 1, self.base.p
         # a table of the wrong length is refused by _chirp_correlation
@@ -142,8 +123,8 @@ class UnramifiedContext:
         return [values[i] for i in orbit]
 
     def _chirp_correlation(self, coeffs, rows=None) -> list[list[int]]:
-        """The unreduced blocks sum_a (c_a W^C(a,2)) W^-C(a+k,2) of both
-        transforms, for k in rows (every k by default)."""
+        """The unreduced blocks sum_a (c_a W^C(a,2)) W^-C(a+k,2) of
+        scalar_transform, for k in rows (every k by default)."""
         n, m = self.q - 1, self.modulus
         if len(coeffs) != n:
             raise ValueError(f"expected {n} coefficients")

@@ -165,9 +165,12 @@ class GammaCache:
         return memo(self, _ResidueTable, d)
 
     def gamma(self, x) -> ZpElement:
-        """Gamma_p at a rational p-adic integer (denominator coprime to p)."""
+        """Gamma_p at a rational p-adic integer (denominator coprime to p);
+        a float is refused with TypeError, as it is no exact rational."""
         from fractions import Fraction  # the integer suites never build one
 
+        if isinstance(x, float):
+            raise TypeError(f"Gamma_p argument {x!r} is a float; pass an int or a Fraction")
         x = Fraction(x)
         return ZpElement(self.context, self.residue(x.numerator, x.denominator))
 

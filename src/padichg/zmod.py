@@ -100,7 +100,8 @@ class ZpElement:
 
     def _coerce(self, other) -> int:
         if isinstance(other, ZpElement):
-            if other.context is not self.context:
+            # contexts are equal by p^N, which fixes (p, N), as in __hash__
+            if other.context.modulus != self.context.modulus:
                 raise ValueError("mixed Z_p contexts")
             return other.residue
         if isinstance(other, int):
@@ -131,7 +132,7 @@ class ZpElement:
             return self.residue == other % self.context.modulus
         return (
             isinstance(other, ZpElement)
-            and self.context is other.context
+            and self.context.modulus == other.context.modulus
             and self.residue == other.residue
         )
 

@@ -1,6 +1,6 @@
 import pytest
 
-from padichg import pgamma, suites
+from padichg import padic, pgamma, suites
 
 
 def clear_shared_caches():
@@ -24,6 +24,30 @@ def corrupted_gamma(monkeypatch):
         return (original(self, n) + self.p) % self.modulus
 
     monkeypatch.setattr(pgamma.GammaCache, "_nat_mod", perturbed)
+    yield
+    monkeypatch.undo()
+    clear_shared_caches()
+
+
+@pytest.fixture
+def corrupted_teichmuller(monkeypatch):
+    """Add p^(N-1) to one Teichmuller power, omega(g) itself, so identity
+    checks must fail.
+
+    The power stays a unit and keeps its reduction mod p, so only the last
+    p-adic digit of the characters it enters is wrong.  Shared caches are
+    cleared on both sides, as for corrupted_gamma.
+    """
+    clear_shared_caches()
+    original = padic._teichmuller_powers
+
+    def perturbed(zq):
+        pows = original(zq)
+        shift = zq.modulus // zq.base.p
+        pows[1] = ((pows[1][0] + shift) % zq.modulus,) + pows[1][1:]
+        return pows
+
+    monkeypatch.setattr(padic, "_teichmuller_powers", perturbed)
     yield
     monkeypatch.undo()
     clear_shared_caches()

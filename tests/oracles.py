@@ -11,7 +11,11 @@ from the verbatim lift of t, omega-bar(t) as its Hensel inverse, and each sum
 over characters by a running power product.  The nGn coefficients come from
 the rational-arithmetic table below (Fractions, rational.frac and rational
 floors for every Gamma_p argument and exponent), and the Jacobi sums from the
-point-wise `jacobi_sum`.
+point-wise `jacobi_sum`.  The one whole-field transform in production,
+`UnramifiedContext.scalar_transform`, takes only Frobenius-invariant tables;
+its reference here, `character_transform`, takes any integer table and sums
+over a for each k in Z_q.  `char_value` reads one character value
+omega-bar^j(t) from the power table, for the sums over x.
 
 The integer oracles A(lam), a(lam) and the cubic root counts are read in
 production from whole-field tables built on the Zech-log table; their
@@ -46,7 +50,7 @@ from functools import lru_cache
 from math import floor
 from operator import mul
 
-from padichg.charsums import jacobi_sum, sum_A, sum_a, sum_B, sum_h, verify_aop_identity
+from padichg.charsums import sum_A, sum_a, sum_B, sum_h, verify_aop_identity
 from padichg.finitefield import count_roots, discriminant_sign_check, quadratic_char
 from padichg.gfunction import EvaluationIntegrityError, GParams, evaluate_g, evaluate_g_inverted
 from padichg.padic import recover_bounded_integer
@@ -211,12 +215,50 @@ def evaluate_g_pointwise(params):
     return _power_sum(zq, u, [zq.scalar(c) for c in table]) * (-pow(q - 1, -1, m) % m)
 
 
+def char_value(zq, j, t):
+    """omega-bar^j(t) with the chi(0) = 0 convention (0 for t = 0, all j)."""
+    if t.is_zero():
+        return zq.zero
+    return zq.element(zq.omega_generator_powers()[-j * zq.dlog(t) % (zq.q - 1)])
+
+
+def character_transform(zq, coeffs):
+    """[sum_a coeffs[a] omega(g)^(-a k) for k in 0..q-2] in Z_q, any integer
+    table, each k by the direct sum over a, one coordinate at a time."""
+    n = zq.q - 1
+    if len(coeffs) != n:
+        raise ValueError(f"expected {n} coefficients")
+    columns = list(zip(*zq.omega_generator_powers()))  # columns[i][e]: coordinate i of W^e
+    out = []
+    for k in range(n):
+        terms = [-a * k % n for a in range(n)]
+        out.append(zq.element([sum(c * col[e] for c, e in zip(coeffs, terms)) for col in columns]))
+    return out
+
+
+def jacobi_sum(i, j, zq):
+    """J(omega-bar^i, omega-bar^j) = sum_x omega-bar^i(x) omega-bar^j(1-x) in Z_q,
+    one count per power of omega(g) over the pairs (dlog x, dlog(1-x)).
+
+    The chi(0) = 0 convention drops x in {0, 1}, so J(eps, eps) = q - 2.
+    """
+    n = zq.q - 1
+    counts = [0] * n  # counts[e] = #{x : omega-bar^i(x) omega-bar^j(1-x) = W^e}
+    for d1, d2 in zq.fq.jacobi_dlog_pairs():
+        counts[(-i * d1 - j * d2) % n] += 1
+    acc = [0] * zq.r
+    for c, w in zip(counts, zq.omega_generator_powers()):
+        for t, x in enumerate(w):
+            acc[t] += c * x
+    return zq.element(acc)
+
+
 def jacobi_sum_elementwise(i, j, zq):
     """J(omega-bar^i, omega-bar^j) as a Z_q sum of character products over x."""
     fq = zq.fq
     acc = zq.zero
     for x in fq.elements():
-        acc = acc + zq.char_value(i, x) * zq.char_value(j, fq.one - x)
+        acc = acc + char_value(zq, i, x) * char_value(zq, j, fq.one - x)
     return acc
 
 
@@ -356,7 +398,7 @@ def gamma_identities_fraction(job):
             [frac((1 - u) * p**i) for i in range(r)] + [frac(u * p**i) for i in range(r)]
         )
         lhs = zq.scalar(val * pow(-1, r))
-        rhs = zq.char_value(j, minus_one)
+        rhs = char_value(zq, j, minus_one)
         sweep.case(f"reflection j={j}", lhs == rhs, lambda: (_fmt(lhs), _fmt(rhs)))
 
     for j in range(q - 1):
@@ -369,7 +411,7 @@ def gamma_identities_fraction(job):
         )
         den = gprod([frac(half * p**i) for i in range(r)]) ** 2 % m
         lhs = zq.scalar(num * pow(den, -1, m))
-        rhs = zq.char_value(j, minus_one)
+        rhs = char_value(zq, j, minus_one)
         sweep.case(f"half-shift j={j}", lhs == rhs, lambda: (_fmt(lhs), _fmt(rhs)))
 
     for t in (2, 3, 6):
@@ -379,14 +421,14 @@ def gamma_identities_fraction(job):
         base = gprod([frac(Fraction(h * p**i, t)) for i in range(r) for h in range(1, t)])
         for a in range(q - 1):
             u = Fraction(a, q - 1)
-            w_down = zq.char_value(t * a, t_elem)
+            w_down = char_value(zq, t * a, t_elem)
             lhs = w_down * (base * gprod([frac(-t * u * p**i) for i in range(r)]) % m)
             rhs = zq.scalar(
                 gprod([frac((Fraction(1 + h, t) - u) * p**i) for i in range(r) for h in range(t)])
             )
             sweep.case(f"product-down t={t} a={a}", lhs == rhs, lambda: (_fmt(lhs), _fmt(rhs)))
 
-            w_up = zq.char_value(-t * a, t_elem)
+            w_up = char_value(zq, -t * a, t_elem)
             lhs = w_up * (base * gprod([frac(t * u * p**i) for i in range(r)]) % m)
             rhs = zq.scalar(
                 gprod([frac((Fraction(h, t) + u) * p**i) for i in range(r) for h in range(t)])

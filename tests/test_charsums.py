@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
+    char_value,
+    jacobi_sum,
     jacobi_sum_elementwise,
     sum_A_bruteforce,
     sum_a_bruteforce,
@@ -12,7 +14,7 @@ from oracles import (
 )
 
 from padichg import charsums
-from padichg.charsums import A_values, a_values, jacobi_sum, sum_A, sum_B, sum_a, sum_h
+from padichg.charsums import A_values, a_values, sum_A, sum_B, sum_a, sum_h
 from padichg.charsums import verify_aop_identity
 from padichg.finitefield import FqContext, quadratic_char
 from padichg.padic import UnramifiedContext, balanced_lift
@@ -85,7 +87,7 @@ def test_jacobi_conjugation_identity():
     for i in range(n):
         for j in range(n):
             lhs = jacobi_sum(i, j, zq)
-            rhs = zq.char_value(i, minus_one) * jacobi_sum(i, (n - (i + j)) % n, zq)
+            rhs = char_value(zq, i, minus_one) * jacobi_sum(i, (n - (i + j)) % n, zq)
             assert lhs == rhs, (i, j)
 
 
@@ -154,7 +156,7 @@ def test_phi_sums_redundant_zq_path():
         c = (lam + one).inverse()
         acc = zq.zero
         for x in fq.elements():
-            acc = acc + zq.char_value(half, (x - one) * (x * x - c))
+            acc = acc + char_value(zq, half, (x - one) * (x * x - c))
         assert balanced_lift(acc) == sum_a(lam)
 
 

@@ -21,7 +21,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 # the package's former eager imports, less the removed names: submodule -> names, in their order
 FORMER_IMPORTS = {
-    "charsums": ["jacobi_sum", "sum_A", "sum_a", "sum_B", "sum_h", "verify_aop_identity"],
+    "charsums": ["sum_A", "sum_a", "sum_B", "sum_h", "verify_aop_identity"],
     "finitefield": [
         "FqContext", "FqElement", "count_roots", "discriminant_sign_check", "quadratic_char",
     ],
@@ -69,14 +69,17 @@ def test_unknown_name_raises_attribute_error():
 
 
 def test_removed_surface_stays_removed():
-    from padichg import finitefield, pgamma
-    from padichg.padic import PadicContext, ZqElement
+    from padichg import charsums, finitefield, pgamma
+    from padichg.padic import PadicContext, UnramifiedContext, ZqElement
     from padichg.suites import JobSpec
 
     for name, home in (("make_fq", finitefield), ("delta", finitefield),
-                       ("gamma_p", pgamma), ("gamma_p_nat", pgamma)):
+                       ("gamma_p", pgamma), ("gamma_p_nat", pgamma),
+                       ("jacobi_sum", charsums)):
         assert not hasattr(padichg, name) and not hasattr(home, name), name
     assert not hasattr(pgamma.GammaCache, "gamma_nat")
+    assert not hasattr(UnramifiedContext, "char_value")
+    assert not hasattr(UnramifiedContext, "character_transform")
     assert not hasattr(ZqElement, "scale")
     assert "restrict" not in JobSpec._fields
     ctx = PadicContext(5, 3)

@@ -1,7 +1,7 @@
 from fractions import Fraction as F
 
 import pytest
-from oracles import coefficient_table_fraction, evaluate_g_pointwise
+from oracles import char_value, coefficient_table_fraction, evaluate_g_pointwise
 
 from padichg import gfunction
 from padichg.finitefield import FqContext
@@ -75,7 +75,7 @@ def test_factored_evaluation_matches_direct_sum():
     total = zq.zero
     for a in range(q - 1):
         u = F(a, q - 1)
-        term = zq.char_value(a, t) * ((-1) ** (a * n) % m)
+        term = char_value(zq, a, t) * ((-1) ** (a * n) % m)
         exponent = 0
         for k in range(n):
             exponent += g_exponent(upper[k], lower[k], a, 0, p, q)
@@ -245,3 +245,22 @@ def test_integer_table_matches_fraction_table_generic_parameters(p, r, n):
         assert got == _table_or_error(coefficient_table_fraction, upper, lower, zq), (upper, lower)
         outcomes.add(isinstance(got, str))
     assert outcomes == {True, False}  # both a table and a refusal are exercised
+
+
+def test_float_parameters_are_refused():
+    # 0.5 is exact as a float, 1/3 is not: Fraction(1/3) is 6004799503160661/2^54,
+    # a different p-adic parameter, so a float anywhere is refused
+    fq, zq = _pair(7, 1, 4)
+    t = fq.scalar(3)
+    upper, lower = G_CUBIC
+    assert evaluate_g(GParams(upper, lower, t, zq)).value == 0
+    for bad_upper, bad_lower, role in (
+        ((1 / 3, 2 / 3), lower, "upper parameter 0.333"),
+        (upper, (0, 0.5), "lower parameter 0.5"),
+    ):
+        with pytest.raises(TypeError, match=role):
+            GParams(bad_upper, bad_lower, t, zq)
+        with pytest.raises(TypeError, match=role):
+            value_table(bad_upper, bad_lower, _pair(7, 1, 3)[1])
+    # exact rationals of every accepted kind still pass
+    assert GParams((F(1, 3), F(2, 3)), (0, "1/2"), t, zq).lower == (F(0), F(1, 2))

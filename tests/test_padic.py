@@ -1,9 +1,10 @@
+from fractions import Fraction as F
 from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import teichmuller_by_iteration
+from oracles import char_value, character_transform, teichmuller_by_iteration
 
 from padichg.finitefield import FqContext, quadratic_char
 from padichg.padic import (
@@ -13,6 +14,7 @@ from padichg.padic import (
     balanced_lift,
     recover_bounded_integer,
 )
+from padichg.pgamma import gamma_cache
 
 
 def _zq(p, r, n):
@@ -121,6 +123,24 @@ def test_teichmuller_multiplicative():
             assert zq.teichmuller(s * t) == zq.teichmuller(s) * zq.teichmuller(t)
 
 
+def test_zp_contexts_compare_by_p_and_precision():
+    # gamma_cache shares one cache per (p, N), so its values live in whichever
+    # PadicContext(p, N) came first; an equal context must take them
+    a, b = PadicContext(5, 3), PadicContext(5, 3)
+    x, y = a.element(91), b.element(91)
+    assert x == y and hash(x) == hash(y)
+    assert x + y == b.element(182) and x * 2 - y == y
+    g = gamma_cache(a).gamma(F(1, 3))
+    assert gamma_cache(b).gamma(F(1, 3)) == g == b.element(g.residue)
+    assert g + b.element(1) == a.element(g.residue + 1)
+    for other in (PadicContext(5, 4), PadicContext(7, 3)):
+        assert x != other.element(91)
+        with pytest.raises(ValueError, match="mixed Z_p contexts"):
+            x + other.element(1)
+        with pytest.raises(ValueError, match="mixed Z_p contexts"):
+            other.element(1) * x
+
+
 def test_precision_monotonicity():
     fq = FqContext(5, 2)
     lo = UnramifiedContext(fq, 3)
@@ -136,13 +156,13 @@ def test_char_value_conventions():
     fq = FqContext(5, 2)
     zq = UnramifiedContext(fq, 3)
     for j in (0, 1, 12, 23):
-        assert zq.char_value(j, fq.zero).is_zero()
+        assert char_value(zq, j, fq.zero).is_zero()
     for t in fq.nonzero_elements():
-        assert zq.char_value(0, t) == zq.one
+        assert char_value(zq, 0, t) == zq.one
     # index (q-1)/2 realizes the quadratic character
     half = (fq.q - 1) // 2
     for t in fq.nonzero_elements():
-        assert zq.char_value(half, t) == zq.scalar(quadratic_char(t))
+        assert char_value(zq, half, t) == zq.scalar(quadratic_char(t))
 
 
 def test_omega_generator_powers_match_teichmuller():
@@ -167,7 +187,7 @@ def test_char_value_matches_iteration_oracle(p, r, n):
         u = teichmuller_by_iteration(zq, t).inverse()
         pw = zq.one
         for j in range(fq.q - 1):
-            assert zq.char_value(j, t) == pw, (t, j)
+            assert char_value(zq, j, t) == pw, (t, j)
             pw = pw * u
 
 
@@ -177,7 +197,7 @@ def test_lifts_reject_foreign_field():
     with pytest.raises(ValueError):
         zq.teichmuller(foreign)
     with pytest.raises(ValueError):
-        zq.char_value(1, foreign)
+        char_value(zq, 1, foreign)
 
 
 def test_zq_product_reduces_to_fq_product():
@@ -298,43 +318,48 @@ def _transform_context(p, r, n):
 
 @st.composite
 def _transform_inputs(draw):
+    # one value per Frobenius orbit of a -> p a, so the table has the
+    # certificate; at r = 1 every orbit is one a and any table has it
     zq = _transform_context(*draw(st.sampled_from(_TRANSFORM_FIELDS)))
-    size = zq.q - 1
+    n, p = zq.q - 1, zq.base.p
     ints = st.integers(min_value=-(zq.modulus**2), max_value=zq.modulus**2)
-    return zq, draw(st.lists(ints, min_size=size, max_size=size))
+    coeffs = [None] * n
+    for a in range(n):
+        if coeffs[a] is None:
+            v, j = draw(ints), a
+            while coeffs[j] is None:
+                coeffs[j] = v
+                j = j * p % n
+    return zq, coeffs
 
 
 @settings(max_examples=150, deadline=None)
 @given(_transform_inputs())
 def test_character_transform_property(case):
-    # integer coefficient vectors against the naive sum over a
+    # unreduced, signed integer tables against the naive sum over a
     zq, coeffs = case
-    size = zq.q - 1
-    pows = [zq.element(w) for w in zq.omega_generator_powers()]
-    got = zq.character_transform(coeffs)
-    assert len(got) == size
-    for k in range(size):
-        naive = zq.zero
-        for a, c in enumerate(coeffs):
-            naive = naive + pows[-a * k % size] * c
-        assert got[k] == naive, k
+    got = zq.scalar_transform(coeffs)
+    assert len(got) == zq.q - 1
+    assert [zq.scalar(v) for v in got] == character_transform(zq, coeffs)
 
 
 def test_character_transform_rejects_bad_input():
     zq = _zq(5, 1, 3)
     with pytest.raises(ValueError):
-        zq.character_transform([1, 2, 3])
+        zq.scalar_transform([1, 2, 3])
     with pytest.raises(TypeError):  # the coefficients are integers, not Z_q elements
-        zq.character_transform([1, 2, zq.one, 4])
+        zq.scalar_transform([1, 2, zq.one, 4])
 
 
 def test_character_transform_beyond_int_digit_limit():
     # slot sums of p^N-residues here have over 4300 decimal digits, past
-    # CPython's default limit for int <-> str conversion
+    # CPython's default limit for int <-> str conversion; at r = 1 every
+    # table is Frobenius invariant
     zq = _zq(3, 1, 5000)
-    pows = [zq.element(w) for w in zq.omega_generator_powers()]
+    w = zq.omega_generator_powers()[1][0]  # omega(g) = -1
     coeffs = [zq.modulus - 1, zq.modulus // 2]
-    assert zq.character_transform(coeffs) == [
-        pows[0] * coeffs[0] + coeffs[1],
-        pows[0] * coeffs[0] + pows[1] * coeffs[1],
+    assert w == zq.modulus - 1
+    assert zq.scalar_transform(coeffs) == [
+        (coeffs[0] + coeffs[1]) % zq.modulus,
+        (coeffs[0] + w * coeffs[1]) % zq.modulus,
     ]

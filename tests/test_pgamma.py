@@ -63,6 +63,15 @@ def test_gamma_rejects_non_padic_argument():
         cache.gamma(F(3, 10))
 
 
+def test_gamma_refuses_float_argument():
+    cache = GammaCache(PadicContext(7, 4))
+    with pytest.raises(TypeError, match="float"):
+        cache.gamma(1 / 3)
+    with pytest.raises(TypeError, match="float"):
+        cache.gamma(0.5)
+    assert cache.gamma(F(1, 2)) == cache.gamma("1/2")
+
+
 def test_period_fold_is_exact():
     # Gamma_p(n) mod p^N depends only on n mod p^N; cross-check via brute force
     p, n = 7, 3

@@ -1,12 +1,14 @@
-"""Certified Z_p value tables against the full Z_q character transform.
+"""Certified Z_p value tables against the naive Z_q character transform.
 
 gfunction.value_table checks that a coefficient table is Frobenius
 invariant, c[p a] = c[a], and then builds its values with
 UnramifiedContext.scalar_transform: integers mod p^N, one correlation block
 read per Frobenius orbit of k -> p k and a dot product with per-context
-weights in place of a reduced Z_q product per k.  The reference here is the
-full Z_q transform, whose values must be the same integers in the constant
-coefficient and 0 in every other.
+weights in place of a reduced Z_q product per k.  The reference here is
+oracles.character_transform, the direct sum over a in Z_q for each k, whose
+values must be the same integers in the constant coefficient and 0 in every
+other.  A family without the certificate is served by evaluate_g point by
+point, in Z_q.
 """
 
 from fractions import Fraction as F
@@ -15,7 +17,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import block_correlation, evaluate_g_pointwise
+from oracles import block_correlation, character_transform, evaluate_g_pointwise
 
 from padichg import gfunction, padic, rational
 from padichg.finitefield import FqContext, correlate, pack, poly_mulmod, poly_reduce
@@ -30,13 +32,6 @@ NOT_P_STABLE = ((F(1, 3),), (F(0),))  # {1/3} is not closed under x -> p x mod 1
 
 def _zq(p, r, n):
     return UnramifiedContext(FqContext(p, r), n)
-
-
-def _scaled_table(upper, lower, zq):
-    """-1/(q-1) times the coefficient table, the input of both transforms."""
-    m = zq.modulus
-    lead = -pow(zq.q - 1, -1, m) % m
-    return [c * lead % m for c in gfunction._coefficient_table(upper, lower, zq)]
 
 
 def _assert_scalars(values, full):
@@ -54,7 +49,8 @@ def test_value_tables_are_the_constant_coefficients_of_the_zq_transform(p, r, n)
     for upper, lower in families:
         values = value_table(upper, lower, zq)
         assert all(isinstance(v, int) and 0 <= v < zq.modulus for v in values)
-        _assert_scalars(values, zq.character_transform(_scaled_table(upper, lower, zq)))
+        table = gfunction._scaled_table(upper, lower, zq)
+        _assert_scalars(values, character_transform(zq, table))
 
 
 def _invariant_table(draw, p, r, m):
@@ -81,7 +77,7 @@ def _invariant_cases(draw):
 def test_scalar_transform_matches_zq_transform_on_invariant_tables(case):
     p, r, n, table = case
     zq = _zq(p, r, n)
-    _assert_scalars(zq.scalar_transform(table), zq.character_transform(table))
+    _assert_scalars(zq.scalar_transform(table), character_transform(zq, table))
 
 
 @pytest.mark.parametrize("p,r,n", [(13, 1, 4), (7, 2, 3), (3, 3, 4), (5, 3, 2), (3, 4, 3)])
@@ -90,7 +86,7 @@ def test_orbit_reads_equal_a_read_of_every_block(p, r, n):
     # own, gives the value that scalar_transform copied from its orbit's block
     zq = _zq(p, r, n)
     upper, lower = _CLAUSEN_SQUARE
-    table = _scaled_table(upper, lower, zq)
+    table = gfunction._scaled_table(upper, lower, zq)
     values = zq.scalar_transform(table)
     q1, m, neg = zq.q - 1, zq.modulus, zq._neg_poly
     pows = zq.omega_generator_powers()
@@ -131,22 +127,46 @@ def test_broken_certificate_raises(monkeypatch):
     assert isinstance(value_table(*_EULER_LEFT, UnramifiedContext(fq, 3))[0], int)
 
 
+# families whose coefficient tables fail the certificate, each with a
+# denominator that does not divide q - 1: (p, r, N, (upper, lower))
+OUTSIDE_ZP = [
+    (5, 3, 3, NOT_P_STABLE),
+    (7, 2, 3, ((F(1, 5),), (F(1, 2),))),
+    (5, 2, 3, ((F(1, 7), F(1, 2)), (F(0), F(0)))),
+]
+
+
 def test_family_outside_zp_keeps_the_zq_path():
-    # {1/3} is not p-stable at 5^3 (3 does not divide q - 1), so the values lie
-    # in Z_q and not in Z_p: evaluate_g serves them, value_table refuses them
-    fq = FqContext(5, 3)
-    zq = UnramifiedContext(fq, 3)
-    values = [evaluate_g(GParams(*NOT_P_STABLE, t, zq)).value for t in fq.elements()]
-    for t, value in zip(fq.elements(), values):
-        assert value == evaluate_g_pointwise(GParams(*NOT_P_STABLE, t, zq))
-    assert any(any(v.coeffs[1:]) for v in values)
-    with pytest.raises(EvaluationIntegrityError):
-        value_table(*NOT_P_STABLE, zq)
+    # the values lie in Z_q and not in Z_p: evaluate_g serves them point by
+    # point, value_table refuses them and stores nothing
+    for p, r, n, family in OUTSIDE_ZP:
+        fq = FqContext(p, r)
+        zq = UnramifiedContext(fq, n)
+        values = [evaluate_g(GParams(*family, t, zq)).value for t in fq.elements()]
+        for t, value in zip(fq.elements(), values):
+            assert value == evaluate_g_pointwise(GParams(*family, t, zq)), (p, r, t)
+        assert any(any(v.coeffs[1:]) for v in values), (p, r)
+        with pytest.raises(EvaluationIntegrityError):
+            value_table(*family, zq)
+        value_table(*_CLAUSEN_SQUARE, zq)  # a certified neighbour in the same context
+        held = [table for key, table in zq.tables.items() if key[0] is gfunction._values]
+        assert len(held) == 1 and all(isinstance(v, int) for v in held[0]), (p, r)
+
+
+def test_corrupted_teichmuller_breaks_the_pointwise_path(corrupted_teichmuller):
+    # the point-wise sum reads the power table, the reference iterates x -> x^q
+    p, r, n, family = OUTSIDE_ZP[1]
+    fq = FqContext(p, r)
+    zq = UnramifiedContext(fq, n)
+    assert any(
+        evaluate_g(GParams(*family, t, zq)).value != evaluate_g_pointwise(GParams(*family, t, zq))
+        for t in fq.nonzero_elements()
+    )
 
 
 def test_euler_tables_take_the_integer_path(monkeypatch):
-    # building the euler tables at 7^3 runs no Z_q transform and no
-    # rational.g_exponent, and reads one correlation block per Frobenius orbit
+    # building the euler tables at 7^3 runs no rational.g_exponent and reads
+    # one correlation block per Frobenius orbit
     calls = []
 
     def refuse(name):
@@ -163,7 +183,6 @@ def test_euler_tables_take_the_integer_path(monkeypatch):
         calls.append(("blocks", len(blocks)))
         return blocks
 
-    monkeypatch.setattr(UnramifiedContext, "character_transform", refuse("character_transform"))
     monkeypatch.setattr(rational, "g_exponent", refuse("g_exponent"))
     monkeypatch.setattr(gfunction, "g_exponent", refuse("g_exponent"))
     monkeypatch.setattr(padic, "correlate", counting)

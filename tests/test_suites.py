@@ -162,6 +162,18 @@ def test_corrupted_gamma_hits_gamma_suite(corrupted_gamma):
     assert not rep.passed()
 
 
+def test_corrupted_teichmuller_is_detected(corrupted_teichmuller):
+    # one wrong digit in omega(g) fails every suite that reads a character;
+    # gamma and floors read none
+    failing = {
+        suite
+        for p, r in DEFAULT_BATTERY
+        for suite in SUITE_NAMES
+        if not run_job(JobSpec(p, r, suite)).passed()
+    }
+    assert failing == {"euler", "zeros", "clausen", "oracles", "inversion", "charsums"}
+
+
 def test_precision_robustness_sample():
     # same pass/fail sets at N and N + 2
     for suite, p, r in (("euler", 5, 1), ("charsums", 7, 1), ("gamma", 5, 2)):
@@ -267,8 +279,8 @@ def test_oracle_sweeps_build_no_field_elements(monkeypatch):
 
 def test_charsums_builds_integer_tables_and_no_zq_values(monkeypatch):
     # every whole-field table of charsums is a scalar transform: two nGn
-    # tables, three Jacobi families, h and B per Z_q context, and no Z_q
-    # transform; once they are cached, a run builds no Z_q element at all
+    # tables, three Jacobi families, h and B per Z_q context; once they are
+    # cached, a run builds no Z_q element at all
     clear_shared_caches()
     transforms = []
     scalar = UnramifiedContext.scalar_transform
@@ -277,11 +289,7 @@ def test_charsums_builds_integer_tables_and_no_zq_values(monkeypatch):
         transforms.append((zq.q, len(coeffs)))
         return scalar(zq, coeffs)
 
-    def refuse(zq, coeffs):
-        raise AssertionError("charsums ran the Z_q character transform")
-
     monkeypatch.setattr(UnramifiedContext, "scalar_transform", counting)
-    monkeypatch.setattr(UnramifiedContext, "character_transform", refuse)
     for p, r in ((7, 2), (5, 3)):
         q = p**r
         assert run_job(JobSpec(p, r, "charsums")).passed()
