@@ -1,5 +1,9 @@
 """Command-line entry point: job configuration, orchestration, reports.
 
+A run's settings are the flags' values.  A config file's settings replace
+the flags' defaults, so a flag given on the command line overrides the
+file, and format and jobs are checked once, on the merged value.
+
 Exit codes: 0 all executed cases passed (skipped suites do not fail),
 1 verification failure, 2 usage error, 3 I/O error.
 """
@@ -24,7 +28,10 @@ class UsageError(Exception):
 
 
 class Config:
-    """What one run does: its jobs, report format and destination, parallelism."""
+    """What one run does: its jobs, report format and destination, parallelism.
+
+    Whether reports keep one row per case is each job's record_cases.
+    """
 
     def __init__(
         self,
@@ -33,17 +40,15 @@ class Config:
         out: str | None = None,
         parallel: int = 1,
         fail_fast: bool = False,
-        verbose: bool = False,
     ):
         self.jobs = [] if jobs is None else jobs
         self.fmt = fmt
         self.out = out
         self.parallel = parallel
         self.fail_fast = fail_fast
-        self.verbose = verbose
 
 
-def _expand_group(suite: str, p, r, precision, verbose: bool) -> list[JobSpec]:
+def _expand_group(verbose: bool, suite: str, p=None, r=None, precision=None) -> list[JobSpec]:
     """One flag/config job group -> concrete JobSpecs (battery when p is absent)."""
     if suite not in SUITE_NAMES and suite != "all":
         raise UsageError(f"unknown suite {suite!r}; choose from {', '.join(SUITE_NAMES)} or all")
@@ -146,69 +151,45 @@ def _build_parser() -> argparse.ArgumentParser:
         help="verification suite to run (default all)",
     )
     parser.add_argument("--config", help="config file with settings and a jobs list")
-    parser.add_argument("--format", choices=FORMATS, help="report format (default text)")
+    parser.add_argument(
+        "--format",
+        default="text",
+        metavar="{" + ",".join(FORMATS) + "}",
+        help="report format (default text)",
+    )
     parser.add_argument("--out", help="output path (default stdout)")
-    parser.add_argument("--jobs", type=int, help="parallel job count (default 1)")
+    parser.add_argument("--jobs", type=int, default=1, help="parallel job count (default 1)")
     parser.add_argument("--fail-fast", action="store_true", help="stop after the first failing job")
     parser.add_argument("--verbose", action="store_true", help="record one row per case (csv)")
     return parser
 
 
 def parse_args(argv) -> Config:
-    args = _build_parser().parse_args(argv)
-    config = Config()
-
+    """The run that argv asks for, its config file's settings as flag defaults."""
+    parser = _build_parser()
+    args = parser.parse_args(argv)
     groups: list[dict] = []
     if args.config:
         settings, groups = _parse_config_file(args.config)
-        if "format" in settings:
-            if settings["format"] not in FORMATS:
-                raise UsageError(f"config format must be one of {FORMATS}")
-            config.fmt = settings["format"]
-        if "out" in settings:
-            config.out = settings["out"]
-        if "jobs" in settings:
-            if settings["jobs"] < 1:
-                raise UsageError("config jobs must be >= 1")
-            config.parallel = settings["jobs"]
-        config.fail_fast = settings.get("fail-fast", config.fail_fast)
-        config.verbose = settings.get("verbose", config.verbose)
-
-    # command-line flags override config-file values
-    if args.format:
-        config.fmt = args.format
-    if args.out:
-        config.out = args.out
-    if args.jobs is not None:
-        if args.jobs < 1:
-            raise UsageError("--jobs must be >= 1")
-        config.parallel = args.jobs
-    if args.fail_fast:
-        config.fail_fast = True
-    if args.verbose:
-        config.verbose = True
-
-    flag_job_given = any(v is not None for v in (args.p, args.r, args.precision, args.suite))
-    if flag_job_given:
-        suite = args.suite or "all"
-        config.jobs = _expand_group(suite, args.p, args.r, args.precision, config.verbose)
-    elif groups:
-        for g in groups:
-            config.jobs.extend(
-                _expand_group(
-                    g["suite"], g.get("p"), g.get("r"), g.get("precision"), config.verbose
-                )
-            )
-    elif args.config:
-        raise UsageError("config file defines no jobs")
-    else:
-        config.jobs = _expand_group("all", None, None, None, config.verbose)
-    for job in config.jobs:
+        parser.set_defaults(**{key.replace("-", "_"): v for key, v in settings.items()})
+        args = parser.parse_args(argv)
+    if args.format not in FORMATS:
+        raise UsageError(f"format must be one of {', '.join(FORMATS)}, got {args.format!r}")
+    if args.jobs < 1:
+        raise UsageError("jobs must be >= 1")
+    if any(v is not None for v in (args.p, args.r, args.precision, args.suite)):
+        groups = [dict(suite=args.suite or "all", p=args.p, r=args.r, precision=args.precision)]
+    elif not groups:
+        if args.config:
+            raise UsageError("config file defines no jobs")
+        groups = [{"suite": "all"}]
+    jobs = [job for group in groups for job in _expand_group(args.verbose, **group)]
+    for job in jobs:
         try:
             check_admissible(job)
         except ValueError as exc:
             raise UsageError(f"job {job.suite} p={job.p} r={job.r} refused: {exc}") from None
-    return config
+    return Config(jobs, args.format, args.out, args.jobs, args.fail_fast)
 
 
 def _render_text(reports: list[Report]) -> str:
@@ -290,7 +271,7 @@ def run(config: Config) -> int:
     if config.fmt == "json":
         payload = _render_json(reports)
     elif config.fmt == "csv":
-        payload = _render_csv(reports, config.verbose)
+        payload = _render_csv(reports, any(job.record_cases for job in config.jobs))
     else:
         payload = _render_text(reports)
 

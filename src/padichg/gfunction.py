@@ -136,10 +136,23 @@ def _coefficient_table(upper, lower, zq: UnramifiedContext) -> list[int]:
     return table
 
 
+class _Uncertified(EvaluationIntegrityError):
+    """Raised by _values for a table without the Frobenius certificate; it
+    carries the scaled table to evaluate_g, which sums it point by point."""
+
+    def __init__(self, message: str, table: list[int]):
+        super().__init__(message)
+        self.table = table
+
+
 def _values(zq: UnramifiedContext, upper: tuple, lower: tuple) -> list[int]:
     """The values of one parameter set mod p^N, indexed by dlog t."""
     upper, lower = _checked(upper, lower, zq.base.p)
-    return zq.scalar_transform(_scaled_table(upper, lower, zq))
+    table = _scaled_table(upper, lower, zq)
+    try:
+        return zq.scalar_transform(table)
+    except EvaluationIntegrityError as exc:
+        raise _Uncertified(str(exc), table) from None
 
 
 def _scaled_table(upper, lower, zq: UnramifiedContext) -> list[int]:
@@ -164,7 +177,8 @@ def value_table(upper: tuple, lower: tuple, zq: UnramifiedContext) -> list[int]:
 def evaluate_g(params: GParams) -> GValue:
     """The nGn sum at params.t, exactly mod p^N.
 
-    At t = 0 every summand carries chi(0) = 0, so the value is 0.
+    At t = 0 every summand carries chi(0) = 0, so the value is 0.  A
+    parameter set without the certificate builds its table once per call.
     """
     zq = params.context
     if params.t.is_zero():
@@ -172,17 +186,17 @@ def evaluate_g(params: GParams) -> GValue:
     k = params.t.dlog()
     try:
         values = value_table(params.upper, params.lower, zq)
-    except EvaluationIntegrityError:
-        return GValue(_pointwise(params.upper, params.lower, zq, k), zq.precision)
+    except _Uncertified as exc:
+        return GValue(_pointwise(exc.table, zq, k), zq.precision)
     return GValue(zq.scalar(values[k]), zq.precision)
 
 
-def _pointwise(upper, lower, zq: UnramifiedContext, k: int) -> ZqElement:
+def _pointwise(table: list[int], zq: UnramifiedContext, k: int) -> ZqElement:
     """nGn at t = g^k in Z_q, sum_a c_a omega(g)^(-a k) over the scaled
-    table, for a parameter set without the certificate."""
+    table of a parameter set without the certificate."""
     n, pows = zq.q - 1, zq.omega_generator_powers()
     acc = [0] * zq.r
-    for a, c in enumerate(_scaled_table(upper, lower, zq)):
+    for a, c in enumerate(table):
         for i, w in enumerate(pows[-a * k % n]):
             acc[i] += c * w
     return zq.element(acc)

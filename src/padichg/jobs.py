@@ -1,10 +1,13 @@
 """The job model, admission, and the two integer suites (gamma, floors).
 
+SUITE_POLICY states, once per suite, the least p of its hypothesis and its
+default precision; SUITE_NAMES, SUITE_MIN_P and default_precision read it.
 A job is one suite at one field and precision (JobSpec); run_job runs it
-and returns a Report listing every failing case.  Sweeps follow ascending
-case order, so the first recorded failure is the smallest failing input.
-Suites raise ValueError when called directly on a field violating their
-hypothesis; run_job records such fields as skipped instead.
+and returns its Report, which counts every case as the suite checks it and
+lists every failing one.  Sweeps follow ascending case order, so the first
+recorded failure is the smallest failing input.  Suites raise ValueError
+when called directly on a field violating their hypothesis; run_job
+records such fields as skipped instead.
 
 The gamma and floors suites are integer facts: the Gamma_p product
 formulas mod p^N and the floor lemmas.  They live here and need only
@@ -25,28 +28,25 @@ from .zmod import PadicContext, balanced_residue, check_field
 
 DEFAULT_BATTERY = ((3, 1), (5, 1), (7, 1), (11, 1), (13, 1), (3, 2), (5, 2), (7, 2))
 
-SUITE_NAMES = (
-    "euler",
-    "zeros",
-    "clausen",
-    "oracles",
-    "inversion",
-    "charsums",
-    "gamma",
-    "floors",
-)
-
-# smallest p admitted by each suite's hypothesis (denominators 3 and 6 need p >= 5)
-SUITE_MIN_P = {
-    "euler": 5,
-    "zeros": 5,
-    "clausen": 3,
-    "oracles": 5,
-    "inversion": 5,
-    "charsums": 3,
-    "gamma": 3,
-    "floors": 5,
+# suite -> (least p, floor N, k).  The least p is the one its hypothesis
+# admits (the denominators 3 and 6 need p >= 5).  The default precision is
+# the least N >= floor with p^N > 2 q^k, which is max(floor, k r + 1) for
+# odd p, as q^k < 2 q^k < p q^k.  k = 2 lets charsums recover its double
+# sum, k = 1 keeps clausen's q phi(1-x) term nonzero mod p^N, and the other
+# suites have k = 0: their floor 4 gives p^N > 8, twice the bound 4 of the
+# small values that zeros and oracles recover.
+SUITE_POLICY = {
+    "euler": (5, 4, 0),
+    "zeros": (5, 4, 0),
+    "clausen": (3, 5, 1),
+    "oracles": (5, 4, 0),
+    "inversion": (5, 4, 0),
+    "charsums": (3, 4, 2),
+    "gamma": (3, 4, 0),
+    "floors": (5, 4, 0),
 }
+SUITE_NAMES = tuple(SUITE_POLICY)
+SUITE_MIN_P = {suite: least_p for suite, (least_p, _, _) in SUITE_POLICY.items()}
 
 
 class JobSpec(namedtuple("JobSpec", "p r suite precision record_cases")):
@@ -85,41 +85,40 @@ class JobSpec(namedtuple("JobSpec", "p r suite precision record_cases")):
         return self.p**self.r
 
 
-class CaseFailure(namedtuple("CaseFailure", "case left right")):
-    __slots__ = ()
-
-    def to_dict(self):
-        return {"case": self.case, "left": self.left, "right": self.right}
+CaseFailure = namedtuple("CaseFailure", "case left right")
 
 
 class Report:
-    """Outcome of one job; cases_total = cases_passed + len(failures)."""
+    """Outcome of one job, counted case by case from its creation;
+    cases_total = cases_passed + len(failures).  A skipped job counts none."""
 
-    def __init__(
-        self,
-        suite: str,
-        p: int,
-        r: int,
-        precision: int,
-        q: int,
-        cases_total: int = 0,
-        cases_passed: int = 0,
-        failures: list | None = None,
-        elapsed_ms: float = 0.0,
-        skipped: bool = False,
-        case_rows: list | None = None,
-    ):
-        self.suite = suite
-        self.p = p
-        self.r = r
-        self.precision = precision
-        self.q = q
-        self.cases_total = cases_total
-        self.cases_passed = cases_passed
-        self.failures = [] if failures is None else failures
-        self.elapsed_ms = elapsed_ms
+    def __init__(self, job: JobSpec, skipped: bool = False):
+        self.suite, self.p, self.r = job.suite, job.p, job.r
+        self.precision, self.q = job.precision, job.q
+        self.record_cases = job.record_cases
         self.skipped = skipped
-        self.case_rows = [] if case_rows is None else case_rows
+        self.cases_total = self.cases_passed = 0
+        self.failures: list[CaseFailure] = []
+        self.case_rows: list[dict] = []
+        self.elapsed_ms = 0.0
+        self._t0 = time.perf_counter()
+
+    def case(self, label: str, ok: bool, describe):
+        """Count one case; describe() -> (left, right) is called only on failure."""
+        self.cases_total += 1
+        if ok:
+            self.cases_passed += 1
+            left = right = ""
+        else:
+            left, right = describe()
+            self.failures.append(CaseFailure(label, left, right))
+        if self.record_cases:
+            self.case_rows.append({"case": label, "ok": ok, "left": left, "right": right})
+
+    def done(self) -> Report:
+        """Stop the clock and return the report."""
+        self.elapsed_ms = (time.perf_counter() - self._t0) * 1000.0
+        return self
 
     def passed(self) -> bool:
         return self.skipped or not self.failures
@@ -134,30 +133,17 @@ class Report:
             "cases_total": self.cases_total,
             "cases_passed": self.cases_passed,
             "skipped": self.skipped,
-            "failures": [f.to_dict() for f in self.failures],
+            "failures": [f._asdict() for f in self.failures],
             "elapsed_ms": self.elapsed_ms,
         }
 
 
 def default_precision(suite: str, p: int, r: int) -> int:
-    """max(floor, smallest N with p^N > 2*bound).
-
-    bound is 4 for the congruence and root-count suites, q for clausen, which
-    compares residues and recovers no integer but keeps its q phi(1-x) term
-    nonzero mod p^N, q^2 for the double-sum recovery of the charsums suite;
-    clausen's floor of 5 matches its stated tolerance.
-    """
-    q = p**r
-    if suite == "charsums":
-        need, floor_n = 2 * q * q, 4
-    elif suite == "clausen":
-        need, floor_n = 2 * q, 5
-    else:
-        need, floor_n = 8, 4
-    n = 1
-    while p**n <= need:
-        n += 1
-    return max(floor_n, n)
+    """max(floor, k r + 1) from SUITE_POLICY, the least N >= floor with
+    p^N > 2 q^k for every odd p; clausen's floor of 5 matches its stated
+    tolerance."""
+    _, floor_n, k = SUITE_POLICY[suite]
+    return max(floor_n, k * r + 1)
 
 
 def _digits(v: int, p: int, n: int) -> str:
@@ -177,39 +163,13 @@ def _fmt_scalar(v: int, p: int, r: int, n: int) -> str:
     return "|".join(coords) + f" (={balanced_residue(v, m)})"
 
 
-class _Sweep:
-    """Failure/counter accumulator shared by all suites."""
-
-    def __init__(self, job: JobSpec):
-        self.job = job
-        self.report = Report(job.suite, job.p, job.r, job.precision, job.q)
-        self._t0 = time.perf_counter()
-
-    def case(self, label: str, ok: bool, describe):
-        """Count one case; describe() -> (left, right) is called only on failure."""
-        rep = self.report
-        rep.cases_total += 1
-        if ok:
-            rep.cases_passed += 1
-            left = right = ""
-        else:
-            left, right = describe()
-            rep.failures.append(CaseFailure(label, left, right))
-        if self.job.record_cases:
-            rep.case_rows.append({"case": label, "ok": ok, "left": left, "right": right})
-
-    def done(self) -> Report:
-        self.report.elapsed_ms = (time.perf_counter() - self._t0) * 1000.0
-        return self.report
-
-
 def _require(job: JobSpec):
     min_p = SUITE_MIN_P[job.suite]
     if job.p < min_p:
         raise ValueError(f"suite {job.suite!r} requires p >= {min_p}, got p={job.p}")
     if job.suite in ("zeros", "oracles") and job.p**job.precision < 7:
         raise ValueError("insufficient precision: integer recovery needs p^N >= 7")
-    if job.suite == "charsums" and job.p**job.precision <= 2 * job.q**2:
+    if job.suite == "charsums" and job.precision <= 2 * job.r:  # p^N <= 2q^2 for odd p
         raise ValueError("insufficient precision: A-recovery needs p^N > 2q^2")
 
 
@@ -231,7 +191,7 @@ def verify_gamma_identities(job: JobSpec) -> Report:
     step = d // (q - 1)  # j/(q-1) = j * step / d
     pis = [p**i % d for i in range(r)]
     gammas = gamma_cache(PadicContext(p, n)).residues(d)
-    sweep = _Sweep(job)
+    report = Report(job)
 
     def gprod(nums) -> int:
         acc = 1
@@ -239,7 +199,7 @@ def verify_gamma_identities(job: JobSpec) -> Report:
             acc = acc * gammas[num % d] % m
         return acc
 
-    def show():  # the current case's residues; _Sweep.case calls it at once
+    def show():  # the current case's residues; Report.case calls it at once
         return _fmt_scalar(lhs, p, r, n), _fmt_scalar(rhs, p, r, n)
 
     for j in range(1, q - 1):
@@ -247,7 +207,7 @@ def verify_gamma_identities(job: JobSpec) -> Report:
         val = gprod([-u * pi for pi in pis] + [u * pi for pi in pis])  # <(1-u) p^i>, <u p^i>
         lhs = val * (-1) ** r % m
         rhs = (-1) ** j % m  # omega-bar^j(-1)
-        sweep.case(f"reflection j={j}", lhs == rhs, show)
+        report.case(f"reflection j={j}", lhs == rhs, show)
 
     half = d // 2
     inv_den = pow(gprod(half * pi for pi in pis) ** 2, -1, m)
@@ -258,7 +218,7 @@ def verify_gamma_identities(job: JobSpec) -> Report:
         num = gprod([(half - u) * pi for pi in pis] + [(half + u) * pi for pi in pis])
         lhs = num * inv_den % m
         rhs = (-1) ** j % m
-        sweep.case(f"half-shift j={j}", lhs == rhs, show)
+        report.case(f"half-shift j={j}", lhs == rhs, show)
 
     for t in (2, 3, 6):
         if t % p == 0:
@@ -272,11 +232,11 @@ def verify_gamma_identities(job: JobSpec) -> Report:
             u = a * step
             lhs = w_down * base % m * gprod(-t * u * pi for pi in pis) % m
             rhs = gprod(((1 + h) * c - u) * pi for pi in pis for h in range(t))
-            sweep.case(f"product-down t={t} a={a}", lhs == rhs, show)
+            report.case(f"product-down t={t} a={a}", lhs == rhs, show)
 
             lhs = w_up * base % m * gprod(t * u * pi for pi in pis) % m
             rhs = gprod((h * c + u) * pi for pi in pis for h in range(t))
-            sweep.case(f"product-up t={t} a={a}", lhs == rhs, show)
+            report.case(f"product-up t={t} a={a}", lhs == rhs, show)
             w_up, w_down = w_up * w_step % m, w_down * w_step_inv % m
 
     if p >= 5:
@@ -284,12 +244,12 @@ def verify_gamma_identities(job: JobSpec) -> Report:
         den = gprod(k * (d // 6) * pi for pi in pis for k in (1, 5))
         val = num * pow(den, -1, m) % m
         phi3 = 1 if pow(3, (q - 1) // 2, p) == 1 else -1
-        sweep.case(
+        report.case(
             "sixth-thirds ratio",
             val == phi3 % m,
             lambda: (_digits(val, p, n), f"phi(3)={phi3}"),
         )
-    return sweep.done()
+    return report.done()
 
 
 def verify_floor_lemmas(job: JobSpec) -> Report:
@@ -297,19 +257,19 @@ def verify_floor_lemmas(job: JobSpec) -> Report:
     family B over a > 0, each for all i < r, in ascending (a, i) order."""
     _require(job)
     p, q, r = job.p, job.q, job.r
-    sweep = _Sweep(job)
+    report = Report(job)
     # read off the module at each call, where bench/tracing.py wraps them
     for a in range(q - 1):
         if 2 * a == q - 1:
             continue
         for i in range(r):
             ok = rational.check_floor_identity_A(p, q, a, i)
-            sweep.case(f"A a={a} i={i}", ok, lambda: ("sides differ", ""))
+            report.case(f"A a={a} i={i}", ok, lambda: ("sides differ", ""))
     for a in range(1, q - 1):
         for i in range(r):
             ok = rational.check_floor_identity_B(p, q, a, i)
-            sweep.case(f"B a={a} i={i}", ok, lambda: ("sides differ", ""))
-    return sweep.done()
+            report.case(f"B a={a} i={i}", ok, lambda: ("sides differ", ""))
+    return report.done()
 
 
 INTEGER_SUITES = {"gamma": verify_gamma_identities, "floors": verify_floor_lemmas}
@@ -363,13 +323,13 @@ def run_job(job: JobSpec) -> Report:
     the exception, so the run still writes every record.
     """
     if job.p < SUITE_MIN_P[job.suite]:
-        return Report(job.suite, job.p, job.r, job.precision, job.q, skipped=True)
+        return Report(job, skipped=True)
     verify = INTEGER_SUITES.get(job.suite)
     if verify is None:
         from .suites import SUITES  # the field layers load at the first field job
 
         verify = SUITES[job.suite]
-    aborted = _Sweep(job)  # started now, so it times the job up to the exception
+    aborted = Report(job)  # started now, so it times the job up to the exception
     try:
         return verify(job)
     except ArithmeticError as exc:

@@ -8,10 +8,11 @@ raise ValueError when called directly on a field violating their
 hypothesis; run_job records such fields as skipped instead.
 
 The job model (JobSpec, Report, run_job, admission) and the two integer
-suites, gamma and floors, live in jobs and are re-exported here, with SUITES
-naming all eight.  jobs.run_job imports this module, and with it the F_q,
-Z_q, nGn and character-sum layers, at the first field job.  The shared F_q
-contexts are kept here, one per (p, r); each holds its Z_q contexts and
+suites, gamma and floors, live in jobs and are re-exported here.  SUITES
+maps all eight suite names to their verifiers: the six defined here, then
+jobs.INTEGER_SUITES.  jobs.run_job imports this module, and with it the
+F_q, Z_q, nGn and character-sum layers, at the first field job.  The shared
+F_q contexts are kept here, one per (p, r); each holds its Z_q contexts and
 every other table derived from it (zmod.memo).
 
 The nGn suites read gfunction.value_table by k = dlog x.  With n = q-1 and
@@ -38,6 +39,7 @@ from .gfunction import GParams, evaluate_g, value_table
 from .gfunction import evaluate_g_inverted  # noqa: F401  (bench/tracing.py wraps it here)
 from .jobs import (  # noqa: F401  (the job model, re-exported)
     DEFAULT_BATTERY,
+    INTEGER_SUITES,
     SUITE_MIN_P,
     SUITE_NAMES,
     CaseFailure,
@@ -46,12 +48,9 @@ from .jobs import (  # noqa: F401  (the job model, re-exported)
     _digits,
     _fmt_scalar,
     _require,
-    _Sweep,
     check_admissible,
     default_precision,
     run_job,
-    verify_floor_lemmas,
-    verify_gamma_identities,
 )
 from .padic import UnramifiedContext
 from .rational import (  # noqa: F401  (bench/tracing.py wraps them here)
@@ -126,17 +125,17 @@ def verify_euler_transform(job: JobSpec) -> Report:
     fq, zq = contexts(job.p, job.r, job.precision)
     n, m, zech = fq.q - 1, zq.modulus, fq.zech_table()
     left, right = value_table(*_EULER_LEFT, zq), value_table(*_EULER_RIGHT, zq)
-    sweep = _Sweep(job)
+    report = Report(job)
     for x, k in _sweep_points(fq, skip=(0,)):
         lhs = left[-k % n]
         rhs = _phi_scaled(right[-k % n], zech[(k + n // 2) % n], m)
-        sweep.case(f"x={_label(x)}", lhs == rhs, lambda: _fmt_pair(zq, lhs, rhs))
+        report.case(f"x={_label(x)}", lhs == rhs, lambda: _fmt_pair(zq, lhs, rhs))
     # x = 1 through the GParams facade, whose values here are Z_p scalars
     lhs = evaluate_g(GParams(*_EULER_LEFT, fq.one, zq)).value.coeffs[0]
     rhs = evaluate_g(GParams(*_EULER_RIGHT, fq.one, zq)).value.coeffs[0]
     rhs = _phi_scaled(rhs, fq.scalar(3).dlog(), m)
-    sweep.case("x=1 (phi(3) case)", lhs == rhs, lambda: _fmt_pair(zq, lhs, rhs))
-    return sweep.done()
+    report.case("x=1 (phi(3) case)", lhs == rhs, lambda: _fmt_pair(zq, lhs, rhs))
+    return report.done()
 
 
 def verify_zero_classification(job: JobSpec) -> Report:
@@ -148,14 +147,14 @@ def verify_zero_classification(job: JobSpec) -> Report:
     bound = _recovery_bound(m)
     left, right = value_table(*_EULER_LEFT, zq), value_table(*_EULER_RIGHT, zq)
     roots, d3, d4 = root_table(fq, _CUBIC_27), fq.scalar(3).dlog(), fq.scalar(4).dlog()
-    sweep = _Sweep(job)
+    report = Report(job)
     for x, k in _sweep_points(fq, skip=(0,)):
         v1 = recover_residue(left[-k % n], m, bound)
         v2 = recover_residue(right[-k % n], m, bound)
         crit = _phi(d3 + k + zech[(k + n // 2) % n]) == -1  # 1 - x != 0 off x = 1
         one_root = roots[(d4 + k) % n] == 1  # the root count at -c_0 = 4x
         ok = ((v1 == 0) == crit) and ((v2 == 0) == crit) and (crit == one_root)
-        sweep.case(
+        report.case(
             f"x={_label(x)}",
             ok,
             lambda: (
@@ -163,7 +162,7 @@ def verify_zero_classification(job: JobSpec) -> Report:
                 f"phi(3x(1-x))={'-1' if crit else '+1'}, single-root={one_root}",
             ),
         )
-    return sweep.done()
+    return report.done()
 
 
 def verify_clausen(job: JobSpec) -> Report:
@@ -174,14 +173,14 @@ def verify_clausen(job: JobSpec) -> Report:
     q, n, m, zech = fq.q, fq.q - 1, zq.modulus, fq.zech_table()
     h = n // 2
     cube, square = value_table(*_CLAUSEN_CUBE, zq), value_table(*_CLAUSEN_SQUARE, zq)
-    sweep = _Sweep(job)
+    report = Report(job)
     for x, k in _sweep_points(fq, skip=(0,)):
         z = zech[(k + h) % n]
         lhs = cube[-k % n]
         g = square[(z + h - k) % n]
         rhs = _phi_scaled((g * g - q) % m, z, m)
-        sweep.case(f"x={_label(x)}", lhs == rhs, lambda: _fmt_pair(zq, lhs, rhs))
-    return sweep.done()
+        report.case(f"x={_label(x)}", lhs == rhs, lambda: _fmt_pair(zq, lhs, rhs))
+    return report.done()
 
 
 def verify_proposition_oracles(job: JobSpec) -> Report:
@@ -195,14 +194,14 @@ def verify_proposition_oracles(job: JobSpec) -> Report:
     roots1, roots2 = root_table(fq, _CUBIC_27), root_table(fq, _CUBIC_SCALED)
     d3, d4 = fq.scalar(3).dlog(), fq.scalar(4).dlog()
     d4_27 = fq.scalar(-4).dlog() - fq.scalar(27).dlog()  # -c_0 = 4x, then -4x/27
-    sweep = _Sweep(job)
+    report = Report(job)
     for x, k in _sweep_points(fq):
         c1, c2 = roots1[(d4 + k) % n], roots2[(d4_27 + k) % n]
         v1 = recover_residue(left[-k % n], m, bound)
         v2 = recover_residue(right[-k % n], m, bound)
         phi3x = _phi(d3 + k)
         ok = (v1 + 1 == c1) and (1 + phi3x * v2 == c2) and (c1 == c2)
-        sweep.case(
+        report.case(
             f"x={_label(x)}",
             ok,
             lambda: (
@@ -210,7 +209,7 @@ def verify_proposition_oracles(job: JobSpec) -> Report:
                 f"root counts ({c1}, {c2})",
             ),
         )
-    return sweep.done()
+    return report.done()
 
 
 def verify_inversion(job: JobSpec) -> Report:
@@ -219,11 +218,11 @@ def verify_inversion(job: JobSpec) -> Report:
     fq, zq = contexts(job.p, job.r, job.precision)
     n = fq.q - 1
     swapped, right = value_table(*_EULER_RIGHT[::-1], zq), value_table(*_EULER_RIGHT, zq)
-    sweep = _Sweep(job)
+    report = Report(job)
     for x, k in _sweep_points(fq):
         lhs, rhs = swapped[k], right[-k % n]
-        sweep.case(f"x={_label(x)}", lhs == rhs, lambda: _fmt_pair(zq, lhs, rhs))
-    return sweep.done()
+        report.case(f"x={_label(x)}", lhs == rhs, lambda: _fmt_pair(zq, lhs, rhs))
+    return report.done()
 
 
 def verify_charsum_chain(job: JobSpec) -> Report:
@@ -250,7 +249,7 @@ def verify_charsum_chain(job: JobSpec) -> Report:
     phi2 = quadratic_char(fq.scalar(2))
     phim1 = quadratic_char(fq.scalar(-1))
     phim2 = quadratic_char(fq.scalar(-2))
-    sweep = _Sweep(job)
+    report = Report(job)
     for lam, k in _sweep_points(fq, skip=(h,)):
         z = zech[k]  # dlog(lam + 1)
         a_val = small_a[-z % n]
@@ -268,7 +267,7 @@ def verify_charsum_chain(job: JobSpec) -> Report:
             aop_identity_at(fq, k),
             b_val == (-phi_shift - phim2 * v2) % m,
         )
-        sweep.case(
+        report.case(
             f"lam={_label(lam)}",
             all(checks),
             lambda: (
@@ -277,7 +276,7 @@ def verify_charsum_chain(job: JobSpec) -> Report:
                 f"A={big_a}, a={a_val}, checks={checks}",
             ),
         )
-    return sweep.done()
+    return report.done()
 
 
 SUITES = {
@@ -287,6 +286,5 @@ SUITES = {
     "oracles": verify_proposition_oracles,
     "inversion": verify_inversion,
     "charsums": verify_charsum_chain,
-    "gamma": verify_gamma_identities,
-    "floors": verify_floor_lemmas,
+    **INTEGER_SUITES,
 }

@@ -41,6 +41,11 @@ charsums) read each value table in production by discrete-log index: 1/x,
 phi is index parity.  Their references here are the object sweeps, one
 GParams and evaluate_g call per point, with every argument built by F_q
 element arithmetic.
+
+A suite's default precision and the charsums admission bound are closed
+forms in production, read from jobs.SUITE_POLICY; their references here are
+the search for the least N >= floor with p^N > 2*bound and the comparison
+p^N > 2q^2 itself.
 """
 
 from __future__ import annotations
@@ -61,7 +66,7 @@ from padichg.suites import (
     _CLAUSEN_SQUARE,
     _EULER_LEFT,
     _EULER_RIGHT,
-    _Sweep,
+    Report,
     _digits,
     _fmt_scalar,
     _label,
@@ -376,15 +381,36 @@ def floor_identity_B_fraction(p, q, a, i):
     return lhs == rhs
 
 
+def default_precision_by_search(suite, p, r):
+    """max(floor, least N with p^N > need): need is 2q^2 for charsums, 2q for
+    clausen (floor 5) and 8 for every other suite (floor 4)."""
+    q = p**r
+    if suite == "charsums":
+        need, floor_n = 2 * q * q, 4
+    elif suite == "clausen":
+        need, floor_n = 2 * q, 5
+    else:
+        need, floor_n = 8, 4
+    n = 1
+    while p**n <= need:
+        n += 1
+    return max(floor_n, n)
+
+
+def charsums_admits(p, r, precision):
+    """The A-recovery bound of the charsums suite, p^N > 2q^2."""
+    return p**precision > 2 * (p**r) ** 2
+
+
 def gamma_identities_fraction(job):
-    """suites.verify_gamma_identities with every Gamma_p argument a Fraction."""
+    """jobs.verify_gamma_identities with every Gamma_p argument a Fraction."""
     _require(job)
     fq, zq = contexts(job.p, job.r, job.precision)
     p, r, q, m = job.p, job.r, job.q, zq.modulus
     cache = gamma_cache(zq.base)
     minus_one = -fq.one
     half = Fraction(1, 2)
-    sweep = _Sweep(job)
+    report = Report(job)
 
     def gprod(args):
         acc = 1
@@ -399,7 +425,7 @@ def gamma_identities_fraction(job):
         )
         lhs = zq.scalar(val * pow(-1, r))
         rhs = char_value(zq, j, minus_one)
-        sweep.case(f"reflection j={j}", lhs == rhs, lambda: (_fmt(lhs), _fmt(rhs)))
+        report.case(f"reflection j={j}", lhs == rhs, lambda: (_fmt(lhs), _fmt(rhs)))
 
     for j in range(q - 1):
         if 2 * j == q - 1:
@@ -412,7 +438,7 @@ def gamma_identities_fraction(job):
         den = gprod([frac(half * p**i) for i in range(r)]) ** 2 % m
         lhs = zq.scalar(num * pow(den, -1, m))
         rhs = char_value(zq, j, minus_one)
-        sweep.case(f"half-shift j={j}", lhs == rhs, lambda: (_fmt(lhs), _fmt(rhs)))
+        report.case(f"half-shift j={j}", lhs == rhs, lambda: (_fmt(lhs), _fmt(rhs)))
 
     for t in (2, 3, 6):
         if t % p == 0:
@@ -426,14 +452,14 @@ def gamma_identities_fraction(job):
             rhs = zq.scalar(
                 gprod([frac((Fraction(1 + h, t) - u) * p**i) for i in range(r) for h in range(t)])
             )
-            sweep.case(f"product-down t={t} a={a}", lhs == rhs, lambda: (_fmt(lhs), _fmt(rhs)))
+            report.case(f"product-down t={t} a={a}", lhs == rhs, lambda: (_fmt(lhs), _fmt(rhs)))
 
             w_up = char_value(zq, -t * a, t_elem)
             lhs = w_up * (base * gprod([frac(t * u * p**i) for i in range(r)]) % m)
             rhs = zq.scalar(
                 gprod([frac((Fraction(h, t) + u) * p**i) for i in range(r) for h in range(t)])
             )
-            sweep.case(f"product-up t={t} a={a}", lhs == rhs, lambda: (_fmt(lhs), _fmt(rhs)))
+            report.case(f"product-up t={t} a={a}", lhs == rhs, lambda: (_fmt(lhs), _fmt(rhs)))
 
     if p >= 5:
         num = gprod(
@@ -446,12 +472,12 @@ def gamma_identities_fraction(job):
         )
         val = num * pow(den, -1, m) % m
         expect = quadratic_char(fq.scalar(3)) % m
-        sweep.case(
+        report.case(
             "sixth-thirds ratio",
             val == expect,
             lambda: (_digits(val, p, job.precision), f"phi(3)={quadratic_char(fq.scalar(3))}"),
         )
-    return sweep.done()
+    return report.done()
 
 
 def phi_scaled(value, sign):
@@ -468,7 +494,7 @@ def euler_transform_pointwise(job):
     """suites.verify_euler_transform, one GParams and F_q element argument per point."""
     _require(job)
     fq, zq = contexts(job.p, job.r, job.precision)
-    sweep = _Sweep(job)
+    report = Report(job)
     for x in sweep_elements(fq, exclude=(fq.zero, fq.one)):
         t = x.inverse()
         lhs = evaluate_g(GParams(*_EULER_LEFT, t, zq)).value
@@ -476,14 +502,14 @@ def euler_transform_pointwise(job):
             evaluate_g(GParams(*_EULER_RIGHT, t, zq)).value,
             quadratic_char(fq.one - x),
         )
-        sweep.case(f"x={_label(x.coeffs)}", lhs == rhs, lambda: (_fmt(lhs), _fmt(rhs)))
+        report.case(f"x={_label(x.coeffs)}", lhs == rhs, lambda: (_fmt(lhs), _fmt(rhs)))
     lhs = evaluate_g(GParams(*_EULER_LEFT, fq.one, zq)).value
     rhs = phi_scaled(
         evaluate_g(GParams(*_EULER_RIGHT, fq.one, zq)).value,
         quadratic_char(fq.scalar(3)),
     )
-    sweep.case("x=1 (phi(3) case)", lhs == rhs, lambda: (_fmt(lhs), _fmt(rhs)))
-    return sweep.done()
+    report.case("x=1 (phi(3) case)", lhs == rhs, lambda: (_fmt(lhs), _fmt(rhs)))
+    return report.done()
 
 
 def zero_classification_pointwise(job):
@@ -491,7 +517,7 @@ def zero_classification_pointwise(job):
     _require(job)
     fq, zq = contexts(job.p, job.r, job.precision)
     bound = _recovery_bound(zq.modulus)
-    sweep = _Sweep(job)
+    report = Report(job)
     for x in sweep_elements(fq, exclude=(fq.zero, fq.one)):
         t = x.inverse()
         v1 = recover_bounded_integer(evaluate_g(GParams(*_EULER_LEFT, t, zq)).value, bound)
@@ -500,7 +526,7 @@ def zero_classification_pointwise(job):
         cubic = [fq.scalar(-4) * x, fq.zero, fq.scalar(27), fq.scalar(-27)]
         one_root = count_roots(cubic) == 1
         ok = ((v1 == 0) == crit) and ((v2 == 0) == crit) and (crit == one_root)
-        sweep.case(
+        report.case(
             f"x={_label(x.coeffs)}",
             ok,
             lambda: (
@@ -508,7 +534,7 @@ def zero_classification_pointwise(job):
                 f"phi(3x(1-x))={'-1' if crit else '+1'}, single-root={one_root}",
             ),
         )
-    return sweep.done()
+    return report.done()
 
 
 def clausen_pointwise(job):
@@ -516,13 +542,13 @@ def clausen_pointwise(job):
     _require(job)
     fq, zq = contexts(job.p, job.r, job.precision)
     q_elem = zq.scalar(fq.q)
-    sweep = _Sweep(job)
+    report = Report(job)
     for x in sweep_elements(fq, exclude=(fq.zero, fq.one)):
         lhs = evaluate_g(GParams(*_CLAUSEN_CUBE, x.inverse(), zq)).value
         g = evaluate_g(GParams(*_CLAUSEN_SQUARE, (x - fq.one) / x, zq)).value
         rhs = phi_scaled(g * g - q_elem, quadratic_char(fq.one - x))
-        sweep.case(f"x={_label(x.coeffs)}", lhs == rhs, lambda: (_fmt(lhs), _fmt(rhs)))
-    return sweep.done()
+        report.case(f"x={_label(x.coeffs)}", lhs == rhs, lambda: (_fmt(lhs), _fmt(rhs)))
+    return report.done()
 
 
 def proposition_oracles_pointwise(job):
@@ -531,7 +557,7 @@ def proposition_oracles_pointwise(job):
     fq, zq = contexts(job.p, job.r, job.precision)
     bound = _recovery_bound(zq.modulus)
     inv27 = fq.scalar(27).inverse()
-    sweep = _Sweep(job)
+    report = Report(job)
     for x in sweep_elements(fq, exclude=(fq.zero,)):
         t = x.inverse()
         c1 = count_roots([fq.scalar(-4) * x, fq.zero, fq.scalar(27), fq.scalar(-27)])
@@ -542,7 +568,7 @@ def proposition_oracles_pointwise(job):
         v2 = recover_bounded_integer(evaluate_g(GParams(*_EULER_RIGHT, t, zq)).value, bound)
         phi3x = quadratic_char(fq.scalar(3) * x)
         ok = (v1 + 1 == c1) and (1 + phi3x * v2 == c2) and (c1 == c2)
-        sweep.case(
+        report.case(
             f"x={_label(x.coeffs)}",
             ok,
             lambda: (
@@ -550,19 +576,19 @@ def proposition_oracles_pointwise(job):
                 f"root counts ({c1}, {c2})",
             ),
         )
-    return sweep.done()
+    return report.done()
 
 
 def inversion_pointwise(job):
     """suites.verify_inversion, one GParams and F_q element argument per point."""
     _require(job)
     fq, zq = contexts(job.p, job.r, job.precision)
-    sweep = _Sweep(job)
+    report = Report(job)
     for x in sweep_elements(fq, exclude=(fq.zero,)):
         lhs = evaluate_g_inverted(GParams(*_EULER_RIGHT, x, zq)).value
         rhs = evaluate_g(GParams(*_EULER_RIGHT, x.inverse(), zq)).value
-        sweep.case(f"x={_label(x.coeffs)}", lhs == rhs, lambda: (_fmt(lhs), _fmt(rhs)))
-    return sweep.done()
+        report.case(f"x={_label(x.coeffs)}", lhs == rhs, lambda: (_fmt(lhs), _fmt(rhs)))
+    return report.done()
 
 
 def charsum_chain_pointwise(job):
@@ -573,7 +599,7 @@ def charsum_chain_pointwise(job):
     phi2 = quadratic_char(fq.scalar(2))
     phim1 = quadratic_char(fq.scalar(-1))
     phim2 = quadratic_char(fq.scalar(-2))
-    sweep = _Sweep(job)
+    report = Report(job)
     for lam in sweep_elements(fq, exclude=(fq.zero, -fq.one)):
         a_val = sum_a(lam)
         big_a = sum_A(lam)
@@ -595,7 +621,7 @@ def charsum_chain_pointwise(job):
             verify_aop_identity(lam),
             b_val == zq.scalar(-phi_shift - phim2 * v2),
         )
-        sweep.case(
+        report.case(
             f"lam={_label(lam.coeffs)}",
             all(checks),
             lambda: (
@@ -603,4 +629,4 @@ def charsum_chain_pointwise(job):
                 f"A={big_a}, a={a_val}, checks={checks}",
             ),
         )
-    return sweep.done()
+    return report.done()

@@ -6,10 +6,12 @@ Stated runtime budgets are asserted, not just observed.
 """
 
 import json
+import os
 import subprocess
 import sys
 import time
 from fractions import Fraction as F
+from pathlib import Path
 
 from padichg.charsums import sum_A, sum_a, verify_aop_identity
 from padichg.finitefield import FqContext, count_roots
@@ -27,6 +29,7 @@ from padichg.suites import (
 )
 
 P5_FIELDS = [(p, r) for p, r in DEFAULT_BATTERY if p >= 5]
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _announce(num, name, ok, detail=""):
@@ -163,6 +166,7 @@ def test_criterion_10_cli_battery_under_budget(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "padichg.cli", "--suite", "all", "--format", "json",
          "--out", str(out)],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),  # the checkout, installed or not
         capture_output=True,
         text=True,
         timeout=900,

@@ -116,7 +116,6 @@ def test_run_csv_summary_and_verbose(tmp_path):
         jobs=[JobSpec(5, 1, "euler", precision=4, record_cases=True)],
         fmt="csv",
         out=str(out),
-        verbose=True,
     )
     assert run(cfg) == 0
     rows = list(csv.reader(io.StringIO(out.read_text())))
@@ -356,9 +355,9 @@ def test_config_non_boolean_setting_is_usage_error(tmp_path, capsys, setting):
 
 def test_config_booleans_are_case_insensitive(tmp_path):
     cfg = parse_args(_config(tmp_path, "fail-fast = YES\nverbose = True\njob = suite=floors p=7\n"))
-    assert cfg.fail_fast and cfg.verbose
+    assert cfg.fail_fast and all(job.record_cases for job in cfg.jobs)
     cfg = parse_args(_config(tmp_path, "fail-fast = No\nverbose = 0\njob = suite=floors p=7\n"))
-    assert not cfg.fail_fast and not cfg.verbose
+    assert not cfg.fail_fast and not any(job.record_cases for job in cfg.jobs)
 
 
 class _RecordingPool:

@@ -142,6 +142,6 @@ def test_gamma_suite_matches_fraction_form(request, corrupt, p, r, precision):
         JobSpec(p, r, "gamma", precision=got.precision, record_cases=True)
     )
     assert got.case_rows == want.case_rows
-    assert [f.to_dict() for f in got.failures] == [f.to_dict() for f in want.failures]
+    assert [f._asdict() for f in got.failures] == [f._asdict() for f in want.failures]
     assert (got.cases_total, got.cases_passed) == (want.cases_total, want.cases_passed)
     assert bool(got.failures) == corrupt

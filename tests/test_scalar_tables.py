@@ -153,6 +153,32 @@ def test_family_outside_zp_keeps_the_zq_path():
         assert len(held) == 1 and all(isinstance(v, int) for v in held[0]), (p, r)
 
 
+def test_family_outside_zp_builds_its_table_once_per_call(monkeypatch):
+    # the table that fails the certificate is the one summed point by point,
+    # and a negative (-p) exponent is raised once, not again while handled
+    builds = []
+    build = gfunction._coefficient_table
+
+    def counting(upper, lower, zq):
+        builds.append(upper)
+        return build(upper, lower, zq)
+
+    monkeypatch.setattr(gfunction, "_coefficient_table", counting)
+    zq = _zq(3, 3, 4)
+    t1, t2 = zq.fq.nonzero_elements()[1:3]
+    family = ((F(1, 4),), (F(0),))
+    evaluate_g(GParams(*family, t1, zq))
+    assert len(builds) == 1
+    assert evaluate_g(GParams(*family, t2, zq)).value == evaluate_g_pointwise(
+        GParams(*family, t2, zq)
+    )
+    assert len(builds) == 2
+    negative = ((F(1, 4), F(1, 2)), (F(0), F(1, 5)))
+    with pytest.raises(EvaluationIntegrityError, match="negative total") as raised:
+        evaluate_g(GParams(*negative, t1, zq))
+    assert raised.value.__context__ is None and len(builds) == 3
+
+
 def test_corrupted_teichmuller_breaks_the_pointwise_path(corrupted_teichmuller):
     # the point-wise sum reads the power table, the reference iterates x -> x^q
     p, r, n, family = OUTSIDE_ZP[1]

@@ -2,6 +2,7 @@ import hashlib
 
 import pytest
 from conftest import clear_shared_caches
+from oracles import charsums_admits, default_precision_by_search
 
 from padichg import pgamma, suites
 from padichg.charsums import B_values, h_values
@@ -15,6 +16,7 @@ from padichg.suites import (
     SUITES,
     JobSpec,
     Report,
+    _require,
     contexts,
     default_precision,
     run_job,
@@ -47,7 +49,7 @@ def test_records_keep_their_value_semantics():
     with pytest.raises(ValueError, match="precision must be >= 1"):
         job._replace(precision=0)  # a replaced field is checked too
     assert job._replace(precision=4).precision == 4
-    first, second = Report("euler", 5, 1, 4, 5), Report("euler", 5, 1, 4, 5)
+    first, second = Report(job), Report(job)
     first.failures.append(None)
     first.case_rows.append(None)
     assert second.failures == [] and second.case_rows == []
@@ -69,6 +71,34 @@ def test_default_precision_policy():
     assert default_precision("charsums", 5, 1) == 4  # 5^4 > 2*25
     assert default_precision("charsums", 5, 2) == 5  # 5^5 > 2*625
     assert default_precision("charsums", 7, 2) == 5  # 7^5 > 2*2401
+
+
+def _odd_prime_powers(bound):
+    sieve = bytearray([1]) * (bound + 1)
+    for p in range(3, bound + 1, 2):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, bound + 1, p)))
+            r, q = 1, p
+            while q <= bound:
+                yield p, r
+                r, q = r + 1, q * p
+
+
+def test_closed_forms_match_their_searches():
+    # default_precision is max(floor, k r + 1) and the charsums admission
+    # test is N > 2r; both equal the definitions at every odd q <= 2^16
+    fields = list(_odd_prime_powers(2**16))
+    assert len(fields) * len(SUITE_NAMES) == 52952
+    for p, r in fields:
+        for suite in SUITE_NAMES:
+            assert default_precision(suite, p, r) == default_precision_by_search(suite, p, r)
+        for n in (2 * r - 1, 2 * r, 2 * r + 1, 2 * r + 2):
+            try:
+                _require(JobSpec(p, r, "charsums", n))
+                admitted = True
+            except ValueError:
+                admitted = False
+            assert admitted == charsums_admits(p, r, n), (p, r, n)
 
 
 def test_direct_call_outside_hypothesis_raises():
@@ -172,6 +202,20 @@ def test_corrupted_teichmuller_is_detected(corrupted_teichmuller):
         if not run_job(JobSpec(p, r, suite)).passed()
     }
     assert failing == {"euler", "zeros", "clausen", "oracles", "inversion", "charsums"}
+
+
+def test_corrupted_gamma_five_sixths_is_detected(corrupted_gamma_five_sixths):
+    # one wrong digit in Gamma_p(5/6) fails euler, the two suites that
+    # recover its values (aborted past the recovery bound) and gamma; clausen
+    # and charsums read no sixth, and the two sides of inversion are equal
+    # term by term, so a wrong Gamma_p value enters both alike
+    reports = [
+        run_job(JobSpec(p, r, suite)) for p, r in DEFAULT_BATTERY for suite in SUITE_NAMES
+    ]
+    failing = {rep.suite for rep in reports if not rep.passed()}
+    assert failing == {"euler", "zeros", "oracles", "gamma"}
+    aborted = {rep.suite for rep in reports if [f.case for f in rep.failures] == ["aborted"]}
+    assert aborted == {"zeros", "oracles"}
 
 
 def test_precision_robustness_sample():
