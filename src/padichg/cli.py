@@ -2,7 +2,10 @@
 
 A run's settings are the flags' values.  A config file's settings replace
 the flags' defaults, so a flag given on the command line overrides the
-file, and format and jobs are checked once, on the merged value.
+file, and format and jobs are checked once, on the merged value.  Every
+usage error is one line on stderr: argparse's own errors raise UsageError
+as padichg's checks do, and a job is admitted by JobSpec itself, whose
+ValueError becomes the usage error of the first job in order it refuses.
 
 Exit codes: 0 all executed cases passed (skipped suites do not fail),
 1 verification failure, 2 usage error, 3 I/O error.
@@ -15,8 +18,9 @@ import io
 import json
 import os
 import sys
+from collections import namedtuple
 
-from .jobs import DEFAULT_BATTERY, SUITE_NAMES, JobSpec, Report, check_admissible, run_job
+from .jobs import DEFAULT_BATTERY, SUITE_NAMES, JobSpec, Report, run_job
 
 FORMATS = ("text", "json", "csv")
 SETTING_KEYS = ("format", "out", "jobs", "fail-fast", "verbose")
@@ -27,25 +31,11 @@ class UsageError(Exception):
     pass
 
 
-class Config:
-    """What one run does: its jobs, report format and destination, parallelism.
-
-    Whether reports keep one row per case is each job's record_cases.
-    """
-
-    def __init__(
-        self,
-        jobs: list[JobSpec] | None = None,
-        fmt: str = "text",
-        out: str | None = None,
-        parallel: int = 1,
-        fail_fast: bool = False,
-    ):
-        self.jobs = [] if jobs is None else jobs
-        self.fmt = fmt
-        self.out = out
-        self.parallel = parallel
-        self.fail_fast = fail_fast
+# What one run does: its jobs, report format and destination, parallelism.
+# Whether reports keep one row per case is each job's record_cases.
+Config = namedtuple(
+    "Config", "jobs fmt out parallel fail_fast", defaults=((), "text", None, 1, False)
+)
 
 
 def _expand_group(verbose: bool, suite: str, p=None, r=None, precision=None) -> list[JobSpec]:
@@ -60,7 +50,7 @@ def _expand_group(verbose: bool, suite: str, p=None, r=None, precision=None) -> 
         return [
             JobSpec(fp, fr, s, precision, record_cases=verbose) for fp, fr in fields for s in suites
         ]
-    except ValueError as exc:  # JobSpec checks the field and the precision
+    except ValueError as exc:  # JobSpec checks the field, the precision and the cost
         raise UsageError(str(exc)) from None
 
 
@@ -137,8 +127,13 @@ def _parse_config_file(path: str) -> tuple[dict, list[dict]]:
     return settings, groups
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise UsageError(message)  # one line, without the usage block
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="padichg",
         description="Exhaustively verify p-adic hypergeometric identities over small finite fields.",
     )
@@ -184,11 +179,6 @@ def parse_args(argv) -> Config:
             raise UsageError("config file defines no jobs")
         groups = [{"suite": "all"}]
     jobs = [job for group in groups for job in _expand_group(args.verbose, **group)]
-    for job in jobs:
-        try:
-            check_admissible(job)
-        except ValueError as exc:
-            raise UsageError(f"job {job.suite} p={job.p} r={job.r} refused: {exc}") from None
     return Config(jobs, args.format, args.out, args.jobs, args.fail_fast)
 
 

@@ -25,7 +25,8 @@ costs an O(q) integer table plus one Kronecker product per parameter set,
 a table of the Z_q context keyed by (upper, lower); the suites index the
 table by dlog t.  evaluate_g, the GParams facade, accepts any parameters:
 it reads a certified family from its value table and sums any other
-point by point in Z_q, O(q n r) per call for the table and the sum.
+point by point in Z_q, O(q r) per call over a scaled table that the
+context keeps in the value table's place.
 
 Individual (k, i) factors can carry a negative floor exponent (the b_k = 1/2
 families do at a = (q-1)/2), but the exponents summed over one term always
@@ -136,23 +137,20 @@ def _coefficient_table(upper, lower, zq: UnramifiedContext) -> list[int]:
     return table
 
 
-class _Uncertified(EvaluationIntegrityError):
-    """Raised by _values for a table without the Frobenius certificate; it
-    carries the scaled table to evaluate_g, which sums it point by point."""
-
-    def __init__(self, message: str, table: list[int]):
-        super().__init__(message)
-        self.table = table
+# What _values holds for a table without the Frobenius certificate: the
+# certificate's error and the scaled table, which evaluate_g sums point by point.
+_Uncertified = namedtuple("_Uncertified", "message table")
 
 
-def _values(zq: UnramifiedContext, upper: tuple, lower: tuple) -> list[int]:
-    """The values of one parameter set mod p^N, indexed by dlog t."""
+def _values(zq: UnramifiedContext, upper: tuple, lower: tuple) -> list[int] | _Uncertified:
+    """The values of one parameter set mod p^N, indexed by dlog t, or the
+    _Uncertified record of a table that fails the certificate."""
     upper, lower = _checked(upper, lower, zq.base.p)
     table = _scaled_table(upper, lower, zq)
     try:
         return zq.scalar_transform(table)
     except EvaluationIntegrityError as exc:
-        raise _Uncertified(str(exc), table) from None
+        return _Uncertified(str(exc), table)
 
 
 def _scaled_table(upper, lower, zq: UnramifiedContext) -> list[int]:
@@ -168,26 +166,29 @@ def value_table(upper: tuple, lower: tuple, zq: UnramifiedContext) -> list[int]:
 
     The values are certified Z_p scalars.  A parameter set whose coefficient
     table is not Frobenius invariant has values outside Z_p and raises
-    EvaluationIntegrityError, with nothing stored; evaluate_g serves such a
-    set point by point in Z_q.
+    EvaluationIntegrityError; the context keeps its scaled table, from which
+    evaluate_g serves such a set point by point in Z_q.
     """
-    return memo(zq, _values, upper, lower)
+    values = memo(zq, _values, upper, lower)
+    if isinstance(values, _Uncertified):
+        raise EvaluationIntegrityError(values.message)
+    return values
 
 
 def evaluate_g(params: GParams) -> GValue:
     """The nGn sum at params.t, exactly mod p^N.
 
     At t = 0 every summand carries chi(0) = 0, so the value is 0.  A
-    parameter set without the certificate builds its table once per call.
+    parameter set without the certificate builds its table once per Z_q
+    context, and each call sums it at params.t.
     """
     zq = params.context
     if params.t.is_zero():
         return GValue(zq.zero, zq.precision)
     k = params.t.dlog()
-    try:
-        values = value_table(params.upper, params.lower, zq)
-    except _Uncertified as exc:
-        return GValue(_pointwise(exc.table, zq, k), zq.precision)
+    values = memo(zq, _values, params.upper, params.lower)
+    if isinstance(values, _Uncertified):
+        return GValue(_pointwise(values.table, zq, k), zq.precision)
     return GValue(zq.scalar(values[k]), zq.precision)
 
 

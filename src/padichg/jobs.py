@@ -5,9 +5,13 @@ default precision; SUITE_NAMES, SUITE_MIN_P and default_precision read it.
 A job is one suite at one field and precision (JobSpec); run_job runs it
 and returns its Report, which counts every case as the suite checks it and
 lists every failing one.  Sweeps follow ascending case order, so the first
-recorded failure is the smallest failing input.  Suites raise ValueError
-when called directly on a field violating their hypothesis; run_job
-records such fields as skipped instead.
+recorded failure is the smallest failing input.
+
+Admission is JobSpec's own: a job too costly to finish (Gamma_p table work,
+packed-correlation size) or below its suite's recovery precision is refused
+when it is made, from its integers alone, so every JobSpec that exists can
+run.  A field below its suite's least p is admitted; run_job records it as
+skipped, and the suites, called directly on it, raise ValueError.
 
 The gamma and floors suites are integer facts: the Gamma_p product
 formulas mod p^N and the floor lemmas.  They live here and need only
@@ -54,6 +58,8 @@ class JobSpec(namedtuple("JobSpec", "p r suite precision record_cases")):
     report keeps one row per case (csv --verbose).
 
     A precision of None is resolved here, to default_precision(suite, p, r).
+    A job its suite would run is admitted here too (_admit): a refusal is a
+    ValueError, or an InfeasibleError for one too costly, that names the job.
     """
 
     __slots__ = ()
@@ -73,6 +79,11 @@ class JobSpec(namedtuple("JobSpec", "p r suite precision record_cases")):
             precision = default_precision(suite, p, r)
         elif precision < 1:
             raise ValueError("precision must be >= 1")
+        if suite != "floors" and p >= SUITE_MIN_P[suite]:  # floors evaluates no Gamma_p
+            try:
+                _admit(p, r, suite, precision)
+            except ValueError as exc:
+                raise type(exc)(f"job {suite} p={p} r={r} refused: {exc}") from None
         return super().__new__(cls, p, r, suite, precision, record_cases)
 
     @classmethod
@@ -164,13 +175,10 @@ def _fmt_scalar(v: int, p: int, r: int, n: int) -> str:
 
 
 def _require(job: JobSpec):
+    """Refuse a direct suite call on a field below the suite's least p."""
     min_p = SUITE_MIN_P[job.suite]
     if job.p < min_p:
         raise ValueError(f"suite {job.suite!r} requires p >= {min_p}, got p={job.p}")
-    if job.suite in ("zeros", "oracles") and job.p**job.precision < 7:
-        raise ValueError("insufficient precision: integer recovery needs p^N >= 7")
-    if job.suite == "charsums" and job.precision <= 2 * job.r:  # p^N <= 2q^2 for odd p
-        raise ValueError("insufficient precision: A-recovery needs p^N > 2q^2")
 
 
 def verify_gamma_identities(job: JobSpec) -> Report:
@@ -293,24 +301,21 @@ def packed_digits(p: int, r: int, precision: int) -> int:
     return (3 * n - 2) * (2 * r - 1) * width
 
 
-def check_admissible(job: JobSpec) -> None:
+def _admit(p: int, r: int, suite: str, precision: int) -> None:
     """Refuse a job whose Gamma_p digit table would exceed pgamma.MAX_TABLE_WORK
     or whose packed correlation would exceed MAX_PACKED_DIGITS
-    (pgamma.InfeasibleError), or whose p^N its suite refuses (ValueError).
-
-    Raises before any context is built, from the job alone.  Skipped jobs
-    and the floors suite evaluate no Gamma_p, and only the field suites
-    correlate.
-    """
-    if job.suite == "floors" or job.p < SUITE_MIN_P[job.suite]:
-        return
-    check_feasible(job.p, job.precision)
-    _require(job)
-    if job.suite not in INTEGER_SUITES:
-        digits = packed_digits(job.p, job.r, job.precision)
+    (pgamma.InfeasibleError), or whose p^N its suite cannot recover from
+    (ValueError).  Only the field suites correlate."""
+    check_feasible(p, precision)
+    if suite in ("zeros", "oracles") and p**precision < 7:
+        raise ValueError("insufficient precision: integer recovery needs p^N >= 7")
+    if suite == "charsums" and precision <= 2 * r:  # p^N <= 2q^2 for odd p
+        raise ValueError("insufficient precision: A-recovery needs p^N > 2q^2")
+    if suite not in INTEGER_SUITES:
+        digits = packed_digits(p, r, precision)
         if digits > MAX_PACKED_DIGITS:
             raise InfeasibleError(
-                f"the packed correlation at q = {job.q}, N = {job.precision} has about"
+                f"the packed correlation at q = {p**r}, N = {precision} has about"
                 f" {digits:.2e} digits (more than {MAX_PACKED_DIGITS:.0e})"
             )
 

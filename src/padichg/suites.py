@@ -7,8 +7,9 @@ order, so the first recorded failure is the smallest failing input.  Suites
 raise ValueError when called directly on a field violating their
 hypothesis; run_job records such fields as skipped instead.
 
-The job model (JobSpec, Report, run_job, admission) and the two integer
-suites, gamma and floors, live in jobs and are re-exported here.  SUITES
+The job model (JobSpec, which admits a job when it is made, Report,
+run_job) and the two integer suites, gamma and floors, live in jobs and are
+re-exported here; a job reaches a suite only once admitted.  SUITES
 maps all eight suite names to their verifiers: the six defined here, then
 jobs.INTEGER_SUITES.  jobs.run_job imports this module, and with it the
 F_q, Z_q, nGn and character-sum layers, at the first field job.  The shared
@@ -48,7 +49,6 @@ from .jobs import (  # noqa: F401  (the job model, re-exported)
     _digits,
     _fmt_scalar,
     _require,
-    check_admissible,
     default_precision,
     run_job,
 )

@@ -75,3 +75,27 @@ def corrupted_gamma_five_sixths(monkeypatch):
     yield
     monkeypatch.undo()
     clear_shared_caches()
+
+
+@pytest.fixture
+def corrupted_gamma_quarter(monkeypatch):
+    """Add p^(N-1) to Gamma_p(1/4) alone, so identity checks that read it
+    must fail.
+
+    The value stays a unit and keeps its reduction mod p; every other
+    Gamma_p value is exact.  Shared caches are cleared on both sides, as for
+    corrupted_gamma.
+    """
+    clear_shared_caches()
+    original = pgamma.GammaCache._nat_mod
+
+    def perturbed(self, n):
+        value, m = original(self, n), self.modulus
+        if (4 * n - 1) % m == 0:  # n = 1/4 mod p^N
+            value = (value + m // self.p) % m
+        return value
+
+    monkeypatch.setattr(pgamma.GammaCache, "_nat_mod", perturbed)
+    yield
+    monkeypatch.undo()
+    clear_shared_caches()

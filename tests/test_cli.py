@@ -28,16 +28,31 @@ def test_parse_bare_invocation_defaults_to_all():
     assert len(cfg.jobs) == 64
 
 
-def test_parse_rejects_bad_inputs():
+def test_parse_rejects_bad_inputs(capsys):
     with pytest.raises(UsageError, match="odd prime"):
         parse_args(["--p", "4"])
     with pytest.raises(UsageError):
         parse_args(["--p", "5", "--precision", "0"])
     with pytest.raises(UsageError):
         parse_args(["--p", "251", "--r", "3"])  # q over the bound
+    # argparse's own errors are one line too, without the usage block
+    for argv, message in (
+        (["--suite", "bogus"], "argument --suite: invalid choice: 'bogus'"),
+        (["--jobs", "abc"], "argument --jobs: invalid int value: 'abc'"),
+        (["--p", "x"], "argument --p: invalid int value: 'x'"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1, err
+
+
+def test_help_still_prints_usage(capsys):
     with pytest.raises(SystemExit) as exc:
-        parse_args(["--suite", "bogus"])  # argparse choices
-    assert exc.value.code == 2
+        main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: padichg")
 
 
 def test_main_usage_error_exit_code(capsys):

@@ -138,7 +138,7 @@ OUTSIDE_ZP = [
 
 def test_family_outside_zp_keeps_the_zq_path():
     # the values lie in Z_q and not in Z_p: evaluate_g serves them point by
-    # point, value_table refuses them and stores nothing
+    # point, value_table refuses them, and the context keeps the scaled table
     for p, r, n, family in OUTSIDE_ZP:
         fq = FqContext(p, r)
         zq = UnramifiedContext(fq, n)
@@ -149,13 +149,14 @@ def test_family_outside_zp_keeps_the_zq_path():
         with pytest.raises(EvaluationIntegrityError):
             value_table(*family, zq)
         value_table(*_CLAUSEN_SQUARE, zq)  # a certified neighbour in the same context
-        held = [table for key, table in zq.tables.items() if key[0] is gfunction._values]
-        assert len(held) == 1 and all(isinstance(v, int) for v in held[0]), (p, r)
+        held = {key[1:]: table for key, table in zq.tables.items() if key[0] is gfunction._values}
+        assert len(held) == 2 and all(isinstance(v, int) for v in held[_CLAUSEN_SQUARE]), (p, r)
+        assert len(held[family].table) == fq.q - 1, (p, r)
 
 
-def test_family_outside_zp_builds_its_table_once_per_call(monkeypatch):
-    # the table that fails the certificate is the one summed point by point,
-    # and a negative (-p) exponent is raised once, not again while handled
+def test_family_outside_zp_builds_its_table_once_per_context(monkeypatch):
+    # the table that fails the certificate is built once and summed point by
+    # point at every t, and a negative (-p) exponent is raised once, unchained
     builds = []
     build = gfunction._coefficient_table
 
@@ -165,18 +166,19 @@ def test_family_outside_zp_builds_its_table_once_per_call(monkeypatch):
 
     monkeypatch.setattr(gfunction, "_coefficient_table", counting)
     zq = _zq(3, 3, 4)
-    t1, t2 = zq.fq.nonzero_elements()[1:3]
     family = ((F(1, 4),), (F(0),))
-    evaluate_g(GParams(*family, t1, zq))
+    for t in zq.fq.nonzero_elements():
+        params = GParams(*family, t, zq)
+        assert evaluate_g(params).value == evaluate_g_pointwise(params), t
     assert len(builds) == 1
-    assert evaluate_g(GParams(*family, t2, zq)).value == evaluate_g_pointwise(
-        GParams(*family, t2, zq)
-    )
-    assert len(builds) == 2
+    with pytest.raises(EvaluationIntegrityError):
+        value_table(*family, zq)
+    assert len(builds) == 1
     negative = ((F(1, 4), F(1, 2)), (F(0), F(1, 5)))
+    t1 = zq.fq.nonzero_elements()[1]
     with pytest.raises(EvaluationIntegrityError, match="negative total") as raised:
         evaluate_g(GParams(*negative, t1, zq))
-    assert raised.value.__context__ is None and len(builds) == 3
+    assert raised.value.__context__ is None and len(builds) == 2
 
 
 def test_corrupted_teichmuller_breaks_the_pointwise_path(corrupted_teichmuller):

@@ -6,9 +6,10 @@ Nor may it, or a run whose jobs are all gamma or floors, load the field
 layers (suites, finitefield, padic, gfunction, charsums) or `csv`: those
 load at the first field job and the first csv report.  Such a run builds no
 Fraction either, so it loads neither `fractions` nor the `decimal` that
-`fractions` imports; a field run loads both.  Each check runs in a
-fresh interpreter and compares `sys.modules` before and after, so modules
-that site packages preload do not count.
+`fractions` imports; a field run loads both.  A job that JobSpec refuses
+loads none of them: admission is integer arithmetic in jobs and pgamma.
+Each check runs in a fresh interpreter and compares `sys.modules` before
+and after, so modules that site packages preload do not count.
 """
 
 import json
@@ -105,8 +106,22 @@ def _field_run(tmp_path):
     return ("--p", "5", "--suite", "euler", "--format", "csv", "--out", str(tmp_path / "r.csv"))
 
 
-@pytest.mark.parametrize("argv,loads", [(_integer_run, False), (_field_run, True)])
-def test_fractions_load_only_with_the_field_layer(tmp_path, argv, loads):
-    code, loaded = _loaded(*argv(tmp_path))
-    assert code == 0
-    assert [name in loaded for name in ("fractions", "decimal")] == [loads, loads]
+def _refused_run(tmp_path):
+    # JobSpec refuses it (packed correlation past jobs.MAX_PACKED_DIGITS)
+    # from its integers alone, before any field layer loads
+    return ("--p", "3", "--r", "10", "--suite", "clausen", "--precision", "300")
+
+
+@pytest.mark.parametrize(
+    "argv,code,loads",
+    [
+        pytest.param(_integer_run, 0, False, id="_integer_run-False"),
+        pytest.param(_field_run, 0, True, id="_field_run-True"),
+        pytest.param(_refused_run, 2, False, id="_refused_run-False"),
+    ],
+)
+def test_fractions_load_only_with_the_field_layer(tmp_path, argv, code, loads):
+    exit_code, loaded = _loaded(*argv(tmp_path))
+    assert exit_code == code
+    names = ("fractions", "decimal") + FIELD
+    assert [name in loaded for name in names] == [loads] * len(names)

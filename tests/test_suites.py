@@ -1,14 +1,19 @@
 import hashlib
+import pickle
 
 import pytest
 from conftest import clear_shared_caches
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import charsums_admits, default_precision_by_search
 
 from padichg import pgamma, suites
 from padichg.charsums import B_values, h_values
 from padichg.cli import _render_csv, _render_json
 from padichg.finitefield import FqElement
+from padichg.jobs import MAX_PACKED_DIGITS, packed_digits
 from padichg.padic import UnramifiedContext, ZqElement
+from padichg.pgamma import InfeasibleError, check_feasible
 from padichg.suites import (
     DEFAULT_BATTERY,
     SUITE_MIN_P,
@@ -16,11 +21,11 @@ from padichg.suites import (
     SUITES,
     JobSpec,
     Report,
-    _require,
     contexts,
     default_precision,
     run_job,
 )
+from padichg.zmod import check_field
 
 
 def test_jobspec_validation():
@@ -38,6 +43,66 @@ def test_jobspec_validation():
         JobSpec(2**61 - 1, 1, "gamma")  # refused before a primality scan
     with pytest.raises(ValueError, match="exceeds the supported bound"):
         JobSpec(3, 10**9, "gamma")  # refused before p^r
+
+
+def test_jobspec_refuses_a_job_that_cannot_run():
+    # admission is JobSpec's own, with the text the CLI prints, and it
+    # builds no context: this job's product would have about 9.9e8 digits
+    caches_before = (len(pgamma._caches), len(suites._fq_cache))
+    with pytest.raises(
+        InfeasibleError,
+        match=r"^job clausen p=3 r=10 refused: the packed correlation .* 9\.86e\+08 digits",
+    ):
+        JobSpec(3, 10, "clausen", precision=300)
+    assert (3, 10) not in suites._fq_cache
+    assert (len(pgamma._caches), len(suites._fq_cache)) == caches_before
+    with pytest.raises(ValueError, match=r"^job charsums p=5 r=1 refused: insufficient precision"):
+        JobSpec(5, 1, "charsums", precision=2)  # 5^2 <= 2*5^2
+    with pytest.raises(InfeasibleError, match=r"^job gamma p=65521 r=1 refused: Gamma_p mod"):
+        JobSpec(65521, 1, "gamma", precision=6)
+    with pytest.raises(ValueError, match="refused"):
+        JobSpec(5, 1, "euler", 4)._replace(precision=10**6)  # a replaced field is admitted too
+    # a field below the suite's least p is made, and run_job skips it
+    assert run_job(JobSpec(3, 1, "euler")).skipped
+    # an admitted job survives pickling, as a --jobs K pool sends it
+    for job in (JobSpec(65521, 1, "clausen"), JobSpec(5, 2, "charsums", 6, record_cases=True)):
+        assert pickle.loads(pickle.dumps(job)) == job
+
+
+def _meets_every_bound(p, r, suite, n):
+    """Whether JobSpec(p, r, suite, n) can run, from the field check and the
+    three bounds a job its suite runs must meet."""
+    try:
+        check_field(p, r)
+    except ValueError:
+        return False
+    if suite == "floors" or p < SUITE_MIN_P[suite]:
+        return True  # floors evaluates no Gamma_p; run_job skips the other
+    try:
+        check_feasible(p, n)
+    except InfeasibleError:
+        return False
+    if suite in ("zeros", "oracles") and p**n < 7:
+        return False
+    if suite == "charsums" and not charsums_admits(p, r, n):
+        return False
+    return suite == "gamma" or packed_digits(p, r, n) <= MAX_PACKED_DIGITS
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.sampled_from([3, 5, 7, 9, 11, 13, 251, 4093, 65521]),
+    st.integers(1, 12),
+    st.sampled_from(SUITE_NAMES),
+    st.integers(1, 900),
+)
+def test_a_jobspec_that_exists_can_run(p, r, suite, n):
+    try:
+        JobSpec(p, r, suite, n)
+        made = True
+    except ValueError:
+        made = False
+    assert made == _meets_every_bound(p, r, suite, n)
 
 
 def test_records_keep_their_value_semantics():
@@ -61,7 +126,9 @@ def test_job_resolves_its_default_precision():
             job = JobSpec(p, r, suite)
             assert job.precision == default_precision(suite, p, r)
             assert job._replace(precision=None) == job
-            assert JobSpec(p, r, suite, precision=2).precision == 2
+            # an explicit precision is kept (charsums admits none below its default)
+            n = job.precision + 1
+            assert JobSpec(p, r, suite, precision=n).precision == n
 
 
 def test_default_precision_policy():
@@ -85,8 +152,8 @@ def _odd_prime_powers(bound):
 
 
 def test_closed_forms_match_their_searches():
-    # default_precision is max(floor, k r + 1) and the charsums admission
-    # test is N > 2r; both equal the definitions at every odd q <= 2^16
+    # default_precision is max(floor, k r + 1) and JobSpec's charsums
+    # admission test is N > 2r; both equal the definitions at every odd q <= 2^16
     fields = list(_odd_prime_powers(2**16))
     assert len(fields) * len(SUITE_NAMES) == 52952
     for p, r in fields:
@@ -94,7 +161,7 @@ def test_closed_forms_match_their_searches():
             assert default_precision(suite, p, r) == default_precision_by_search(suite, p, r)
         for n in (2 * r - 1, 2 * r, 2 * r + 1, 2 * r + 2):
             try:
-                _require(JobSpec(p, r, "charsums", n))
+                JobSpec(p, r, "charsums", n)
                 admitted = True
             except ValueError:
                 admitted = False
@@ -216,6 +283,20 @@ def test_corrupted_gamma_five_sixths_is_detected(corrupted_gamma_five_sixths):
     assert failing == {"euler", "zeros", "oracles", "gamma"}
     aborted = {rep.suite for rep in reports if [f.case for f in rep.failures] == ["aborted"]}
     assert aborted == {"zeros", "oracles"}
+
+
+def test_corrupted_gamma_quarter_is_detected(corrupted_gamma_quarter):
+    # one wrong digit in Gamma_p(1/4) fails every suite whose families or
+    # products read a quarter: euler, clausen and gamma by comparison, and
+    # zeros, oracles and charsums aborted past their recovery bound.
+    # inversion's two sides are equal term by term, and floors reads no Gamma_p
+    reports = [
+        run_job(JobSpec(p, r, suite)) for p, r in DEFAULT_BATTERY for suite in SUITE_NAMES
+    ]
+    failing = {rep.suite for rep in reports if not rep.passed()}
+    assert failing == {"euler", "zeros", "clausen", "oracles", "charsums", "gamma"}
+    aborted = {rep.suite for rep in reports if [f.case for f in rep.failures] == ["aborted"]}
+    assert aborted == {"zeros", "oracles", "charsums"}
 
 
 def test_precision_robustness_sample():
