@@ -23,7 +23,6 @@ _EXPORTS = {
     "sum_a": "charsums",
     "sum_B": "charsums",
     "sum_h": "charsums",
-    "verify_aop_identity": "charsums",
     "FqContext": "finitefield",
     "FqElement": "finitefield",
     "count_roots": "finitefield",
@@ -33,7 +32,6 @@ _EXPORTS = {
     "GParams": "gfunction",
     "GValue": "gfunction",
     "evaluate_g": "gfunction",
-    "evaluate_g_inverted": "gfunction",
     "PadicContext": "zmod",
     "UnramifiedContext": "padic",
     "ZpElement": "zmod",
@@ -42,17 +40,12 @@ _EXPORTS = {
     "recover_bounded_integer": "padic",
     "GammaCache": "pgamma",
     "gamma_cache": "pgamma",
-    "check_floor_identity_A": "rational",
-    "check_floor_identity_B": "rational",
-    "frac": "rational",
     "g_exponent": "rational",
-    "DEFAULT_BATTERY": "jobs",
     "SUITE_NAMES": "jobs",
     "JobSpec": "jobs",
     "Report": "jobs",
     "contexts": "suites",
     "default_precision": "jobs",
-    "field_context": "suites",
     "run_job": "jobs",
 }
 

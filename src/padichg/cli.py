@@ -6,6 +6,7 @@ file, and format and jobs are checked once, on the merged value.  Every
 usage error is one line on stderr: argparse's own errors raise UsageError
 as padichg's checks do, and a job is admitted by JobSpec itself, whose
 ValueError becomes the usage error of the first job in order it refuses.
+An error of a config file line names it by path:line.
 
 Exit codes: 0 all executed cases passed (skipped suites do not fail),
 1 verification failure, 2 usage error, 3 I/O error.
@@ -38,20 +39,25 @@ Config = namedtuple(
 )
 
 
-def _expand_group(verbose: bool, suite: str, p=None, r=None, precision=None) -> list[JobSpec]:
-    """One flag/config job group -> concrete JobSpecs (battery when p is absent)."""
-    if suite not in SUITE_NAMES and suite != "all":
-        raise UsageError(f"unknown suite {suite!r}; choose from {', '.join(SUITE_NAMES)} or all")
-    suites = SUITE_NAMES if suite == "all" else (suite,)
-    if p is None and r is not None:
-        raise UsageError("r needs p: without p the default battery is swept")
-    fields = DEFAULT_BATTERY if p is None else [(p, 1 if r is None else r)]
+def _expand_group(
+    verbose: bool, suite: str, p=None, r=None, precision=None, where=None
+) -> list[JobSpec]:
+    """One flag/config job group -> concrete JobSpecs (battery when p is absent).
+    A refusal of a config job line names it by where, its path:line."""
     try:
+        if suite not in SUITE_NAMES and suite != "all":
+            raise ValueError(
+                f"unknown suite {suite!r}; choose from {', '.join(SUITE_NAMES)} or all"
+            )
+        suites = SUITE_NAMES if suite == "all" else (suite,)
+        if p is None and r is not None:
+            raise ValueError("r needs p: without p the default battery is swept")
+        fields = DEFAULT_BATTERY if p is None else [(p, 1 if r is None else r)]
         return [
             JobSpec(fp, fr, s, precision, record_cases=verbose) for fp, fr in fields for s in suites
         ]
-    except ValueError as exc:  # JobSpec checks the field, the precision and the cost
-        raise UsageError(str(exc)) from None
+    except ValueError as exc:  # JobSpec checks the field, the precision and the cost too
+        raise UsageError(f"{where}: {exc}" if where else str(exc)) from None
 
 
 def _int_value(where: str, key: str, value: str) -> int:
@@ -99,7 +105,7 @@ def _parse_config_file(path: str) -> tuple[dict, list[dict]]:
         key, value = key.strip(), value.strip()
         where = f"{path}:{lineno}"
         if key == "job":
-            entry: dict = {}
+            entry: dict = {"where": where}
             for token in value.split():
                 if "=" not in token:
                     raise UsageError(f"{where}: job tokens must be key=value")

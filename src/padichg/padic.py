@@ -117,7 +117,7 @@ class UnramifiedContext:
             raise EvaluationIntegrityError(
                 "coefficient table fails the Frobenius certificate c[p a] = c[a]"
             )
-        reps, orbit, mu = self._scalar_weights()
+        reps, orbit, mu = memo(self, _frobenius_weights)
         blocks = self._chirp_correlation(coeffs, reps)
         values = [sum(map(mul, x, mu[i * b : i * b + b])) % m for i, x in enumerate(blocks)]
         return [values[i] for i in orbit]
@@ -132,13 +132,6 @@ class UnramifiedContext:
         pows, chirp = self.omega_generator_powers(), memo(self, _packed_chirp)
         u = [[c * w % m for w in pows[a * (a - 1) // 2 % n]] for a, c in enumerate(coeffs)]
         return correlate(u, chirp, rows)
-
-    def _scalar_weights(self) -> tuple:
-        """(reps, orbit, mu) of scalar_transform: the least k of each Frobenius
-        orbit (every k at r = 1, where each orbit is one k); the index in reps
-        of the orbit of every k; and mu_k[s] for each k in reps, s in 0..2r-2,
-        as one flat list."""
-        return memo(self, _frobenius_weights)
 
     def reduce_mod_p(self, x: "ZqElement") -> FqElement:
         return FqElement(self.fq, tuple(c % self.base.p for c in x.coeffs))
@@ -169,6 +162,10 @@ def _packed_chirp(zq: UnramifiedContext) -> tuple:
 
 
 def _frobenius_weights(zq: UnramifiedContext) -> tuple:
+    """(reps, orbit, mu) of scalar_transform: the least k of each Frobenius
+    orbit (every k at r = 1, where each orbit is one k); the index in reps of
+    the orbit of every k; and mu_k[s] for each k in reps, s in 0..2r-2, as
+    one flat list."""
     n, p, r, m = zq.q - 1, zq.base.p, zq.r, zq.modulus
     reps, orbit = [], [-1] * n
     for k in range(n):

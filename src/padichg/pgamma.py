@@ -23,16 +23,15 @@ shifts, so nothing is divided and one method serves every (p, N).  The table
 of all Q_{k,d} with d < p is built once per cache, in about p*N^2 ring
 products; a fresh argument then costs sum_k ceil(N/(k+1)) Horner steps.
 
-GammaCache.residue(num, den) is the integer point entry, Gamma_p(num/den)
-mod p^N from num * den^-1 mod p^N; gamma(x) is a facade over it.  A cache
-holds its tables through zmod.memo: the digit table and, per denominator d,
-residues(d) = {num: Gamma_p(num/d) mod p^N}, filled as read, so it costs
-what its readers read, not d.  gamma_cache shares one cache per (p, N).
+A cache holds its tables through zmod.memo: the digit table and, per
+denominator d, residues(d) = {num: Gamma_p(num/d) mod p^N}, filled as read,
+so it costs what its readers read, not d.  These residue tables are the only
+store of Gamma_p values; gamma(x) evaluates one rational point unstored.
+gamma_cache shares one cache per (p, N).
 
 check_feasible refuses, before any context is built, a (p, N) whose table
-would take more than MAX_TABLE_WORK ring products.  Every value is memoized
-per residue t; the memo and the tables are write-once per key and safe for
-concurrent readers.
+would take more than MAX_TABLE_WORK ring products.  The tables are
+write-once per key and safe for concurrent readers.
 """
 
 from __future__ import annotations
@@ -121,11 +120,16 @@ class GammaCache:
         self.p = context.p
         self.modulus = context.modulus
         self.tables: dict[tuple, object] = {}  # filled by memo
-        self._memo: dict[int, int] = {}
 
-    def _unit_product(self, t: int) -> int:
-        """prod_{0<j<t, p∤j} j mod p^N as prod_k Q_{k,d_k}(B_k), for 0 <= t < p^N."""
+    def _nat_mod(self, n: int) -> int:
+        """Gamma_p(n) mod p^N via the period fold t = n mod p^N: (-1)^t times the
+        unit product prod_{0<j<t, p∤j} j, taken as prod_k Q_{k,d_k}(B_k).
+
+        The fold also yields the t = 0 convention value 1 and Gamma_p(1) = -1
+        with no special-casing: the unit product is empty for t <= 1.
+        """
         p, m = self.p, self.modulus
+        t = n % m
         acc, scale, high = 1, 1, t
         for row in memo(self, _digit_table):
             if not high:
@@ -138,27 +142,7 @@ class GammaCache:
                 for c in reversed(row[d]):
                     v = (v * x + c) % m
                 acc = acc * v % m
-        return acc
-
-    def _nat_mod(self, n: int) -> int:
-        """Gamma_p(n) mod p^N via the period fold t = n mod p^N.
-
-        The fold also yields the t = 0 convention value 1 and Gamma_p(1) = -1
-        with no special-casing: the unit product is empty for t <= 1.
-        """
-        t = n % self.modulus
-        v = self._memo.get(t)
-        if v is None:
-            acc = self._unit_product(t)
-            v = -acc % self.modulus if t % 2 else acc
-            self._memo[t] = v
-        return v
-
-    def residue(self, num: int, den: int) -> int:
-        """Gamma_p(num/den) mod p^N for integers num and den > 0 with p ∤ den."""
-        if den % self.p == 0:
-            raise ValueError(f"argument {num}/{den} is not a p-adic integer for p={self.p}")
-        return self._nat_mod(num * pow(den, -1, self.modulus))
+        return -acc % m if t % 2 else acc
 
     def residues(self, d: int) -> _ResidueTable:
         """num -> Gamma_p(num/d) mod p^N for 0 <= num < d, d > 0 with p ∤ d; one per d."""
@@ -172,7 +156,10 @@ class GammaCache:
         if isinstance(x, float):
             raise TypeError(f"Gamma_p argument {x!r} is a float; pass an int or a Fraction")
         x = Fraction(x)
-        return ZpElement(self.context, self.residue(x.numerator, x.denominator))
+        if x.denominator % self.p == 0:
+            raise ValueError(f"argument {x} is not a p-adic integer for p={self.p}")
+        n = x.numerator * pow(x.denominator, -1, self.modulus)
+        return ZpElement(self.context, self._nat_mod(n))
 
 
 def gamma_cache(context: PadicContext) -> GammaCache:

@@ -1,11 +1,32 @@
 import pytest
 
-from padichg import padic, pgamma, suites
+from padichg import gfunction, padic, pgamma, suites
 
 
 def clear_shared_caches():
     pgamma._caches.clear()
     suites._fq_cache.clear()  # each F_q context holds its Z_q contexts
+
+
+def _planted(monkeypatch, owner, name, fault):
+    """Set owner.name to fault for one test.  Shared caches are cleared on
+    both sides, so poisoned tables cannot leak into other tests."""
+    clear_shared_caches()
+    monkeypatch.setattr(owner, name, fault, raising=False)
+    yield
+    monkeypatch.undo()
+    clear_shared_caches()
+
+
+def _gamma_fault(monkeypatch, shift):
+    """Add shift(cache, n) to every Gamma_p(n) mod p^N, at the one seam
+    GammaCache._nat_mod that every residue table and gamma(x) evaluate."""
+    nat_mod = pgamma.GammaCache._nat_mod
+
+    def perturbed(self, n):
+        return (nat_mod(self, n) + shift(self, n)) % self.modulus
+
+    return _planted(monkeypatch, pgamma.GammaCache, "_nat_mod", perturbed)
 
 
 @pytest.fixture
@@ -14,43 +35,16 @@ def corrupted_gamma(monkeypatch):
 
     The perturbation keeps values p-adic units (v + p = v mod p), so the
     evaluation machinery runs to completion and the failure is caught by the
-    identity comparisons, not by a unit check.  Shared caches are cleared on
-    both sides so poisoned tables cannot leak into other tests.
+    identity comparisons, not by a unit check.
     """
-    clear_shared_caches()
-    original = pgamma.GammaCache._nat_mod
-
-    def perturbed(self, n):
-        return (original(self, n) + self.p) % self.modulus
-
-    monkeypatch.setattr(pgamma.GammaCache, "_nat_mod", perturbed)
-    yield
-    monkeypatch.undo()
-    clear_shared_caches()
+    yield from _gamma_fault(monkeypatch, lambda cache, n: cache.p)
 
 
 @pytest.fixture
-def corrupted_teichmuller(monkeypatch):
-    """Add p^(N-1) to one Teichmuller power, omega(g) itself, so identity
-    checks must fail.
-
-    The power stays a unit and keeps its reduction mod p, so only the last
-    p-adic digit of the characters it enters is wrong.  Shared caches are
-    cleared on both sides, as for corrupted_gamma.
-    """
-    clear_shared_caches()
-    original = padic._teichmuller_powers
-
-    def perturbed(zq):
-        pows = original(zq)
-        shift = zq.modulus // zq.base.p
-        pows[1] = ((pows[1][0] + shift) % zq.modulus,) + pows[1][1:]
-        return pows
-
-    monkeypatch.setattr(padic, "_teichmuller_powers", perturbed)
-    yield
-    monkeypatch.undo()
-    clear_shared_caches()
+def corrupted_gamma_last_digit(monkeypatch):
+    """Add p^(N-1) to every Gamma_p value, so only the last p-adic digit of
+    each is wrong and every value keeps its reduction mod p."""
+    yield from _gamma_fault(monkeypatch, lambda cache, n: cache.modulus // cache.p)
 
 
 @pytest.fixture
@@ -59,22 +53,14 @@ def corrupted_gamma_five_sixths(monkeypatch):
     read it must fail.
 
     The value stays a unit and keeps its reduction mod p; every other
-    Gamma_p value is exact.  Shared caches are cleared on both sides, as for
-    corrupted_gamma.
+    Gamma_p value is exact.
     """
-    clear_shared_caches()
-    original = pgamma.GammaCache._nat_mod
 
-    def perturbed(self, n):
-        value, m = original(self, n), self.modulus
-        if self.p > 3 and (6 * n - 5) % m == 0:  # n = 5/6 mod p^N
-            value = (value + m // self.p) % m
-        return value
+    def shift(cache, n):
+        m = cache.modulus
+        return m // cache.p if cache.p > 3 and (6 * n - 5) % m == 0 else 0  # n = 5/6 mod p^N
 
-    monkeypatch.setattr(pgamma.GammaCache, "_nat_mod", perturbed)
-    yield
-    monkeypatch.undo()
-    clear_shared_caches()
+    yield from _gamma_fault(monkeypatch, shift)
 
 
 @pytest.fixture
@@ -83,19 +69,64 @@ def corrupted_gamma_quarter(monkeypatch):
     must fail.
 
     The value stays a unit and keeps its reduction mod p; every other
-    Gamma_p value is exact.  Shared caches are cleared on both sides, as for
-    corrupted_gamma.
+    Gamma_p value is exact.
     """
-    clear_shared_caches()
-    original = pgamma.GammaCache._nat_mod
 
-    def perturbed(self, n):
-        value, m = original(self, n), self.modulus
-        if (4 * n - 1) % m == 0:  # n = 1/4 mod p^N
-            value = (value + m // self.p) % m
-        return value
+    def shift(cache, n):
+        m = cache.modulus
+        return m // cache.p if (4 * n - 1) % m == 0 else 0  # n = 1/4 mod p^N
 
-    monkeypatch.setattr(pgamma.GammaCache, "_nat_mod", perturbed)
-    yield
-    monkeypatch.undo()
-    clear_shared_caches()
+    yield from _gamma_fault(monkeypatch, shift)
+
+
+@pytest.fixture
+def corrupted_teichmuller(monkeypatch):
+    """Add p^(N-1) to one Teichmuller power, omega(g) itself, so identity
+    checks must fail.
+
+    The power stays a unit and keeps its reduction mod p, so only the last
+    p-adic digit of the characters it enters is wrong.
+    """
+    powers = padic._teichmuller_powers
+
+    def perturbed(zq):
+        pows = powers(zq)
+        shift = zq.modulus // zq.base.p
+        pows[1] = ((pows[1][0] + shift) % zq.modulus,) + pows[1][1:]
+        return pows
+
+    yield from _planted(monkeypatch, padic, "_teichmuller_powers", perturbed)
+
+
+@pytest.fixture
+def conjugate_teichmuller(monkeypatch):
+    """Read the Teichmuller powers as omega-bar: the table holds
+    omega-bar(g)^k = omega(g)^(-k) where omega(g)^k belongs.
+
+    Every entry is still a Teichmuller unit, so only the character's
+    direction is wrong; at q = 3, omega-bar = omega and nothing changes.
+    """
+    powers = padic._teichmuller_powers
+
+    def conjugate(zq):
+        pows = powers(zq)
+        return [pows[-k % len(pows)] for k in range(len(pows))]
+
+    yield from _planted(monkeypatch, padic, "_teichmuller_powers", conjugate)
+
+
+@pytest.fixture
+def dropped_floor(monkeypatch):
+    """Drop the floor -floor(<a_k p^i> - a p^i/(q-1)) from every (-p)
+    exponent of gfunction._coefficient_table.
+
+    The table takes each floor from a divmod, its only use in gfunction, and
+    that floor is the one whose quotient is never positive; zeroing negative
+    quotients drops it and keeps every Gamma_p argument (the remainders).
+    """
+
+    def floor_dropped(x, d):
+        quotient, remainder = divmod(x, d)
+        return max(quotient, 0), remainder
+
+    yield from _planted(monkeypatch, gfunction, "divmod", floor_dropped)

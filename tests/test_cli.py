@@ -290,6 +290,49 @@ def test_r_without_p_is_usage_error(tmp_path, capsys):
     assert "r needs p" in _usage_exit(capsys, _config(tmp_path, "job = suite=euler r=2\n"))
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("job = suite=gamma p=7 precision=0", "precision must be >= 1"),
+        ("job = suite=euler p=4", "p must be an odd prime"),
+        ("job = suite=bogus p=5", "unknown suite 'bogus'; choose from euler, "),
+    ],
+)
+def test_refused_config_job_names_its_line(tmp_path, capsys, line, message):
+    argv = _config(tmp_path, f"format = json\n\n{line}\n")
+    err = _usage_exit(capsys, argv)
+    assert err.startswith(f"error: {argv[1]}:3: {message}") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("job = suite=euler p=5\nverbose\n", "jobs.cfg:2: expected key = value"),
+        ("job = p=5 r=1\n", "jobs.cfg:1: job line needs suite=..."),
+        ("format = bogus\njob = suite=euler p=5\n", "format must be one of text, json, csv"),
+    ],
+)
+def test_malformed_config_line_is_one_line_usage_error(tmp_path, capsys, text, message):
+    err = _usage_exit(capsys, _config(tmp_path, text))
+    assert message in err and err.count("\n") == 1, err
+
+
+def test_unknown_format_flag_is_one_line_usage_error(capsys):
+    err = _usage_exit(capsys, ["--p", "5", "--suite", "euler", "--format", "bogus"])
+    assert err == "error: format must be one of text, json, csv, got 'bogus'\n"
+
+
+def test_text_report_names_a_skipped_job(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--p", "3", "--suite", "euler"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out == (
+        "[euler p=3 r=1 N=4 q=3] SKIPPED (field outside the suite hypothesis)\n"
+        "summary: 1 jobs, 0 passed, 0 failed, 1 skipped\n"
+    )
+
+
 def test_huge_field_parameters_are_refused_at_once(capsys):
     assert "exceeds the supported bound" in _usage_exit(capsys, ["--p", str(10**18 + 3)])
     assert "exceeds the supported bound" in _usage_exit(capsys, ["--p", "3", "--r", str(10**9)])

@@ -129,7 +129,7 @@ def test_one_residue_table_per_denominator(monkeypatch, p, r):
         assert list(pgamma._caches.values()) == [cache]
         assert dict(cache.tables.builds) == builds
         kept = {name for name, v in vars(cache).items() if isinstance(v, (list, dict))}
-        assert kept == {"tables", "_memo"}
+        assert kept == {"tables"}
     finally:
         clear_shared_caches()
 

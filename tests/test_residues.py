@@ -1,10 +1,10 @@
 """Integer-residue fast paths against their Fraction references.
 
-GammaCache.residue(num, den) against GammaCache.gamma(Fraction(num, den)) and
-the prefix product; the residue table GammaCache.residues(d) against both
-point entries; the integer floor identities against their Fraction
-forms; and the gamma suite, case by case, against its Fraction form, both
-clean and with every Gamma_p value perturbed.
+GammaCache.gamma(Fraction(num, den)) against the prefix product of the
+unreduced num * den^-1; the residue table GammaCache.residues(d) against
+both; the integer floor identities against their Fraction forms; and the
+gamma suite, case by case, against its Fraction form, both clean and with
+every Gamma_p value perturbed.
 """
 
 from fractions import Fraction as F
@@ -43,8 +43,7 @@ def test_residue_matches_gamma_and_prefix(pn, num, den, whole):
     if whole:
         num = num * den  # num ≡ 0 mod den: an integer argument
     cache, m = _cache(p, n), p**n
-    value = cache.residue(num, den)
-    assert value == cache.gamma(F(num, den)).residue
+    value = cache.gamma(F(num, den)).residue
     big = p ** (n + 1)  # the guard-digit representative of the former path
     assert value == prefix_gamma_nat(p, m, num * pow(den, -1, big) % big)
 
@@ -53,8 +52,9 @@ def test_residue_matches_gamma_and_prefix(pn, num, den, whole):
 @given(_PN, st.integers(-10**6, 10**6), st.integers(1, 10**3))
 def test_residue_rejects_p_in_denominator(pn, num, k):
     p, n = pn
+    # p * num + 1 is prime to p, so p stays in the reduced denominator
     with pytest.raises(ValueError, match="not a p-adic integer"):
-        _cache(p, n).residue(num, p * k)
+        _cache(p, n).gamma(F(p * num + 1, p * k))
 
 
 # d <= 300, so no example builds a large table
@@ -67,7 +67,7 @@ def test_residue_table_matches_residue_and_prefix(pn, num, d):
     cache, m = _cache(p, n), p**n
     num %= d
     value = cache.residues(d)[num]
-    assert value == cache.residue(num, d)
+    assert value == cache.gamma(F(num, d)).residue
     big = p ** (n + 1)
     assert value == prefix_gamma_nat(p, m, num * pow(d, -1, big) % big)
     assert cache.residues(d) is cache.residues(d) and all(0 <= k < d for k in cache.residues(d))

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from oracles import block_correlation, character_transform, evaluate_g_pointwise
 
 from padichg import gfunction, padic, rational
-from padichg.finitefield import FqContext, correlate, pack, poly_mulmod, poly_reduce
+from padichg.finitefield import FqContext, correlate, memo, pack, poly_mulmod, poly_reduce
 from padichg.gfunction import EvaluationIntegrityError, GParams, evaluate_g, value_table
 from padichg.padic import UnramifiedContext
 from padichg.suites import _CLAUSEN_CUBE, _CLAUSEN_SQUARE, _EULER_LEFT, _EULER_RIGHT
@@ -96,7 +96,7 @@ def test_orbit_reads_equal_a_read_of_every_block(p, r, n):
         post = pows[k * (k - 1) // 2 % q1]
         value = poly_mulmod(poly_reduce(list(block), neg, m), post, neg, m)
         assert value == (values[k],) + (0,) * (r - 1), k
-    reps, orbit, _ = zq._scalar_weights()
+    reps, orbit, _ = memo(zq, padic._frobenius_weights)
     assert sorted(set(orbit)) == list(range(len(reps)))
     assert all(orbit[k * p % q1] == orbit[k] for k in range(q1))
 

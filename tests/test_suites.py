@@ -271,18 +271,23 @@ def test_corrupted_teichmuller_is_detected(corrupted_teichmuller):
     assert failing == {"euler", "zeros", "clausen", "oracles", "inversion", "charsums"}
 
 
+def _battery_verdicts():
+    """(failing, aborted): the suites that fail on some field of the default
+    battery, and those among them with some job aborted."""
+    reports = [
+        run_job(JobSpec(p, r, suite)) for p, r in DEFAULT_BATTERY for suite in SUITE_NAMES
+    ]
+    failed = [rep for rep in reports if not rep.passed()]
+    aborted = {rep.suite for rep in failed if [f.case for f in rep.failures] == ["aborted"]}
+    return {rep.suite for rep in failed}, aborted
+
+
 def test_corrupted_gamma_five_sixths_is_detected(corrupted_gamma_five_sixths):
     # one wrong digit in Gamma_p(5/6) fails euler, the two suites that
     # recover its values (aborted past the recovery bound) and gamma; clausen
     # and charsums read no sixth, and the two sides of inversion are equal
     # term by term, so a wrong Gamma_p value enters both alike
-    reports = [
-        run_job(JobSpec(p, r, suite)) for p, r in DEFAULT_BATTERY for suite in SUITE_NAMES
-    ]
-    failing = {rep.suite for rep in reports if not rep.passed()}
-    assert failing == {"euler", "zeros", "oracles", "gamma"}
-    aborted = {rep.suite for rep in reports if [f.case for f in rep.failures] == ["aborted"]}
-    assert aborted == {"zeros", "oracles"}
+    assert _battery_verdicts() == ({"euler", "zeros", "oracles", "gamma"}, {"zeros", "oracles"})
 
 
 def test_corrupted_gamma_quarter_is_detected(corrupted_gamma_quarter):
@@ -290,13 +295,43 @@ def test_corrupted_gamma_quarter_is_detected(corrupted_gamma_quarter):
     # products read a quarter: euler, clausen and gamma by comparison, and
     # zeros, oracles and charsums aborted past their recovery bound.
     # inversion's two sides are equal term by term, and floors reads no Gamma_p
-    reports = [
-        run_job(JobSpec(p, r, suite)) for p, r in DEFAULT_BATTERY for suite in SUITE_NAMES
-    ]
-    failing = {rep.suite for rep in reports if not rep.passed()}
-    assert failing == {"euler", "zeros", "clausen", "oracles", "charsums", "gamma"}
-    aborted = {rep.suite for rep in reports if [f.case for f in rep.failures] == ["aborted"]}
-    assert aborted == {"zeros", "oracles", "charsums"}
+    assert _battery_verdicts() == (
+        {"euler", "zeros", "clausen", "oracles", "charsums", "gamma"},
+        {"zeros", "oracles", "charsums"},
+    )
+
+
+def test_corrupted_gamma_last_digit_is_detected(corrupted_gamma_last_digit):
+    # the last digit of every Gamma_p value wrong: the same suites as a wrong
+    # Gamma_p(1/4) alone, and the same aborts
+    assert _battery_verdicts() == (
+        {"euler", "zeros", "clausen", "oracles", "charsums", "gamma"},
+        {"zeros", "oracles", "charsums"},
+    )
+    # at p = 3 clausen and charsums still pass; only gamma catches it there
+    for r in (1, 2):
+        assert run_job(JobSpec(3, r, "clausen")).passed()
+        assert run_job(JobSpec(3, r, "charsums")).passed()
+        assert not run_job(JobSpec(3, r, "gamma")).passed()
+
+
+def test_conjugate_teichmuller_is_detected(conjugate_teichmuller):
+    # omega-bar for omega fails every suite that reads a character except
+    # inversion, whose identity (a -> -a in the defining sum) holds for
+    # either; no job aborts, as every wrong value stays within its recovery
+    # bound.  At q = 3 omega-bar = omega, so nothing fails there
+    assert _battery_verdicts() == ({"euler", "zeros", "clausen", "oracles", "charsums"}, set())
+    assert all(run_job(JobSpec(3, 1, suite)).passed() for suite in SUITE_NAMES)
+
+
+def test_dropped_floor_is_detected(dropped_floor):
+    # without its nonpositive floor the (-p) exponent can go negative, and
+    # the coefficient table then refuses its family: every nGn suite fails,
+    # each with some job aborted (clausen at p = 3 by comparison); gamma and
+    # floors read no coefficient table
+    ngn_suites = {"euler", "zeros", "clausen", "oracles", "inversion", "charsums"}
+    assert _battery_verdicts() == (ngn_suites, ngn_suites)
+    assert run_job(JobSpec(3, 1, "clausen")).failures[0].case != "aborted"
 
 
 def test_precision_robustness_sample():
