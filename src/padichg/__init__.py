@@ -8,9 +8,9 @@ transformation and special-value identities the evaluator satisfies.
 
 The names below are exported lazily (PEP 562): `from padichg import X`
 imports only the submodule that defines X.  The integer layers (zmod,
-rational, pgamma, jobs) load without the field layers (finitefield, padic,
-gfunction, charsums, suites), so the gamma and floors suites run on them
-alone.
+pgamma, jobs, and intsuites with rational) load without the field layers
+(finitefield, padic, gfunction, charsums, suites), so the gamma and floors
+suites run on them alone.
 """
 
 from importlib import import_module

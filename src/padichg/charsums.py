@@ -186,5 +186,5 @@ def verify_aop_identity(lam: FqElement) -> bool:
 def aop_identity_at(fq: FqContext, k: int) -> bool:
     """verify_aop_identity at lam = g^k != -1, where dlog(lam + 1) = zech[k]."""
     z = fq.zech_table()[k]
-    a = a_values(fq)[-z % (fq.q - 1)]
-    return A_values(fq)[k] == (1 - 2 * (z & 1)) * (a * a - fq.q)
+    a = memo(fq, _a_table)[-z % (fq.q - 1)]
+    return memo(fq, _A_table)[k] == (1 - 2 * (z & 1)) * (a * a - fq.q)

@@ -1,12 +1,18 @@
 """Command-line entry point: job configuration, orchestration, reports.
 
-A run's settings are the flags' values.  A config file's settings replace
-the flags' defaults, so a flag given on the command line overrides the
-file, and format and jobs are checked once, on the merged value.  Every
-usage error is one line on stderr: argparse's own errors raise UsageError
-as padichg's checks do, and a job is admitted by JobSpec itself, whose
-ValueError becomes the usage error of the first job in order it refuses.
-An error of a config file line names it by path:line.
+A run's settings are the ten of SETTINGS, each stated once with its kind,
+its check and its default.  Flags (--key value, --key=value) and config file
+lines (key = value, and the job line's key=value tokens) both convert and
+check a value through that table; the file's settings replace the defaults,
+and flags replace the file's, in one pass.  Every usage error is one line
+on stderr.  A flag's refusal reads as argparse's did (argument --jobs:
+invalid int value: 'abc'), a config line's names it by path:line, and a job
+is admitted by JobSpec itself, whose ValueError becomes the usage error of
+the first job in order it refuses.  --help prints the table as a usage text.
+
+A run loads only what its jobs and format use: jobs.run_job imports the
+suites at the first job of each kind, and json and csv load with their
+report.
 
 Exit codes: 0 all executed cases passed (skipped suites do not fail),
 1 verification failure, 2 usage error, 3 I/O error.
@@ -14,9 +20,7 @@ Exit codes: 0 all executed cases passed (skipped suites do not fail),
 
 from __future__ import annotations
 
-import argparse
 import io
-import json
 import os
 import sys
 from collections import namedtuple
@@ -24,8 +28,6 @@ from collections import namedtuple
 from .jobs import DEFAULT_BATTERY, SUITE_NAMES, JobSpec, Report, run_job
 
 FORMATS = ("text", "json", "csv")
-SETTING_KEYS = ("format", "out", "jobs", "fail-fast", "verbose")
-JOB_KEYS = ("suite", "p", "r", "precision")
 
 
 class UsageError(Exception):
@@ -39,16 +41,90 @@ Config = namedtuple(
 )
 
 
+def _format_check(value: str):
+    if value not in FORMATS:
+        return f"format must be one of {', '.join(FORMATS)}, got {value!r}"
+
+
+def _jobs_check(value: int):
+    if value < 1:
+        return "jobs must be >= 1"
+
+
+# One run setting.  scope: "job" keys are flags and job line tokens, "setting"
+# keys flags and config lines, "flag" keys flags only.  kind: "int", "str",
+# "bool" (a flag takes no value, a config line a word of _BOOLEANS) or
+# "suite" (a name of SUITE_NAMES or all).  check(value) returns the refusal
+# of a converted value, or None.
+_Setting = namedtuple("_Setting", "scope kind default check metavar help")
+_SUITE_CHOICES = SUITE_NAMES + ("all",)
+
+SETTINGS = {
+    "p": _Setting("job", "int", None, None, "P", "odd prime characteristic"),
+    "r": _Setting("job", "int", None, None, "R", "extension degree (default 1)"),
+    "precision": _Setting(
+        "job", "int", None, None, "PRECISION", "p-adic precision N (default per suite)"
+    ),
+    "suite": _Setting(
+        "job", "suite", None, None, "{" + ",".join(_SUITE_CHOICES) + "}",
+        "verification suite to run (default all)",
+    ),
+    "config": _Setting(
+        "flag", "str", None, None, "CONFIG", "config file with settings and a jobs list"
+    ),
+    "format": _Setting(
+        "setting", "str", "text", _format_check, "{" + ",".join(FORMATS) + "}",
+        "report format (default text)",
+    ),
+    "out": _Setting("setting", "str", None, None, "OUT", "output path (default stdout)"),
+    "jobs": _Setting("setting", "int", 1, _jobs_check, "JOBS", "parallel job count (default 1)"),
+    "fail-fast": _Setting("setting", "bool", False, None, None, "stop after the first failing job"),
+    "verbose": _Setting("setting", "bool", False, None, None, "record one row per case (csv)"),
+}
+JOB_KEYS = tuple(key for key, s in SETTINGS.items() if s.scope == "job")
+SETTING_KEYS = tuple(key for key, s in SETTINGS.items() if s.scope == "setting")
+
+_BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
+def _value(key: str, text: str, where: str | None = None):
+    """text as the value of setting key, converted to its kind and checked.
+
+    where names the config line (path:line) that gave it, or is None for a
+    flag; it picks the wording of a refusal."""
+    setting = SETTINGS[key]
+    value = text
+    if setting.kind == "int":
+        try:
+            value = int(text)
+        except ValueError:
+            raise UsageError(
+                f"argument --{key}: invalid int value: {text!r}"
+                if where is None
+                else f"{where}: {key} must be an integer, got {text!r}"
+            ) from None
+    elif setting.kind == "bool":  # only a config line gives a boolean a value
+        value = _BOOLEANS.get(text.lower())
+        if value is None:
+            raise UsageError(f"{where}: {key} must be one of {'/'.join(_BOOLEANS)}, got {text!r}")
+    elif setting.kind == "suite" and text not in _SUITE_CHOICES:
+        raise UsageError(
+            f"argument --{key}: invalid choice: {text!r} (choose from {', '.join(_SUITE_CHOICES)})"
+            if where is None
+            else f"{where}: unknown suite {text!r}; choose from {', '.join(SUITE_NAMES)} or all"
+        )
+    refusal = setting.check and setting.check(value)
+    if refusal:
+        raise UsageError(refusal if where is None else f"{where}: {refusal}")
+    return value
+
+
 def _expand_group(
     verbose: bool, suite: str, p=None, r=None, precision=None, where=None
 ) -> list[JobSpec]:
     """One flag/config job group -> concrete JobSpecs (battery when p is absent).
     A refusal of a config job line names it by where, its path:line."""
     try:
-        if suite not in SUITE_NAMES and suite != "all":
-            raise ValueError(
-                f"unknown suite {suite!r}; choose from {', '.join(SUITE_NAMES)} or all"
-            )
         suites = SUITE_NAMES if suite == "all" else (suite,)
         if p is None and r is not None:
             raise ValueError("r needs p: without p the default battery is swept")
@@ -60,32 +136,19 @@ def _expand_group(
         raise UsageError(f"{where}: {exc}" if where else str(exc)) from None
 
 
-def _int_value(where: str, key: str, value: str) -> int:
-    try:
-        return int(value)
-    except ValueError:
-        raise UsageError(f"{where}: {key} must be an integer, got {value!r}") from None
-
-
-_BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
-
-
-def _bool_value(where: str, key: str, value: str) -> bool:
-    try:
-        return _BOOLEANS[value.lower()]
-    except KeyError:
-        raise UsageError(
-            f"{where}: {key} must be one of {'/'.join(_BOOLEANS)}, got {value!r}"
-        ) from None
+def _uncommented(raw: str) -> str:
+    """raw without its comment, which starts at a # that begins the line or
+    follows whitespace, so a # inside a value (out = rep#1.json) is kept."""
+    i = raw.find("#")
+    while i > 0 and not raw[i - 1].isspace():
+        i = raw.find("#", i + 1)
+    return raw if i < 0 else raw[:i]
 
 
 def _parse_config_file(path: str) -> tuple[dict, list[dict]]:
-    """Flat key=value lines plus repeated 'job =' lines (see README schema).
-
-    The jobs setting and the job values p, r and precision are converted to
-    int, and fail-fast and verbose to bool, here, so an error can name its
-    line.
-    """
+    """Flat key = value setting lines plus repeated 'job =' lines (see the
+    README schema), each value converted and checked by SETTINGS, so an error
+    can name its line."""
     settings: dict = {}
     groups: list[dict] = []
     try:
@@ -96,7 +159,7 @@ def _parse_config_file(path: str) -> tuple[dict, list[dict]]:
     except UnicodeDecodeError:
         raise UsageError(f"cannot read config file {path}: not valid UTF-8") from None
     for lineno, raw in enumerate(lines, 1):
-        line = raw.split("#", 1)[0].strip()
+        line = _uncommented(raw).strip()
         if not line:
             continue
         if "=" not in line:
@@ -116,16 +179,12 @@ def _parse_config_file(path: str) -> tuple[dict, list[dict]]:
                     )
                 if k in entry:
                     raise UsageError(f"{where}: duplicate job key {k!r}")
-                entry[k] = v if k == "suite" else _int_value(where, k, v)
+                entry[k] = _value(k, v, where)
             if "suite" not in entry:
                 raise UsageError(f"{where}: job line needs suite=...")
             groups.append(entry)
-        elif key == "jobs":
-            settings[key] = _int_value(where, key, value)
-        elif key in ("fail-fast", "verbose"):
-            settings[key] = _bool_value(where, key, value)
         elif key in SETTING_KEYS:
-            settings[key] = value
+            settings[key] = _value(key, value, where)
         else:
             raise UsageError(
                 f"{where}: unknown setting {key!r}; expected {', '.join(SETTING_KEYS)} or job"
@@ -133,59 +192,109 @@ def _parse_config_file(path: str) -> tuple[dict, list[dict]]:
     return settings, groups
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise UsageError(message)  # one line, without the usage block
+_DESCRIPTION = "Exhaustively verify p-adic hypergeometric identities over small finite fields."
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="padichg",
-        description="Exhaustively verify p-adic hypergeometric identities over small finite fields.",
-    )
-    parser.add_argument("--p", type=int, help="odd prime characteristic")
-    parser.add_argument("--r", type=int, help="extension degree (default 1)")
-    parser.add_argument("--precision", type=int, help="p-adic precision N (default per suite)")
-    parser.add_argument(
-        "--suite",
-        choices=SUITE_NAMES + ("all",),
-        help="verification suite to run (default all)",
-    )
-    parser.add_argument("--config", help="config file with settings and a jobs list")
-    parser.add_argument(
-        "--format",
-        default="text",
-        metavar="{" + ",".join(FORMATS) + "}",
-        help="report format (default text)",
-    )
-    parser.add_argument("--out", help="output path (default stdout)")
-    parser.add_argument("--jobs", type=int, default=1, help="parallel job count (default 1)")
-    parser.add_argument("--fail-fast", action="store_true", help="stop after the first failing job")
-    parser.add_argument("--verbose", action="store_true", help="record one row per case (csv)")
-    return parser
+def _usage() -> str:
+    """The --help text, generated from SETTINGS."""
+    flags = [("-h, --help", "show this help message and exit")] + [
+        (f"--{key} {s.metavar}" if s.metavar else f"--{key}", s.help) for key, s in SETTINGS.items()
+    ]
+    lines, line = [], "usage: padichg [-h]"
+    for flag, _ in flags[1:]:
+        if len(line) + len(flag) + 3 > 79:
+            lines.append(line)
+            line = " " * 14
+        line += f" [{flag}]"
+    lines += [line, "", _DESCRIPTION, "", "options:"]
+    for flag, text in flags:
+        lines += [f"  {flag:<22}{text}"] if len(flag) < 21 else [f"  {flag}", f"{'':24}{text}"]
+    return "\n".join(lines) + "\n"
+
+
+def _option(arg: str):
+    """The setting key (or "help") that the flag arg names, by its whole
+    name or, as argparse allowed, a prefix of exactly one; None if none."""
+    if arg == "-h":
+        return "help"
+    if not arg.startswith("--") or arg == "--":
+        return None
+    keys = (*SETTINGS, "help")
+    word = arg[2:]
+    if word in keys:
+        return word
+    matches = [key for key in keys if key.startswith(word)]
+    if len(matches) > 1:
+        raise UsageError(
+            f"ambiguous option: {arg} could match {', '.join('--' + key for key in matches)}"
+        )
+    return matches[0] if matches else None
+
+
+def _is_value(arg: str) -> bool:
+    """argparse's rule: an argument that starts with - is an option, not a
+    value, unless it is -, a negative number or holds a space."""
+    negative = arg[1:].replace(".", "", 1).isdigit()
+    return not arg.startswith("-") or arg == "-" or " " in arg or negative
+
+
+def _flags(argv) -> dict:
+    """The settings argv gives, each converted and checked; of a repeated
+    flag the last one wins.  --help prints the usage and exits 0."""
+    given: dict = {}
+    extra: list[str] = []
+    i = 0
+    while i < len(argv):
+        arg = argv[i]
+        i += 1
+        if arg == "--":  # what follows is positional, and padichg takes none
+            extra += argv[i - 1 :]
+            break
+        name, eq, text = arg.partition("=") if arg.startswith("--") else (arg, "", "")
+        key = _option(name)
+        if key is None:
+            extra.append(arg)
+        elif key == "help" or SETTINGS[key].kind == "bool":
+            if eq:
+                flag = "-h/--help" if key == "help" else f"--{key}"
+                raise UsageError(f"argument {flag}: ignored explicit argument {text!r}")
+            if key == "help":
+                sys.stdout.write(_usage())
+                raise SystemExit(0)
+            given[key] = True
+        else:
+            if not eq:
+                if i == len(argv) or not _is_value(argv[i]):
+                    raise UsageError(f"argument --{key}: expected one argument")
+                text = argv[i]
+                i += 1
+            given[key] = _value(key, text)
+    if extra:
+        raise UsageError(f"unrecognized arguments: {' '.join(extra)}")
+    return given
 
 
 def parse_args(argv) -> Config:
-    """The run that argv asks for, its config file's settings as flag defaults."""
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    """The run that argv asks for: its flags over its config file's settings
+    over the defaults of SETTINGS."""
+    flags = _flags(argv)
+    settings = {key: SETTINGS[key].default for key in SETTING_KEYS}
     groups: list[dict] = []
-    if args.config:
-        settings, groups = _parse_config_file(args.config)
-        parser.set_defaults(**{key.replace("-", "_"): v for key, v in settings.items()})
-        args = parser.parse_args(argv)
-    if args.format not in FORMATS:
-        raise UsageError(f"format must be one of {', '.join(FORMATS)}, got {args.format!r}")
-    if args.jobs < 1:
-        raise UsageError("jobs must be >= 1")
-    if any(v is not None for v in (args.p, args.r, args.precision, args.suite)):
-        groups = [dict(suite=args.suite or "all", p=args.p, r=args.r, precision=args.precision)]
+    config = flags.get("config")
+    if config:
+        file_settings, groups = _parse_config_file(config)
+        settings.update(file_settings)
+    settings.update((key, v) for key, v in flags.items() if key in SETTING_KEYS)
+    job_flags = {key: v for key, v in flags.items() if key in JOB_KEYS}
+    if job_flags:
+        groups = [{"suite": "all", **job_flags}]
     elif not groups:
-        if args.config:
+        if config:
             raise UsageError("config file defines no jobs")
         groups = [{"suite": "all"}]
-    jobs = [job for group in groups for job in _expand_group(args.verbose, **group)]
-    return Config(jobs, args.format, args.out, args.jobs, args.fail_fast)
+    jobs = [job for group in groups for job in _expand_group(settings["verbose"], **group)]
+    fmt, out, parallel = settings["format"], settings["out"], settings["jobs"]
+    return Config(jobs, fmt, out, parallel, settings["fail-fast"])
 
 
 def _render_text(reports: list[Report]) -> str:
@@ -214,6 +323,8 @@ def _render_text(reports: list[Report]) -> str:
 
 
 def _render_json(reports: list[Report]) -> str:
+    import json  # only a json report needs it
+
     return json.dumps([rep.to_dict() for rep in reports], indent=2) + "\n"
 
 

@@ -39,15 +39,24 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
+from importlib import import_module
 from math import lcm
 
 from .finitefield import FqElement, memo
 from .padic import EvaluationIntegrityError, UnramifiedContext, ZqElement
 from .pgamma import gamma_cache
-from .rational import (  # noqa: F401  (bench/tracing.py wraps frac and g_exponent here)
-    frac,
-    g_exponent,
-)
+
+# name -> its module, for the names that bench/tracing.py rebinds here.  The
+# table needs neither, so __getattr__ serves each one from its module,
+# imported when it is first asked for.
+_TRACED = {"frac": "rational", "g_exponent": "rational"}
+
+
+def __getattr__(name: str):
+    module = _TRACED.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{module}", __package__), name)
 
 
 def _checked(upper, lower, p: int) -> tuple[tuple, tuple]:

@@ -1,0 +1,119 @@
+"""The two integer suites, gamma and floors: integer facts, not field facts.
+
+gamma checks the Gamma_p product formulas mod p^N, floors the floor lemmas
+of rational.  They need only pgamma, rational and zmod, so a run whose jobs
+are all gamma or floors loads no F_q, Z_q or nGn code.  jobs.run_job
+imports this module at the first integer job; it alone imports rational,
+so a run of field suites alone loads neither.
+"""
+
+from __future__ import annotations
+
+from math import lcm
+
+from . import rational
+from .jobs import JobSpec, Report, _digits, _fmt_scalar, _require
+from .pgamma import gamma_cache
+from .zmod import PadicContext
+
+
+def verify_gamma_identities(job: JobSpec) -> Report:
+    """Gamma_p product identities: the reflection product over i, the
+    half-shift ratio, the multiplication products for t in {2, 3, 6} in both
+    directions, and the one-off sixth/thirds ratio equal to phi(3).
+
+    Arguments are residues num/d, d = lcm(q-1, t in {2, 3, 6} with p ∤ t):
+    with j/(q-1) = u/d, <(c/t ± j/(q-1)) p^i> = ((c d/t ± u) p^i mod d)/d.
+    Both sides are integers mod p^N: omega(-1) = -1, for t in F_p,
+    omega(t) = t^(p^(N-1)) mod p^N, and phi(3) = 3^((q-1)/2) mod p
+    (Euler's criterion), so no field context is built.
+    """
+    _require(job)
+    p, r, q, n = job.p, job.r, job.q, job.precision
+    m = p**n
+    d = lcm(q - 1, *(t for t in (2, 3, 6) if t % p))
+    step = d // (q - 1)  # j/(q-1) = j * step / d
+    pis = [p**i % d for i in range(r)]
+    gammas = gamma_cache(PadicContext(p, n)).residues(d)
+    report = Report(job)
+
+    def gprod(nums) -> int:
+        acc = 1
+        for num in nums:
+            acc = acc * gammas[num % d] % m
+        return acc
+
+    def show():  # the current case's residues; Report.case calls it at once
+        return _fmt_scalar(lhs, p, r, n), _fmt_scalar(rhs, p, r, n)
+
+    for j in range(1, q - 1):
+        u = j * step
+        val = gprod([-u * pi for pi in pis] + [u * pi for pi in pis])  # <(1-u) p^i>, <u p^i>
+        lhs = val * (-1) ** r % m
+        rhs = (-1) ** j % m  # omega-bar^j(-1)
+        report.case(f"reflection j={j}", lhs == rhs, show)
+
+    half = d // 2
+    inv_den = pow(gprod(half * pi for pi in pis) ** 2, -1, m)
+    for j in range(q - 1):
+        if 2 * j == q - 1:
+            continue
+        u = j * step
+        num = gprod([(half - u) * pi for pi in pis] + [(half + u) * pi for pi in pis])
+        lhs = num * inv_den % m
+        rhs = (-1) ** j % m
+        report.case(f"half-shift j={j}", lhs == rhs, show)
+
+    for t in (2, 3, 6):
+        if t % p == 0:
+            continue  # lemma hypothesis p does not divide t
+        c = d // t
+        base = gprod(h * c * pi for pi in pis for h in range(1, t))
+        w_step = pow(t, t * p ** (n - 1), m)  # omega(t)^t
+        w_step_inv = pow(w_step, -1, m)
+        w_up = w_down = 1  # omega(t)^(t a), omega(t)^(-t a)
+        for a in range(q - 1):
+            u = a * step
+            lhs = w_down * base % m * gprod(-t * u * pi for pi in pis) % m
+            rhs = gprod(((1 + h) * c - u) * pi for pi in pis for h in range(t))
+            report.case(f"product-down t={t} a={a}", lhs == rhs, show)
+
+            lhs = w_up * base % m * gprod(t * u * pi for pi in pis) % m
+            rhs = gprod((h * c + u) * pi for pi in pis for h in range(t))
+            report.case(f"product-up t={t} a={a}", lhs == rhs, show)
+            w_up, w_down = w_up * w_step % m, w_down * w_step_inv % m
+
+    if p >= 5:
+        num = gprod(k * (d // 3) * pi for pi in pis for k in (1, 2))
+        den = gprod(k * (d // 6) * pi for pi in pis for k in (1, 5))
+        val = num * pow(den, -1, m) % m
+        phi3 = 1 if pow(3, (q - 1) // 2, p) == 1 else -1
+        report.case(
+            "sixth-thirds ratio",
+            val == phi3 % m,
+            lambda: (_digits(val, p, n), f"phi(3)={phi3}"),
+        )
+    return report.done()
+
+
+def verify_floor_lemmas(job: JobSpec) -> Report:
+    """Exhaustive integer floor identities: family A over a != (q-1)/2, then
+    family B over a > 0, each for all i < r, in ascending (a, i) order."""
+    _require(job)
+    p, q, r = job.p, job.q, job.r
+    report = Report(job)
+    # read off the module at each call, where bench/tracing.py wraps them
+    for a in range(q - 1):
+        if 2 * a == q - 1:
+            continue
+        for i in range(r):
+            ok = rational.check_floor_identity_A(p, q, a, i)
+            report.case(f"A a={a} i={i}", ok, lambda: ("sides differ", ""))
+    for a in range(1, q - 1):
+        for i in range(r):
+            ok = rational.check_floor_identity_B(p, q, a, i)
+            report.case(f"B a={a} i={i}", ok, lambda: ("sides differ", ""))
+    return report.done()
+
+
+SUITES = {"gamma": verify_gamma_identities, "floors": verify_floor_lemmas}

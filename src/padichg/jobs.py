@@ -1,4 +1,4 @@
-"""The job model, admission, and the two integer suites (gamma, floors).
+"""The job model and admission: what a run's jobs are, and which may run.
 
 SUITE_POLICY states, once per suite, the least p of its hypothesis and its
 default precision; SUITE_NAMES, SUITE_MIN_P and default_precision read it.
@@ -13,22 +13,20 @@ when it is made, from its integers alone, so every JobSpec that exists can
 run.  A field below its suite's least p is admitted; run_job records it as
 skipped, and the suites, called directly on it, raise ValueError.
 
-The gamma and floors suites are integer facts: the Gamma_p product
-formulas mod p^N and the floor lemmas.  They live here and need only
-pgamma, rational and zmod, so a run whose jobs are all gamma or floors
-loads no F_q, Z_q or nGn code.  The six field suites are in suites, which
-run_job imports at the first field job.
+run_job loads the code of a job's suite at the first job that needs it:
+intsuites at the first gamma or floors job (INTEGER_SUITES), suites, with
+the F_q, Z_q and nGn layers, at the first of the six field suites.  This
+module needs only pgamma and zmod, so parsing a run and admitting its jobs
+load neither.
 """
 
 from __future__ import annotations
 
 import time
 from collections import namedtuple
-from math import lcm
 
-from . import rational
-from .pgamma import InfeasibleError, check_feasible, gamma_cache
-from .zmod import PadicContext, balanced_residue, check_field
+from .pgamma import InfeasibleError, check_feasible
+from .zmod import balanced_residue, check_field
 
 DEFAULT_BATTERY = ((3, 1), (5, 1), (7, 1), (11, 1), (13, 1), (3, 2), (5, 2), (7, 2))
 
@@ -50,6 +48,8 @@ SUITE_POLICY = {
     "floors": (5, 4, 0),
 }
 SUITE_NAMES = tuple(SUITE_POLICY)
+# the suites of integer facts, run by intsuites; suites runs the other six
+INTEGER_SUITES = ("gamma", "floors")
 SUITE_MIN_P = {suite: least_p for suite, (least_p, _, _) in SUITE_POLICY.items()}
 
 
@@ -181,108 +181,6 @@ def _require(job: JobSpec):
         raise ValueError(f"suite {job.suite!r} requires p >= {min_p}, got p={job.p}")
 
 
-def verify_gamma_identities(job: JobSpec) -> Report:
-    """Gamma_p product identities: the reflection product over i, the
-    half-shift ratio, the multiplication products for t in {2, 3, 6} in both
-    directions, and the one-off sixth/thirds ratio equal to phi(3).
-
-    Arguments are residues num/d, d = lcm(q-1, t in {2, 3, 6} with p ∤ t):
-    with j/(q-1) = u/d, <(c/t ± j/(q-1)) p^i> = ((c d/t ± u) p^i mod d)/d.
-    Both sides are integers mod p^N: omega(-1) = -1, for t in F_p,
-    omega(t) = t^(p^(N-1)) mod p^N, and phi(3) = 3^((q-1)/2) mod p
-    (Euler's criterion), so no field context is built.
-    """
-    _require(job)
-    p, r, q, n = job.p, job.r, job.q, job.precision
-    m = p**n
-    d = lcm(q - 1, *(t for t in (2, 3, 6) if t % p))
-    step = d // (q - 1)  # j/(q-1) = j * step / d
-    pis = [p**i % d for i in range(r)]
-    gammas = gamma_cache(PadicContext(p, n)).residues(d)
-    report = Report(job)
-
-    def gprod(nums) -> int:
-        acc = 1
-        for num in nums:
-            acc = acc * gammas[num % d] % m
-        return acc
-
-    def show():  # the current case's residues; Report.case calls it at once
-        return _fmt_scalar(lhs, p, r, n), _fmt_scalar(rhs, p, r, n)
-
-    for j in range(1, q - 1):
-        u = j * step
-        val = gprod([-u * pi for pi in pis] + [u * pi for pi in pis])  # <(1-u) p^i>, <u p^i>
-        lhs = val * (-1) ** r % m
-        rhs = (-1) ** j % m  # omega-bar^j(-1)
-        report.case(f"reflection j={j}", lhs == rhs, show)
-
-    half = d // 2
-    inv_den = pow(gprod(half * pi for pi in pis) ** 2, -1, m)
-    for j in range(q - 1):
-        if 2 * j == q - 1:
-            continue
-        u = j * step
-        num = gprod([(half - u) * pi for pi in pis] + [(half + u) * pi for pi in pis])
-        lhs = num * inv_den % m
-        rhs = (-1) ** j % m
-        report.case(f"half-shift j={j}", lhs == rhs, show)
-
-    for t in (2, 3, 6):
-        if t % p == 0:
-            continue  # lemma hypothesis p does not divide t
-        c = d // t
-        base = gprod(h * c * pi for pi in pis for h in range(1, t))
-        w_step = pow(t, t * p ** (n - 1), m)  # omega(t)^t
-        w_step_inv = pow(w_step, -1, m)
-        w_up = w_down = 1  # omega(t)^(t a), omega(t)^(-t a)
-        for a in range(q - 1):
-            u = a * step
-            lhs = w_down * base % m * gprod(-t * u * pi for pi in pis) % m
-            rhs = gprod(((1 + h) * c - u) * pi for pi in pis for h in range(t))
-            report.case(f"product-down t={t} a={a}", lhs == rhs, show)
-
-            lhs = w_up * base % m * gprod(t * u * pi for pi in pis) % m
-            rhs = gprod((h * c + u) * pi for pi in pis for h in range(t))
-            report.case(f"product-up t={t} a={a}", lhs == rhs, show)
-            w_up, w_down = w_up * w_step % m, w_down * w_step_inv % m
-
-    if p >= 5:
-        num = gprod(k * (d // 3) * pi for pi in pis for k in (1, 2))
-        den = gprod(k * (d // 6) * pi for pi in pis for k in (1, 5))
-        val = num * pow(den, -1, m) % m
-        phi3 = 1 if pow(3, (q - 1) // 2, p) == 1 else -1
-        report.case(
-            "sixth-thirds ratio",
-            val == phi3 % m,
-            lambda: (_digits(val, p, n), f"phi(3)={phi3}"),
-        )
-    return report.done()
-
-
-def verify_floor_lemmas(job: JobSpec) -> Report:
-    """Exhaustive integer floor identities: family A over a != (q-1)/2, then
-    family B over a > 0, each for all i < r, in ascending (a, i) order."""
-    _require(job)
-    p, q, r = job.p, job.q, job.r
-    report = Report(job)
-    # read off the module at each call, where bench/tracing.py wraps them
-    for a in range(q - 1):
-        if 2 * a == q - 1:
-            continue
-        for i in range(r):
-            ok = rational.check_floor_identity_A(p, q, a, i)
-            report.case(f"A a={a} i={i}", ok, lambda: ("sides differ", ""))
-    for a in range(1, q - 1):
-        for i in range(r):
-            ok = rational.check_floor_identity_B(p, q, a, i)
-            report.case(f"B a={a} i={i}", ok, lambda: ("sides differ", ""))
-    return report.done()
-
-
-INTEGER_SUITES = {"gamma": verify_gamma_identities, "floors": verify_floor_lemmas}
-
-
 # Bound on the decimal digits of the packed correlation product of a field
 # suite (packed_digits).  Of the runs measured on a 2-vCPU shared machine,
 # the largest it admits, 7^5 euler at N = 200 (1.56e8 digits), took 29-65 s
@@ -329,11 +227,11 @@ def run_job(job: JobSpec) -> Report:
     """
     if job.p < SUITE_MIN_P[job.suite]:
         return Report(job, skipped=True)
-    verify = INTEGER_SUITES.get(job.suite)
-    if verify is None:
+    if job.suite in INTEGER_SUITES:
+        from .intsuites import SUITES  # Gamma_p and rational only, at the first integer job
+    else:
         from .suites import SUITES  # the field layers load at the first field job
-
-        verify = SUITES[job.suite]
+    verify = SUITES[job.suite]
     aborted = Report(job)  # started now, so it times the job up to the exception
     try:
         return verify(job)

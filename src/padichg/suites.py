@@ -8,13 +8,13 @@ raise ValueError when called directly on a field violating their
 hypothesis; run_job records such fields as skipped instead.
 
 The job model (JobSpec, which admits a job when it is made, Report,
-run_job) and the two integer suites, gamma and floors, live in jobs and are
-re-exported here; a job reaches a suite only once admitted.  SUITES
-maps all eight suite names to their verifiers: the six defined here, then
-jobs.INTEGER_SUITES.  jobs.run_job imports this module, and with it the
-F_q, Z_q, nGn and character-sum layers, at the first field job.  The shared
-F_q contexts are kept here, one per (p, r); each holds its Z_q contexts and
-every other table derived from it (zmod.memo).
+run_job) lives in jobs and is re-exported here; a job reaches a suite only
+once admitted.  SUITES maps the six field suite names to their verifiers;
+the integer suites gamma and floors are intsuites.SUITES.  jobs.run_job
+imports this module, and with it the F_q, Z_q and nGn layers, at the first
+field job.  charsums loads at the first charsums job, which alone reads its
+tables.  The shared F_q contexts are kept here, one per (p, r); each holds
+its Z_q contexts and every other table derived from it (zmod.memo).
 
 The nGn suites read gfunction.value_table by k = dlog x.  With n = q-1 and
 h = n/2, indices mod n: 1/x is -k, 1 - x is zech[k+h], x + 1 is zech[k],
@@ -30,17 +30,12 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from importlib import import_module
 
-from .charsums import A_values, B_values, a_values, aop_identity_at, h_values
-from .charsums import sum_A, sum_a, sum_B, sum_h  # noqa: F401  (bench/tracing.py wraps them here)
-from .charsums import verify_aop_identity  # noqa: F401  (bench/tracing.py wraps it here)
 from .finitefield import FqContext, memo, quadratic_char, root_table
-from .finitefield import count_roots  # noqa: F401  (bench/tracing.py wraps it here)
 from .gfunction import GParams, evaluate_g, value_table
-from .gfunction import evaluate_g_inverted  # noqa: F401  (bench/tracing.py wraps it here)
 from .jobs import (  # noqa: F401  (the job model, re-exported)
     DEFAULT_BATTERY,
-    INTEGER_SUITES,
     SUITE_MIN_P,
     SUITE_NAMES,
     CaseFailure,
@@ -53,12 +48,31 @@ from .jobs import (  # noqa: F401  (the job model, re-exported)
     run_job,
 )
 from .padic import UnramifiedContext
-from .rational import (  # noqa: F401  (bench/tracing.py wraps them here)
-    check_floor_identity_A,
-    check_floor_identity_B,
-    frac,
-)
 from .zmod import recover_residue
+
+# name -> its module, for the names that bench/tracing.py rebinds here.  No
+# suite calls them, so __getattr__ serves each one from its module, imported
+# when it is first asked for: an euler run never loads charsums or rational.
+_TRACED = {
+    "sum_A": "charsums",
+    "sum_a": "charsums",
+    "sum_B": "charsums",
+    "sum_h": "charsums",
+    "verify_aop_identity": "charsums",
+    "count_roots": "finitefield",
+    "evaluate_g_inverted": "gfunction",
+    "check_floor_identity_A": "rational",
+    "check_floor_identity_B": "rational",
+    "frac": "rational",
+}
+
+
+def __getattr__(name: str):
+    module = _TRACED.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{module}", __package__), name)
+
 
 _HALF = Fraction(1, 2)
 _EULER_LEFT = ((Fraction(1, 3), Fraction(2, 3)), (Fraction(0), _HALF))
@@ -240,6 +254,8 @@ def verify_charsum_chain(job: JobSpec) -> Report:
     actually satisfy; they are forced by (vi) together with (v), and were
     fixed in advance by independent hand computation at q = 5.
     """
+    from .charsums import A_values, B_values, a_values, aop_identity_at, h_values
+
     _require(job)
     fq, zq = contexts(job.p, job.r, job.precision)
     q, n, m, zech = fq.q, fq.q - 1, zq.modulus, fq.zech_table()
@@ -286,5 +302,4 @@ SUITES = {
     "oracles": verify_proposition_oracles,
     "inversion": verify_inversion,
     "charsums": verify_charsum_chain,
-    **INTEGER_SUITES,
 }

@@ -403,7 +403,7 @@ def charsums_admits(p, r, precision):
 
 
 def gamma_identities_fraction(job):
-    """jobs.verify_gamma_identities with every Gamma_p argument a Fraction."""
+    """intsuites.verify_gamma_identities with every Gamma_p argument a Fraction."""
     _require(job)
     fq, zq = contexts(job.p, job.r, job.precision)
     p, r, q, m = job.p, job.r, job.q, zq.modulus

@@ -467,3 +467,121 @@ def test_config_jobs_setting_is_capped(recording_pool, tmp_path):
     assert cfg.parallel == 100000
     assert run(cfg) == 0
     assert recording_pool == [4]
+
+
+def _euler5(verbose=False):
+    return [JobSpec(5, 1, "euler", record_cases=verbose)]
+
+
+_CLAUSEN = [JobSpec(5, 2, "clausen", 6)]
+_ALL_SETTINGS = Config(_euler5(verbose=True), "json", "r.json", 3, True)
+
+# argv -> the Config it must give: each flag in its --k v and --k=v forms, a
+# repeated flag (the last one wins), a unique prefix of a flag, and --out ""
+PARITY = [
+    (["--p", "5", "--suite", "euler"], Config(_euler5())),
+    (["--p=5", "--suite=euler"], Config(_euler5())),
+    (["--p", "5", "--r", "2", "--precision", "6", "--suite", "clausen"], Config(_CLAUSEN)),
+    (["--p=5", "--r=2", "--precision=6", "--suite=clausen"], Config(_CLAUSEN)),
+    (["--pre", "6", "--p", "5", "--r=2", "--suite", "clausen"], Config(_CLAUSEN)),
+    (
+        ["--p", "5", "--suite", "euler", "--format", "json", "--out", "r.json", "--jobs", "3"]
+        + ["--fail-fast", "--verbose"],
+        _ALL_SETTINGS,
+    ),
+    (
+        ["--p=5", "--suite=euler", "--format=json", "--out=r.json", "--jobs=3"]
+        + ["--fail-fast", "--verbose"],
+        _ALL_SETTINGS,
+    ),
+    (
+        ["--p", "3", "--suite", "gamma", "--p", "5", "--suite=euler", "--format", "csv"]
+        + ["--format=json", "--jobs", "2", "--jobs=3", "--out", "a", "--out", "r.json"]
+        + ["--verbose", "--verbose", "--fail-fast"],
+        _ALL_SETTINGS,
+    ),
+    (["--p", "5", "--suite", "euler", "--out", ""], Config(_euler5(), out="")),
+    (["--p", "5", "--suite", "euler", "--out="], Config(_euler5(), out="")),
+    (["--p", "5", "--suite", "euler", "--out", "-"], Config(_euler5(), out="-")),
+    (["--p", "5", "--suite", "euler", "--jobs", "1"], Config(_euler5())),
+]
+
+
+@pytest.mark.parametrize("argv,config", PARITY, ids=[" ".join(a) for a, _ in PARITY])
+def test_flags_give_their_config(argv, config):
+    assert parse_args(argv) == config
+
+
+_FILE = (
+    "format = csv\nout = file.csv\njobs = 2\nfail-fast = no\nverbose = no\n"
+    "job = suite=floors p=7\n"
+)
+_FILE_CONFIG = Config([JobSpec(7, 1, "floors")], "csv", "file.csv", 2, False)
+
+# flags -> the fields they replace in the config file's Config
+OVERRIDES = [
+    ([], {}),
+    (["--format", "json"], {"fmt": "json"}),
+    (["--out", "flag.csv"], {"out": "flag.csv"}),
+    (["--out", ""], {"out": ""}),
+    (["--jobs=4"], {"parallel": 4}),
+    (["--fail-fast"], {"fail_fast": True}),
+    (["--verbose"], {"jobs": [JobSpec(7, 1, "floors", record_cases=True)]}),
+    (["--p", "5", "--suite", "euler"], {"jobs": _euler5()}),
+    (["--suite", "gamma", "--p=5", "--verbose"], {"jobs": [JobSpec(5, 1, "gamma", None, True)]}),
+]
+
+
+@pytest.mark.parametrize(
+    "flags,fields", OVERRIDES, ids=[" ".join(f) or "none" for f, _ in OVERRIDES]
+)
+def test_flags_override_each_config_setting(tmp_path, flags, fields):
+    for argv in (_config(tmp_path, _FILE) + flags, flags + _config(tmp_path, _FILE)):
+        assert parse_args(argv) == _FILE_CONFIG._replace(**fields)
+
+
+def test_help_lists_every_setting(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["-h"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert len(cli.SETTINGS) == 10
+    for key, setting in cli.SETTINGS.items():
+        assert f"--{key}" in out and setting.help in out, key
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--p"], "argument --p: expected one argument"),
+        (["--out", "--verbose"], "argument --out: expected one argument"),
+        (["--p", "5", "stray", "--bogus=1"], "unrecognized arguments: stray --bogus=1"),
+        (["--", "--p", "5"], "unrecognized arguments: -- --p 5"),
+        (["--f", "json"], "ambiguous option: --f could match --format, --fail-fast"),
+        (["--verbose=yes"], "argument --verbose: ignored explicit argument 'yes'"),
+        (["--jobs", "0"], "jobs must be >= 1"),
+    ],
+)
+def test_flag_refusals_read_as_argparse_did(capsys, argv, message):
+    err = _usage_exit(capsys, argv)
+    assert err == f"error: {message}\n", err
+
+
+def test_hash_inside_a_config_value_is_kept(tmp_path, capsys):
+    out = tmp_path / "rep#1.json"
+    argv = _config(tmp_path, f"out = {out}\nformat = json # a comment\njob = suite=floors p=7\n")
+    assert parse_args(argv).out == str(out)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert json.loads(out.read_text())[0]["suite"] == "floors"
+    assert not (tmp_path / "rep").exists()
+
+
+def test_readme_inline_comment_still_parses(tmp_path):
+    # the README's example: a comment after whitespace ends the line
+    line = "job = suite=all                      # no p: expands over the battery\n"
+    cfg = parse_args(_config(tmp_path, line))
+    assert len(cfg.jobs) == 64
+    cfg = parse_args(_config(tmp_path, "#format = json\n\tjob = suite=floors p=7\t# tab\n"))
+    assert cfg.fmt == "text" and [job.suite for job in cfg.jobs] == ["floors"]

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import charsums_admits, default_precision_by_search
 
-from padichg import pgamma, suites
+from padichg import charsums, intsuites, pgamma, suites
 from padichg.charsums import B_values, h_values
 from padichg.cli import _render_csv, _render_json
 from padichg.finitefield import FqElement
@@ -169,9 +169,10 @@ def test_closed_forms_match_their_searches():
 
 
 def test_direct_call_outside_hypothesis_raises():
+    verifiers = {**SUITES, **intsuites.SUITES}
     for suite in ("euler", "zeros", "oracles", "inversion", "floors"):
         with pytest.raises(ValueError):
-            SUITES[suite](JobSpec(3, 1, suite, precision=4))
+            verifiers[suite](JobSpec(3, 1, suite, precision=4))
 
 
 def test_run_job_skips_instead():
@@ -372,9 +373,10 @@ def test_failure_reports_are_unchanged(monkeypatch):
     reports.append(run_job(JobSpec(7, 1, "zeros", record_cases=True)))
     reports.append(run_job(JobSpec(5, 1, "oracles", record_cases=True)))
     monkeypatch.setattr(suites, "_phi", phi)
-    # the a table the sweep reads; check (v) reads charsums' own tables
-    small_a = suites.a_values
-    monkeypatch.setattr(suites, "a_values", lambda fq: [v + 1 for v in small_a(fq)])
+    # the a table the sweep reads, which it imports from charsums when it
+    # runs; check (v) reads charsums' own tables
+    small_a = charsums.a_values
+    monkeypatch.setattr(charsums, "a_values", lambda fq: [v + 1 for v in small_a(fq)])
     reports.append(run_job(JobSpec(5, 1, "charsums", record_cases=True)))
     monkeypatch.undo()
     clear_shared_caches()

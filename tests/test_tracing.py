@@ -127,34 +127,50 @@ WRAPPED_SCRIPT = """
 import importlib
 import sys
 sys.path[:0] = [sys.argv[1], sys.argv[2]]
+items = [item.split(":") for item in sys.argv[3:]]
+for module, name in items:
+    # served by the module's __getattr__ when asked for, not bound at import
+    assert name not in vars(importlib.import_module("padichg." + module)), (module, name)
 import tracing
 tracing.install()
-for item in sys.argv[3:]:
-    module, name = item.split(":")
+for module, name in items:
     value = getattr(importlib.import_module("padichg." + module), name)
-    assert hasattr(value, "__wrapped__"), item
+    assert hasattr(value, "__wrapped__"), (module, name)
 """
 
+# the names of the tracer's rational and charsums layers that suites and
+# gfunction serve, and with them the modules, only when asked for
+LAZY_FOR_THE_TRACER = {
+    "suites:sum_A",
+    "suites:sum_a",
+    "suites:sum_B",
+    "suites:sum_h",
+    "suites:verify_aop_identity",
+    "suites:check_floor_identity_A",
+    "suites:check_floor_identity_B",
+    "suites:frac",
+    "gfunction:frac",
+    "gfunction:g_exponent",
+}
 
-def _imports_kept_for_the_tracer():
-    """module:name for every name imported on a line whose noqa comment says
-    that bench/tracing.py rebinds it."""
+
+def _names_kept_for_the_tracer():
+    """module:name for every name of a module's _TRACED table, the names its
+    __getattr__ serves because bench/tracing.py rebinds them there."""
     out = []
     for path in sorted((ROOT / "src" / "padichg").glob("*.py")):
-        lines = path.read_text().splitlines()
-        for node in ast.walk(ast.parse("\n".join(lines))):
-            if isinstance(node, ast.ImportFrom):
-                line = lines[node.lineno - 1]
-                if "# noqa: F401" in line and "bench/tracing.py" in line:
-                    out += [f"{path.stem}:{alias.asname or alias.name}" for alias in node.names]
+        for node in ast.parse(path.read_text()).body:
+            targets = [t.id for t in getattr(node, "targets", ()) if isinstance(t, ast.Name)]
+            if targets == ["_TRACED"]:
+                out += [f"{path.stem}:{name}" for name in ast.literal_eval(node.value)]
     return out
 
 
 def test_imports_kept_for_the_tracer_are_wrapped():
-    # no linter reads the noqa comments, so check their claim: each name they
-    # keep is one that the installed tracer has replaced by its wrapper
-    names = _imports_kept_for_the_tracer()
-    assert names
+    # nothing in src/ calls these names, so check that each one is served
+    # lazily and that the installed tracer has replaced it by its wrapper
+    names = _names_kept_for_the_tracer()
+    assert LAZY_FOR_THE_TRACER <= set(names)
     env = dict(os.environ, PYTHONPATH="")
     proc = subprocess.run(
         [sys.executable, "-c", WRAPPED_SCRIPT, str(ROOT / "src"), str(ROOT / "bench"), *names],
