@@ -10,7 +10,10 @@ The names below are exported lazily (PEP 562): `from padichg import X`
 imports only the submodule that defines X.  The integer layers (zmod,
 pgamma, jobs, and intsuites with rational) load without the field layers
 (finitefield, padic, gfunction, charsums, suites), so the gamma and floors
-suites run on them alone.
+suites run on them alone.  The field layers hold integer tables, which is
+all the suites read; the element API (FqElement, ZqElement, ZpElement,
+GParams, evaluate_g and the lifts) is padichg.elements, which loads at the
+first element a caller builds and never in a suite run.
 """
 
 from importlib import import_module
@@ -24,20 +27,20 @@ _EXPORTS = {
     "sum_B": "charsums",
     "sum_h": "charsums",
     "FqContext": "finitefield",
-    "FqElement": "finitefield",
+    "FqElement": "elements",
     "count_roots": "finitefield",
     "discriminant_sign_check": "finitefield",
     "quadratic_char": "finitefield",
     "EvaluationIntegrityError": "padic",
-    "GParams": "gfunction",
-    "GValue": "gfunction",
-    "evaluate_g": "gfunction",
+    "GParams": "elements",
+    "GValue": "elements",
+    "evaluate_g": "elements",
     "PadicContext": "zmod",
     "UnramifiedContext": "padic",
-    "ZpElement": "zmod",
-    "ZqElement": "padic",
-    "balanced_lift": "padic",
-    "recover_bounded_integer": "padic",
+    "ZpElement": "elements",
+    "ZqElement": "elements",
+    "balanced_lift": "elements",
+    "recover_bounded_integer": "elements",
     "GammaCache": "pgamma",
     "gamma_cache": "pgamma",
     "g_exponent": "rational",

@@ -23,9 +23,8 @@ context tables that sum_h and sum_B read by dlog and return as Z_q scalars.
 
 from __future__ import annotations
 
-from .finitefield import ZECH_UNDEFINED, FqContext, FqElement, correlate, memo, pack
-from .finitefield import quadratic_char
-from .padic import UnramifiedContext, ZqElement
+from .finitefield import ZECH_UNDEFINED, FqContext, correlate, memo, pack
+from .padic import UnramifiedContext
 
 
 def _phi_one_plus(fq: FqContext) -> list[int]:
@@ -83,7 +82,7 @@ def _a_table(fq: FqContext) -> list[int]:
     return [1 + c[-k % n] if k % 2 == 0 else -1 - c[-k % n] for k in range(n)]
 
 
-def sum_A(lam: FqElement) -> int:
+def sum_A(lam: "FqElement") -> int:
     """A(lam, q) = sum over (x, y) in F_q^2 of phi(x y (x+1)(y+1)(x + lam*y))."""
     fq = lam.context
     if lam.is_zero():
@@ -93,7 +92,7 @@ def sum_A(lam: FqElement) -> int:
     return A_values(fq)[lam.dlog()]
 
 
-def sum_a(lam: FqElement) -> int:
+def sum_a(lam: "FqElement") -> int:
     """a(lam, q) = sum over x of phi((x-1)(x^2 - 1/(lam+1))); lam != -1."""
     fq = lam.context
     shifted = lam + fq.one
@@ -133,7 +132,7 @@ def _h_table(zq: UnramifiedContext) -> list[int]:
     return [by_index[-d % n] for d in range(n)]
 
 
-def sum_h(lam: FqElement, zq: UnramifiedContext) -> ZqElement:
+def sum_h(lam: "FqElement", zq: UnramifiedContext) -> "ZqElement":
     """h(lam) = 1/(q-1) * sum_chi chi(1/lam) J(chi-bar*phi, chi)^3; lam != 0.
 
     chi(1/lam) for chi = omega-bar^m collapses to omega(lam)^m.
@@ -155,12 +154,12 @@ def B_values(zq: UnramifiedContext) -> list[int]:
 
 def _B_table(zq: UnramifiedContext) -> list[int]:
     m = zq.modulus
-    lead = quadratic_char(zq.fq.scalar(-2)) * pow(zq.q - 1, -1, m) % m
+    lead = zq.fq.scalar_char(-2) * pow(zq.q - 1, -1, m) % m
     pairs = zip(_jacobi_family(zq, 2, -1), _jacobi_family(zq, 1, -1))
     return zq.scalar_transform([x * y % m * lead % m for x, y in pairs])
 
 
-def sum_B(lam: FqElement, zq: UnramifiedContext) -> ZqElement:
+def sum_B(lam: "FqElement", zq: UnramifiedContext) -> "ZqElement":
     """B(lam) in the 1/q-free Jacobi-sum form
 
         phi(-2)/(q-1) * sum_chi J(phi chi^2, chi-bar) J(phi chi, chi-bar)
@@ -175,7 +174,7 @@ def sum_B(lam: FqElement, zq: UnramifiedContext) -> ZqElement:
     return zq.scalar(B_values(zq)[d])
 
 
-def verify_aop_identity(lam: FqElement) -> bool:
+def verify_aop_identity(lam: "FqElement") -> bool:
     """Exact integer identity A(lam, q) = phi(lam+1) (a(lam, q)^2 - q)."""
     fq = lam.context
     if lam.is_zero() or (lam + fq.one).is_zero():

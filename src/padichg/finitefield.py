@@ -5,11 +5,10 @@ smallest monic irreducible of degree r over F_p (coefficients ordered
 c_0, c_1, ..., c_{r-1}), and the generator is the smallest element in
 coefficient-lexicographic order of multiplicative order q - 1.  Elements are
 coefficient vectors in the power basis of that polynomial; tables hold bare
-tuples (powers[k] = g^k), and FqElement is the API facade, made on demand.
-F_q = Z[x]/(f, p) and Z_q/p^N = Z[x]/(f, p^N) share poly_mulmod,
-poly_powmod and poly_powers, and their facades FqElement and
-padic.ZqElement share one ring base, _PolyResidue, which reduces mod its
-context's modulus; each facade keeps its own coercions, inverse and power.
+tuples (powers[k] = g^k).  F_q = Z[x]/(f, p) and Z_q/p^N = Z[x]/(f, p^N)
+share poly_mulmod, poly_powmod and poly_powers.  The element facade
+FqElement lives in padichg.elements; the context builds one on demand, so a
+run that reads only tables never loads it.
 
 Fields are kept small on purpose (q <= 2^16): the dlog table makes every
 character evaluation O(1) inside the O(q) verification sweeps.  All else
@@ -196,104 +195,13 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
-class _PolyResidue:
-    """An immutable coefficient vector of (Z/m)[x] / (f), m = context.modulus.
-
-    The ring operations shared by FqElement (m = p) and ZqElement (m = p^N);
-    each reads the other operand through its own _coerce, which returns a
-    residue of the same context or NotImplemented.
-    """
-
-    __slots__ = ("context", "coeffs")
-
-    def __init__(self, context, coeffs: tuple[int, ...]):
-        self.context = context
-        self.coeffs = coeffs
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, type(self))
-            and self.context is other.context
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        m = self.context.modulus
-        return type(self)(self.context, tuple((a + b) % m for a, b in zip(self.coeffs, o.coeffs)))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        m = self.context.modulus
-        return type(self)(self.context, tuple((-a) % m for a in self.coeffs))
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is NotImplemented else self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is NotImplemented else o - self
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        ctx = self.context
-        return type(self)(ctx, poly_mulmod(self.coeffs, o.coeffs, ctx._neg_poly, ctx.modulus))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is NotImplemented else self * o.inverse()
-
-
-class FqElement(_PolyResidue):
-    """Element of F_q as an immutable coefficient vector."""
-
-    __slots__ = ()
-
-    def _coerce(self, other):
-        return self.context.coerce(other)  # TypeError for what F_q cannot take
-
-    def inverse(self) -> "FqElement":
-        ctx = self.context
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero in F_q")
-        return FqElement(ctx, ctx.powers[-ctx.dlog[self.coeffs] % (ctx.q - 1)])
-
-    def __pow__(self, e: int) -> "FqElement":
-        ctx = self.context
-        if self.is_zero():
-            if e < 0:
-                raise ZeroDivisionError("negative power of zero in F_q")
-            return ctx.one if e == 0 else ctx.zero
-        return FqElement(ctx, ctx.powers[ctx.dlog[self.coeffs] * e % (ctx.q - 1)])
-
-    def dlog(self) -> int:
-        """Discrete log base the context generator; undefined at zero."""
-        if self.is_zero():
-            raise ZeroDivisionError("dlog of zero")
-        return self.context.dlog[self.coeffs]
-
-    def __repr__(self):
-        if self.context.r == 1:
-            return f"Fq({self.coeffs[0]} mod {self.context.p})"
-        return f"Fq{self.coeffs} over F_{self.context.p}^{self.context.r}"
-
-
 class FqContext:
-    """The field F_q, q = p^r, with generator and complete dlog table."""
+    """The field F_q, q = p^r, with generator and complete dlog table.
+
+    The tables hold coefficient tuples; zero, one, generator, scalar, coerce
+    and elements build FqElement facades on demand, importing
+    padichg.elements at their first call.
+    """
 
     def __init__(self, p: int, r: int):
         check_field(p, r)
@@ -303,51 +211,87 @@ class FqContext:
         self.poly = smallest_irreducible(p, r)
         # x^r = -(c_0 + c_1 x + ... + c_{r-1} x^{r-1})
         self._neg_poly = tuple((-c) % p for c in self.poly)
-        self.zero = FqElement(self, (0,) * r)
-        self.one = FqElement(self, (1,) + (0,) * (r - 1))
-        self.generator = self._find_generator()
+        self._generator = self._find_generator()
         # powers[k] = g^k as a coefficient tuple, and dlog its inverse
-        self.powers = poly_powers(self.generator.coeffs, q - 1, self._neg_poly, p)
+        self.powers = poly_powers(self._generator, q - 1, self._neg_poly, p)
         self.dlog = {c: k for k, c in enumerate(self.powers)}
         self.tables: dict[tuple, object] = {}  # filled by memo
 
-    def _order(self, x: FqElement) -> bool:
+    def _order(self, x: tuple[int, ...]) -> bool:
         """True iff x has multiplicative order exactly q - 1 (no dlog table needed)."""
-        n, one = self.q - 1, self.one.coeffs
-        return not x.is_zero() and all(
-            poly_powmod(x.coeffs, n // ell, self._neg_poly, self.p) != one
+        n, one = self.q - 1, self._scalar_coeffs(1)
+        return any(x) and all(
+            poly_powmod(x, n // ell, self._neg_poly, self.p) != one
             for ell in _prime_factors(n)
         )
 
-    def _find_generator(self) -> FqElement:
+    def _find_generator(self) -> tuple[int, ...]:
         for t in itertools.product(range(self.p), repeat=self.r):
-            cand = FqElement(self, t)
-            if self._order(cand):
-                return cand
+            if self._order(t):
+                return t
         raise AssertionError("no generator found")  # unreachable
 
-    def scalar(self, n: int) -> FqElement:
-        """Embed the rational integer n into the prime subfield."""
-        return FqElement(self, (n % self.p,) + (0,) * (self.r - 1))
+    def _scalar_coeffs(self, n: int) -> tuple[int, ...]:
+        return (n % self.p,) + (0,) * (self.r - 1)
 
-    def coerce(self, value) -> FqElement:
-        if isinstance(value, FqElement):
-            if value.context is not self:
-                raise ValueError("element from a different field context")
-            return value
+    def _coeffs(self, value) -> tuple[int, ...]:
+        """The coefficient tuple of an int, a tuple of r ints or an element of this field."""
         if isinstance(value, int):
-            return self.scalar(value)
+            return self._scalar_coeffs(value)
         if isinstance(value, tuple):
             if len(value) != self.r:
                 raise ValueError(f"expected {self.r} coefficients")
-            return FqElement(self, tuple(c % self.p for c in value))
-        raise TypeError(f"cannot coerce {type(value).__name__} into F_q")
+            return tuple(c % self.p for c in value)
+        from .elements import FqElement
 
-    def elements(self) -> list[FqElement]:
+        if not isinstance(value, FqElement):
+            raise TypeError(f"cannot coerce {type(value).__name__} into F_q")
+        if value.context is not self:
+            raise ValueError("element from a different field context")
+        return value.coeffs
+
+    @property
+    def zero(self) -> "FqElement":
+        return self.scalar(0)
+
+    @property
+    def one(self) -> "FqElement":
+        return self.scalar(1)
+
+    @property
+    def generator(self) -> "FqElement":
+        return self.coerce(self._generator)
+
+    def scalar(self, n: int) -> "FqElement":
+        """Embed the rational integer n into the prime subfield."""
+        from .elements import FqElement
+
+        return FqElement(self, self._scalar_coeffs(n))
+
+    def scalar_dlog(self, n: int) -> int:
+        """dlog of the rational integer n, nonzero mod p: scalar(n).dlog(),
+        read from the table."""
+        if n % self.p == 0:
+            raise ZeroDivisionError("dlog of zero")
+        return self.dlog[self._scalar_coeffs(n)]
+
+    def scalar_char(self, n: int) -> int:
+        """phi(n) of the rational integer n: quadratic_char(scalar(n)), 0 when p | n."""
+        return 0 if n % self.p == 0 else 1 - 2 * (self.scalar_dlog(n) & 1)
+
+    def coerce(self, value) -> "FqElement":
+        """An int, a tuple of r ints or an element of this field, as an element."""
+        from .elements import FqElement
+
+        return FqElement(self, self._coeffs(value))
+
+    def elements(self) -> list["FqElement"]:
         """All q elements in coefficient-lexicographic order, built per call."""
+        from .elements import FqElement
+
         return [FqElement(self, t) for t in itertools.product(range(self.p), repeat=self.r)]
 
-    def nonzero_elements(self) -> list[FqElement]:
+    def nonzero_elements(self) -> list["FqElement"]:
         return self.elements()[1:]  # zero comes first
 
     def zech_table(self) -> list[int]:
@@ -372,7 +316,7 @@ def _one_plus_logs(ctx: FqContext) -> list[int]:
     return [dlog.get(((c[0] + 1) % p,) + c[1:], ZECH_UNDEFINED) for c in ctx.powers]
 
 
-def quadratic_char(x: FqElement) -> int:
+def quadratic_char(x: "FqElement") -> int:
     """phi(x): 0 at zero, +1 on even dlog, -1 on odd dlog."""
     if x.is_zero():
         return 0
@@ -388,6 +332,8 @@ def count_roots(coeffs) -> int:
     degree cap is a documented bound, not intrinsic to the definition.  The
     zero polynomial is rejected.
     """
+    from .elements import FqElement
+
     coeffs = list(coeffs)
     if not coeffs:
         raise ValueError("zero polynomial has no well-defined root count")
@@ -408,7 +354,7 @@ def count_roots(coeffs) -> int:
 def root_table(ctx: FqContext, upper) -> list[int]:
     """[#{y : P1(y) = g^d} for d in 0..q-2] + [#{y : P1(y) = 0}] for
     P1(y) = sum_{i>=1} upper[i-1] y^i (entries as ctx.coerce takes)."""
-    return memo(ctx, _preimage_histogram, tuple(ctx.coerce(c).coeffs for c in upper))
+    return memo(ctx, _preimage_histogram, tuple(ctx._coeffs(c) for c in upper))
 
 
 def _preimage_histogram(ctx: FqContext, upper: tuple) -> list[int]:
@@ -430,7 +376,7 @@ def _preimage_histogram(ctx: FqContext, upper: tuple) -> list[int]:
     return hist
 
 
-def discriminant_sign_check(x: FqElement) -> int:
+def discriminant_sign_check(x: "FqElement") -> int:
     """phi(3x(1-x)), the quadratic class of the relevant cubic discriminant."""
     ctx = x.context
     return quadratic_char(ctx.scalar(3) * x * (ctx.one - x))

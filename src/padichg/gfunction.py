@@ -23,10 +23,13 @@ compares, and builds the values as integers mod p^N; value_table raises
 EvaluationIntegrityError for a table that fails it.  A field therefore
 costs an O(q) integer table plus one Kronecker product per parameter set,
 a table of the Z_q context keyed by (upper, lower); the suites index the
-table by dlog t.  evaluate_g, the GParams facade, accepts any parameters:
-it reads a certified family from its value table and sums any other
-point by point in Z_q, O(q r) per call over a scaled table that the
-context keeps in the value table's place.
+table by dlog t.  The key holds each parameter as a reduced (num, den)
+integer pair, so a table needs no Fraction: the suites write their
+families as such pairs, and value_table reads an int or a Fraction through
+its numerator and denominator.  evaluate_g, the GParams facade of
+padichg.elements, shares these tables: it reads a certified family from its
+value table and sums any other point by point in Z_q, O(q r) per call over
+a scaled table that the context keeps in the value table's place.
 
 Individual (k, i) factors can carry a negative floor exponent (the b_k = 1/2
 families do at a = (q-1)/2), but the exponents summed over one term always
@@ -38,18 +41,17 @@ aborts the evaluation as an integrity failure rather than silently wrap.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 from importlib import import_module
-from math import lcm
+from math import gcd, lcm
 
-from .finitefield import FqElement, memo
-from .padic import EvaluationIntegrityError, UnramifiedContext, ZqElement
+from .finitefield import memo
+from .padic import EvaluationIntegrityError, UnramifiedContext
 from .pgamma import gamma_cache
 
 # name -> its module, for the names that bench/tracing.py rebinds here.  The
-# table needs neither, so __getattr__ serves each one from its module,
+# tables need none of them, so __getattr__ serves each one from its module,
 # imported when it is first asked for.
-_TRACED = {"frac": "rational", "g_exponent": "rational"}
+_TRACED = {"evaluate_g": "elements", "frac": "rational", "g_exponent": "rational"}
 
 
 def __getattr__(name: str):
@@ -60,67 +62,58 @@ def __getattr__(name: str):
 
 
 def _checked(upper, lower, p: int) -> tuple[tuple, tuple]:
-    """Parameter tuples as Fractions, of equal length >= 1, each in Z_p, or
-    ValueError; a float is refused with TypeError, as it is no exact rational."""
-    upper = tuple(_exact(a, "upper") for a in upper)
-    lower = tuple(_exact(b, "lower") for b in lower)
+    """Parameter tuples as reduced (num, den) pairs, of equal length >= 1,
+    each in Z_p, or ValueError; a float is refused with TypeError, as it is
+    no exact rational."""
+    upper = tuple(_pair(a, "upper") for a in upper)
+    lower = tuple(_pair(b, "lower") for b in lower)
     if len(upper) != len(lower) or not upper:
         raise ValueError("upper and lower parameter lists must have equal length >= 1")
-    for c in upper + lower:
-        if c.denominator % p == 0:
-            raise ValueError(f"parameter {c} is not in Z_p for p={p}")
+    for num, den in upper + lower:
+        if den % p == 0:
+            raise ValueError(f"parameter {num}/{den} is not in Z_p for p={p}")
     return upper, lower
 
 
-def _exact(c, role: str) -> Fraction:
-    if isinstance(c, float):
+def _pair(c, role: str) -> tuple[int, int]:
+    """c as a reduced (num, den), den > 0: a (num, den) pair of ints, an int
+    or a Fraction through its numerator and denominator, and anything else
+    that Fraction takes (a str, a Decimal) through Fraction."""
+    if isinstance(c, tuple) and len(c) == 2:
+        num, den = c
+    elif isinstance(c, float):
         raise TypeError(f"{role} parameter {c!r} is a float; pass an int or a Fraction")
-    return Fraction(c)
+    elif isinstance(getattr(c, "denominator", None), int):
+        num, den = c.numerator, c.denominator
+    else:
+        from fractions import Fraction  # a str or a Decimal; the suites pass pairs
 
-
-class GParams(namedtuple("GParams", "upper lower t context")):
-    """Parameter record (a_1..a_n; b_1..b_n; t; q) for one evaluation."""
-
-    __slots__ = ()
-
-    def __new__(cls, upper, lower, t: FqElement, context: UnramifiedContext):
-        upper, lower = _checked(upper, lower, context.base.p)
-        if t.context is not context.fq:
-            raise ValueError("t lives in a different field than the Z_q context")
-        return super().__new__(cls, upper, lower, t, context)
-
-    @classmethod
-    def _make(cls, iterable):
-        # route _replace through __new__, so a replaced field is checked too
-        return cls(*iterable)
-
-    @property
-    def n(self) -> int:
-        return len(self.upper)
-
-
-class GValue(namedtuple("GValue", "value precision")):
-    """A full nGn sum reduced mod p^N."""
-
-    __slots__ = ()
+        num, den = Fraction(c).as_integer_ratio()
+    if not (isinstance(num, int) and isinstance(den, int)):
+        raise TypeError(f"{role} parameter {c!r} is not a pair of integers")
+    if den == 0:
+        raise ZeroDivisionError(f"{role} parameter {c!r} has denominator 0")
+    g = gcd(num, den) if den > 0 else -gcd(num, den)
+    return num // g, den // g
 
 
 def _coefficient_table(upper, lower, zq: UnramifiedContext) -> list[int]:
-    """Z_p coefficients c_a of omega-bar^a(t), indexed by a, in integer arithmetic."""
+    """Z_p coefficients c_a of omega-bar^a(t), indexed by a, in integer
+    arithmetic, for parameters as the (num, den) pairs of _checked."""
     fq = zq.fq
     p, r, q, m = fq.p, fq.r, fq.q, zq.modulus
     n = len(upper)
-    d = lcm(q - 1, *(c.denominator for c in upper + lower))
+    d = lcm(q - 1, *(den for _, den in upper + lower))
     gamma = gamma_cache(zq.base).residues(d)
 
     # per (k, i): d * <a_k p^i>, d * <-b_k p^i>, d * p^i/(q-1) and the
     # a-independent unit 1 / (Gamma(<a_k p^i>) Gamma(<-b_k p^i>))
     rows = []
-    for k in range(n):
+    for (a_num, a_den), (b_num, b_den) in zip(upper, lower):
         for i in range(r):
             pi = p**i
-            alpha = upper[k].numerator * (d // upper[k].denominator) * pi % d
-            beta = -lower[k].numerator * (d // lower[k].denominator) * pi % d
+            alpha = a_num * (d // a_den) * pi % d
+            beta = -b_num * (d // b_den) * pi % d
             inv = pow(gamma[alpha] * gamma[beta], -1, m)
             rows.append((alpha, beta, pi * (d // (q - 1)), inv))
     powers = [pow(-p, e, m) for e in range(n * r + 1)]
@@ -139,8 +132,8 @@ def _coefficient_table(upper, lower, zq: UnramifiedContext) -> list[int]:
             acc = acc * gamma[lo_num] % m * gamma[hi_num] % m * inv % m
         if exponent < 0:
             raise EvaluationIntegrityError(
-                f"negative total (-p) exponent {exponent} at a={a} for "
-                f"parameters {upper}; {lower}"
+                f"negative total (-p) exponent {exponent} at a={a} for parameters "
+                f"{upper}; {lower} as (num, den) pairs"
             )
         table.append(acc * powers[exponent] % m)
     return table
@@ -152,9 +145,9 @@ _Uncertified = namedtuple("_Uncertified", "message table")
 
 
 def _values(zq: UnramifiedContext, upper: tuple, lower: tuple) -> list[int] | _Uncertified:
-    """The values of one parameter set mod p^N, indexed by dlog t, or the
-    _Uncertified record of a table that fails the certificate."""
-    upper, lower = _checked(upper, lower, zq.base.p)
+    """The values of one parameter set, as checked by _checked, mod p^N,
+    indexed by dlog t, or the _Uncertified record of a table that fails the
+    certificate."""
     table = _scaled_table(upper, lower, zq)
     try:
         return zq.scalar_transform(table)
@@ -170,56 +163,17 @@ def _scaled_table(upper, lower, zq: UnramifiedContext) -> list[int]:
 
 
 def value_table(upper: tuple, lower: tuple, zq: UnramifiedContext) -> list[int]:
-    """[nGn[upper; lower | g^k] mod p^N for k in 0..q-2], parameter-checked
-    when it is built.
+    """[nGn[upper; lower | g^k] mod p^N for k in 0..q-2].
 
-    The values are certified Z_p scalars.  A parameter set whose coefficient
-    table is not Frobenius invariant has values outside Z_p and raises
-    EvaluationIntegrityError; the context keeps its scaled table, from which
-    evaluate_g serves such a set point by point in Z_q.
+    Each parameter is a (num, den) pair of ints, an int, a Fraction or
+    anything else Fraction takes; the set is checked and keyed as the
+    reduced pairs of _checked.  The values are certified Z_p scalars.  A
+    parameter set whose coefficient table is not Frobenius invariant has
+    values outside Z_p and raises EvaluationIntegrityError; the context
+    keeps its scaled table, from which evaluate_g serves such a set point
+    by point in Z_q.
     """
-    values = memo(zq, _values, upper, lower)
+    values = memo(zq, _values, *_checked(upper, lower, zq.base.p))
     if isinstance(values, _Uncertified):
         raise EvaluationIntegrityError(values.message)
     return values
-
-
-def evaluate_g(params: GParams) -> GValue:
-    """The nGn sum at params.t, exactly mod p^N.
-
-    At t = 0 every summand carries chi(0) = 0, so the value is 0.  A
-    parameter set without the certificate builds its table once per Z_q
-    context, and each call sums it at params.t.
-    """
-    zq = params.context
-    if params.t.is_zero():
-        return GValue(zq.zero, zq.precision)
-    k = params.t.dlog()
-    values = memo(zq, _values, params.upper, params.lower)
-    if isinstance(values, _Uncertified):
-        return GValue(_pointwise(values.table, zq, k), zq.precision)
-    return GValue(zq.scalar(values[k]), zq.precision)
-
-
-def _pointwise(table: list[int], zq: UnramifiedContext, k: int) -> ZqElement:
-    """nGn at t = g^k in Z_q, sum_a c_a omega(g)^(-a k) over the scaled
-    table of a parameter set without the certificate."""
-    n, pows = zq.q - 1, zq.omega_generator_powers()
-    acc = [0] * zq.r
-    for a, c in enumerate(table):
-        for i, w in enumerate(pows[-a * k % n]):
-            acc[i] += c * w
-    return zq.element(acc)
-
-
-def evaluate_g_inverted(params: GParams) -> GValue:
-    """The companion sum with upper and lower parameter roles swapped.
-
-    Substituting a -> -a in the defining sum shows this equals evaluate_g of
-    the original parameters at the inverted argument 1/t, which is what the
-    inversion suite checks; t = 0 has no inverse and is rejected.
-    """
-    if params.t.is_zero():
-        raise ValueError("inverted evaluation requires t != 0")
-    swapped = GParams(params.lower, params.upper, params.t, params.context)
-    return evaluate_g(swapped)

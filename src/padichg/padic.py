@@ -6,8 +6,8 @@ polynomial as the paired F_q context, lifted verbatim; reduction mod p
 therefore intertwines the two rings coefficient-wise.  Every
 Teichmuller and character value is read from one table per context, the
 powers of omega(g) for the F_q generator g, indexed by discrete log, held as
-coefficient tuples (finitefield.poly_powers); ZqElement is the API facade,
-on the ring base it shares with FqElement (finitefield._PolyResidue).
+coefficient tuples (finitefield.poly_powers).  The element facade
+ZqElement lives in padichg.elements; the context builds one on demand.
 
 The character transform of an integer table c_a, a in 0..q-2, is
 
@@ -31,9 +31,8 @@ from __future__ import annotations
 
 from operator import mul
 
-from .finitefield import FqContext, FqElement, _PolyResidue, correlate, memo, pack
-from .finitefield import poly_powers, poly_powmod, poly_reduce
-from .zmod import PadicContext, ZpElement, balanced_residue, recover_residue
+from .finitefield import FqContext, correlate, memo, pack, poly_powers, poly_powmod, poly_reduce
+from .zmod import PadicContext
 
 
 class EvaluationIntegrityError(ArithmeticError):
@@ -41,7 +40,12 @@ class EvaluationIntegrityError(ArithmeticError):
 
 
 class UnramifiedContext:
-    """Z_q / p^N Z_q built on top of a matching F_q context."""
+    """Z_q / p^N Z_q built on top of a matching F_q context.
+
+    The tables hold integers and coefficient tuples; zero, one, element,
+    scalar, teichmuller and reduce_mod_p build the facades of
+    padichg.elements on demand.
+    """
 
     def __init__(self, fq: FqContext, precision: int):
         self.fq = fq
@@ -53,11 +57,19 @@ class UnramifiedContext:
         # defining polynomial lifted verbatim; x^r = -(c_0 + ... + c_{r-1} x^{r-1})
         self.poly = tuple(int(c) for c in fq.poly)
         self._neg_poly = tuple((-c) % self.modulus for c in self.poly)
-        self.zero = ZqElement(self, (0,) * self.r)
-        self.one = ZqElement(self, (1,) + (0,) * (self.r - 1))
         self.tables: dict[tuple, object] = {}  # filled by zmod.memo
 
+    @property
+    def zero(self) -> "ZqElement":
+        return self.scalar(0)
+
+    @property
+    def one(self) -> "ZqElement":
+        return self.scalar(1)
+
     def element(self, coeffs) -> "ZqElement":
+        from .elements import ZqElement
+
         coeffs = tuple(int(c) % self.modulus for c in coeffs)
         if len(coeffs) != self.r:
             raise ValueError(f"expected {self.r} coefficients")
@@ -65,20 +77,24 @@ class UnramifiedContext:
 
     def scalar(self, value) -> "ZqElement":
         """Embed an integer or ZpElement as a constant vector."""
+        from .elements import ZpElement, ZqElement
+
         if isinstance(value, ZpElement):
             if value.context.p != self.base.p or value.context.precision != self.precision:
                 raise ValueError("Z_p scalar from a mismatched context")
             value = value.residue
         return ZqElement(self, (value % self.modulus,) + (0,) * (self.r - 1))
 
-    def dlog(self, t: FqElement) -> int:
+    def dlog(self, t: "FqElement") -> int:
         """dlog of a nonzero t of this context's field, the index into the power table."""
         if t.context is not self.fq:
             raise ValueError("element from a different field context")
         return t.dlog()
 
-    def teichmuller(self, t: FqElement) -> "ZqElement":
+    def teichmuller(self, t: "FqElement") -> "ZqElement":
         """The (q-1)-th root of unity congruent to t mod p: omega(g)^(dlog t)."""
+        from .elements import ZqElement
+
         if t.is_zero():
             raise ValueError("Teichmuller lift of 0 is undefined")
         return ZqElement(self, self.omega_generator_powers()[self.dlog(t)])
@@ -133,7 +149,9 @@ class UnramifiedContext:
         u = [[c * w % m for w in pows[a * (a - 1) // 2 % n]] for a, c in enumerate(coeffs)]
         return correlate(u, chirp, rows)
 
-    def reduce_mod_p(self, x: "ZqElement") -> FqElement:
+    def reduce_mod_p(self, x: "ZqElement") -> "FqElement":
+        from .elements import FqElement
+
         return FqElement(self.fq, tuple(c % self.base.p for c in x.coeffs))
 
     def __repr__(self):
@@ -141,7 +159,7 @@ class UnramifiedContext:
 
 
 def _teichmuller_powers(zq: UnramifiedContext) -> list[tuple[int, ...]]:
-    m, neg, w = zq.modulus, zq._neg_poly, zq.fq.generator.coeffs
+    m, neg, w = zq.modulus, zq._neg_poly, zq.fq._generator
     for _ in range(zq.precision + 2):
         y = poly_powmod(w, zq.q, neg, m)
         if y == w:
@@ -184,86 +202,3 @@ def _frobenius_weights(zq: UnramifiedContext) -> tuple:
         post = pows[k * (k - 1) // 2 % n]
         mu += [sum(map(mul, post, e[s : s + r])) % m for s in range(2 * r - 1)]
     return reps, orbit, mu
-
-
-class ZqElement(_PolyResidue):
-    """Residue in Z_q / p^N Z_q as a coefficient vector in the power basis."""
-
-    __slots__ = ()
-
-    def is_unit(self) -> bool:
-        return not self.context.reduce_mod_p(self).is_zero()
-
-    def _coerce(self, other):
-        ctx = self.context
-        if isinstance(other, ZqElement):
-            if other.context is not ctx:
-                raise ValueError("mixed Z_q contexts")
-            return other
-        if isinstance(other, (int, ZpElement)):
-            return ctx.scalar(other)
-        return NotImplemented
-
-    def __pow__(self, e: int) -> "ZqElement":
-        if e < 0:
-            return self.inverse() ** (-e)
-        ctx = self.context
-        return ZqElement(ctx, poly_powmod(self.coeffs, e, ctx._neg_poly, ctx.modulus))
-
-    def inverse(self) -> "ZqElement":
-        """Unit inverse via Hensel lifting from the residue-field inverse."""
-        ctx = self.context
-        red = ctx.reduce_mod_p(self)
-        if red.is_zero():
-            raise ZeroDivisionError("non-unit in Z_q (reduction mod p is zero)")
-        seed = red.inverse()
-        y = ZqElement(ctx, tuple(int(c) for c in seed.coeffs))
-        # y -> y(2 - xy) doubles the precision each round
-        k = 1
-        while k < ctx.precision:
-            y = y * (ctx.scalar(2) - self * y)
-            k *= 2
-        if not (self * y == ctx.one):
-            raise ArithmeticError("Hensel inversion failed")  # defensive
-        return y
-
-    def __eq__(self, other):
-        if isinstance(other, (int, ZpElement)):
-            other = self.context.scalar(other)
-        return super().__eq__(other)
-
-    __hash__ = _PolyResidue.__hash__  # a class defining __eq__ must restate it
-
-    def __repr__(self):
-        ctx = self.context
-        if ctx.r == 1:
-            return f"Zq({self.coeffs[0]} mod {ctx.base.p}^{ctx.precision})"
-        return f"Zq{self.coeffs} mod {ctx.base.p}^{ctx.precision}"
-
-
-def balanced_lift(x) -> int:
-    """Symmetric representative of a scalar residue in (-m/2, m/2].
-
-    Accepts a ZpElement or a scalar ZqElement (all higher coefficients zero);
-    a non-scalar argument is an integrity failure.
-    """
-    return balanced_residue(*_scalar_residue(x))
-
-
-def recover_bounded_integer(x, bound: int) -> int:
-    """Balanced lift certified by |value| <= bound, requiring modulus > 2*bound."""
-    m = x.context.modulus
-    if m <= 2 * bound:
-        raise ValueError(f"modulus {m} too small to certify |v| <= {bound}")
-    return recover_residue(*_scalar_residue(x), bound)
-
-
-def _scalar_residue(x) -> tuple[int, int]:
-    """(residue, modulus) of the scalar x that balanced_lift takes."""
-    if isinstance(x, ZpElement):
-        return x.residue, x.context.modulus
-    if not isinstance(x, ZqElement):
-        raise TypeError("balanced_lift expects a ZpElement or ZqElement")
-    if any(x.coeffs[1:]):
-        raise ArithmeticError(f"value is not a Z_p scalar: {x!r}")
-    return x.coeffs[0], x.context.modulus

@@ -26,8 +26,8 @@ products; a fresh argument then costs sum_k ceil(N/(k+1)) Horner steps.
 A cache holds its tables through zmod.memo: the digit table and, per
 denominator d, residues(d) = {num: Gamma_p(num/d) mod p^N}, filled as read,
 so it costs what its readers read, not d.  These residue tables are the only
-store of Gamma_p values; gamma(x) evaluates one rational point unstored.
-gamma_cache shares one cache per (p, N).
+store of Gamma_p values; gamma(x) evaluates one rational point unstored,
+as a ZpElement of padichg.elements.  gamma_cache shares one cache per (p, N).
 
 check_feasible refuses, before any context is built, a (p, N) whose table
 would take more than MAX_TABLE_WORK ring products.  The tables are
@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from math import comb
 
-from .zmod import PadicContext, ZpElement, memo
+from .zmod import PadicContext, memo
 
 # Bound on p*N^2, the ring products of one digit table.  Near the bound a
 # build took 1.3-3.1 s and 5-60 MB on one core (from (3, 816) to (65521, 5);
@@ -148,10 +148,12 @@ class GammaCache:
         """num -> Gamma_p(num/d) mod p^N for 0 <= num < d, d > 0 with p ∤ d; one per d."""
         return memo(self, _ResidueTable, d)
 
-    def gamma(self, x) -> ZpElement:
+    def gamma(self, x) -> "ZpElement":
         """Gamma_p at a rational p-adic integer (denominator coprime to p);
         a float is refused with TypeError, as it is no exact rational."""
-        from fractions import Fraction  # the integer suites never build one
+        from fractions import Fraction  # no suite builds one
+
+        from .elements import ZpElement
 
         if isinstance(x, float):
             raise TypeError(f"Gamma_p argument {x!r} is a float; pass an int or a Fraction")

@@ -19,21 +19,24 @@ its Z_q contexts and every other table derived from it (zmod.memo).
 The nGn suites read gfunction.value_table by k = dlog x.  With n = q-1 and
 h = n/2, indices mod n: 1/x is -k, 1 - x is zech[k+h], x + 1 is zech[k],
 (x-1)/x is zech[k+h] + h - k, -1/x is h - k, and phi is index parity.  The
-oracle tables (finitefield.root_table, charsums) are read the same way.
-Every table a sweep reads holds integers: the nGn, h and B values are
-certified Z_p scalars, so the suites compare residues mod p^N as integers,
-recover small values by an integer balanced lift, and print a failing value
-with jobs._fmt_scalar, in the Z_q coordinates of a scalar.
+oracle tables (finitefield.root_table, charsums) are read the same way, and
+the dlog and phi of a small integer come from FqContext.scalar_dlog and
+scalar_char.  Every table a sweep reads holds integers: the nGn, h and B
+values are certified Z_p scalars, so the suites compare residues mod p^N as
+integers, recover small values by an integer balanced lift, and print a
+failing value with jobs._fmt_scalar, in the Z_q coordinates of a scalar.
+The families are written as reduced (num, den) pairs, the key of
+value_table, so no suite builds a Fraction or an element, and a field run
+loads neither fractions nor padichg.elements.
 """
 
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from importlib import import_module
 
-from .finitefield import FqContext, memo, quadratic_char, root_table
-from .gfunction import GParams, evaluate_g, value_table
+from .finitefield import FqContext, memo, root_table
+from .gfunction import value_table
 from .jobs import (  # noqa: F401  (the job model, re-exported)
     DEFAULT_BATTERY,
     SUITE_MIN_P,
@@ -52,7 +55,8 @@ from .zmod import recover_residue
 
 # name -> its module, for the names that bench/tracing.py rebinds here.  No
 # suite calls them, so __getattr__ serves each one from its module, imported
-# when it is first asked for: an euler run never loads charsums or rational.
+# when it is first asked for: an euler run never loads charsums, rational
+# or elements.
 _TRACED = {
     "sum_A": "charsums",
     "sum_a": "charsums",
@@ -60,7 +64,8 @@ _TRACED = {
     "sum_h": "charsums",
     "verify_aop_identity": "charsums",
     "count_roots": "finitefield",
-    "evaluate_g_inverted": "gfunction",
+    "evaluate_g": "elements",
+    "evaluate_g_inverted": "elements",
     "check_floor_identity_A": "rational",
     "check_floor_identity_B": "rational",
     "frac": "rational",
@@ -74,11 +79,13 @@ def __getattr__(name: str):
     return getattr(import_module(f".{module}", __package__), name)
 
 
-_HALF = Fraction(1, 2)
-_EULER_LEFT = ((Fraction(1, 3), Fraction(2, 3)), (Fraction(0), _HALF))
-_EULER_RIGHT = ((Fraction(1, 6), Fraction(5, 6)), (Fraction(0), _HALF))
-_CLAUSEN_CUBE = ((_HALF, _HALF, _HALF), (Fraction(0),) * 3)
-_CLAUSEN_SQUARE = ((Fraction(1, 4), Fraction(3, 4)), (Fraction(0), Fraction(0)))
+# the nGn families as (upper, lower), each parameter the reduced (num, den)
+# pair that keys gfunction.value_table
+_HALF, _ZERO = (1, 2), (0, 1)
+_EULER_LEFT = (((1, 3), (2, 3)), (_ZERO, _HALF))
+_EULER_RIGHT = (((1, 6), (5, 6)), (_ZERO, _HALF))
+_CLAUSEN_CUBE = ((_HALF,) * 3, (_ZERO,) * 3)
+_CLAUSEN_SQUARE = (((1, 4), (3, 4)), (_ZERO, _ZERO))
 _CUBIC_27 = (0, 27, -27)  # P1 of the cubic 27y^2(1-y) - 4x
 _CUBIC_SCALED = (0, -1, 1)  # P1 of the cubic y^3 - y^2 + 4x/27
 
@@ -144,10 +151,8 @@ def verify_euler_transform(job: JobSpec) -> Report:
         lhs = left[-k % n]
         rhs = _phi_scaled(right[-k % n], zech[(k + n // 2) % n], m)
         report.case(f"x={_label(x)}", lhs == rhs, lambda: _fmt_pair(zq, lhs, rhs))
-    # x = 1 through the GParams facade, whose values here are Z_p scalars
-    lhs = evaluate_g(GParams(*_EULER_LEFT, fq.one, zq)).value.coeffs[0]
-    rhs = evaluate_g(GParams(*_EULER_RIGHT, fq.one, zq)).value.coeffs[0]
-    rhs = _phi_scaled(rhs, fq.scalar(3).dlog(), m)
+    # x = 1, where 1/x = g^0
+    lhs, rhs = left[0], _phi_scaled(right[0], fq.scalar_dlog(3), m)
     report.case("x=1 (phi(3) case)", lhs == rhs, lambda: _fmt_pair(zq, lhs, rhs))
     return report.done()
 
@@ -160,7 +165,7 @@ def verify_zero_classification(job: JobSpec) -> Report:
     n, m, zech = fq.q - 1, zq.modulus, fq.zech_table()
     bound = _recovery_bound(m)
     left, right = value_table(*_EULER_LEFT, zq), value_table(*_EULER_RIGHT, zq)
-    roots, d3, d4 = root_table(fq, _CUBIC_27), fq.scalar(3).dlog(), fq.scalar(4).dlog()
+    roots, d3, d4 = root_table(fq, _CUBIC_27), fq.scalar_dlog(3), fq.scalar_dlog(4)
     report = Report(job)
     for x, k in _sweep_points(fq, skip=(0,)):
         v1 = recover_residue(left[-k % n], m, bound)
@@ -206,8 +211,8 @@ def verify_proposition_oracles(job: JobSpec) -> Report:
     bound = _recovery_bound(m)
     left, right = value_table(*_EULER_LEFT, zq), value_table(*_EULER_RIGHT, zq)
     roots1, roots2 = root_table(fq, _CUBIC_27), root_table(fq, _CUBIC_SCALED)
-    d3, d4 = fq.scalar(3).dlog(), fq.scalar(4).dlog()
-    d4_27 = fq.scalar(-4).dlog() - fq.scalar(27).dlog()  # -c_0 = 4x, then -4x/27
+    d3, d4 = fq.scalar_dlog(3), fq.scalar_dlog(4)
+    d4_27 = fq.scalar_dlog(-4) - fq.scalar_dlog(27)  # -c_0 = 4x, then -4x/27
     report = Report(job)
     for x, k in _sweep_points(fq):
         c1, c2 = roots1[(d4 + k) % n], roots2[(d4_27 + k) % n]
@@ -259,12 +264,10 @@ def verify_charsum_chain(job: JobSpec) -> Report:
     _require(job)
     fq, zq = contexts(job.p, job.r, job.precision)
     q, n, m, zech = fq.q, fq.q - 1, zq.modulus, fq.zech_table()
-    h, d4 = n // 2, fq.scalar(4).dlog()
+    h, d4 = n // 2, fq.scalar_dlog(4)
     cube, square = value_table(*_CLAUSEN_CUBE, zq), value_table(*_CLAUSEN_SQUARE, zq)
     small_a, big_as, hs, bs = a_values(fq), A_values(fq), h_values(zq), B_values(zq)
-    phi2 = quadratic_char(fq.scalar(2))
-    phim1 = quadratic_char(fq.scalar(-1))
-    phim2 = quadratic_char(fq.scalar(-2))
+    phi2, phim1, phim2 = fq.scalar_char(2), fq.scalar_char(-1), fq.scalar_char(-2)
     report = Report(job)
     for lam, k in _sweep_points(fq, skip=(h,)):
         z = zech[k]  # dlog(lam + 1)

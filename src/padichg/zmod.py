@@ -1,10 +1,11 @@
 """The integer layer under every field: primality, the field bound, the
 balanced lift, the table memo, and Z/p^N.
 
-PadicContext and ZpElement are the ring Z/p^N standing in for Z_p at
-precision N.  They need no F_q context, so the Gamma_p cache and the
-integer suites (gamma, floors) run on this module alone; padic
-re-exports them.  memo holds the tables of a field context or a Gamma_p cache.
+PadicContext is the ring Z/p^N standing in for Z_p at precision N.  It
+needs no F_q context, so the Gamma_p cache and the integer suites (gamma,
+floors) run on this module alone; padic re-exports it.  Its element facade,
+ZpElement, lives in padichg.elements and is built on demand.  memo holds the
+tables of a field context or a Gamma_p cache.
 """
 
 from __future__ import annotations
@@ -75,72 +76,9 @@ class PadicContext:
         self.modulus = p**precision
 
     def element(self, value: int) -> "ZpElement":
+        from .elements import ZpElement
+
         return ZpElement(self, value % self.modulus)
 
     def __repr__(self):
         return f"PadicContext(p={self.p}, N={self.precision})"
-
-
-class ZpElement:
-    """Residue in Z/p^N."""
-
-    __slots__ = ("context", "residue")
-
-    def __init__(self, context: PadicContext, residue: int):
-        self.context = context
-        self.residue = residue % context.modulus
-
-    def is_unit(self) -> bool:
-        return self.residue % self.context.p != 0
-
-    def inverse(self) -> "ZpElement":
-        if not self.is_unit():
-            raise ZeroDivisionError("non-unit in Z_p (residue divisible by p)")
-        return ZpElement(self.context, pow(self.residue, -1, self.context.modulus))
-
-    def _coerce(self, other) -> int:
-        if isinstance(other, ZpElement):
-            # contexts are equal by p^N, which fixes (p, N), as in __hash__
-            if other.context.modulus != self.context.modulus:
-                raise ValueError("mixed Z_p contexts")
-            return other.residue
-        if isinstance(other, int):
-            return other
-        return NotImplemented
-
-    def __add__(self, other):
-        v = self._coerce(other)
-        return v if v is NotImplemented else ZpElement(self.context, self.residue + v)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return ZpElement(self.context, -self.residue)
-
-    def __sub__(self, other):
-        v = self._coerce(other)
-        return v if v is NotImplemented else ZpElement(self.context, self.residue - v)
-
-    def __mul__(self, other):
-        v = self._coerce(other)
-        return v if v is NotImplemented else ZpElement(self.context, self.residue * v)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            return self.residue == other % self.context.modulus
-        return (
-            isinstance(other, ZpElement)
-            and self.context.modulus == other.context.modulus
-            and self.residue == other.residue
-        )
-
-    def __hash__(self):
-        return hash((self.context.p, self.context.precision, self.residue))
-
-    def __int__(self):
-        return self.residue
-
-    def __repr__(self):
-        return f"Zp({self.residue} mod {self.context.p}^{self.context.precision})"

@@ -57,8 +57,8 @@ from operator import mul
 
 from padichg.charsums import sum_A, sum_a, sum_B, sum_h, verify_aop_identity
 from padichg.finitefield import count_roots, discriminant_sign_check, quadratic_char
-from padichg.gfunction import EvaluationIntegrityError, GParams, evaluate_g, evaluate_g_inverted
-from padichg.padic import recover_bounded_integer
+from padichg.elements import GParams, evaluate_g, evaluate_g_inverted, recover_bounded_integer
+from padichg.gfunction import EvaluationIntegrityError
 from padichg.pgamma import gamma_cache
 from padichg.rational import frac
 from padichg.suites import (

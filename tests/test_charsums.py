@@ -17,7 +17,8 @@ from padichg import charsums
 from padichg.charsums import A_values, a_values, sum_A, sum_B, sum_a, sum_h
 from padichg.charsums import verify_aop_identity
 from padichg.finitefield import FqContext, quadratic_char
-from padichg.padic import UnramifiedContext, balanced_lift
+from padichg.elements import balanced_lift
+from padichg.padic import UnramifiedContext
 
 
 def _pair(p, r, n):

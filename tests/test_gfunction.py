@@ -4,17 +4,10 @@ import pytest
 from oracles import char_value, coefficient_table_fraction, evaluate_g_pointwise
 
 from padichg import gfunction
+from padichg.elements import GParams, GValue, balanced_lift, evaluate_g, evaluate_g_inverted
 from padichg.finitefield import FqContext
-from padichg.gfunction import (
-    EvaluationIntegrityError,
-    GParams,
-    GValue,
-    evaluate_g,
-    evaluate_g_inverted,
-    value_table,
-    _coefficient_table,
-)
-from padichg.padic import UnramifiedContext, balanced_lift
+from padichg.gfunction import EvaluationIntegrityError, _coefficient_table, value_table
+from padichg.padic import UnramifiedContext
 from padichg.pgamma import gamma_cache
 from padichg.rational import frac, g_exponent
 
@@ -27,6 +20,15 @@ G_QUARTER = ((F(1, 4), F(3, 4)), (F(0), F(0)))
 def _pair(p, r, n):
     fq = FqContext(p, r)
     return fq, UnramifiedContext(fq, n)
+
+
+def _key(params):
+    """Fraction parameters as the reduced (num, den) pairs that key value_table."""
+    return tuple(c.as_integer_ratio() for c in params)
+
+
+def _integer_table(upper, lower, zq):
+    return _coefficient_table(_key(upper), _key(lower), zq)
 
 
 def test_frozen_values_over_f5():
@@ -58,7 +60,7 @@ def test_leading_coefficient_is_one():
     # the a = 0 summand is exactly 1: every gamma ratio cancels, exponent 0
     fq, zq = _pair(7, 1, 4)
     for params in (G_CUBIC, G_SEXTIC, G_TRIPLE_HALF):
-        table = _coefficient_table(params[0], params[1], zq)
+        table = _integer_table(params[0], params[1], zq)
         assert table[0] == 1
         assert len(table) == fq.q - 1
 
@@ -173,13 +175,13 @@ def test_sweep_reuses_one_coefficient_table(monkeypatch):
     assert builds == []
     for t in fq.elements():
         evaluate_g(GParams(*G_CUBIC, t, zq))
-    once = [("table", G_CUBIC[0]), ("transform", fq.q - 1)]
+    once = [("table", _key(G_CUBIC[0])), ("transform", fq.q - 1)]
     assert builds == once
     values = value_table(*G_CUBIC, zq)
     for t in fq.elements():
         evaluate_g(GParams(*G_SEXTIC, t, zq))
         evaluate_g(GParams(*G_CUBIC, t, zq))
-    assert builds == once + [("table", G_SEXTIC[0]), ("transform", fq.q - 1)]
+    assert builds == once + [("table", _key(G_SEXTIC[0])), ("transform", fq.q - 1)]
     assert value_table(*G_CUBIC, zq) is values
     # another Z_q context of the same field owns its own values
     evaluate_g(GParams(*G_CUBIC, fq.one, UnramifiedContext(fq, 4)))
@@ -191,7 +193,7 @@ def test_large_denominator_reads_few_residues():
     # 2 n r (q-1) residue classes mod D, and only those are computed
     fq, zq = _pair(7, 1, 3)
     upper, lower = (F(1, 1000003),), (F(0),)
-    assert _coefficient_table(upper, lower, zq) == coefficient_table_fraction(upper, lower, zq)
+    assert _integer_table(upper, lower, zq) == coefficient_table_fraction(upper, lower, zq)
     for t in fq.elements():
         params = GParams(upper, lower, t, zq)
         assert evaluate_g(params).value == evaluate_g_pointwise(params), t
@@ -214,7 +216,7 @@ def test_evaluate_g_matches_pointwise_oracle(p, r, n):
     if p > 3:
         families += [G_CUBIC, G_SEXTIC]
     for upper, lower in families:
-        assert _coefficient_table(upper, lower, zq) == coefficient_table_fraction(upper, lower, zq)
+        assert _integer_table(upper, lower, zq) == coefficient_table_fraction(upper, lower, zq)
         for t in fq.elements():
             params = GParams(upper, lower, t, zq)
             assert evaluate_g(params).value == evaluate_g_pointwise(params), (upper, t)
@@ -241,7 +243,7 @@ def test_integer_table_matches_fraction_table_generic_parameters(p, r, n):
     ]
     outcomes = set()
     for upper, lower in cases:
-        got = _table_or_error(_coefficient_table, upper, lower, zq)
+        got = _table_or_error(_integer_table, upper, lower, zq)
         assert got == _table_or_error(coefficient_table_fraction, upper, lower, zq), (upper, lower)
         outcomes.add(isinstance(got, str))
     assert outcomes == {True, False}  # both a table and a refusal are exercised

@@ -6,14 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import char_value, character_transform, teichmuller_by_iteration
 
+from padichg.elements import ZpElement, balanced_lift, recover_bounded_integer
 from padichg.finitefield import FqContext, quadratic_char
-from padichg.padic import (
-    PadicContext,
-    UnramifiedContext,
-    ZpElement,
-    balanced_lift,
-    recover_bounded_integer,
-)
+from padichg.padic import PadicContext, UnramifiedContext
 from padichg.pgamma import gamma_cache
 
 
@@ -76,6 +71,16 @@ def test_zq_scalar_embedding_mixes():
     assert x + 0 == x
     zp = ZpElement(zq.base, 7)
     assert x * zp == x * 7
+
+
+def test_zp_and_zq_scalars_compare_alike_both_ways():
+    # ZpElement.__eq__ leaves a Z_q operand to ZqElement.__eq__, which reads
+    # the Z_p element as a scalar, so equality is symmetric
+    zq = _zq(5, 2, 4)
+    zp = zq.base.element(3)
+    assert zq.scalar(3) == zp and zp == zq.scalar(3)
+    assert zq.scalar(4) != zp and zp != zq.scalar(4)
+    assert zp != zq.element((3, 1)) and zp != "3"
 
 
 def test_zq_inverse_hensel():

@@ -21,7 +21,8 @@ from oracles import block_correlation, character_transform, evaluate_g_pointwise
 
 from padichg import gfunction, padic, rational
 from padichg.finitefield import FqContext, correlate, memo, pack, poly_mulmod, poly_reduce
-from padichg.gfunction import EvaluationIntegrityError, GParams, evaluate_g, value_table
+from padichg.elements import GParams, evaluate_g
+from padichg.gfunction import EvaluationIntegrityError, value_table
 from padichg.padic import UnramifiedContext
 from padichg.suites import _CLAUSEN_CUBE, _CLAUSEN_SQUARE, _EULER_LEFT, _EULER_RIGHT
 
@@ -151,7 +152,8 @@ def test_family_outside_zp_keeps_the_zq_path():
         value_table(*_CLAUSEN_SQUARE, zq)  # a certified neighbour in the same context
         held = {key[1:]: table for key, table in zq.tables.items() if key[0] is gfunction._values}
         assert len(held) == 2 and all(isinstance(v, int) for v in held[_CLAUSEN_SQUARE]), (p, r)
-        assert len(held[family].table) == fq.q - 1, (p, r)
+        key = tuple(tuple(c.as_integer_ratio() for c in params) for params in family)
+        assert len(held[key].table) == fq.q - 1, (p, r)
 
 
 def test_family_outside_zp_builds_its_table_once_per_context(monkeypatch):

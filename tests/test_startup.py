@@ -6,14 +6,17 @@ with `parse_args` it loads neither `argparse` (and its `gettext` and
 `locale`) nor `json`, which loads with the first json report.  Nor may it,
 or a run whose jobs are all gamma or floors, load the field layers (suites,
 finitefield, padic, gfunction) or `csv`: those load at the first field job
-and the first csv report.  Such a run builds no Fraction either, so it
-loads neither `fractions` nor the `decimal` that `fractions` imports; a
-field run loads both.  The code of one suite family loads at its first job:
-`charsums` at a charsums job, `intsuites` and `rational` at a gamma or
-floors job, so an euler run loads none of the three.  A job that JobSpec
-refuses loads none of them: admission is integer arithmetic in jobs and
-pgamma.  Each check runs in a fresh interpreter and compares `sys.modules`
-before and after, so modules that site packages preload do not count.
+and the first csv report.  Such a run loads no `decimal` either, which
+finitefield imports.  A field run loads `decimal` only, and neither
+`fractions` nor the element API (`padichg.elements`): the suites read
+integer tables and write their parameters as integer pairs, and the
+elements load at the first one a caller builds.  The code of one suite
+family loads at its first job: `charsums` at a charsums job, `intsuites`
+and `rational` at a gamma or floors job, so an euler run loads none of the
+three.  A job that JobSpec refuses loads none of them: admission is
+integer arithmetic in jobs and pgamma.  Each check runs in a fresh
+interpreter and compares `sys.modules` before and after, so modules that
+site packages preload do not count.
 """
 
 import json
@@ -36,6 +39,8 @@ FIELD = (
 # loaded at the first job of one suite family, and only then
 ON_USE = ("padichg.charsums", "padichg.rational", "padichg.intsuites")
 PARSER = ("argparse", "gettext", "locale", "json")
+# the element API and the Fraction its GParams holds, loaded by no run
+FACADE = ("padichg.elements", "fractions")
 
 # the modules are listed before the report is printed, so json, which
 # prints it, is imported after the listing
@@ -51,6 +56,8 @@ elif sys.argv[1] == "run":
         padichg.cli.main(sys.argv[2:])
     except SystemExit as exc:
         code = exc.code
+elif sys.argv[1] == "exec":
+    exec(sys.argv[2])
 loaded = sorted(set(sys.modules) - before)
 import json
 print(json.dumps([code, loaded]))
@@ -203,5 +210,33 @@ def _refused_run(tmp_path):
 def test_fractions_load_only_with_the_field_layer(tmp_path, argv, code, loads):
     exit_code, loaded = _loaded(*argv(tmp_path))
     assert exit_code == code
-    names = ("fractions", "decimal") + FIELD
+    names = ("decimal",) + FIELD
     assert [name in loaded for name in names] == [loads] * len(names)
+    assert [name for name in FACADE if name in loaded] == []
+
+
+@pytest.mark.parametrize(
+    "suite,fmt",
+    [("euler", "json"), ("clausen", "csv"), ("charsums", "text")],
+)
+def test_field_run_loads_no_element_api(tmp_path, suite, fmt):
+    out = str(tmp_path / f"report.{fmt}")
+    code, loaded = _loaded("--p", "5", "--r", "2", "--suite", suite, "--format", fmt, "--out", out)
+    assert code == 0
+    assert "padichg.suites" in loaded
+    assert [name for name in FACADE if name in loaded] == []
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "from padichg import FqElement",
+        "from padichg import contexts; contexts(5, 2, 4)[0].one",
+        "from padichg import PadicContext, gamma_cache; gamma_cache(PadicContext(5, 3)).gamma(1)",
+    ],
+    ids=["export", "context-one", "gamma"],
+)
+def test_an_element_loads_the_element_api(source):
+    # the positive controls of the field runs above
+    _, loaded = _probe("exec", [source])
+    assert "padichg.elements" in loaded

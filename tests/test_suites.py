@@ -10,9 +10,9 @@ from oracles import charsums_admits, default_precision_by_search
 from padichg import charsums, intsuites, pgamma, suites
 from padichg.charsums import B_values, h_values
 from padichg.cli import _render_csv, _render_json
-from padichg.finitefield import FqElement
+from padichg.elements import FqElement, ZqElement
 from padichg.jobs import MAX_PACKED_DIGITS, packed_digits
-from padichg.padic import UnramifiedContext, ZqElement
+from padichg.padic import UnramifiedContext
 from padichg.pgamma import InfeasibleError, check_feasible
 from padichg.suites import (
     DEFAULT_BATTERY,
