@@ -21,8 +21,6 @@ integer work plus five Kronecker products for h_values and B_values, Z_q
 context tables that sum_h and sum_B read by dlog and return as Z_q scalars.
 """
 
-from __future__ import annotations
-
 from .finitefield import ZECH_UNDEFINED, FqContext, correlate, memo, pack
 from .padic import UnramifiedContext
 

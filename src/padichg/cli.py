@@ -18,8 +18,6 @@ Exit codes: 0 all executed cases passed (skipped suites do not fail),
 1 verification failure, 2 usage error, 3 I/O error.
 """
 
-from __future__ import annotations
-
 import io
 import os
 import sys

@@ -1,9 +1,10 @@
 """The element API: ring elements and the nGn facade over the integer tables.
 
 FqElement (F_q), ZqElement (Z_q / p^N) and ZpElement (Z/p^N) are immutable
-elements of the contexts of finitefield, padic and zmod.  FqElement and
-ZqElement share one ring base, _PolyResidue, a coefficient vector reduced
-mod its context's modulus; each keeps its own coercions, inverse and power.
+elements of the contexts of finitefield, padic and zmod.  All three share
+one ring base, _PolyResidue, a coefficient vector reduced mod its context's
+modulus (ZpElement's has one coefficient); each keeps its own coercions,
+inverse and repr, and FqElement and ZqElement their power.
 GParams, GValue and evaluate_g read the nGn value tables of gfunction at one
 point, and sum a family without the Frobenius certificate point by point.
 
@@ -14,8 +15,6 @@ run never loads it.  The contexts build elements through it on demand
 UnramifiedContext.element, scalar, teichmuller and reduce_mod_p;
 PadicContext.element; GammaCache.gamma), importing it at their first call.
 """
-
-from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
@@ -29,9 +28,11 @@ from .zmod import PadicContext, balanced_residue, recover_residue
 class _PolyResidue:
     """An immutable coefficient vector of (Z/m)[x] / (f), m = context.modulus.
 
-    The ring operations shared by FqElement (m = p) and ZqElement (m = p^N);
-    each reads the other operand through its own _coerce, which returns a
-    residue of the same context or NotImplemented.
+    The ring operations shared by FqElement (m = p), ZqElement (m = p^N) and
+    ZpElement (f = x, m = p^N); each reads the other operand through its own
+    _coerce, which returns a residue of the same ring or NotImplemented.  A
+    scalar (every coefficient after the first zero) hashes as its residue, so
+    equal Z_p and Z_q scalars and the int in [0, m) they equal hash alike.
     """
 
     __slots__ = ("context", "coeffs")
@@ -39,6 +40,12 @@ class _PolyResidue:
     def __init__(self, context, coeffs: tuple[int, ...]):
         self.context = context
         self.coeffs = coeffs
+
+    def _with(self, coeffs: tuple[int, ...]):
+        """An element of this type and context; coeffs are already reduced."""
+        new = object.__new__(type(self))
+        new.context, new.coeffs = self.context, coeffs
+        return new
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
@@ -51,20 +58,21 @@ class _PolyResidue:
         )
 
     def __hash__(self):
-        return hash(self.coeffs)
+        c = self.coeffs
+        return hash(c if any(c[1:]) else c[0])
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
         m = self.context.modulus
-        return type(self)(self.context, tuple((a + b) % m for a, b in zip(self.coeffs, o.coeffs)))
+        return self._with(tuple((a + b) % m for a, b in zip(self.coeffs, o.coeffs)))
 
     __radd__ = __add__
 
     def __neg__(self):
         m = self.context.modulus
-        return type(self)(self.context, tuple((-a) % m for a in self.coeffs))
+        return self._with(tuple((-a) % m for a in self.coeffs))
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -79,7 +87,7 @@ class _PolyResidue:
         if o is NotImplemented:
             return NotImplemented
         ctx = self.context
-        return type(self)(ctx, poly_mulmod(self.coeffs, o.coeffs, ctx._neg_poly, ctx.modulus))
+        return self._with(poly_mulmod(self.coeffs, o.coeffs, ctx._neg_poly, ctx.modulus))
 
     __rmul__ = __mul__
 
@@ -96,13 +104,13 @@ class FqElement(_PolyResidue):
     def _coerce(self, other):
         return self.context.coerce(other)  # TypeError for what F_q cannot take
 
-    def inverse(self) -> FqElement:
+    def inverse(self) -> "FqElement":
         ctx = self.context
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero in F_q")
         return FqElement(ctx, ctx.powers[-ctx.dlog[self.coeffs] % (ctx.q - 1)])
 
-    def __pow__(self, e: int) -> FqElement:
+    def __pow__(self, e: int) -> "FqElement":
         ctx = self.context
         if self.is_zero():
             if e < 0:
@@ -140,13 +148,13 @@ class ZqElement(_PolyResidue):
             return ctx.scalar(other)
         return NotImplemented
 
-    def __pow__(self, e: int) -> ZqElement:
+    def __pow__(self, e: int) -> "ZqElement":
         if e < 0:
             return self.inverse() ** (-e)
         ctx = self.context
         return ZqElement(ctx, poly_powmod(self.coeffs, e, ctx._neg_poly, ctx.modulus))
 
-    def inverse(self) -> ZqElement:
+    def inverse(self) -> "ZqElement":
         """Unit inverse via Hensel lifting from the residue-field inverse."""
         ctx = self.context
         red = ctx.reduce_mod_p(self)
@@ -177,61 +185,44 @@ class ZqElement(_PolyResidue):
         return f"Zq{self.coeffs} mod {ctx.base.p}^{ctx.precision}"
 
 
-class ZpElement:
-    """Residue in Z/p^N."""
+class ZpElement(_PolyResidue):
+    """Residue in Z/p^N: the r = 1 ring Z[x] / (x, p^N), one coefficient."""
 
-    __slots__ = ("context", "residue")
+    __slots__ = ()
 
     def __init__(self, context: PadicContext, residue: int):
-        self.context = context
-        self.residue = residue % context.modulus
+        super().__init__(context, (residue % context.modulus,))
+
+    @property
+    def residue(self) -> int:
+        return self.coeffs[0]
 
     def is_unit(self) -> bool:
         return self.residue % self.context.p != 0
 
-    def inverse(self) -> ZpElement:
+    def inverse(self) -> "ZpElement":
         if not self.is_unit():
             raise ZeroDivisionError("non-unit in Z_p (residue divisible by p)")
         return ZpElement(self.context, pow(self.residue, -1, self.context.modulus))
 
-    def _coerce(self, other) -> int:
+    def _coerce(self, other):
         if isinstance(other, ZpElement):
-            # contexts are equal by p^N, which fixes (p, N), as in __hash__
+            # contexts are equal by p^N, which fixes (p, N), as in __eq__
             if other.context.modulus != self.context.modulus:
                 raise ValueError("mixed Z_p contexts")
-            return other.residue
-        if isinstance(other, int):
             return other
-        return NotImplemented
-
-    def __add__(self, other):
-        v = self._coerce(other)
-        return v if v is NotImplemented else ZpElement(self.context, self.residue + v)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return ZpElement(self.context, -self.residue)
-
-    def __sub__(self, other):
-        v = self._coerce(other)
-        return v if v is NotImplemented else ZpElement(self.context, self.residue - v)
-
-    def __mul__(self, other):
-        v = self._coerce(other)
-        return v if v is NotImplemented else ZpElement(self.context, self.residue * v)
-
-    __rmul__ = __mul__
+        if isinstance(other, int):
+            return ZpElement(self.context, other)
+        return NotImplemented  # a ZqElement takes a Z_p scalar itself
 
     def __eq__(self, other):
         if isinstance(other, int):
             return self.residue == other % self.context.modulus
         if not isinstance(other, ZpElement):
             return NotImplemented  # a ZqElement compares a Z_p scalar itself
-        return self.context.modulus == other.context.modulus and self.residue == other.residue
+        return self.context.modulus == other.context.modulus and self.coeffs == other.coeffs
 
-    def __hash__(self):
-        return hash((self.context.p, self.context.precision, self.residue))
+    __hash__ = _PolyResidue.__hash__
 
     def __int__(self):
         return self.residue
@@ -259,9 +250,7 @@ def recover_bounded_integer(x, bound: int) -> int:
 
 def _scalar_residue(x) -> tuple[int, int]:
     """(residue, modulus) of the scalar x that balanced_lift takes."""
-    if isinstance(x, ZpElement):
-        return x.residue, x.context.modulus
-    if not isinstance(x, ZqElement):
+    if not isinstance(x, (ZpElement, ZqElement)):
         raise TypeError("balanced_lift expects a ZpElement or ZqElement")
     if any(x.coeffs[1:]):
         raise ArithmeticError(f"value is not a Z_p scalar: {x!r}")

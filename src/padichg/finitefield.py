@@ -19,8 +19,6 @@ tables of the layers above.  correlate computes every whole-field
 correlation, over F_q and Z_q, as one exact packed product.
 """
 
-from __future__ import annotations
-
 import decimal
 import itertools
 import sys

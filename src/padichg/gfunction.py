@@ -38,8 +38,6 @@ would demand a power of 1/p that does not exist in the quotient ring, so it
 aborts the evaluation as an integrity failure rather than silently wrap.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from importlib import import_module
 from math import gcd, lcm

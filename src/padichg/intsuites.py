@@ -7,8 +7,6 @@ imports this module at the first integer job; it alone imports rational,
 so a run of field suites alone loads neither.
 """
 
-from __future__ import annotations
-
 from math import lcm
 
 from . import rational

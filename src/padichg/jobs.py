@@ -20,8 +20,6 @@ module needs only pgamma and zmod, so parsing a run and admitting its jobs
 load neither.
 """
 
-from __future__ import annotations
-
 import time
 from collections import namedtuple
 
@@ -126,7 +124,7 @@ class Report:
         if self.record_cases:
             self.case_rows.append({"case": label, "ok": ok, "left": left, "right": right})
 
-    def done(self) -> Report:
+    def done(self) -> "Report":
         """Stop the clock and return the report."""
         self.elapsed_ms = (time.perf_counter() - self._t0) * 1000.0
         return self

@@ -27,8 +27,6 @@ powers, the packed chirp, the weights, the nGn, h and B values) through
 zmod.memo.
 """
 
-from __future__ import annotations
-
 from operator import mul
 
 from .finitefield import FqContext, correlate, memo, pack, poly_powers, poly_powmod, poly_reduce

@@ -34,8 +34,6 @@ would take more than MAX_TABLE_WORK ring products.  The tables are
 write-once per key and safe for concurrent readers.
 """
 
-from __future__ import annotations
-
 from math import comb
 
 from .zmod import PadicContext, memo

@@ -10,8 +10,6 @@ functions that build a Fraction, so the integer suites never load it.
 Nothing in this module touches floating point.
 """
 
-from __future__ import annotations
-
 import math
 
 

@@ -30,8 +30,6 @@ value_table, so no suite builds a Fraction or an element, and a field run
 loads neither fractions nor padichg.elements.
 """
 
-from __future__ import annotations
-
 import itertools
 from importlib import import_module
 

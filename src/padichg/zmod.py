@@ -8,8 +8,6 @@ ZpElement, lives in padichg.elements and is built on demand.  memo holds the
 tables of a field context or a Gamma_p cache.
 """
 
-from __future__ import annotations
-
 from math import isqrt
 
 MAX_Q = 1 << 16
@@ -63,6 +61,8 @@ def recover_residue(v: int, m: int, bound: int) -> int:
 class PadicContext:
     """The ring Z/p^N standing in for Z_p at precision N."""
 
+    _neg_poly = (0,)  # Z/p^N = Z[x] / (x, p^N), the r = 1 ring of the element base
+
     def __init__(self, p: int, precision: int):
         check_field(p, 1)  # p is bounded before the primality scan
         if precision < 1:
@@ -78,7 +78,7 @@ class PadicContext:
     def element(self, value: int) -> "ZpElement":
         from .elements import ZpElement
 
-        return ZpElement(self, value % self.modulus)
+        return ZpElement(self, value)
 
     def __repr__(self):
         return f"PadicContext(p={self.p}, N={self.precision})"

@@ -14,7 +14,8 @@ elements load at the first one a caller builds.  The code of one suite
 family loads at its first job: `charsums` at a charsums job, `intsuites`
 and `rational` at a gamma or floors job, so an euler run loads none of the
 three.  A job that JobSpec refuses loads none of them: admission is
-integer arithmetic in jobs and pgamma.  Each check runs in a fresh
+integer arithmetic in jobs and pgamma.  No module imports `__future__`: the
+annotations evaluate at run time, with element types quoted.  Each check runs in a fresh
 interpreter and compares `sys.modules` before and after, so modules that
 site packages preload do not count.
 """
@@ -87,6 +88,13 @@ def test_cli_import_loads_no_pool_or_dataclasses():
     _, loaded = _loaded()
     assert "padichg.cli" in loaded
     assert [name for name in HEAVY if name in loaded] == []
+
+
+def test_field_run_never_imports_future():
+    code, loaded = _loaded("--p", "5", "--suite", "euler")
+    assert code == 0
+    assert "padichg.suites" in loaded
+    assert "__future__" not in loaded
 
 
 def test_cli_import_loads_no_field_layer():
