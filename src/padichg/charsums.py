@@ -5,7 +5,7 @@ over the integers, never through Z_q; the Z_q path exists only as a
 cross-check in the tests.  Both are built for every lambda of a field at once
 from the context's Zech-log table dlog(1 + g^d): with phi(g^k) = (-1)^k each
 comes from cyclic correlations of integer sequences of length q-1: a field
-costs O(q) integer work and three packed products (finitefield.correlate)
+costs O(q) integer work and three packed cyclic products (finitefield.correlate)
 for A_values and a_values, F_q context tables that sum_A and sum_a read by dlog.
 
 Jacobi sums and the character-averaged sums h and B are sums in Z_q, with
@@ -31,10 +31,11 @@ def _phi_one_plus(fq: FqContext) -> list[int]:
 
 
 def _cyclic(u: list[int], v: list[int]) -> list[int]:
-    """c[m] = sum_i u[i] v[(i + m) mod n] for m in 0..n-1, n = len(u)."""
+    """c[m] = sum_i u[i] v[(i + m) mod n] for m in 0..n-1, n = len(u): one
+    correlate of u and v itself with wrap = 1, a product of 2n-1 slots."""
     bound = len(u) * max(1, *map(abs, u)) * max(1, *map(abs, v))
-    packed = pack([(x,) for x in v + v[:-1]], bound)
-    return [c for (c,) in correlate([(x,) for x in u], packed)]
+    packed = pack([(x,) for x in v], bound)
+    return [c for (c,) in correlate([(x,) for x in u], packed, 1)]
 
 
 def _a_weights(phi1: list[int]) -> list[int]:

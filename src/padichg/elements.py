@@ -95,6 +95,10 @@ class _PolyResidue:
         o = self._coerce(other)
         return NotImplemented if o is NotImplemented else self * o.inverse()
 
+    def __rtruediv__(self, other):
+        o = self._coerce(other)
+        return NotImplemented if o is NotImplemented else o * self.inverse()
+
 
 class FqElement(_PolyResidue):
     """Element of F_q as an immutable coefficient vector."""
@@ -123,6 +127,13 @@ class FqElement(_PolyResidue):
         if self.is_zero():
             raise ZeroDivisionError("dlog of zero")
         return self.context.dlog[self.coeffs]
+
+    def __eq__(self, other):
+        if isinstance(other, int):
+            other = self.context.coerce(other)  # equal mod p, as ZqElement is mod p^N
+        return super().__eq__(other)
+
+    __hash__ = _PolyResidue.__hash__  # a class defining __eq__ must restate it
 
     def __repr__(self):
         if self.context.r == 1:

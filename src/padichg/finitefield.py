@@ -16,7 +16,8 @@ derived from a field is built on first use by memo and held in the context's
 tables: the Zech-log table dlog(1 + g^d), from which the character-sum
 oracles of every lambda come at once, the dlog-keyed root tables, and the
 tables of the layers above.  correlate computes every whole-field
-correlation, over F_q and Z_q, as one exact packed product.
+correlation, over F_q and Z_q, as one exact packed product of two q-1 block
+operands, wrapped cyclically or negacyclically to length q-1.
 """
 
 import decimal
@@ -104,51 +105,77 @@ def poly_reduce(prod: list, neg_poly: tuple, m: int) -> tuple[int, ...]:
     return tuple(c % m for c in prod[:r])
 
 
-# integers only, so Emin never binds; Inexact and Rounded raise
+# integers and their digit shifts only, so no exponent bound binds;
+# Inexact and Rounded raise
 _EXACT = decimal.Context(
-    prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, traps=[decimal.Inexact, decimal.Rounded]
+    prec=decimal.MAX_PREC,
+    Emax=decimal.MAX_EMAX,
+    Emin=decimal.MIN_EMIN,
+    traps=[decimal.Inexact, decimal.Rounded],
 )
 
 
-def pack(blocks: list, bound: int) -> tuple[Decimal, int, int]:
-    """(value, slot width, len(blocks)): blocks of r integers packed as v of correlate.
+def pack(blocks: list, bound: int) -> tuple[Decimal, int]:
+    """(value, slot width): blocks of r integers packed as v of correlate.
 
     bound is at least every |slot| of u and v and every sum of |u_i v_j| that
     a slot of the correlation receives; a slot holds w digits, 10^w > 2 bound.
     """
     width = len(str(Decimal(2 * bound)))
-    return _to_decimal(blocks, width), width, len(blocks)
+    return _to_decimal(blocks, width), width
 
 
-def correlate(u: list, v: tuple[Decimal, int, int], rows=None) -> list[list[int]]:
-    """[sum_a u[a] * v[a+k] for k in rows], v packed by pack; rows defaults
-    to every k in 0..len(v) - len(u), and a caller that needs only some
-    blocks reads only those.
+def correlate(u: list, v: tuple[Decimal, int], wrap: int, rows=None) -> list[list[int]]:
+    """[sum_a u[a] * v[a+k] for k in rows] for u and v of n blocks each, v
+    packed by pack and extended by v[j+n] = wrap * v[j]: wrap = 1 is the
+    cyclic correlation, wrap = -1 the negacyclic one.  rows defaults to every
+    k in 0..n-1, and a caller that needs only some blocks reads only those.
 
     Entries are blocks of r integer slots multiplied as polynomials, so
     out[k][s] = sum_a sum_(t+w=s) u[a][t] v[a+k][w].  Each operand is one big
     integer with 2r-1 slots per block (Kronecker substitution), signed slots
     in balanced digits (Harvey, JSC 2009), and the correlation is one exact
-    decimal.Decimal product: libmpdec multiplies by number-theoretic
-    transform, faster than the Karatsuba product of int.  A slot is read by
-    int, or through Decimal when it is too wide for int <-> str
+    decimal.Decimal product P of 2n-1 blocks: libmpdec multiplies by
+    number-theoretic transform, faster than the Karatsuba product of int.
+    With u[a] in block n-1-a and v[j] in block j, block n-1+k of P holds the
+    terms of out[k] with a+k < n and block k-1 those with a+k >= n.  So the
+    balanced residue of P mod 10^S - wrap, S the digits of n blocks, holds
+    out[0] in block n-1 and wrap * out[k] in block k-1; each a adds to one
+    of the two, so the slot bound of pack holds for the sum.  A slot is read
+    by int, or through Decimal when it is too wide for int <-> str
     (sys.get_int_max_str_digits(), 4300 digits by default from Python 3.10.7).
     """
-    packed, width, count = v
-    n, block = len(u), 2 * len(u[0]) - 1
-    # u[a] sits in block n-1-a and v[j] in block j, so out[k] is block n-1+k
-    prod = str(_EXACT.multiply(_to_decimal(u[::-1], width), packed))
-    size = width * block * (n + count - 1)
-    digits, sign = prod.lstrip("-").rjust(size, "0"), -1 if prod[0] == "-" else 1
+    packed, width = v
+    n, block = len(u), width * (2 * len(u[0]) - 1)
+    size = block * n
+    prod = _EXACT.multiply(_to_decimal(u[::-1], width), packed)
+    # P = top 10^S + bottom, |bottom| < 10^S, both cut from P's digits, so
+    # P = bottom + wrap top mod 10^S - wrap, within 10^S (1 + 10^-block) of
+    # 0; one compare-and-adjust, on either side, brings it within half the
+    # modulus.  Decimal operators, unary minus included, round outside
+    # _EXACT, so every step names it
+    top = prod.scaleb(-size, _EXACT).to_integral_value(decimal.ROUND_DOWN, _EXACT)
+    bottom = _EXACT.subtract(prod, top.scaleb(size, _EXACT))
+    fold = (_EXACT.add if wrap > 0 else _EXACT.subtract)(bottom, top)
+    modulus = _EXACT.subtract(Decimal(f"1E{size}"), wrap)
+    twice = _EXACT.add(fold, fold)
+    if twice > modulus:
+        fold = _EXACT.subtract(fold, modulus)
+    elif _EXACT.add(twice, modulus) <= 0:
+        fold = _EXACT.add(fold, modulus)
+    folded = str(fold)
+    sign, digits = (-1, folded[1:]) if folded[0] == "-" else (1, folded)
+    digits = digits.rjust(size, "0")
     base, out = 10**width, []
     read = int if _int_str_fits(width) else (lambda s: int(Decimal(s)))
-    for k in range(count - n + 1) if rows is None else rows:
-        low = size - width * block * (n - 1 + k)  # the lowest slot of out[k] ends here
+    for k in range(n) if rows is None else rows:
+        low = size - block * (k - 1 if k else n - 1)  # the lowest slot of out[k] ends here
+        twist = sign * wrap if k else sign
         slots = []
-        for end in range(low, low - width * block, -width):
+        for end in range(low, low - block, -width):
             # a slot read at half its base or more is negative; the one above reads 1 short
             d = read(digits[end - width : end]) + (digits[end : end + 1] >= "5")
-            slots.append(sign * (d - base if digits[end - width] >= "5" else d))
+            slots.append(twist * (d - base if digits[end - width] >= "5" else d))
         out.append(slots)
     return out
 

@@ -14,13 +14,23 @@ D = lcm(q-1, parameter denominators), every Gamma_p argument above is a
 residue num/D, read from the shared GammaCache's one residue table for D,
 and one floor division by D gives both an argument and its floor in e.
 
+Row (k, i) reads a only through a p^i: writing a p^i = x + j (q-1) with
+x = a p^i mod (q-1) keeps both Gamma_p arguments of the row and moves its
+two floors by -j and +j, which cancel in e.  So with
+R_i = (sorted D<a_k p^i>, sorted D<-b_k p^i>), the rotation of the
+parameters by p^i, c_a is (-1)^(a n) prod_i F_(R_i)[a p^i mod (q-1)] times
+(-p) to the sum of the E_(R_i)[a p^i mod (q-1)], with one row set (F, E)
+of q-1 entries per distinct R_i in place of one row per (k, i).
+
 With k = dlog t, omega-bar^a(t) = omega(g)^(-a k), so the values at every t
-of the field are one character transform of the table.  Where a -> p a
-only permutes the factors of c_a among the (k, i), as for every family of
-the paper's transformations and special values, c[p a mod (q-1)] = c[a].
+of the field are one character transform of the table.  A family closed
+under x -> p x mod 1, as is every family of the paper's transformations and
+special values, has one rotation R, so c_a is a product over the Frobenius
+orbit of a and c[p a mod (q-1)] = c[a] holds by construction.
 UnramifiedContext.scalar_transform checks this certificate, O(q) integer
 compares, and builds the values as integers mod p^N; value_table raises
-EvaluationIntegrityError for a table that fails it.  A field therefore
+EvaluationIntegrityError for a table that fails it, as a family with more
+than one rotation may.  A field therefore
 costs an O(q) integer table plus one Kronecker product per parameter set,
 a table of the Z_q context keyed by (upper, lower); the suites index the
 table by dlog t.  The key holds each parameter as a reduced (num, den)
@@ -97,37 +107,38 @@ def _pair(c, role: str) -> tuple[int, int]:
 
 def _coefficient_table(upper, lower, zq: UnramifiedContext) -> list[int]:
     """Z_p coefficients c_a of omega-bar^a(t), indexed by a, in integer
-    arithmetic, for parameters as the (num, den) pairs of _checked."""
-    fq = zq.fq
-    p, r, q, m = fq.p, fq.r, fq.q, zq.modulus
-    n = len(upper)
-    d = lcm(q - 1, *(den for _, den in upper + lower))
-    gamma = gamma_cache(zq.base).residues(d)
+    arithmetic, for parameters as the (num, den) pairs of _checked.
 
-    # per (k, i): d * <a_k p^i>, d * <-b_k p^i>, d * p^i/(q-1) and the
-    # a-independent unit 1 / (Gamma(<a_k p^i>) Gamma(<-b_k p^i>))
-    rows = []
-    for (a_num, a_den), (b_num, b_den) in zip(upper, lower):
-        for i in range(r):
-            pi = p**i
-            alpha = a_num * (d // a_den) * pi % d
-            beta = -b_num * (d // b_den) * pi % d
-            inv = pow(gamma[alpha] * gamma[beta], -1, m)
-            rows.append((alpha, beta, pi * (d // (q - 1)), inv))
-    powers = [pow(-p, e, m) for e in range(n * r + 1)]
+    c_a = (-1)^(a len(upper)) prod_{i<r} F_i[x_i] (-p)^(sum_{i<r} E_i[x_i])
+    with x_i = a p^i mod (q-1), where (F_i, E_i) are the _rotation_rows of
+    the rotation R_i = (sorted d<a_k p^i>, sorted d<-b_k p^i>), built once
+    per distinct R_i: a family closed under x -> p x has one.
+    """
+    fq = zq.fq
+    p, r, n, m = fq.p, fq.r, fq.q - 1, zq.modulus
+    count = len(upper)
+    d = lcm(n, *(den for _, den in upper + lower))
+    gamma = gamma_cache(zq.base).residues(d)
+    built, rows = {}, []
+    for i in range(r):
+        pi = p**i
+        rotation = (
+            tuple(sorted(num * (d // den) * pi % d for num, den in upper)),
+            tuple(sorted(-num * (d // den) * pi % d for num, den in lower)),
+        )
+        if rotation not in built:
+            built[rotation] = _rotation_rows(*rotation, d, n, gamma, m)
+        rows.append(built[rotation])
+    powers = [pow(-p, e, m) for e in range(count * r + 1)]
 
     table = []
-    for a in range(q - 1):
-        acc = 1 if (a * n) % 2 == 0 else m - 1
-        exponent = 0
-        for alpha, beta, step, inv in rows:
-            u = a * step
-            # the (-p) exponent -floor(<a_k p^i> - u/d) - floor(<-b_k p^i> + u/d)
-            # and the two Gamma_p arguments, from one division each
-            low, lo_num = divmod(alpha - u, d)
-            high, hi_num = divmod(beta + u, d)
-            exponent -= low + high
-            acc = acc * gamma[lo_num] % m * gamma[hi_num] % m * inv % m
+    for a in range(n):
+        acc = 1 if (a * count) % 2 == 0 else m - 1
+        exponent, x = 0, a
+        for units, exponents in rows:
+            acc = acc * units[x] % m
+            exponent += exponents[x]
+            x = x * p % n
         if exponent < 0:
             raise EvaluationIntegrityError(
                 f"negative total (-p) exponent {exponent} at a={a} for parameters "
@@ -135,6 +146,41 @@ def _coefficient_table(upper, lower, zq: UnramifiedContext) -> list[int]:
             )
         table.append(acc * powers[exponent] % m)
     return table
+
+
+def _rotation_rows(alphas, betas, d: int, n: int, gamma, m: int) -> tuple[list, list]:
+    """(F, E) of one rotation: for x in 0..n-1, with u = x d/n and
+    G(num) = gamma[num] = Gamma_p(num/d) mod m,
+
+        F[x] = prod G((alpha - u) mod d) G((beta + u) mod d) / (G(alpha) G(beta))
+        E[x] = -sum floor((alpha - u)/d) - sum floor((beta + u)/d)
+
+    over the alpha of alphas and the beta of betas, residues mod d.  Row
+    (k, i) of c_a has u = a p^i d/n; taking u at x = a p^i mod n instead
+    moves the row's two floors by -j and +j, for a p^i = x + j n, and
+    neither Gamma_p argument, so one F, E serves every i of one rotation.
+    """
+    step = d // n
+    den = 1
+    for c in alphas + betas:
+        den = den * gamma[c] % m
+    inv = pow(den, -1, m)
+    units, exponents = [], []
+    for x in range(n):
+        u = x * step
+        acc, exponent = inv, 0
+        # the Gamma_p arguments and the floors, from one division each
+        for alpha in alphas:
+            low, num = divmod(alpha - u, d)
+            exponent -= low
+            acc = acc * gamma[num] % m
+        for beta in betas:
+            high, num = divmod(beta + u, d)
+            exponent -= high
+            acc = acc * gamma[num] % m
+        units.append(acc)
+        exponents.append(exponent)
+    return units, exponents
 
 
 # What _values holds for a table without the Frobenius certificate: the

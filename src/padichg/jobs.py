@@ -180,21 +180,24 @@ def _require(job: JobSpec):
 
 
 # Bound on the decimal digits of the packed correlation product of a field
-# suite (packed_digits).  Of the runs measured on a 2-vCPU shared machine,
-# the largest it admits, 7^5 euler at N = 200 (1.56e8 digits), took 29-65 s
-# and peaked at 501 MB of RSS; 3^10 clausen at N = 300 (9.9e8 digits) ran
-# out of a 1.5 GB address space after 55 s.  Every default precision at
-# q <= 2^16 is below 10^8 digits.
-MAX_PACKED_DIGITS = 3 * 10**8
+# suite (packed_digits).  It was fitted as 3*10^8 to the linear product of
+# 3(q-1)-2 blocks: of the runs measured on a 2-vCPU shared machine, the
+# largest it admitted, 7^5 euler at N = 200, took 29-65 s and peaked at
+# 501 MB of RSS; 3^10 clausen at N = 300 ran out of a 1.5 GB address space
+# after 55 s.  The wrapped product has 2(q-1)-1 blocks, and 2*10^8 of its
+# digits admits exactly the cells 3*10^8 did (checked at every p^r <= 2^16
+# and every N with p N^2 <= pgamma.MAX_TABLE_WORK).  Every default
+# precision at q <= 2^16 is below 7*10^7 digits.
+MAX_PACKED_DIGITS = 2 * 10**8
 
 
 def packed_digits(p: int, r: int, precision: int) -> int:
     """Decimal digits of the product that correlates a coefficient table
-    with the packed chirp: 3(q-1)-2 blocks of 2r-1 slots, each slot as wide
+    with the packed chirp: 2(q-1)-1 blocks of 2r-1 slots, each slot as wide
     as finitefield.pack makes it for the chirp bound (q-1) r (p^N-1)^2."""
     n = p**r - 1
     width = len(str(2 * n * r * (p**precision - 1) ** 2))
-    return (3 * n - 2) * (2 * r - 1) * width
+    return (2 * n - 1) * (2 * r - 1) * width
 
 
 def _admit(p: int, r: int, suite: str, precision: int) -> None:

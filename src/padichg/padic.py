@@ -14,7 +14,9 @@ The character transform of an integer table c_a, a in 0..q-2, is
     T[k] = sum_a c_a omega(g)^(-a k)    for every k in 0..q-2 at once,
 
 a binomial-chirp correlation computed by finitefield.correlate, O(q r^2)
-small-integer work plus one exact product of two big integers.  When
+small-integer work plus one exact product of two big integers of q-1 blocks
+each: W^(-C(j,2)) changes sign when j moves by q-1, so the chirp is packed
+for j < q-1 and the correlation is negacyclic.  When
 c[p a] = c[a] for every a, Frobenius fixes every T[k], so each lies in Z_p
 and T[k] = T[p k]: scalar_transform checks this certificate, returns the
 sums as integers mod p^N, reads one correlation block per Frobenius orbit of
@@ -117,8 +119,8 @@ class UnramifiedContext:
 
             T[k] = W^C(k,2) * sum_a (c_a W^C(a,2)) W^-C(a+k,2),
 
-        one correlation of length q-1; the binomial chirp needs no square
-        root of W.  Frobenius sends W^j to W^(p j), so it fixes every T[k],
+        one negacyclic correlation of length q-1; the binomial chirp needs no
+        square root of W.  Frobenius sends W^j to W^(p j), so it fixes every T[k],
         and T[p k] = T[k]: each T[k] is a Z_p scalar, equal to its constant
         coefficient, and one k per orbit of k -> p k mod (q-1) is read from
         the correlation.  The post-twiddle W^C(k,2) is then a dot product of
@@ -145,7 +147,7 @@ class UnramifiedContext:
         # the chirp is packed before u exists, so their peaks do not add up
         pows, chirp = self.omega_generator_powers(), memo(self, _packed_chirp)
         u = [[c * w % m for w in pows[a * (a - 1) // 2 % n]] for a, c in enumerate(coeffs)]
-        return correlate(u, chirp, rows)
+        return correlate(u, chirp, -1, rows)
 
     def reduce_mod_p(self, x: "ZqElement") -> "FqElement":
         from .elements import FqElement
@@ -169,10 +171,12 @@ def _teichmuller_powers(zq: UnramifiedContext) -> list[tuple[int, ...]]:
 
 
 def _packed_chirp(zq: UnramifiedContext) -> tuple:
-    """W^-C(j,2) for j in 0..2q-4, packed as the v of finitefield.correlate."""
+    """W^-C(j,2) for j in 0..q-2, packed as the v of finitefield.correlate
+    with wrap = -1: n = q-1 is even, so C(j+n,2) = C(j,2) + j n + C(n,2) with
+    C(n,2) = n/2 mod n, and W^(n/2) = -1 gives W^-C(j+n,2) = -W^-C(j,2)."""
     n, m = zq.q - 1, zq.modulus
     pows = zq.omega_generator_powers()
-    chirp = [pows[-(j * (j - 1) // 2) % n] for j in range(2 * n - 1)]
+    chirp = [pows[-(j * (j - 1) // 2) % n] for j in range(n)]
     # a slot sums at most n * r products of residues below m
     return pack(chirp, n * zq.r * (m - 1) ** 2)
 

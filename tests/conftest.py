@@ -117,12 +117,14 @@ def conjugate_teichmuller(monkeypatch):
 
 @pytest.fixture
 def dropped_floor(monkeypatch):
-    """Drop the floor -floor(<a_k p^i> - a p^i/(q-1)) from every (-p)
-    exponent of gfunction._coefficient_table.
+    """Drop the floor -floor(<a_k p^i> - u) from every (-p) exponent of
+    gfunction._coefficient_table.
 
-    The table takes each floor from a divmod, its only use in gfunction, and
-    that floor is the one whose quotient is never positive; zeroing negative
-    quotients drops it and keeps every Gamma_p argument (the remainders).
+    The table takes each floor from a divmod in gfunction._rotation_rows,
+    its only use in gfunction, at a reduced index u = x/(q-1) < 1: the
+    floor of <a_k p^i> - u is then -1 or 0 and that of <-b_k p^i> + u is 0
+    or 1, so zeroing negative quotients drops the first wherever it is -1
+    and keeps every Gamma_p argument (the remainders).
     """
 
     def floor_dropped(x, d):

@@ -11,7 +11,10 @@ from the verbatim lift of t, omega-bar(t) as its Hensel inverse, and each sum
 over characters by a running power product.  The nGn coefficients come from
 the rational-arithmetic table below (Fractions, rational.frac and rational
 floors for every Gamma_p argument and exponent), and the Jacobi sums from the
-point-wise `jacobi_sum`.  The one whole-field transform in production,
+point-wise `jacobi_sum`.  Production builds the integer table from one row
+set per Frobenius rotation of the parameters; `coefficient_table_by_rows`
+builds it one (k, i) row at a time, each row at the unreduced a p^i.  The
+one whole-field transform in production,
 `UnramifiedContext.scalar_transform`, takes only Frobenius-invariant tables;
 its reference here, `character_transform`, takes any integer table and sums
 over a for each k in Z_q.  `char_value` reads one character value
@@ -23,8 +26,9 @@ references here are the per-lambda double sum over F_q objects and the
 Horner scan over every y.
 
 Every whole-field correlation is one exact packed product in production
-(finitefield.correlate); its references here are the direct sums, cyclic over
-integers and linear over blocks of polynomial slots.
+(finitefield.correlate), cyclic or negacyclic of length q-1; its references
+here are the direct sums, cyclic over integers and wrapped over blocks of
+polynomial slots.
 
 Gamma_p(n) mod p^N is read in production from a base-p digit table of
 truncated polynomials; its reference here is the checkpointed prefix product
@@ -52,7 +56,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import floor
+from math import floor, lcm
 from operator import mul
 
 from padichg.charsums import sum_A, sum_a, sum_B, sum_h, verify_aop_identity
@@ -209,6 +213,39 @@ def coefficient_table_fraction(upper, lower, zq):
     return table
 
 
+def coefficient_table_by_rows(upper, lower, zq):
+    """The integer coefficient table of gfunction._coefficient_table, one
+    (k, i) row at a time, for parameters as reduced (num, den) pairs: each
+    row divides a p^i d/(q-1) by d unreduced, so it takes its own two floors
+    and two Gamma_p arguments at every a, and no row is shared between i."""
+    fq = zq.fq
+    p, r, q, m = fq.p, fq.r, fq.q, zq.modulus
+    n = len(upper)
+    d = lcm(q - 1, *(den for _, den in upper + lower))
+    gamma = gamma_cache(zq.base).residues(d)
+    rows = []
+    for (a_num, a_den), (b_num, b_den) in zip(upper, lower):
+        for i in range(r):
+            pi = p**i
+            alpha = a_num * (d // a_den) * pi % d
+            beta = -b_num * (d // b_den) * pi % d
+            inv = pow(gamma[alpha] * gamma[beta], -1, m)
+            rows.append((alpha, beta, pi * (d // (q - 1)), inv))
+    table = []
+    for a in range(q - 1):
+        acc = 1 if (a * n) % 2 == 0 else m - 1
+        exponent = 0
+        for alpha, beta, step, inv in rows:
+            low, lo_num = divmod(alpha - a * step, d)
+            high, hi_num = divmod(beta + a * step, d)
+            exponent -= low + high
+            acc = acc * gamma[lo_num] % m * gamma[hi_num] % m * inv % m
+        if exponent < 0:
+            raise EvaluationIntegrityError(f"negative total (-p) exponent at a={a}")
+        table.append(acc * pow(-p, exponent, m) % m)
+    return table
+
+
 def evaluate_g_pointwise(params):
     """nGn at params.t as -1/(q-1) * sum_a c_a omega-bar(t)^a."""
     zq = params.context
@@ -337,16 +374,19 @@ def cyclic_correlation(u, v):
     return [sum(map(mul, u, vv[m : m + n])) for m in range(n)]
 
 
-def block_correlation(u, v):
-    """out[k][s] = sum_a sum_(t+w=s) u[a][t] v[a+k][w] for k in 0..len(v)-len(u)."""
-    r = len(u[0])
+def wrapped_block_correlation(u, v, wrap):
+    """out[k][s] = sum_a sum_(t+w=s) u[a][t] v[a+k][w] for k in 0..n-1, for
+    u and v of n blocks and v[j+n] = wrap * v[j], one block at a time."""
+    n, r = len(u), len(u[0])
     out = []
-    for k in range(len(v) - len(u) + 1):
+    for k in range(n):
         acc = [0] * (2 * r - 1)
         for a, x in enumerate(u):
+            j = a + k
+            sign = 1 if j < n else wrap
             for t, ut in enumerate(x):
-                for w, vw in enumerate(v[a + k]):
-                    acc[t + w] += ut * vw
+                for w, vw in enumerate(v[j % n]):
+                    acc[t + w] += sign * ut * vw
         out.append(acc)
     return out
 

@@ -254,9 +254,9 @@ def test_oracle_tables_built_once_per_context(monkeypatch):
     correlations = []
     original = charsums.correlate
 
-    def counting(u, v):
-        correlations.append(len(u))
-        return original(u, v)
+    def counting(u, v, wrap):
+        correlations.append((len(u), wrap))
+        return original(u, v, wrap)
 
     monkeypatch.setattr(charsums, "correlate", counting)
     fq = FqContext(7, 2)
@@ -265,10 +265,10 @@ def test_oracle_tables_built_once_per_context(monkeypatch):
     first = [(sum_A(lam), sum_a(lam)) for lam in lams]
     tables = {"A": A_values(fq), "a": a_values(fq)}
     assert len(fq.tables) == 3  # the Zech table, A and a
-    assert correlations == [fq.q - 1] * 3  # two for A, one for a
+    assert correlations == [(fq.q - 1, 1)] * 3  # two cyclic for A, one for a
     assert [(sum_A(lam), sum_a(lam)) for lam in lams] == first
     assert all(verify_aop_identity(lam) for lam in lams if not lam.is_zero())
-    assert correlations == [fq.q - 1] * 3
+    assert correlations == [(fq.q - 1, 1)] * 3
     assert A_values(fq) is tables["A"] and a_values(fq) is tables["a"]
     assert fq.zech_table() is zech
     # a second context of the same field owns its own tables

@@ -359,11 +359,11 @@ def test_packed_correlation_past_its_bound_is_refused():
     from padichg.jobs import MAX_PACKED_DIGITS, default_precision, packed_digits
 
     argv = ["--p", "3", "--r", "10", "--suite", "clausen", "--precision", "300"]
-    with pytest.raises(UsageError, match=r"refused: the packed correlation .* 9\.86e\+08 digits"):
+    with pytest.raises(UsageError, match=r"refused: the packed correlation .* 6\.57e\+08 digits"):
         parse_args(argv)
     # the largest runs measured to finish stay admitted
     for p, r, suite, n in ((7, 5, "euler", 200), (3, 8, "clausen", 400)):
-        assert packed_digits(p, r, n) > 10**8
+        assert packed_digits(p, r, n) > MAX_PACKED_DIGITS // 3
         assert parse_args(["--p", str(p), "--r", str(r), "--suite", suite, "--precision", str(n)])
     # and so does every suite at its default precision at the large fields
     for p, r in ((65521, 1), (251, 2), (5, 6), (7, 5), (3, 10)):
@@ -377,9 +377,10 @@ def test_packed_digits_is_the_size_of_the_correlation_product(p, r, n):
     from padichg.jobs import packed_digits
     from padichg.padic import UnramifiedContext, _packed_chirp
 
-    # finitefield.correlate multiplies q-1 blocks of the table by the packed chirp
-    _, width, count = _packed_chirp(UnramifiedContext(FqContext(p, r), n))
-    assert packed_digits(p, r, n) == width * (2 * r - 1) * (p**r - 1 + count - 1)
+    # finitefield.correlate multiplies q-1 blocks of the table by the q-1
+    # blocks of the packed chirp, a product of 2(q-1)-1 blocks
+    _, width = _packed_chirp(UnramifiedContext(FqContext(p, r), n))
+    assert packed_digits(p, r, n) == width * (2 * r - 1) * (2 * (p**r - 1) - 1)
 
 
 @pytest.mark.parametrize(

@@ -4,7 +4,7 @@ import sys
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import block_correlation, cyclic_correlation
+from oracles import cyclic_correlation, wrapped_block_correlation
 
 from padichg.charsums import _cyclic
 from padichg.finitefield import correlate, pack
@@ -37,20 +37,21 @@ def _operand(size, r):
 def _operands(draw):
     r = draw(st.integers(min_value=1, max_value=3))
     n = draw(st.integers(min_value=1, max_value=64))
-    extra = draw(st.integers(min_value=0, max_value=8))
-    return draw(_operand(n, r)), draw(_operand(n + extra, r))
+    return draw(_operand(n, r)), draw(_operand(n, r)), draw(st.sampled_from([1, -1]))
 
 
 # slots of over 4300 decimal digits, past CPython's default limit for int <-> str
 _BIG = 10**2200 - 7
+_BIG_U, _BIG_V = [[_BIG, -1], [-_BIG, 3], [2, _BIG]], [[-_BIG, _BIG], [2, -_BIG], [_BIG, 0]]
 
 
 @settings(max_examples=200, deadline=None)
 @given(_operands())
-@example(([[_BIG, -1], [-_BIG, 3]], [[-_BIG, _BIG], [2, -_BIG], [_BIG, 0]]))
+@example((_BIG_U, _BIG_V, 1))
+@example((_BIG_U, _BIG_V, -1))
 def test_correlate_matches_naive_blocks(case):
-    u, v = case
-    assert correlate(u, pack(v, _bound(u, v))) == block_correlation(u, v)
+    u, v, wrap = case
+    assert correlate(u, pack(v, _bound(u, v)), wrap) == wrapped_block_correlation(u, v, wrap)
 
 
 @settings(max_examples=100, deadline=None)
@@ -63,31 +64,33 @@ def test_cyclic_matches_naive(case):
 @pytest.mark.parametrize("m", [1, 2, 3, 7])
 @pytest.mark.parametrize("n,r", [(1, 1), (3, 2), (5, 3)])
 def test_correlate_at_the_stated_bound(n, r, m):
-    # the middle slot of out[0] is -n r m^2 = -bound, the extreme the width admits
+    # the middle slot of out[0] is -n r m^2 = -bound, the extreme the width
+    # admits; cyclic, so is that of every out[k]
     u, v = [[m] * r] * n, [[-m] * r] * n
-    out = correlate(u, pack(v, _bound(u, v)))
-    assert out == block_correlation(u, v)
-    assert out[0][r - 1] == -_bound(u, v)
+    for wrap in (1, -1):
+        out = correlate(u, pack(v, _bound(u, v)), wrap)
+        assert out == wrapped_block_correlation(u, v, wrap)
+        assert out[0][r - 1] == -_bound(u, v)
+    assert {k[r - 1] for k in correlate(u, pack(v, _bound(u, v)), 1)} == {-_bound(u, v)}
 
 
 def test_pack_rejects_slots_past_the_bound():
     with pytest.raises(ValueError):
         pack([[10], [0]], 4)
     with pytest.raises(ValueError):
-        correlate([[0], [10]], pack([[1], [0], [0]], 4))
+        correlate([[0], [10]], pack([[1], [0]], 4), 1)
 
 
-
-@pytest.mark.parametrize("r,n,extra", [(1, 5, 0), (2, 7, 3), (3, 4, 6)])
-def test_correlate_without_the_digit_limit_getter(monkeypatch, r, n, extra):
+@pytest.mark.parametrize("r,n,wrap", [(1, 5, 1), (2, 7, -1), (3, 4, -1)])
+def test_correlate_without_the_digit_limit_getter(monkeypatch, r, n, wrap):
     # interpreters before 3.10.7 have no sys.get_int_max_str_digits and no
     # limit; slots stay under the 4300 digits this interpreter still enforces
     rng = random.Random(r * 100 + n)
     big = 10**1000
 
-    def operand(size):
-        return [[rng.randint(-big, big) for _ in range(r)] for _ in range(size)]
+    def operand():
+        return [[rng.randint(-big, big) for _ in range(r)] for _ in range(n)]
 
-    u, v = operand(n), operand(n + extra)
+    u, v = operand(), operand()
     monkeypatch.delattr(sys, "get_int_max_str_digits")
-    assert correlate(u, pack(v, _bound(u, v))) == block_correlation(u, v)
+    assert correlate(u, pack(v, _bound(u, v)), wrap) == wrapped_block_correlation(u, v, wrap)

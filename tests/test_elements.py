@@ -2,8 +2,9 @@
 
 ZpElement, ZqElement and FqElement share one copy of the ring operations,
 elements._PolyResidue.  A property checks each against int arithmetic mod
-its modulus, with an int on either side, and the hash rule of the base:
-equal Z_p, Z_q and canonical int scalars hash alike.  The rest pins
+its modulus, with an int on either side of every operator, /, == included,
+and the hash rule of the base: equal Z_p, Z_q and canonical int scalars
+hash alike.  The rest pins
 ZpElement's public contract.
 """
 
@@ -31,6 +32,7 @@ INTS = st.integers(min_value=-(10**6), max_value=10**6)
 def test_ring_operations_agree_with_int_arithmetic(ring, a, b):
     make, m = RINGS[ring]
     x = make(a)
+    assert x == a and a == x and x == a + m and x != a + 1
     for y in (b, make(b)):
         assert x + y == make(a + b) and y + x == make(a + b)
         assert x - y == make(a - b) and y - x == make(b - a)
@@ -41,6 +43,11 @@ def test_ring_operations_agree_with_int_arithmetic(ring, a, b):
         else:
             with pytest.raises(ZeroDivisionError):
                 x / y
+        if a % FQ.p:
+            assert y / x == make(b * pow(a, -1, m))
+        else:
+            with pytest.raises(ZeroDivisionError):
+                y / x
 
 
 @settings(max_examples=200, deadline=None)
@@ -71,6 +78,23 @@ def test_int_and_zp_scalar_operations_at_5_2_4():
     assert 3 - zq.base.element(3) == 0
     assert zq.base.element(3) / 2 == 3 * pow(2, -1, 625)
     assert len({zq.scalar(3), zq.base.element(3), 3}) == 1
+
+
+def test_int_over_an_element_at_5_2_4():
+    fq, zq = contexts(5, 2, 4)
+    assert 2 / zq.scalar(3) == zq.scalar(2 * pow(3, -1, 625))
+    assert 2 / zq.base.element(3) == 2 * pow(3, -1, 625)
+    assert 2 / fq.scalar(3) == fq.scalar(4)
+    with pytest.raises(TypeError):
+        "2" / fq.scalar(3)  # F_q takes no str, and says so itself
+
+
+def test_fq_scalars_equal_ints_mod_p():
+    fq, _ = contexts(5, 2, 4)
+    x = fq.scalar(3)
+    assert x == 3 and 3 == x and x == 8 and x != 4 and x - 3 == 0
+    assert hash(x) == hash(3) and len({x, 3}) == 1
+    assert fq.coerce((3, 1)) != 3  # not a scalar
 
 
 def test_zp_element_shares_the_ring_base():

@@ -226,7 +226,7 @@ def test_zq_product_reduces_to_fq_product():
 # row per case, with the F_q (5^2) and the Z_q (5^2 at N = 3) outcome.  An
 # outcome is the result's coefficients, a bool, or the exception raised.
 _COERCIONS = {
-    "one == 1": (False, True),
+    "one == 1": (True, True),  # an int compares mod p in F_q, mod p^N in Z_q
     "one == Z_p one": (False, True),
     "x + (1, 0)": ((3, 3), TypeError),
     "x + 'a'": (TypeError, TypeError),

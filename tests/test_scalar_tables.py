@@ -17,7 +17,12 @@ from math import gcd
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import block_correlation, character_transform, evaluate_g_pointwise
+from oracles import (
+    character_transform,
+    coefficient_table_by_rows,
+    evaluate_g_pointwise,
+    wrapped_block_correlation,
+)
 
 from padichg import gfunction, padic, rational
 from padichg.finitefield import FqContext, correlate, memo, pack, poly_mulmod, poly_reduce
@@ -40,10 +45,10 @@ def _assert_scalars(values, full):
     assert all(not any(t.coeffs[1:]) for t in full)
 
 
-@pytest.mark.parametrize(
-    "p,r,n",
-    [(5, 2, 4), (7, 2, 3), (3, 2, 5), (5, 3, 3), (3, 3, 4), (3, 4, 4), (5, 4, 2), (3, 5, 3)],
-)
+FIELDS = [(5, 2, 4), (7, 2, 3), (3, 2, 5), (5, 3, 3), (3, 3, 4), (3, 4, 4), (5, 4, 2), (3, 5, 3)]
+
+
+@pytest.mark.parametrize("p,r,n", FIELDS)
 def test_value_tables_are_the_constant_coefficients_of_the_zq_transform(p, r, n):
     zq = _zq(p, r, n)
     families = CLAUSEN_FAMILIES + (EULER_FAMILIES if p > 3 else [])
@@ -52,6 +57,60 @@ def test_value_tables_are_the_constant_coefficients_of_the_zq_transform(p, r, n)
         assert all(isinstance(v, int) and 0 <= v < zq.modulus for v in values)
         table = gfunction._scaled_table(upper, lower, zq)
         _assert_scalars(values, character_transform(zq, table))
+
+
+@pytest.mark.parametrize("p,r,n", FIELDS)
+def test_rotation_table_matches_the_per_row_table(p, r, n):
+    # one row set per Frobenius rotation gives the per-(k, i) table entry
+    # for entry, for the five suite families, a family not closed under
+    # x -> p x (p = 2 mod 3) and one with a negative total exponent
+    zq = _zq(p, r, n)
+    families = CLAUSEN_FAMILIES + (EULER_FAMILIES if p > 3 else [])
+    if p % 3 == 2:
+        families += [(((1, 3),), ((0, 1),))]
+    for upper, lower in families:
+        got = gfunction._coefficient_table(upper, lower, zq)
+        assert got == coefficient_table_by_rows(upper, lower, zq), (upper, lower)
+    if p != 5:  # 1/5 is not in Z_5
+        negative = (((1, 4), (1, 2)), ((0, 1), (1, 5)))
+        for build in (gfunction._coefficient_table, coefficient_table_by_rows):
+            with pytest.raises(EvaluationIntegrityError, match="negative total"):
+                build(*negative, zq)
+
+
+@pytest.mark.parametrize("p,r,n", [(5, 2, 3), (5, 4, 2), (11, 2, 2)])
+def test_a_family_not_closed_under_frobenius_stays_uncertified(p, r, n):
+    # {1/3} times p = 2 mod 3 is {2/3}: two rotations, and a table that
+    # fails the certificate, refused by value_table as before
+    zq = _zq(p, r, n)
+    upper, lower = ((1, 3),), ((0, 1),)
+    table = gfunction._coefficient_table(upper, lower, zq)
+    assert table == coefficient_table_by_rows(upper, lower, zq)
+    assert any(table[p * a % (zq.q - 1)] != c for a, c in enumerate(table))
+    with pytest.raises(EvaluationIntegrityError, match="Frobenius certificate"):
+        value_table(upper, lower, zq)
+
+
+def test_one_rotation_per_paper_family(monkeypatch):
+    # every suite family is closed under x -> p x, so at r = 3 its table
+    # builds one row set, where the per-(k, i) table built 3 per parameter
+    builds = []
+    rows = gfunction._rotation_rows
+
+    def counting(alphas, betas, *args):
+        builds.append((alphas, betas))
+        return rows(alphas, betas, *args)
+
+    monkeypatch.setattr(gfunction, "_rotation_rows", counting)
+    zq = _zq(7, 3, 3)
+    for upper, lower in EULER_FAMILIES + CLAUSEN_FAMILIES:
+        builds.clear()
+        value_table(upper, lower, zq)
+        assert len(builds) == 1, (upper, lower)
+    builds.clear()
+    with pytest.raises(EvaluationIntegrityError):
+        value_table(((1, 3),), ((0, 1),), _zq(5, 3, 3))
+    assert len(builds) == 2  # 1/3, 2/3 (= 5/3 mod 1), 1/3 (= 25/3 mod 1)
 
 
 def _invariant_table(draw, p, r, m):
@@ -104,12 +163,13 @@ def test_orbit_reads_equal_a_read_of_every_block(p, r, n):
 
 @pytest.mark.parametrize("rows", [[0], [4, 1, 7], [], list(range(9))[::-1]])
 def test_correlate_reads_the_requested_rows(rows):
-    u = [[3, -1], [0, 2], [-5, 4]]
+    u = [[5 * j % 11 - 5, j % 3 - 1] for j in range(11)]  # signed, |entry| <= 5
     v = [[3 * j % 11 - 5, 7 * j % 13 - 6] for j in range(11)]  # signed, |entry| <= 6
     bound = len(u) * 2 * 5 * 6
-    full = block_correlation(u, v)
-    assert correlate(u, pack(v, bound)) == full
-    assert correlate(u, pack(v, bound), rows) == [full[k] for k in rows]
+    for wrap in (1, -1):
+        full = wrapped_block_correlation(u, v, wrap)
+        assert correlate(u, pack(v, bound), wrap) == full
+        assert correlate(u, pack(v, bound), wrap, rows) == [full[k] for k in rows]
 
 
 def test_broken_certificate_raises(monkeypatch):
@@ -208,8 +268,8 @@ def test_euler_tables_take_the_integer_path(monkeypatch):
 
     read = padic.correlate
 
-    def counting(u, v, rows=None):
-        blocks = read(u, v, rows)
+    def counting(u, v, wrap, rows=None):
+        blocks = read(u, v, wrap, rows)
         calls.append(("blocks", len(blocks)))
         return blocks
 
