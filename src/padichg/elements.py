@@ -1,10 +1,13 @@
 """The element API: ring elements and the nGn facade over the integer tables.
 
 FqElement (F_q), ZqElement (Z_q / p^N) and ZpElement (Z/p^N) are immutable
-elements of the contexts of finitefield, padic and zmod.  All three share
-one ring base, _PolyResidue, a coefficient vector reduced mod its context's
-modulus (ZpElement's has one coefficient); each keeps its own coercions,
-inverse and repr, and FqElement and ZqElement their power.
+elements of the contexts of finitefield, padic and zmod.  One ring base,
+_PolyResidue, holds the rules of all three: an element is a vector of int
+coefficients reduced mod its context's modulus (ZpElement's has one), a
+non-int coefficient is a TypeError, an element equals an int or an element
+of the same ring compared mod the modulus and nothing else (never an
+error), and x ** e is a square-and-multiply power, through inverse() for
+e < 0.  Each type keeps its own coercions, inverse and repr.
 GParams, GValue and evaluate_g read the nGn value tables of gfunction at one
 point, and sum a family without the Frobenius certificate point by point.
 
@@ -28,18 +31,23 @@ from .zmod import PadicContext, balanced_residue, recover_residue
 class _PolyResidue:
     """An immutable coefficient vector of (Z/m)[x] / (f), m = context.modulus.
 
-    The ring operations shared by FqElement (m = p), ZqElement (m = p^N) and
-    ZpElement (f = x, m = p^N); each reads the other operand through its own
-    _coerce, which returns a residue of the same ring or NotImplemented.  A
-    scalar (every coefficient after the first zero) hashes as its residue, so
-    equal Z_p and Z_q scalars and the int in [0, m) they equal hash alike.
+    The one rule set of FqElement (m = p), ZqElement (m = p^N) and ZpElement
+    (f = x, m = p^N): construction, equality, hash, power and the ring
+    operations.  Each type reads the other operand through its own _coerce,
+    which returns a residue of the same ring or NotImplemented, and raises
+    TypeError or ValueError for an operand of another ring, context or p^N.
+    A scalar (every coefficient after the first zero) hashes as its residue,
+    so equal Z_p and Z_q scalars and the int in [0, m) they equal hash alike.
     """
 
     __slots__ = ("context", "coeffs")
 
-    def __init__(self, context, coeffs: tuple[int, ...]):
+    def __init__(self, context, coeffs):
+        coeffs = tuple(coeffs)
+        if not all(isinstance(c, int) for c in coeffs):
+            raise TypeError(f"coefficients must be ints, not {coeffs!r}")
         self.context = context
-        self.coeffs = coeffs
+        self.coeffs = tuple(c % context.modulus for c in coeffs)
 
     def _with(self, coeffs: tuple[int, ...]):
         """An element of this type and context; coeffs are already reduced."""
@@ -51,15 +59,25 @@ class _PolyResidue:
         return all(c == 0 for c in self.coeffs)
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, type(self))
-            and self.context is other.context
-            and self.coeffs == other.coeffs
-        )
+        """Equal to an int or an element of the same ring, mod the modulus;
+        unequal to an element of another ring, context or p^N."""
+        if not isinstance(other, (int, _PolyResidue)):
+            return NotImplemented
+        try:
+            o = self._coerce(other)
+        except (TypeError, ValueError):
+            return False
+        return NotImplemented if o is NotImplemented else self.coeffs == o.coeffs
 
     def __hash__(self):
         c = self.coeffs
         return hash(c if any(c[1:]) else c[0])
+
+    def __pow__(self, e: int):
+        if e < 0:
+            return self.inverse() ** -e
+        ctx = self.context
+        return self._with(poly_powmod(self.coeffs, e, ctx._neg_poly, ctx.modulus))
 
     def __add__(self, other):
         o = self._coerce(other)
@@ -112,28 +130,13 @@ class FqElement(_PolyResidue):
         ctx = self.context
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero in F_q")
-        return FqElement(ctx, ctx.powers[-ctx.dlog[self.coeffs] % (ctx.q - 1)])
-
-    def __pow__(self, e: int) -> "FqElement":
-        ctx = self.context
-        if self.is_zero():
-            if e < 0:
-                raise ZeroDivisionError("negative power of zero in F_q")
-            return ctx.one if e == 0 else ctx.zero
-        return FqElement(ctx, ctx.powers[ctx.dlog[self.coeffs] * e % (ctx.q - 1)])
+        return self._with(ctx.powers[-ctx.dlog[self.coeffs] % (ctx.q - 1)])
 
     def dlog(self) -> int:
         """Discrete log base the context generator; undefined at zero."""
         if self.is_zero():
             raise ZeroDivisionError("dlog of zero")
         return self.context.dlog[self.coeffs]
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            other = self.context.coerce(other)  # equal mod p, as ZqElement is mod p^N
-        return super().__eq__(other)
-
-    __hash__ = _PolyResidue.__hash__  # a class defining __eq__ must restate it
 
     def __repr__(self):
         if self.context.r == 1:
@@ -159,20 +162,13 @@ class ZqElement(_PolyResidue):
             return ctx.scalar(other)
         return NotImplemented
 
-    def __pow__(self, e: int) -> "ZqElement":
-        if e < 0:
-            return self.inverse() ** (-e)
-        ctx = self.context
-        return ZqElement(ctx, poly_powmod(self.coeffs, e, ctx._neg_poly, ctx.modulus))
-
     def inverse(self) -> "ZqElement":
         """Unit inverse via Hensel lifting from the residue-field inverse."""
         ctx = self.context
         red = ctx.reduce_mod_p(self)
         if red.is_zero():
             raise ZeroDivisionError("non-unit in Z_q (reduction mod p is zero)")
-        seed = red.inverse()
-        y = ZqElement(ctx, tuple(int(c) for c in seed.coeffs))
+        y = ZqElement(ctx, red.inverse().coeffs)
         # y -> y(2 - xy) doubles the precision each round
         k = 1
         while k < ctx.precision:
@@ -181,13 +177,6 @@ class ZqElement(_PolyResidue):
         if not (self * y == ctx.one):
             raise ArithmeticError("Hensel inversion failed")  # defensive
         return y
-
-    def __eq__(self, other):
-        if isinstance(other, (int, ZpElement)):
-            other = self.context.scalar(other)
-        return super().__eq__(other)
-
-    __hash__ = _PolyResidue.__hash__  # a class defining __eq__ must restate it
 
     def __repr__(self):
         ctx = self.context
@@ -202,7 +191,7 @@ class ZpElement(_PolyResidue):
     __slots__ = ()
 
     def __init__(self, context: PadicContext, residue: int):
-        super().__init__(context, (residue % context.modulus,))
+        super().__init__(context, (residue,))
 
     @property
     def residue(self) -> int:
@@ -214,26 +203,17 @@ class ZpElement(_PolyResidue):
     def inverse(self) -> "ZpElement":
         if not self.is_unit():
             raise ZeroDivisionError("non-unit in Z_p (residue divisible by p)")
-        return ZpElement(self.context, pow(self.residue, -1, self.context.modulus))
+        return self._with((pow(self.residue, -1, self.context.modulus),))
 
     def _coerce(self, other):
         if isinstance(other, ZpElement):
-            # contexts are equal by p^N, which fixes (p, N), as in __eq__
+            # contexts are equal by p^N, which fixes (p, N)
             if other.context.modulus != self.context.modulus:
                 raise ValueError("mixed Z_p contexts")
             return other
         if isinstance(other, int):
             return ZpElement(self.context, other)
         return NotImplemented  # a ZqElement takes a Z_p scalar itself
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            return self.residue == other % self.context.modulus
-        if not isinstance(other, ZpElement):
-            return NotImplemented  # a ZqElement compares a Z_p scalar itself
-        return self.context.modulus == other.context.modulus and self.coeffs == other.coeffs
-
-    __hash__ = _PolyResidue.__hash__
 
     def __int__(self):
         return self.residue

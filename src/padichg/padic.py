@@ -70,10 +70,10 @@ class UnramifiedContext:
     def element(self, coeffs) -> "ZqElement":
         from .elements import ZqElement
 
-        coeffs = tuple(int(c) % self.modulus for c in coeffs)
-        if len(coeffs) != self.r:
+        x = ZqElement(self, coeffs)
+        if len(x.coeffs) != self.r:
             raise ValueError(f"expected {self.r} coefficients")
-        return ZqElement(self, coeffs)
+        return x
 
     def scalar(self, value) -> "ZqElement":
         """Embed an integer or ZpElement as a constant vector."""
@@ -83,7 +83,7 @@ class UnramifiedContext:
             if value.context.p != self.base.p or value.context.precision != self.precision:
                 raise ValueError("Z_p scalar from a mismatched context")
             value = value.residue
-        return ZqElement(self, (value % self.modulus,) + (0,) * (self.r - 1))
+        return ZqElement(self, (value,) + (0,) * (self.r - 1))
 
     def dlog(self, t: "FqElement") -> int:
         """dlog of a nonzero t of this context's field, the index into the power table."""

@@ -228,6 +228,7 @@ def test_zq_product_reduces_to_fq_product():
 _COERCIONS = {
     "one == 1": (True, True),  # an int compares mod p in F_q, mod p^N in Z_q
     "one == Z_p one": (False, True),
+    "one == mismatched Z_p one": (False, False),  # another p^N: unequal, not an error
     "x + (1, 0)": ((3, 3), TypeError),
     "x + 'a'": (TypeError, TypeError),
     "'a' * x": (TypeError, TypeError),
@@ -255,6 +256,7 @@ def _coercion_case(ring, case):
     return ctx, {
         "one == 1": lambda: ctx.one == 1,
         "one == Z_p one": lambda: ctx.one == zp_one,
+        "one == mismatched Z_p one": lambda: ctx.one == ZpElement(PadicContext(5, 4), 1),
         "x + (1, 0)": lambda: x + (1, 0),
         "x + 'a'": lambda: x + "a",
         "'a' * x": lambda: "a" * x,
