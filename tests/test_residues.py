@@ -3,12 +3,13 @@
 GammaCache.gamma(Fraction(num, den)) against the prefix product of the
 unreduced num * den^-1; the residue table GammaCache.residues(d) against
 both; the integer floor identities against their Fraction forms; and the
-gamma suite, case by case, against its Fraction form, both clean and with
-every Gamma_p value perturbed.
+gamma suite, case by case, against its Fraction form, both clean and under
+each Gamma_p fault of conftest; and the count of residues the suite reads.
 """
 
 from fractions import Fraction as F
 from functools import lru_cache
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +21,8 @@ from oracles import (
     prefix_gamma_nat,
 )
 
+from padichg import pgamma
+from padichg.jobs import DEFAULT_BATTERY
 from padichg.padic import PadicContext
 from padichg.pgamma import GammaCache
 from padichg.rational import check_floor_identity_A, check_floor_identity_B
@@ -119,9 +122,15 @@ def test_floor_identities_match_fraction_forms_exhaustive(p, r):
             )
 
 
-# (5, 2) and (5, 3) compare the integer phi(3) with the F_q one at +1 and -1
+# (5, 2) and (5, 3) compare the integer phi(3) with the F_q one at +1 and -1;
+# at (5, 1), (11, 1) and (5, 3), d = lcm(q-1, 6) exceeds q-1 (step = 3), so
+# the period d/t of the suite's S_t tables does not divide q-1
 _GAMMA_JOBS = [
     (3, 1, None),
+    (5, 1, None),
+    (7, 1, None),
+    (11, 1, None),
+    (13, 1, None),
     (3, 2, None),
     (5, 2, None),
     (7, 2, None),
@@ -130,12 +139,22 @@ _GAMMA_JOBS = [
     (211, 1, 3),
 ]
 
+# every Gamma_p fixture of conftest: one planted value reaches every case that
+# shares its S_t entry, while the Fraction form recomputes each case alone
+_GAMMA_FAULTS = {
+    "clean": None,
+    "corrupted": "corrupted_gamma",
+    "last_digit": "corrupted_gamma_last_digit",
+    "five_sixths": "corrupted_gamma_five_sixths",
+    "quarter": "corrupted_gamma_quarter",
+}
 
-@pytest.mark.parametrize("corrupt", [False, True], ids=["clean", "corrupted"])
+
+@pytest.mark.parametrize("fault", _GAMMA_FAULTS.values(), ids=_GAMMA_FAULTS)
 @pytest.mark.parametrize("p,r,precision", _GAMMA_JOBS)
-def test_gamma_suite_matches_fraction_form(request, corrupt, p, r, precision):
-    if corrupt:
-        request.getfixturevalue("corrupted_gamma")
+def test_gamma_suite_matches_fraction_form(request, fault, p, r, precision):
+    if fault:
+        request.getfixturevalue(fault)
     job = JobSpec(p, r, "gamma", precision=precision, record_cases=True)
     got = run_job(job)
     want = gamma_identities_fraction(
@@ -144,4 +163,18 @@ def test_gamma_suite_matches_fraction_form(request, corrupt, p, r, precision):
     assert got.case_rows == want.case_rows
     assert [f._asdict() for f in got.failures] == [f._asdict() for f in want.failures]
     assert (got.cases_total, got.cases_passed) == (want.cases_total, want.cases_passed)
-    assert bool(got.failures) == corrupt
+    if fault in (None, "corrupted_gamma"):
+        assert bool(got.failures) == bool(fault)
+
+
+@pytest.mark.parametrize("p,r", DEFAULT_BATTERY + ((3, 3), (5, 3), (17, 2), (211, 1)))
+def test_gamma_suite_reads_exactly_its_d_residues(p, r):
+    # the suite's tables read each of the d residues of its one residue table,
+    # and the Gamma_p cache holds no table but that one and the digit table
+    pgamma._caches.clear()
+    job = JobSpec(p, r, "gamma")
+    assert run_job(job).passed()
+    d = lcm(p**r - 1, *(t for t in (2, 3, 6) if t % p))
+    cache = pgamma.gamma_cache(PadicContext(p, job.precision))
+    assert set(cache.tables) == {(pgamma._digit_table,), (pgamma._ResidueTable, d)}
+    assert len(cache.residues(d)) == d
