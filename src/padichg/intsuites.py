@@ -3,17 +3,19 @@
 gamma checks the Gamma_p product formulas mod p^N, floors the floor lemmas
 of rational.  gamma builds two kinds of table once per job, the
 orbit-product table f over Z/d and one shifted-product table S_t per t, and
-answers each case from a constant number of reads.  Both need only pgamma,
-rational and zmod, so a run whose jobs are all gamma or floors loads no
-F_q, Z_q or nGn code.  jobs.run_job imports this module at the first
-integer job; it alone imports rational, so a run of field suites alone
-loads neither.
+answers each case from a constant number of reads.  Like the field suites,
+each opens with report = Report(job), which refuses a p below its least p,
+counts its cases and returns it; jobs.run_job times it.  Both need only
+pgamma, rational and zmod, so a run whose jobs are all gamma or floors
+loads no F_q, Z_q or nGn code.  jobs.run_job imports this module at the
+first integer job; it alone imports rational, so a run of field suites
+alone loads neither.
 """
 
-from math import lcm, prod
+from math import gcd, lcm, prod
 
 from . import rational
-from .jobs import JobSpec, Report, _digits, _fmt_scalar, _require
+from .jobs import JobSpec, Report, _digits, _fmt_scalar
 from .pgamma import gamma_cache
 from .zmod import PadicContext
 
@@ -29,11 +31,12 @@ def verify_gamma_identities(job: JobSpec) -> Report:
     f[x] = prod_{i<r} Gamma_p(<x p^i / d>), and the right side of the
     t-products is one read of S_t[v] = prod_{h<t} f[v + h d/t], v < d/t
     (adding d/t to u permutes the t arguments), so each case is a constant
-    number of reads.  Both sides are integers mod p^N: omega(-1) = -1, for
+    number of reads.  S_t holds only the v that are multiples of
+    g = gcd(d/(q-1), d/t), the residues u mod d/t take, at index v // g.  Both sides are integers mod p^N: omega(-1) = -1, for
     t in F_p, omega(t) = t^(p^(N-1)) mod p^N, and phi(3) = 3^((q-1)/2) mod p
     (Euler's criterion), so no field context is built.
     """
-    _require(job)
+    report = Report(job)
     p, r, q, n = job.p, job.r, job.q, job.precision
     m = p**n
     d = lcm(q - 1, *(t for t in (2, 3, 6) if t % p))
@@ -42,7 +45,6 @@ def verify_gamma_identities(job: JobSpec) -> Report:
     for i in range(1, r):  # at r = 1, f is the residue table itself
         pi = p**i % d
         f = [f[x] * gammas[x * pi % d] % m for x in range(d)]
-    report = Report(job)
 
     def show():  # the current case's residues; Report.case calls it at once
         return _fmt_scalar(lhs, p, r, n), _fmt_scalar(rhs, p, r, n)
@@ -67,7 +69,8 @@ def verify_gamma_identities(job: JobSpec) -> Report:
         if t % p == 0:
             continue  # lemma hypothesis p does not divide t
         c = d // t
-        shifted = [prod(f[v + h * c] for h in range(t)) % m for v in range(c)]  # S_t
+        g = gcd(step, c)  # every u mod c is a multiple of g
+        shifted = [prod(f[v + h * c] for h in range(t)) % m for v in range(0, c, g)]  # S_t
         base = prod(f[h * c] for h in range(1, t)) % m  # not S_t[0] / f[0]: f[0] may be wrong
         w_step = pow(t, t * p ** (n - 1), m)  # omega(t)^t
         w_step_inv = pow(w_step, -1, m)
@@ -75,11 +78,11 @@ def verify_gamma_identities(job: JobSpec) -> Report:
         for a in range(q - 1):
             u = a * step
             lhs = w_down * base * f[-t * u % d] % m
-            rhs = shifted[-u % c]
+            rhs = shifted[-u % c // g]
             report.case(f"product-down t={t} a={a}", lhs == rhs, show)
 
             lhs = w_up * base * f[t * u % d] % m
-            rhs = shifted[u % c]
+            rhs = shifted[u % c // g]
             report.case(f"product-up t={t} a={a}", lhs == rhs, show)
             w_up, w_down = w_up * w_step % m, w_down * w_step_inv % m
 
@@ -91,15 +94,14 @@ def verify_gamma_identities(job: JobSpec) -> Report:
             val == phi3 % m,
             lambda: (_digits(val, p, n), f"phi(3)={phi3}"),
         )
-    return report.done()
+    return report
 
 
 def verify_floor_lemmas(job: JobSpec) -> Report:
     """Exhaustive integer floor identities: family A over a != (q-1)/2, then
     family B over a > 0, each for all i < r, in ascending (a, i) order."""
-    _require(job)
-    p, q, r = job.p, job.q, job.r
     report = Report(job)
+    p, q, r = job.p, job.q, job.r
     # read off the module at each call, where bench/tracing.py wraps them
     for a in range(q - 1):
         if 2 * a == q - 1:
@@ -111,7 +113,7 @@ def verify_floor_lemmas(job: JobSpec) -> Report:
         for i in range(r):
             ok = rational.check_floor_identity_B(p, q, a, i)
             report.case(f"B a={a} i={i}", ok, lambda: ("sides differ", ""))
-    return report.done()
+    return report
 
 
 SUITES = {"gamma": verify_gamma_identities, "floors": verify_floor_lemmas}

@@ -5,13 +5,16 @@ default precision; SUITE_NAMES, SUITE_MIN_P and default_precision read it.
 A job is one suite at one field and precision (JobSpec); run_job runs it
 and returns its Report, which counts every case as the suite checks it and
 lists every failing one.  Sweeps follow ascending case order, so the first
-recorded failure is the smallest failing input.
+recorded failure is the smallest failing input.  This module owns a job's
+lifecycle: run_job times the suite call and turns an ArithmeticError into
+an aborted report, so a suite only opens its Report and counts its cases.
 
 Admission is JobSpec's own: a job too costly to finish (Gamma_p table work,
 packed-correlation size) or below its suite's recovery precision is refused
 when it is made, from its integers alone, so every JobSpec that exists can
 run.  A field below its suite's least p is admitted; run_job records it as
-skipped, and the suites, called directly on it, raise ValueError.
+skipped, and Report(job) refuses it with ValueError, so a suite called
+directly on it raises.
 
 run_job loads the code of a job's suite at the first job that needs it:
 intsuites at the first gamma or floors job (INTEGER_SUITES), suites, with
@@ -99,9 +102,16 @@ CaseFailure = namedtuple("CaseFailure", "case left right")
 
 class Report:
     """Outcome of one job, counted case by case from its creation;
-    cases_total = cases_passed + len(failures).  A skipped job counts none."""
+    cases_total = cases_passed + len(failures).  A skipped job counts none.
+
+    Only a skipped report may hold a field below its suite's least p: a
+    suite opens its report first, so a direct call on such a field raises
+    ValueError here.  run_job sets elapsed_ms."""
 
     def __init__(self, job: JobSpec, skipped: bool = False):
+        min_p = SUITE_MIN_P[job.suite]
+        if job.p < min_p and not skipped:
+            raise ValueError(f"suite {job.suite!r} requires p >= {min_p}, got p={job.p}")
         self.suite, self.p, self.r = job.suite, job.p, job.r
         self.precision, self.q = job.precision, job.q
         self.record_cases = job.record_cases
@@ -110,7 +120,6 @@ class Report:
         self.failures: list[CaseFailure] = []
         self.case_rows: list[dict] = []
         self.elapsed_ms = 0.0
-        self._t0 = time.perf_counter()
 
     def case(self, label: str, ok: bool, describe):
         """Count one case; describe() -> (left, right) is called only on failure."""
@@ -123,11 +132,6 @@ class Report:
             self.failures.append(CaseFailure(label, left, right))
         if self.record_cases:
             self.case_rows.append({"case": label, "ok": ok, "left": left, "right": right})
-
-    def done(self) -> "Report":
-        """Stop the clock and return the report."""
-        self.elapsed_ms = (time.perf_counter() - self._t0) * 1000.0
-        return self
 
     def passed(self) -> bool:
         return self.skipped or not self.failures
@@ -170,13 +174,6 @@ def _fmt_scalar(v: int, p: int, r: int, n: int) -> str:
     v %= m
     coords = [_digits(v, p, n)] + [_digits(0, p, n)] * (r - 1)
     return "|".join(coords) + f" (={balanced_residue(v, m)})"
-
-
-def _require(job: JobSpec):
-    """Refuse a direct suite call on a field below the suite's least p."""
-    min_p = SUITE_MIN_P[job.suite]
-    if job.p < min_p:
-        raise ValueError(f"suite {job.suite!r} requires p >= {min_p}, got p={job.p}")
 
 
 # Bound on the decimal digits of the packed correlation product of a field
@@ -224,7 +221,10 @@ def run_job(job: JobSpec) -> Report:
 
     A suite that raises ArithmeticError (a value past its recovery bound, a
     broken certificate) fails its job: the Report holds one failure naming
-    the exception, so the run still writes every record.
+    the exception, so the run still writes every record.  elapsed_ms is the
+    wall time of the suite call in every outcome, the table builds it
+    triggers included; loading the suite's module is not timed, and a
+    skipped job reads 0.
     """
     if job.p < SUITE_MIN_P[job.suite]:
         return Report(job, skipped=True)
@@ -232,10 +232,11 @@ def run_job(job: JobSpec) -> Report:
         from .intsuites import SUITES  # Gamma_p and rational only, at the first integer job
     else:
         from .suites import SUITES  # the field layers load at the first field job
-    verify = SUITES[job.suite]
-    aborted = Report(job)  # started now, so it times the job up to the exception
+    start = time.perf_counter()
     try:
-        return verify(job)
+        report = SUITES[job.suite](job)
     except ArithmeticError as exc:
-        aborted.case("aborted", False, lambda: (type(exc).__name__, str(exc)))
-        return aborted.done()
+        report = Report(job)
+        report.case("aborted", False, lambda: (type(exc).__name__, str(exc)))
+    report.elapsed_ms = (time.perf_counter() - start) * 1000.0
+    return report

@@ -1,11 +1,13 @@
 """The six field suites: theorem-level verifiers over every point of one F_q.
 
 Each suite compares hypergeometric values or character-sum oracles over
-every admissible x (or lambda) of one field, and returns a Report listing
+every admissible x (or lambda) of one field: it opens with
+report = Report(job), counts each case on it, and returns it, so it lists
 every failing case.  Sweeps follow the coefficient-lexicographic element
-order, so the first recorded failure is the smallest failing input.  Suites
-raise ValueError when called directly on a field violating their
-hypothesis; run_job records such fields as skipped instead.
+order, so the first recorded failure is the smallest failing input.
+Report(job) raises ValueError on a field violating the suite's hypothesis,
+so a direct call does; run_job records such fields as skipped instead, and
+times each job itself.
 
 The job model (JobSpec, which admits a job when it is made, Report,
 run_job) lives in jobs and is re-exported here; a job reaches a suite only
@@ -44,7 +46,6 @@ from .jobs import (  # noqa: F401  (the job model, re-exported)
     Report,
     _digits,
     _fmt_scalar,
-    _require,
     default_precision,
     run_job,
 )
@@ -140,11 +141,10 @@ def _recovery_bound(modulus: int) -> int:
 def verify_euler_transform(job: JobSpec) -> Report:
     """G[1/3,2/3;0,1/2 | 1/x] = phi(1-x) G[1/6,5/6;0,1/2 | 1/x] for x outside
     {0,1}, plus the x = 1 case with phi(3) in place of phi(1-x)."""
-    _require(job)
+    report = Report(job)
     fq, zq = contexts(job.p, job.r, job.precision)
     n, m, zech = fq.q - 1, zq.modulus, fq.zech_table()
     left, right = value_table(*_EULER_LEFT, zq), value_table(*_EULER_RIGHT, zq)
-    report = Report(job)
     for x, k in _sweep_points(fq, skip=(0,)):
         lhs = left[-k % n]
         rhs = _phi_scaled(right[-k % n], zech[(k + n // 2) % n], m)
@@ -152,19 +152,18 @@ def verify_euler_transform(job: JobSpec) -> Report:
     # x = 1, where 1/x = g^0
     lhs, rhs = left[0], _phi_scaled(right[0], fq.scalar_dlog(3), m)
     report.case("x=1 (phi(3) case)", lhs == rhs, lambda: _fmt_pair(zq, lhs, rhs))
-    return report.done()
+    return report
 
 
 def verify_zero_classification(job: JobSpec) -> Report:
     """Both G-values vanish exactly iff phi(3x(1-x)) = -1 iff the cubic
     27y^2(1-y) - 4x has exactly one root."""
-    _require(job)
+    report = Report(job)
     fq, zq = contexts(job.p, job.r, job.precision)
     n, m, zech = fq.q - 1, zq.modulus, fq.zech_table()
     bound = _recovery_bound(m)
     left, right = value_table(*_EULER_LEFT, zq), value_table(*_EULER_RIGHT, zq)
     roots, d3, d4 = root_table(fq, _CUBIC_27), fq.scalar_dlog(3), fq.scalar_dlog(4)
-    report = Report(job)
     for x, k in _sweep_points(fq, skip=(0,)):
         v1 = recover_residue(left[-k % n], m, bound)
         v2 = recover_residue(right[-k % n], m, bound)
@@ -179,31 +178,30 @@ def verify_zero_classification(job: JobSpec) -> Report:
                 f"phi(3x(1-x))={'-1' if crit else '+1'}, single-root={one_root}",
             ),
         )
-    return report.done()
+    return report
 
 
 def verify_clausen(job: JobSpec) -> Report:
     """G3[1/2,1/2,1/2;0,0,0 | 1/x] = phi(1-x) G2[1/4,3/4;0,0 | (x-1)/x]^2
     - q phi(1-x) for x outside {0,1}; admits p = 3."""
-    _require(job)
+    report = Report(job)
     fq, zq = contexts(job.p, job.r, job.precision)
     q, n, m, zech = fq.q, fq.q - 1, zq.modulus, fq.zech_table()
     h = n // 2
     cube, square = value_table(*_CLAUSEN_CUBE, zq), value_table(*_CLAUSEN_SQUARE, zq)
-    report = Report(job)
     for x, k in _sweep_points(fq, skip=(0,)):
         z = zech[(k + h) % n]
         lhs = cube[-k % n]
         g = square[(z + h - k) % n]
         rhs = _phi_scaled((g * g - q) % m, z, m)
         report.case(f"x={_label(x)}", lhs == rhs, lambda: _fmt_pair(zq, lhs, rhs))
-    return report.done()
+    return report
 
 
 def verify_proposition_oracles(job: JobSpec) -> Report:
     """G[1/3,2/3;0,1/2 | 1/x] + 1 and 1 + phi(3x) G[1/6,5/6;0,1/2 | 1/x] both
     equal the root count of the scaled cubic, for every x != 0."""
-    _require(job)
+    report = Report(job)
     fq, zq = contexts(job.p, job.r, job.precision)
     n, m = fq.q - 1, zq.modulus
     bound = _recovery_bound(m)
@@ -211,7 +209,6 @@ def verify_proposition_oracles(job: JobSpec) -> Report:
     roots1, roots2 = root_table(fq, _CUBIC_27), root_table(fq, _CUBIC_SCALED)
     d3, d4 = fq.scalar_dlog(3), fq.scalar_dlog(4)
     d4_27 = fq.scalar_dlog(-4) - fq.scalar_dlog(27)  # -c_0 = 4x, then -4x/27
-    report = Report(job)
     for x, k in _sweep_points(fq):
         c1, c2 = roots1[(d4 + k) % n], roots2[(d4_27 + k) % n]
         v1 = recover_residue(left[-k % n], m, bound)
@@ -226,20 +223,19 @@ def verify_proposition_oracles(job: JobSpec) -> Report:
                 f"root counts ({c1}, {c2})",
             ),
         )
-    return report.done()
+    return report
 
 
 def verify_inversion(job: JobSpec) -> Report:
     """G[0,1/2;1/6,5/6 | x] = G[1/6,5/6;0,1/2 | 1/x] for all x != 0."""
-    _require(job)
+    report = Report(job)
     fq, zq = contexts(job.p, job.r, job.precision)
     n = fq.q - 1
     swapped, right = value_table(*_EULER_RIGHT[::-1], zq), value_table(*_EULER_RIGHT, zq)
-    report = Report(job)
     for x, k in _sweep_points(fq):
         lhs, rhs = swapped[k], right[-k % n]
         report.case(f"x={_label(x)}", lhs == rhs, lambda: _fmt_pair(zq, lhs, rhs))
-    return report.done()
+    return report
 
 
 def verify_charsum_chain(job: JobSpec) -> Report:
@@ -259,14 +255,13 @@ def verify_charsum_chain(job: JobSpec) -> Report:
     """
     from .charsums import A_values, B_values, a_values, aop_identity_at, h_values
 
-    _require(job)
+    report = Report(job)
     fq, zq = contexts(job.p, job.r, job.precision)
     q, n, m, zech = fq.q, fq.q - 1, zq.modulus, fq.zech_table()
     h, d4 = n // 2, fq.scalar_dlog(4)
     cube, square = value_table(*_CLAUSEN_CUBE, zq), value_table(*_CLAUSEN_SQUARE, zq)
     small_a, big_as, hs, bs = a_values(fq), A_values(fq), h_values(zq), B_values(zq)
     phi2, phim1, phim2 = fq.scalar_char(2), fq.scalar_char(-1), fq.scalar_char(-2)
-    report = Report(job)
     for lam, k in _sweep_points(fq, skip=(h,)):
         z = zech[k]  # dlog(lam + 1)
         a_val = small_a[-z % n]
@@ -293,7 +288,7 @@ def verify_charsum_chain(job: JobSpec) -> Report:
                 f"A={big_a}, a={a_val}, checks={checks}",
             ),
         )
-    return report.done()
+    return report
 
 
 SUITES = {

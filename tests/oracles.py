@@ -75,7 +75,6 @@ from padichg.suites import (
     _fmt_scalar,
     _label,
     _recovery_bound,
-    _require,
     contexts,
 )
 
@@ -444,13 +443,12 @@ def charsums_admits(p, r, precision):
 
 def gamma_identities_fraction(job):
     """intsuites.verify_gamma_identities with every Gamma_p argument a Fraction."""
-    _require(job)
+    report = Report(job)
     fq, zq = contexts(job.p, job.r, job.precision)
     p, r, q, m = job.p, job.r, job.q, zq.modulus
     cache = gamma_cache(zq.base)
     minus_one = -fq.one
     half = Fraction(1, 2)
-    report = Report(job)
 
     def gprod(args):
         acc = 1
@@ -517,7 +515,7 @@ def gamma_identities_fraction(job):
             val == expect,
             lambda: (_digits(val, p, job.precision), f"phi(3)={quadratic_char(fq.scalar(3))}"),
         )
-    return report.done()
+    return report
 
 
 def phi_scaled(value, sign):
@@ -532,9 +530,8 @@ def sweep_elements(fq, exclude=()):
 
 def euler_transform_pointwise(job):
     """suites.verify_euler_transform, one GParams and F_q element argument per point."""
-    _require(job)
-    fq, zq = contexts(job.p, job.r, job.precision)
     report = Report(job)
+    fq, zq = contexts(job.p, job.r, job.precision)
     for x in sweep_elements(fq, exclude=(fq.zero, fq.one)):
         t = x.inverse()
         lhs = evaluate_g(GParams(*_EULER_LEFT, t, zq)).value
@@ -549,15 +546,14 @@ def euler_transform_pointwise(job):
         quadratic_char(fq.scalar(3)),
     )
     report.case("x=1 (phi(3) case)", lhs == rhs, lambda: (_fmt(lhs), _fmt(rhs)))
-    return report.done()
+    return report
 
 
 def zero_classification_pointwise(job):
     """suites.verify_zero_classification, one GParams and F_q element argument per point."""
-    _require(job)
+    report = Report(job)
     fq, zq = contexts(job.p, job.r, job.precision)
     bound = _recovery_bound(zq.modulus)
-    report = Report(job)
     for x in sweep_elements(fq, exclude=(fq.zero, fq.one)):
         t = x.inverse()
         v1 = recover_bounded_integer(evaluate_g(GParams(*_EULER_LEFT, t, zq)).value, bound)
@@ -574,30 +570,28 @@ def zero_classification_pointwise(job):
                 f"phi(3x(1-x))={'-1' if crit else '+1'}, single-root={one_root}",
             ),
         )
-    return report.done()
+    return report
 
 
 def clausen_pointwise(job):
     """suites.verify_clausen, one GParams and F_q element argument per point."""
-    _require(job)
+    report = Report(job)
     fq, zq = contexts(job.p, job.r, job.precision)
     q_elem = zq.scalar(fq.q)
-    report = Report(job)
     for x in sweep_elements(fq, exclude=(fq.zero, fq.one)):
         lhs = evaluate_g(GParams(*_CLAUSEN_CUBE, x.inverse(), zq)).value
         g = evaluate_g(GParams(*_CLAUSEN_SQUARE, (x - fq.one) / x, zq)).value
         rhs = phi_scaled(g * g - q_elem, quadratic_char(fq.one - x))
         report.case(f"x={_label(x.coeffs)}", lhs == rhs, lambda: (_fmt(lhs), _fmt(rhs)))
-    return report.done()
+    return report
 
 
 def proposition_oracles_pointwise(job):
     """suites.verify_proposition_oracles, one GParams and F_q element argument per point."""
-    _require(job)
+    report = Report(job)
     fq, zq = contexts(job.p, job.r, job.precision)
     bound = _recovery_bound(zq.modulus)
     inv27 = fq.scalar(27).inverse()
-    report = Report(job)
     for x in sweep_elements(fq, exclude=(fq.zero,)):
         t = x.inverse()
         c1 = count_roots([fq.scalar(-4) * x, fq.zero, fq.scalar(27), fq.scalar(-27)])
@@ -616,30 +610,28 @@ def proposition_oracles_pointwise(job):
                 f"root counts ({c1}, {c2})",
             ),
         )
-    return report.done()
+    return report
 
 
 def inversion_pointwise(job):
     """suites.verify_inversion, one GParams and F_q element argument per point."""
-    _require(job)
-    fq, zq = contexts(job.p, job.r, job.precision)
     report = Report(job)
+    fq, zq = contexts(job.p, job.r, job.precision)
     for x in sweep_elements(fq, exclude=(fq.zero,)):
         lhs = evaluate_g_inverted(GParams(*_EULER_RIGHT, x, zq)).value
         rhs = evaluate_g(GParams(*_EULER_RIGHT, x.inverse(), zq)).value
         report.case(f"x={_label(x.coeffs)}", lhs == rhs, lambda: (_fmt(lhs), _fmt(rhs)))
-    return report.done()
+    return report
 
 
 def charsum_chain_pointwise(job):
     """suites.verify_charsum_chain, one GParams and F_q element argument per point."""
-    _require(job)
+    report = Report(job)
     fq, zq = contexts(job.p, job.r, job.precision)
     q = fq.q
     phi2 = quadratic_char(fq.scalar(2))
     phim1 = quadratic_char(fq.scalar(-1))
     phim2 = quadratic_char(fq.scalar(-2))
-    report = Report(job)
     for lam in sweep_elements(fq, exclude=(fq.zero, -fq.one)):
         a_val = sum_a(lam)
         big_a = sum_A(lam)
@@ -669,4 +661,4 @@ def charsum_chain_pointwise(job):
                 f"A={big_a}, a={a_val}, checks={checks}",
             ),
         )
-    return report.done()
+    return report

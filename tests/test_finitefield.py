@@ -16,7 +16,8 @@ from padichg.finitefield import (
     quadratic_char,
     smallest_irreducible,
 )
-from padichg.suites import DEFAULT_BATTERY
+from padichg.gfunction import value_table
+from padichg.suites import DEFAULT_BATTERY, contexts
 
 
 def test_make_fq_examples():
@@ -168,6 +169,37 @@ def test_count_roots_errors():
         count_roots([f5.one, f5.zero, f5.zero, f5.zero, f5.one])  # degree 4
     with pytest.raises(TypeError):  # no F_q element names the field
         count_roots([-1, 0, 1])
+
+
+# refusals of the context readers at q = 25, each with its message
+_REFUSALS = {
+    "value_table_str_pair": (
+        lambda fq, zq: value_table((("1", 2),), ((0, 1),), zq),
+        TypeError,
+        r"upper parameter \('1', 2\) is not a pair of integers",
+    ),
+    "value_table_zero_den": (
+        lambda fq, zq: value_table(((1, 0),), ((0, 1),), zq),
+        ZeroDivisionError,
+        r"upper parameter \(1, 0\) has denominator 0",
+    ),
+    "scalar_dlog_of_p": (lambda fq, zq: fq.scalar_dlog(5), ZeroDivisionError, "dlog of zero"),
+    "dlog_of_zero": (lambda fq, zq: fq.zero.dlog(), ZeroDivisionError, "dlog of zero"),
+    "fq_short_tuple": (lambda fq, zq: fq.coerce((1,)), ValueError, "expected 2 coefficients"),
+    "zq_short_tuple": (lambda fq, zq: zq.element((1,)), ValueError, "expected 2 coefficients"),
+    "count_roots_zero": (
+        lambda fq, zq: count_roots([fq.zero, 0]),
+        ValueError,
+        "zero polynomial has no well-defined root count",
+    ),
+}
+
+
+@pytest.mark.parametrize("call,error,message", _REFUSALS.values(), ids=_REFUSALS)
+def test_context_readers_refuse(call, error, message):
+    fq, zq = contexts(5, 2, 4)
+    with pytest.raises(error, match=message):
+        call(fq, zq)
 
 
 def test_count_roots_against_direct_scan():

@@ -6,7 +6,7 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import prefix_gamma_nat
+from oracles import jacobi_sum, prefix_gamma_nat
 
 from padichg.padic import PadicContext
 from padichg.pgamma import (
@@ -15,6 +15,7 @@ from padichg.pgamma import (
     check_feasible,
     gamma_cache,
 )
+from padichg.suites import contexts
 
 
 def brute_gamma_nat(n, p, modulus):
@@ -230,3 +231,72 @@ def test_reflection_property(case):
     r_x = num * pow(den, -1, p) % p or p  # R(x) in {1..p}, R(x) = x mod p
     product = cache.gamma(x).residue * cache.gamma(1 - x).residue % m
     assert product == (-1) ** r_x % m
+
+
+# Gross-Koblitz: the Jacobi sum of two Teichmuller characters is a Gamma_p
+# product.  The left side (oracles.jacobi_sum) reads the Teichmuller table
+# and no Gamma_p; the right side reads only the residue table GammaCache
+# .residues(q-1) and no Teichmuller table, so each side checks the other.
+_GROSS_KOBLITZ_FIELDS = [
+    (5, 1, 4), (7, 1, 4), (13, 1, 3), (3, 2, 4), (5, 2, 3), (3, 3, 4), (7, 2, 3)
+]
+
+
+def _digit_sum(j, p):
+    total = 0
+    while j:
+        j, digit = divmod(j, p)
+        total += digit
+    return total
+
+
+def gross_koblitz_mismatches(p, r, precision):
+    """The pairs (a, b), a, b in 1..q-2 with a + b != 0 mod q-1, at which
+
+    J(omega-bar^a, omega-bar^b) = -(-p)^c prod_{i<r} G[a p^i] G[b p^i] / G[(a+b) p^i]
+
+    fails, where G[x] = Gamma_p(<x/(q-1)>), indices mod q-1, and
+    c = (s(a) + s(b) - s((a+b) mod q-1)) / (p-1), s the base-p digit sum."""
+    _, zq = contexts(p, r, precision)
+    n, m = p**r - 1, zq.modulus
+    g = gamma_cache(zq.base).residues(n)
+    frobenius = [p**i % n for i in range(r)]
+    bad = []
+    for a in range(1, n):
+        for b in range(1, n):
+            s = (a + b) % n
+            if s == 0:
+                continue
+            c = (_digit_sum(a, p) + _digit_sum(b, p) - _digit_sum(s, p)) // (p - 1)
+            value = -((-p) ** c)
+            for pi in frobenius:
+                value = value * g[a * pi % n] * g[b * pi % n] * pow(g[s * pi % n], -1, m) % m
+            if jacobi_sum(a, b, zq) != zq.scalar(value):
+                bad.append((a, b))
+    return bad
+
+
+@pytest.mark.parametrize("p,r,precision", _GROSS_KOBLITZ_FIELDS)
+def test_gross_koblitz_jacobi_sums(p, r, precision):
+    assert gross_koblitz_mismatches(p, r, precision) == []
+
+
+# every Gamma_p fixture and every Teichmuller fixture of conftest: each
+# patches one side of the identity alone, and the fields it breaks are
+# pinned.  A planted Gamma_p(1/4) or Gamma_p(5/6) is read only where 4 or 6
+# divides q-1; every other fault breaks every field
+_GROSS_KOBLITZ_FAULTS = {
+    "corrupted_gamma": 1,
+    "corrupted_gamma_last_digit": 1,
+    "corrupted_gamma_five_sixths": 6,
+    "corrupted_gamma_quarter": 4,
+    "corrupted_teichmuller": 1,
+    "conjugate_teichmuller": 1,
+}
+
+
+@pytest.mark.parametrize("fault,den", _GROSS_KOBLITZ_FAULTS.items(), ids=_GROSS_KOBLITZ_FAULTS)
+def test_gross_koblitz_detects_fault(request, fault, den):
+    request.getfixturevalue(fault)
+    broken = [f for f in _GROSS_KOBLITZ_FIELDS if gross_koblitz_mismatches(*f)]
+    assert broken == [(p, r, n) for p, r, n in _GROSS_KOBLITZ_FIELDS if (p**r - 1) % den == 0]

@@ -131,6 +131,7 @@ _GAMMA_JOBS = [
     (7, 1, None),
     (11, 1, None),
     (13, 1, None),
+    (17, 1, None),  # q = 2 mod 3: S_3 and S_6 hold every third v
     (3, 2, None),
     (5, 2, None),
     (7, 2, None),

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import charsums_admits, default_precision_by_search
 
-from padichg import charsums, intsuites, pgamma, suites
+from padichg import charsums, intsuites, jobs, pgamma, suites
 from padichg.charsums import B_values, h_values
 from padichg.cli import _render_csv, _render_json
 from padichg.elements import FqElement, ZqElement
@@ -179,6 +179,42 @@ def test_run_job_skips_instead():
     rep = run_job(JobSpec(3, 1, "euler"))
     assert rep.skipped and rep.passed()
     assert rep.cases_total == 0 and not rep.failures
+
+
+def test_report_refuses_a_field_below_the_least_p():
+    job = JobSpec(3, 1, "floors")
+    with pytest.raises(ValueError, match="suite 'floors' requires p >= 5, got p=3"):
+        Report(job)
+    assert Report(job, skipped=True).skipped
+
+
+class _FakeClock:
+    """A perf_counter that moves only when a test advances it."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def perf_counter(self):
+        return self.now
+
+
+def test_run_job_times_the_whole_job(monkeypatch, request):
+    # building the contexts takes 10 s on this clock: run_job's elapsed_ms
+    # holds it, whether the job passes or aborts; a skipped job reads 0
+    clock, build = _FakeClock(), suites.contexts
+
+    def slow_contexts(*args):
+        clock.now += 10.0
+        return build(*args)
+
+    monkeypatch.setattr(jobs, "time", clock)
+    monkeypatch.setattr(suites, "contexts", slow_contexts)
+    assert run_job(JobSpec(5, 1, "euler")).elapsed_ms >= 10_000
+    assert run_job(JobSpec(3, 1, "euler")).elapsed_ms == 0.0
+    request.getfixturevalue("corrupted_gamma")
+    rep = run_job(JobSpec(5, 1, "zeros"))
+    assert [f.case for f in rep.failures] == ["aborted"]
+    assert rep.elapsed_ms >= 10_000
 
 
 def test_euler_case_counts_and_pass():
