@@ -176,13 +176,9 @@ def sum_B(lam: "FqElement", zq: UnramifiedContext) -> "ZqElement":
 def verify_aop_identity(lam: "FqElement") -> bool:
     """Exact integer identity A(lam, q) = phi(lam+1) (a(lam, q)^2 - q)."""
     fq = lam.context
-    if lam.is_zero() or (lam + fq.one).is_zero():
+    shifted = lam + fq.one
+    if lam.is_zero() or shifted.is_zero():
         raise ValueError("the identity requires lam outside {0, -1}")
-    return aop_identity_at(fq, lam.dlog())
-
-
-def aop_identity_at(fq: FqContext, k: int) -> bool:
-    """verify_aop_identity at lam = g^k != -1, where dlog(lam + 1) = zech[k]."""
-    z = fq.zech_table()[k]
-    a = memo(fq, _a_table)[-z % (fq.q - 1)]
-    return memo(fq, _A_table)[k] == (1 - 2 * (z & 1)) * (a * a - fq.q)
+    z = shifted.dlog()
+    a = a_values(fq)[-z % (fq.q - 1)]
+    return A_values(fq)[lam.dlog()] == (1 - 2 * (z & 1)) * (a * a - fq.q)

@@ -1,11 +1,11 @@
 """F_{p^r} with a full discrete-log table, the quadratic character, and root counting.
 
-Contexts are deterministic: the defining polynomial is the lexicographically
-smallest monic irreducible of degree r over F_p (coefficients ordered
-c_0, c_1, ..., c_{r-1}), and the generator is the smallest element in
-coefficient-lexicographic order of multiplicative order q - 1.  Elements are
-coefficient vectors in the power basis of that polynomial; tables hold bare
-tuples (powers[k] = g^k).  F_q = Z[x]/(f, p) and Z_q/p^N = Z[x]/(f, p^N)
+Contexts are deterministic: the defining polynomial f = x^r - (n_0 + n_1 x +
+... + n_{r-1} x^{r-1}) is the one with (n_{r-1}, ..., n_0) least in lex
+order such that x has multiplicative order q - 1 mod f.  Such an f is
+primitive, so irreducible, and the generator is x mod f: one search gives
+both.  Elements are coefficient vectors in the power basis of f; tables hold
+bare tuples (powers[k] = g^k).  F_q = Z[x]/(f, p) and Z_q/p^N = Z[x]/(f, p^N)
 share poly_mulmod, poly_powmod and poly_powers.  The element facade
 FqElement lives in padichg.elements; the context builds one on demand, so a
 run that reads only tables never loads it.
@@ -30,25 +30,6 @@ from .zmod import check_field, memo
 
 # zech_table entry at d = (q-1)/2, where 1 + g^d = 0 has no dlog
 ZECH_UNDEFINED = -1
-
-
-def _is_irreducible(poly: list[int], p: int) -> bool:
-    """Trial division by all monic polynomials of degree <= deg/2."""
-    deg = len(poly) - 1
-    for d in range(1, deg // 2 + 1):
-        for neg_tail in itertools.product(range(p), repeat=d):  # -tail runs over F_p^d too
-            if not any(poly_reduce(list(poly), neg_tail, p)):
-                return False
-    return True
-
-
-def smallest_irreducible(p: int, r: int) -> tuple[int, ...]:
-    """Low-order coefficients (c_0 .. c_{r-1}) of the chosen monic polynomial."""
-    for tail in itertools.product(range(p), repeat=r):
-        low = list(tail)  # lex order on (c_0, ..., c_{r-1})
-        if _is_irreducible(low + [1], p):
-            return tuple(low)
-    raise AssertionError("no irreducible polynomial found")  # unreachable
 
 
 def poly_mulmod(a: tuple, b: tuple, neg_poly: tuple, m: int) -> tuple[int, ...]:
@@ -220,6 +201,28 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
+def primitive_polynomial(p: int, r: int) -> tuple[int, ...]:
+    """(n_0, ..., n_{r-1}) of the chosen f = x^r - (n_0 + n_1 x + ... + n_{r-1} x^{r-1}):
+    the least in lex order on (n_{r-1}, ..., n_0) with x of order q - 1 mod f.
+
+    Such an f is primitive, hence irreducible: were it reducible, (F_p[x]/f)^*
+    would have fewer than q - 1 elements.  The tests x^((q-1)/l) != 1, for
+    each prime l | q - 1, come first because they reject most candidates.
+    """
+    n, one = p**r - 1, (1,) + (0,) * (r - 1)
+    cofactors = [n // ell for ell in _prime_factors(n)]
+    for high_first in itertools.product(range(p), repeat=r):
+        neg_poly = high_first[::-1]
+        if not neg_poly[0]:
+            continue
+        x = poly_reduce([0, 1] + [0] * (r - 1), neg_poly, p)
+        if all(poly_powmod(x, e, neg_poly, p) != one for e in cofactors) and (
+            poly_powmod(x, n, neg_poly, p) == one
+        ):
+            return neg_poly
+    raise AssertionError("no primitive polynomial found")  # unreachable
+
+
 class FqContext:
     """The field F_q, q = p^r, with generator and complete dlog table.
 
@@ -233,28 +236,14 @@ class FqContext:
         self.p = self.modulus = p
         self.r = r
         self.q = q = p**r
-        self.poly = smallest_irreducible(p, r)
-        # x^r = -(c_0 + c_1 x + ... + c_{r-1} x^{r-1})
-        self._neg_poly = tuple((-c) % p for c in self.poly)
-        self._generator = self._find_generator()
+        self._neg_poly = primitive_polynomial(p, r)
+        # f = x^r + c_{r-1} x^{r-1} + ... + c_0 with c_j = -n_j
+        self.poly = tuple((-c) % p for c in self._neg_poly)
+        self._generator = poly_reduce([0, 1] + [0] * (r - 1), self._neg_poly, p)  # x mod f
         # powers[k] = g^k as a coefficient tuple, and dlog its inverse
         self.powers = poly_powers(self._generator, q - 1, self._neg_poly, p)
         self.dlog = {c: k for k, c in enumerate(self.powers)}
         self.tables: dict[tuple, object] = {}  # filled by memo
-
-    def _order(self, x: tuple[int, ...]) -> bool:
-        """True iff x has multiplicative order exactly q - 1 (no dlog table needed)."""
-        n, one = self.q - 1, self._scalar_coeffs(1)
-        return any(x) and all(
-            poly_powmod(x, n // ell, self._neg_poly, self.p) != one
-            for ell in _prime_factors(n)
-        )
-
-    def _find_generator(self) -> tuple[int, ...]:
-        for t in itertools.product(range(self.p), repeat=self.r):
-            if self._order(t):
-                return t
-        raise AssertionError("no generator found")  # unreachable
 
     def _scalar_coeffs(self, n: int) -> tuple[int, ...]:
         return (n % self.p,) + (0,) * (self.r - 1)

@@ -253,7 +253,7 @@ def verify_charsum_chain(job: JobSpec) -> Report:
     actually satisfy; they are forced by (vi) together with (v), and were
     fixed in advance by independent hand computation at q = 5.
     """
-    from .charsums import A_values, B_values, a_values, aop_identity_at, h_values
+    from .charsums import A_values, B_values, a_values, h_values
 
     report = Report(job)
     fq, zq = contexts(job.p, job.r, job.precision)
@@ -276,7 +276,7 @@ def verify_charsum_chain(job: JobSpec) -> Report:
             h_val == big_a % m,
             b_val == (-phi_shift + phim1 * a_val) % m,
             -phi2 * v2 == a_val,
-            aop_identity_at(fq, k),
+            big_a == _phi(z) * (a_val * a_val - q),
             b_val == (-phi_shift - phim2 * v2) % m,
         )
         report.case(

@@ -46,6 +46,12 @@ phi is index parity.  Their references here are the object sweeps, one
 GParams and evaluate_g call per point, with every argument built by F_q
 element arithmetic.
 
+The defining polynomial of F_q is, in production, the first candidate of
+one search whose root x passes the order test by prime cofactors of q - 1,
+which makes it primitive and so irreducible.  Its references here are trial
+division by every monic polynomial of degree <= r/2 and the order of x found
+by stepping x^k -> x^(k+1) until it returns to 1.
+
 A suite's default precision and the charsums admission bound are closed
 forms in production, read from jobs.SUITE_POLICY; their references here are
 the search for the least N >= floor with p^N > 2*bound and the comparison
@@ -54,13 +60,14 @@ p^N > 2q^2 itself.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from functools import lru_cache
 from math import floor, lcm
 from operator import mul
 
 from padichg.charsums import sum_A, sum_a, sum_B, sum_h, verify_aop_identity
-from padichg.finitefield import count_roots, discriminant_sign_check, quadratic_char
+from padichg.finitefield import count_roots, discriminant_sign_check, poly_reduce, quadratic_char
 from padichg.elements import GParams, evaluate_g, evaluate_g_inverted, recover_bounded_integer
 from padichg.gfunction import EvaluationIntegrityError
 from padichg.pgamma import gamma_cache
@@ -141,6 +148,44 @@ def power_by_objects(x, e):
             out = out * x
         x = x * x
         e >>= 1
+    return out
+
+
+def is_irreducible(poly, p):
+    """Trial division of the monic poly (coefficients ascending) by every
+    monic polynomial of degree <= deg/2."""
+    deg = len(poly) - 1
+    for d in range(1, deg // 2 + 1):
+        for neg_tail in itertools.product(range(p), repeat=d):  # -tail runs over F_p^d too
+            if not any(poly_reduce(list(poly), neg_tail, p)):
+                return False
+    return True
+
+
+def x_order(neg_poly, p):
+    """The multiplicative order of x mod f = x^r - sum_j neg_poly[j] x^j,
+    stepping x^k -> x^(k+1); 0 when x is no unit, that is neg_poly[0] = 0."""
+    if not neg_poly[0]:
+        return 0
+    one = (1,) + (0,) * (len(neg_poly) - 1)
+    power, k = one, 0
+    while True:
+        top = power[-1]  # the x^r term of x * x^k, folded by x^r = sum_j neg_poly[j] x^j
+        power = tuple((low + top * n) % p for low, n in zip((0,) + power[:-1], neg_poly))
+        k += 1
+        if power == one:
+            return k
+
+
+def primitive_polynomials(p, r):
+    """Every neg_poly of degree r with x of order p^r - 1, in the order
+    FqContext searches them: (neg_poly[r-1], ..., neg_poly[0]) ascending."""
+    out = []
+    for high_first in itertools.product(range(p), repeat=r):
+        neg_poly = high_first[::-1]
+        monic = [(-c) % p for c in neg_poly] + [1]
+        if is_irreducible(monic, p) and x_order(neg_poly, p) == p**r - 1:
+            out.append(neg_poly)
     return out
 
 

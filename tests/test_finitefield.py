@@ -1,11 +1,12 @@
 import functools
 import itertools
+import math
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import char_value, count_roots_scan
+from oracles import char_value, count_roots_scan, is_irreducible, primitive_polynomials
 
 from padichg import finitefield
 from padichg.elements import FqElement
@@ -13,8 +14,8 @@ from padichg.finitefield import (
     FqContext,
     count_roots,
     discriminant_sign_check,
+    primitive_polynomial,
     quadratic_char,
-    smallest_irreducible,
 )
 from padichg.gfunction import value_table
 from padichg.suites import DEFAULT_BATTERY, contexts
@@ -37,18 +38,20 @@ def test_make_fq_examples():
         FqContext(3, 10**9)  # refused before p^r
 
 
-def test_defining_polynomial_is_lex_smallest_irreducible():
-    # independent scan: no lex-smaller monic polynomial may be irreducible
+def test_defining_polynomial_is_least_primitive():
+    # independent scan: x generates and is a root of poly, and no candidate
+    # before the chosen one in the search order makes x of order q - 1
     for p, r in ((3, 2), (5, 2), (7, 2)):
-        chosen = smallest_irreducible(p, r)
         ctx = FqContext(p, r)
-        assert ctx.poly == chosen
         alpha = FqElement(ctx, (0, 1))
-        # the power-basis root satisfies the polynomial
+        assert alpha == ctx.generator
         acc = alpha * alpha
-        for e, c in enumerate(chosen):
+        for e, c in enumerate(ctx.poly):
             acc = acc + ctx.scalar(c) * alpha**e
         assert acc.is_zero()
+        assert ctx.one not in [alpha**k for k in range(1, ctx.q - 1)]
+        assert alpha ** (ctx.q - 1) == ctx.one
+        assert primitive_polynomials(p, r)[0] == ctx._neg_poly
 
 
 def _moebius(n):
@@ -63,36 +66,47 @@ def _moebius(n):
     return -out if n > 1 else out
 
 
+def _totient(n):
+    return sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
+
+
 @pytest.mark.parametrize("p,max_d", [(3, 6), (5, 4), (7, 3)])
 def test_irreducible_counts_match_gauss_formula(p, max_d):
-    # monic irreducibles of degree d over F_p: (1/d) sum_(e | d) mu(d/e) p^e
+    # monic irreducibles of degree d over F_p: (1/d) sum_(e | d) mu(d/e) p^e,
+    # and the primitive ones among them: phi(p^d - 1) / d
     for d in range(1, max_d + 1):
         gauss = sum(_moebius(d // e) * p**e for e in range(1, d + 1) if d % e == 0) // d
         monic = (list(tail) + [1] for tail in itertools.product(range(p), repeat=d))
-        assert sum(finitefield._is_irreducible(f, p) for f in monic) == gauss, d
+        assert sum(is_irreducible(f, p) for f in monic) == gauss, d
+        assert len(primitive_polynomials(p, d)) == _totient(p**d - 1) // d, d
 
 
-# pinned, so that no change to the trial division moves the defining
-# polynomial of the default battery's fields or of four large ones
-SMALLEST_IRREDUCIBLE = {
-    (3, 1): (0,),
-    (5, 1): (0,),
-    (7, 1): (0,),
-    (11, 1): (0,),
-    (13, 1): (0,),
-    (3, 2): (1, 0),
-    (5, 2): (1, 1),
-    (7, 2): (1, 0),
-    (3, 10): (1, 0, 0, 0, 0, 0, 0, 0, 2, 0),
-    (5, 6): (1, 0, 0, 0, 1, 1),
-    (7, 5): (1, 0, 0, 0, 3),
-    (251, 2): (1, 0),
+# pinned, so that no change to the search moves the defining polynomial
+# (c_0, ..., c_{r-1}) of the default battery's fields or of four large ones
+PRIMITIVE_POLYNOMIAL = {
+    (3, 1): (1,),
+    (5, 1): (3,),
+    (7, 1): (4,),
+    (11, 1): (9,),
+    (13, 1): (11,),
+    (3, 2): (2, 2),
+    (5, 2): (2, 4),
+    (7, 2): (3, 6),
+    (3, 10): (2, 2, 0, 2, 0, 0, 0, 0, 0, 0),
+    (5, 6): (2, 4, 0, 0, 0, 0),
+    (7, 5): (4, 6, 0, 0, 0),
+    (251, 2): (244, 250),
 }
 
 
-def test_smallest_irreducible_unchanged():
-    assert set(DEFAULT_BATTERY) <= set(SMALLEST_IRREDUCIBLE)
-    assert {pr: smallest_irreducible(*pr) for pr in SMALLEST_IRREDUCIBLE} == SMALLEST_IRREDUCIBLE
+def test_primitive_polynomial_unchanged():
+    assert set(DEFAULT_BATTERY) <= set(PRIMITIVE_POLYNOMIAL)
+    chosen = {
+        (p, r): tuple((-c) % p for c in primitive_polynomial(p, r)) for p, r in PRIMITIVE_POLYNOMIAL
+    }
+    assert chosen == PRIMITIVE_POLYNOMIAL
+    # a primitive polynomial is irreducible: trial division agrees
+    assert all(is_irreducible(list(c) + [1], p) for (p, _), c in PRIMITIVE_POLYNOMIAL.items())
 
 
 def test_field_axioms_exhaustive_f9():
@@ -219,20 +233,13 @@ def test_count_roots_against_direct_scan():
         assert count_roots(coeffs) == expected
 
 
-def test_count_roots_generator_independent():
-    class AltGenContext(FqContext):
-        def _find_generator(self):
-            hits = 0
-            for t in itertools.product(range(self.p), repeat=self.r):
-                if self._order(t):
-                    hits += 1
-                    if hits == 2:
-                        return t
-            raise AssertionError
-
+def test_count_roots_generator_independent(monkeypatch):
+    # F_7 built from its second primitive polynomial has another generator
     std = FqContext(7, 1)
-    alt = AltGenContext(7, 1)
-    assert std.generator != alt.generator
+    second = primitive_polynomials(7, 1)[1]
+    monkeypatch.setattr(finitefield, "primitive_polynomial", lambda p, r: second)
+    alt = FqContext(7, 1)
+    assert std._generator != alt._generator
     for xv in range(7):
         a = count_roots(_cubic_27(std, std.scalar(xv)))
         b = count_roots(_cubic_27(alt, alt.scalar(xv)))

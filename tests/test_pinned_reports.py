@@ -12,7 +12,10 @@ import hashlib
 import json
 
 import pytest
+from conftest import clear_shared_caches
+from oracles import primitive_polynomials
 
+from padichg import finitefield
 from padichg.cli import parse_args, run
 
 PASSING = {
@@ -39,7 +42,7 @@ CSV_SHA256 = {
     "gamma-211": "597cb6bac0663b010b9117dc63adeb042592f0b483c4952ec2ef64882ee3a75d",
 }
 
-FAILING_JSON_SHA256 = "8fffe5b96658c586b598cd936d431e3f68d65fbce3f184b49e9274f3d6792c83"
+FAILING_JSON_SHA256 = "f467276df99ac697af8416f90073ed7257889e51fb0980fc261f10297df1805b"
 
 
 def _report(argv, tmp_path):
@@ -80,3 +83,21 @@ def test_failing_report_pinned(corrupted_gamma, tmp_path):
     assert failed >= {"euler", "clausen", "gamma", "zeros", "oracles", "charsums"}
     assert aborted >= {"zeros", "oracles", "charsums"}
     assert _json_digest(data) == FAILING_JSON_SHA256
+
+
+@pytest.mark.parametrize("p,r", [(5, 2), (3, 3), (7, 2)])
+def test_passing_report_independent_of_basis(p, r, tmp_path, monkeypatch):
+    # a case label is a coefficient tuple and the sweep runs in coefficient
+    # order, so F_q built from its second primitive polynomial, in another
+    # power basis, renders the same bytes
+    argv = ["--p", str(p), "--r", str(r), "--suite", "all", "--format", "csv", "--verbose"]
+    clear_shared_caches()
+    reports = [_report(argv, tmp_path)]
+    second = primitive_polynomials(p, r)[1]
+    monkeypatch.setattr(finitefield, "primitive_polynomial", lambda p, r: second)
+    clear_shared_caches()
+    reports.append(_report(argv, tmp_path))
+    monkeypatch.undo()
+    clear_shared_caches()
+    assert reports[0] == reports[1]
+    assert reports[0][0] == 0

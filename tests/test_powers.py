@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import field_powers_by_objects, teichmuller_powers_by_objects
 
+from padichg import finitefield
 from padichg.elements import FqElement, ZqElement
 from padichg.finitefield import FqContext, poly_mulmod, poly_powers, poly_powmod
 from padichg.padic import UnramifiedContext
@@ -68,8 +69,8 @@ def test_power_tables_equal_the_object_built_ones(p, r, n):
 
 
 def test_power_tables_build_no_element_per_power(monkeypatch):
-    # a field and its Teichmuller powers build no element: the generator
-    # search tries coefficient tuples, and the contexts hold no zero or one
+    # a field and its Teichmuller powers build no element: the polynomial
+    # search tests coefficient tuples, and the contexts hold no zero or one
     counts = {}
     for p, r in ((7, 2), (5, 3)):
         built = Counter()
@@ -81,14 +82,14 @@ def test_power_tables_build_no_element_per_power(monkeypatch):
 
             monkeypatch.setattr(cls, "__init__", counting)
 
-        def counting_order(self, x, _order=FqContext._order):
-            built["candidates"] += 1
-            return _order(self, x)
+        def counting_powmod(a, e, neg_poly, m, _powmod=finitefield.poly_powmod):
+            built["order tests"] += 1
+            return _powmod(a, e, neg_poly, m)
 
-        monkeypatch.setattr(FqContext, "_order", counting_order)
+        monkeypatch.setattr(finitefield, "poly_powmod", counting_powmod)
         fq = FqContext(p, r)
         assert len(UnramifiedContext(fq, 5).omega_generator_powers()) == fq.q - 1
         monkeypatch.undo()
         counts[p, r] = built["FqElement"], built["ZqElement"]
-        assert built["candidates"] > 0
+        assert built["order tests"] > 0
     assert counts[7, 2] == counts[5, 3] == (0, 0), counts

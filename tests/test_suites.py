@@ -411,7 +411,7 @@ def test_failure_reports_are_unchanged(monkeypatch):
     reports.append(run_job(JobSpec(5, 1, "oracles", record_cases=True)))
     monkeypatch.setattr(suites, "_phi", phi)
     # the a table the sweep reads, which it imports from charsums when it
-    # runs; check (v) reads charsums' own tables
+    # runs; checks (iii), (iv) and (v) read it
     small_a = charsums.a_values
     monkeypatch.setattr(charsums, "a_values", lambda fq: [v + 1 for v in small_a(fq)])
     reports.append(run_job(JobSpec(5, 1, "charsums", record_cases=True)))
@@ -425,7 +425,7 @@ def test_failure_reports_are_unchanged(monkeypatch):
     assert (down.left, down.right) == ("3.4.0.4 (=-102)", "3.2.1.2 (=288)")
     chain = by_case[("charsums", "lam=1")]
     assert chain.left == "G3=5, h=0.1.0.0 (=5), B=4.4.4.4 (=-1), -phi(2)G2=0"
-    assert chain.right == "A=5, a=1, checks=(True, True, False, False, True, True)"
+    assert chain.right == "A=5, a=1, checks=(True, True, False, False, False, True)"
     rows = [row for rep in reports for row in rep.case_rows]
     assert all(row["left"] == row["right"] == "" for row in rows if row["ok"])
     assert [len(rep.failures) for rep in reports] == [4, 3, 0, 20, 5, 3, 3]
@@ -433,8 +433,8 @@ def test_failure_reports_are_unchanged(monkeypatch):
         rep.elapsed_ms = 0.0
     rendered = (_render_json(reports), _render_csv(reports, verbose=True))
     assert [hashlib.sha256(text.encode()).hexdigest() for text in rendered] == [
-        "ba8b74b52eebedbba3717b4b174691681abb6022353d48ebb9b6974fea6489d5",
-        "75b9d931845df4dfaa6e6ef0e002f042aa80bde21997297b9965eb4bd69033e4",
+        "d8e19466c38c53436717df8547afd76785d821077235ac61079f1428dee671f6",
+        "13f3f15d94006bc76d69bd2ac634282195c85e0a7e953b68cf5a7168d8b2a3be",
     ]
 
 
