@@ -1,5 +1,10 @@
 """The six field suites: theorem-level verifiers over every point of one F_q.
 
+Three are relations between two nGn families, each a record of RELATIONS
+swept by verify_relation: euler, clausen and inversion.  Three compare nGn
+values with oracles: zeros and oracles with root counts of cubics, charsums
+with character sums.  A new relation of the same shape is a new record.
+
 Each suite compares hypergeometric values or character-sum oracles over
 every admissible x (or lambda) of one field: it opens with
 report = Report(job), counts each case on it, and returns it, so it lists
@@ -32,6 +37,7 @@ value_table, so no suite builds a Fraction or an element, and a field run
 loads neither fractions nor padichg.elements.
 """
 
+import functools
 import itertools
 from importlib import import_module
 
@@ -122,36 +128,35 @@ def _phi(e: int) -> int:
     return -1 if e & 1 else 1  # phi(g^e)
 
 
-def _phi_scaled(value: int, k: int, m: int) -> int:
-    """phi(g^k) value mod m; q - 1 is even, so any representative k gives (-1)^k."""
-    return -value % m if k & 1 else value
-
-
-def _fmt_pair(zq: UnramifiedContext, lhs: int, rhs: int) -> tuple[str, str]:
-    """Two scalar residues as jobs._fmt_scalar prints them."""
-    p, r, n = zq.base.p, zq.r, zq.precision
-    return _fmt_scalar(lhs, p, r, n), _fmt_scalar(rhs, p, r, n)
-
-
 def _recovery_bound(modulus: int) -> int:
     # widest certifiable bound for the small-value suites, capped at 4
     return min(4, (modulus - 1) // 2)
 
 
-def verify_euler_transform(job: JobSpec) -> Report:
-    """G[1/3,2/3;0,1/2 | 1/x] = phi(1-x) G[1/6,5/6;0,1/2 | 1/x] for x outside
-    {0,1}, plus the x = 1 case with phi(3) in place of phi(1-x)."""
+def verify_relation(left, right, at, square, skip, at_one, job: JobSpec) -> Report:
+    """G[left | g^i] = phi(g^e) G[right | g^j], or phi(g^e) (G[right | g^j]^2 - q)
+    when square, at each x != 0 with dlog x outside skip, where
+    (i, j, e) = at(dlog x, dlog(1-x), (q-1)/2); then, if at_one is an
+    integer, the x = 1 case with dlog at_one in place of dlog(1-x).
+
+    This is the shape of Greene's transformation laws (Trans. AMS 301,
+    1987) in McCarthy's nGn form (IJNT 8, 2012): one family read at one
+    argument map of x, the other at a second, a phi sign on the right.
+    """
     report = Report(job)
     fq, zq = contexts(job.p, job.r, job.precision)
-    n, m, zech = fq.q - 1, zq.modulus, fq.zech_table()
-    left, right = value_table(*_EULER_LEFT, zq), value_table(*_EULER_RIGHT, zq)
-    for x, k in _sweep_points(fq, skip=(0,)):
-        lhs = left[-k % n]
-        rhs = _phi_scaled(right[-k % n], zech[(k + n // 2) % n], m)
-        report.case(f"x={_label(x)}", lhs == rhs, lambda: _fmt_pair(zq, lhs, rhs))
-    # x = 1, where 1/x = g^0
-    lhs, rhs = left[0], _phi_scaled(right[0], fq.scalar_dlog(3), m)
-    report.case("x=1 (phi(3) case)", lhs == rhs, lambda: _fmt_pair(zq, lhs, rhs))
+    q, n, m, zech = fq.q, fq.q - 1, zq.modulus, fq.zech_table()
+    h, fmt = n // 2, (job.p, job.r, job.precision)
+    lt, rt = value_table(*left, zq), value_table(*right, zq)
+    cases = ((f"x={_label(x)}", k, zech[(k + h) % n]) for x, k in _sweep_points(fq, skip))
+    if at_one is not None:
+        cases = itertools.chain(cases, [(f"x=1 (phi({at_one}) case)", 0, fq.scalar_dlog(at_one))])
+    for label, k, z in cases:
+        i, j, e = at(k, z, h)
+        lhs, g = lt[i % n], rt[j % n]
+        rhs = (g * g - q) % m if square else g
+        rhs = -rhs % m if e & 1 else rhs  # phi(g^e) = (-1)^e, q - 1 being even
+        report.case(label, lhs == rhs, lambda: (_fmt_scalar(lhs, *fmt), _fmt_scalar(rhs, *fmt)))
     return report
 
 
@@ -181,23 +186,6 @@ def verify_zero_classification(job: JobSpec) -> Report:
     return report
 
 
-def verify_clausen(job: JobSpec) -> Report:
-    """G3[1/2,1/2,1/2;0,0,0 | 1/x] = phi(1-x) G2[1/4,3/4;0,0 | (x-1)/x]^2
-    - q phi(1-x) for x outside {0,1}; admits p = 3."""
-    report = Report(job)
-    fq, zq = contexts(job.p, job.r, job.precision)
-    q, n, m, zech = fq.q, fq.q - 1, zq.modulus, fq.zech_table()
-    h = n // 2
-    cube, square = value_table(*_CLAUSEN_CUBE, zq), value_table(*_CLAUSEN_SQUARE, zq)
-    for x, k in _sweep_points(fq, skip=(0,)):
-        z = zech[(k + h) % n]
-        lhs = cube[-k % n]
-        g = square[(z + h - k) % n]
-        rhs = _phi_scaled((g * g - q) % m, z, m)
-        report.case(f"x={_label(x)}", lhs == rhs, lambda: _fmt_pair(zq, lhs, rhs))
-    return report
-
-
 def verify_proposition_oracles(job: JobSpec) -> Report:
     """G[1/3,2/3;0,1/2 | 1/x] + 1 and 1 + phi(3x) G[1/6,5/6;0,1/2 | 1/x] both
     equal the root count of the scaled cubic, for every x != 0."""
@@ -223,18 +211,6 @@ def verify_proposition_oracles(job: JobSpec) -> Report:
                 f"root counts ({c1}, {c2})",
             ),
         )
-    return report
-
-
-def verify_inversion(job: JobSpec) -> Report:
-    """G[0,1/2;1/6,5/6 | x] = G[1/6,5/6;0,1/2 | 1/x] for all x != 0."""
-    report = Report(job)
-    fq, zq = contexts(job.p, job.r, job.precision)
-    n = fq.q - 1
-    swapped, right = value_table(*_EULER_RIGHT[::-1], zq), value_table(*_EULER_RIGHT, zq)
-    for x, k in _sweep_points(fq):
-        lhs, rhs = swapped[k], right[-k % n]
-        report.case(f"x={_label(x)}", lhs == rhs, lambda: _fmt_pair(zq, lhs, rhs))
     return report
 
 
@@ -291,11 +267,24 @@ def verify_charsum_chain(job: JobSpec) -> Report:
     return report
 
 
+# the relation suites as verify_relation records (left, right, at, square,
+# skip, at_one); at maps (k, z, h) to the indices (i, j, e) of its docstring
+RELATIONS = {
+    # G[1/3,2/3;0,1/2 | 1/x] = phi(1-x) G[1/6,5/6;0,1/2 | 1/x], and phi(3) at x = 1
+    "euler": (_EULER_LEFT, _EULER_RIGHT, lambda k, z, h: (-k, -k, z), False, (0,), 3),
+    # G3[1/2,1/2,1/2;0,0,0 | 1/x] = phi(1-x) (G2[1/4,3/4;0,0 | (x-1)/x]^2 - q); admits p = 3
+    "clausen": (
+        _CLAUSEN_CUBE, _CLAUSEN_SQUARE, lambda k, z, h: (-k, z + h - k, z), True, (0,), None
+    ),
+    # G[0,1/2;1/6,5/6 | x] = G[1/6,5/6;0,1/2 | 1/x] for all x != 0
+    "inversion": (_EULER_RIGHT[::-1], _EULER_RIGHT, lambda k, z, h: (k, -k, 0), False, (), None),
+}
+
 SUITES = {
-    "euler": verify_euler_transform,
+    "euler": functools.partial(verify_relation, *RELATIONS["euler"]),
     "zeros": verify_zero_classification,
-    "clausen": verify_clausen,
+    "clausen": functools.partial(verify_relation, *RELATIONS["clausen"]),
     "oracles": verify_proposition_oracles,
-    "inversion": verify_inversion,
+    "inversion": functools.partial(verify_relation, *RELATIONS["inversion"]),
     "charsums": verify_charsum_chain,
 }

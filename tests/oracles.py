@@ -574,7 +574,7 @@ def sweep_elements(fq, exclude=()):
 
 
 def euler_transform_pointwise(job):
-    """suites.verify_euler_transform, one GParams and F_q element argument per point."""
+    """suites.RELATIONS["euler"], one GParams and F_q element argument per point."""
     report = Report(job)
     fq, zq = contexts(job.p, job.r, job.precision)
     for x in sweep_elements(fq, exclude=(fq.zero, fq.one)):
@@ -619,7 +619,7 @@ def zero_classification_pointwise(job):
 
 
 def clausen_pointwise(job):
-    """suites.verify_clausen, one GParams and F_q element argument per point."""
+    """suites.RELATIONS["clausen"], one GParams and F_q element argument per point."""
     report = Report(job)
     fq, zq = contexts(job.p, job.r, job.precision)
     q_elem = zq.scalar(fq.q)
@@ -659,7 +659,7 @@ def proposition_oracles_pointwise(job):
 
 
 def inversion_pointwise(job):
-    """suites.verify_inversion, one GParams and F_q element argument per point."""
+    """suites.RELATIONS["inversion"], one GParams and F_q element argument per point."""
     report = Report(job)
     fq, zq = contexts(job.p, job.r, job.precision)
     for x in sweep_elements(fq, exclude=(fq.zero,)):

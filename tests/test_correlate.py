@@ -74,6 +74,15 @@ def test_correlate_at_the_stated_bound(n, r, m):
     assert {k[r - 1] for k in correlate(u, pack(v, _bound(u, v)), 1)} == {-_bound(u, v)}
 
 
+def test_correlate_reads_a_slot_below_a_negative_slot_at_the_bound():
+    # bound 45 packs 2-digit slots, and 2 * 45 = 90 leads with 9: the slot of
+    # out[1] is -45, read as 55 with a borrow, whose top digit is exactly 5;
+    # the slot above it, out[0] = 45, reads one short unless that 5 counts
+    u, v = [(-9,), (0,)], [(-5,), (5,)]
+    assert correlate(u, pack(v, 45), 1) == [[45], [-45]]
+    assert correlate(u, pack(v, 45), 1) == wrapped_block_correlation(u, v, 1)
+
+
 def test_pack_rejects_slots_past_the_bound():
     with pytest.raises(ValueError):
         pack([[10], [0]], 4)

@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 from oracles import char_value, character_transform, teichmuller_by_iteration
 
 from padichg.elements import ZpElement, balanced_lift, recover_bounded_integer
-from padichg.finitefield import FqContext, quadratic_char
-from padichg.padic import PadicContext, UnramifiedContext
+from padichg.finitefield import FqContext, memo, quadratic_char
+from padichg.jobs import packed_digits
+from padichg.padic import PadicContext, UnramifiedContext, _packed_chirp
 from padichg.pgamma import gamma_cache
 
 
@@ -370,3 +371,15 @@ def test_character_transform_beyond_int_digit_limit():
         (coeffs[0] + coeffs[1]) % zq.modulus,
         (coeffs[0] + w * coeffs[1]) % zq.modulus,
     ]
+
+
+@pytest.mark.parametrize("p,r,n", [(3, 2, 5), (7, 2, 4), (5, 3, 4), (7, 3, 4)])
+def test_packed_chirp_width_is_the_admitted_width(p, r, n):
+    # a middle slot of the chirp correlation sums (q-1) r products of
+    # residues below p^N; at these fields a bound without the factor r packs
+    # slots one digit too narrow, below what admission prices
+    zq = _zq(p, r, n)
+    size, m = zq.q - 1, zq.modulus
+    width = memo(zq, _packed_chirp)[1]
+    assert (2 * size - 1) * (2 * r - 1) * width == packed_digits(p, r, n)
+    assert 10**width > 2 * size * r * (m - 1) ** 2
