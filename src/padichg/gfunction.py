@@ -35,11 +35,12 @@ costs an O(q) integer table plus one Kronecker product per parameter set,
 a table of the Z_q context keyed by (upper, lower); the suites index the
 table by dlog t.  The key holds each parameter as a reduced (num, den)
 integer pair, so a table needs no Fraction: the suites write their
-families as such pairs, and value_table reads an int or a Fraction through
-its numerator and denominator.  evaluate_g, the GParams facade of
-padichg.elements, shares these tables: it reads a certified family from its
-value table and sums any other point by point in Z_q, O(q r) per call over
-a scaled table that the context keeps in the value table's place.
+families as such pairs, and value_table reads each parameter through
+zmod.ratio, the one reader of exact rationals.  evaluate_g, the GParams
+facade of padichg.elements, shares these tables: it reads a certified
+family from its value table and sums any other point by point in Z_q,
+O(q r) per call over a scaled table that the context keeps in the value
+table's place.
 
 Individual (k, i) factors can carry a negative floor exponent (the b_k = 1/2
 families do at a = (q-1)/2), but the exponents summed over one term always
@@ -50,11 +51,11 @@ aborts the evaluation as an integrity failure rather than silently wrap.
 
 from collections import namedtuple
 from importlib import import_module
-from math import gcd, lcm
+from math import lcm
 
-from .finitefield import memo
 from .padic import EvaluationIntegrityError, UnramifiedContext
 from .pgamma import gamma_cache
+from .zmod import memo, ratio
 
 # name -> its module, for the names that bench/tracing.py rebinds here.  The
 # tables need none of them, so __getattr__ serves each one from its module,
@@ -70,39 +71,13 @@ def __getattr__(name: str):
 
 
 def _checked(upper, lower, p: int) -> tuple[tuple, tuple]:
-    """Parameter tuples as reduced (num, den) pairs, of equal length >= 1,
-    each in Z_p, or ValueError; a float is refused with TypeError, as it is
-    no exact rational."""
-    upper = tuple(_pair(a, "upper") for a in upper)
-    lower = tuple(_pair(b, "lower") for b in lower)
+    """Parameter tuples as the reduced (num, den) pairs of zmod.ratio, of
+    equal length >= 1, each in Z_p."""
+    upper = tuple(ratio(a, "upper parameter", p) for a in upper)
+    lower = tuple(ratio(b, "lower parameter", p) for b in lower)
     if len(upper) != len(lower) or not upper:
         raise ValueError("upper and lower parameter lists must have equal length >= 1")
-    for num, den in upper + lower:
-        if den % p == 0:
-            raise ValueError(f"parameter {num}/{den} is not in Z_p for p={p}")
     return upper, lower
-
-
-def _pair(c, role: str) -> tuple[int, int]:
-    """c as a reduced (num, den), den > 0: a (num, den) pair of ints, an int
-    or a Fraction through its numerator and denominator, and anything else
-    that Fraction takes (a str, a Decimal) through Fraction."""
-    if isinstance(c, tuple) and len(c) == 2:
-        num, den = c
-    elif isinstance(c, float):
-        raise TypeError(f"{role} parameter {c!r} is a float; pass an int or a Fraction")
-    elif isinstance(getattr(c, "denominator", None), int):
-        num, den = c.numerator, c.denominator
-    else:
-        from fractions import Fraction  # a str or a Decimal; the suites pass pairs
-
-        num, den = Fraction(c).as_integer_ratio()
-    if not (isinstance(num, int) and isinstance(den, int)):
-        raise TypeError(f"{role} parameter {c!r} is not a pair of integers")
-    if den == 0:
-        raise ZeroDivisionError(f"{role} parameter {c!r} has denominator 0")
-    g = gcd(num, den) if den > 0 else -gcd(num, den)
-    return num // g, den // g
 
 
 def _coefficient_table(upper, lower, zq: UnramifiedContext) -> list[int]:
@@ -210,12 +185,12 @@ def value_table(upper: tuple, lower: tuple, zq: UnramifiedContext) -> list[int]:
     """[nGn[upper; lower | g^k] mod p^N for k in 0..q-2].
 
     Each parameter is a (num, den) pair of ints, an int, a Fraction or
-    anything else Fraction takes; the set is checked and keyed as the
-    reduced pairs of _checked.  The values are certified Z_p scalars.  A
-    parameter set whose coefficient table is not Frobenius invariant has
-    values outside Z_p and raises EvaluationIntegrityError; the context
-    keeps its scaled table, from which evaluate_g serves such a set point
-    by point in Z_q.
+    anything else Fraction takes, but no float, and lies in Z_p; the set is
+    checked and keyed as the reduced pairs of zmod.ratio.  The values are
+    certified Z_p scalars.  A parameter set whose coefficient table is not
+    Frobenius invariant has values outside Z_p and raises
+    EvaluationIntegrityError; the context keeps its scaled table, from
+    which evaluate_g serves such a set point by point in Z_q.
     """
     values = memo(zq, _values, *_checked(upper, lower, zq.base.p))
     if isinstance(values, _Uncertified):

@@ -36,7 +36,7 @@ write-once per key and safe for concurrent readers.
 
 from math import comb
 
-from .zmod import PadicContext, memo
+from .zmod import PadicContext, memo, ratio
 
 # Bound on p*N^2, the ring products of one digit table.  Near the bound a
 # build took 1.3-3.1 s and 5-60 MB on one core (from (3, 816) to (65521, 5);
@@ -97,8 +97,7 @@ class _ResidueTable(dict):
     """num -> Gamma_p(num/d) mod p^N, each value computed on its first read."""
 
     def __init__(self, cache: "GammaCache", d: int):
-        if d % cache.p == 0:
-            raise ValueError(f"1/{d} is not a p-adic integer for p={cache.p}")
+        ratio((1, d), "Gamma_p denominator", cache.p)
         self.cache, self.inverse = cache, pow(d, -1, cache.modulus)
 
     def __missing__(self, num: int) -> int:
@@ -147,18 +146,14 @@ class GammaCache:
         return memo(self, _ResidueTable, d)
 
     def gamma(self, x) -> "ZpElement":
-        """Gamma_p at a rational p-adic integer (denominator coprime to p);
-        a float is refused with TypeError, as it is no exact rational."""
-        from fractions import Fraction  # no suite builds one
-
+        """Gamma_p at a rational p-adic integer x: a (num, den) pair of ints,
+        an int, a Fraction, or a str or Decimal, read by zmod.ratio, which
+        refuses a float with TypeError and a den divisible by p with
+        ValueError."""
         from .elements import ZpElement
 
-        if isinstance(x, float):
-            raise TypeError(f"Gamma_p argument {x!r} is a float; pass an int or a Fraction")
-        x = Fraction(x)
-        if x.denominator % self.p == 0:
-            raise ValueError(f"argument {x} is not a p-adic integer for p={self.p}")
-        n = x.numerator * pow(x.denominator, -1, self.modulus)
+        num, den = ratio(x, "Gamma_p argument", self.p)
+        n = num * pow(den, -1, self.modulus)
         return ZpElement(self.context, self._nat_mod(n))
 
 

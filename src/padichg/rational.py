@@ -1,47 +1,45 @@
 """Exact rational floor/fractional-part toolkit and integer floor identities.
 
-frac takes stdlib ``fractions.Fraction`` values, which are always held in
-canonical reduced form (positive denominator, gcd 1), so equality and floor
-are bit-exact.  g_exponent and the floor identities hold every rational they
-meet as n/d over one common denominator d, so <n/d> is (n mod d)/d and each
-floor is the integer floor division n // d; the floor identities construct no
-Fraction.  fractions (and the decimal module it loads) is imported by the
-functions that build a Fraction, so the integer suites never load it.
-Nothing in this module touches floating point.
+frac and g_exponent read each rational argument through zmod.ratio: a
+(num, den) pair of ints, an int, a Fraction, or a str or a Decimal.  A
+float is refused with TypeError, and g_exponent also refuses a parameter
+that is no p-adic integer.  g_exponent and the floor identities hold every
+rational they meet as n/d over one common denominator d, so <n/d> is
+(n mod d)/d and each floor is the integer floor division n // d; the floor
+identities construct no Fraction.  fractions (and the decimal module it
+loads) is imported by frac, which returns a Fraction, and by ratio for a
+str or a Decimal, so the integer suites never load it.  Nothing in this
+module touches floating point.
 """
 
 import math
 
+from .zmod import ratio
+
 
 def frac(x):
-    """Fractional part ``<x> = x - floor(x)`` as a Fraction, always in [0, 1)."""
+    """Fractional part ``<x> = x - floor(x)`` as a Fraction, always in [0, 1);
+    x is read by zmod.ratio."""
     from fractions import Fraction
 
-    x = Fraction(x)
-    return x - math.floor(x)
+    num, den = ratio(x, "argument")
+    return Fraction(num % den, den)
 
 
 def g_exponent(a_k, b_k, a: int, i: int, p: int, q: int) -> int:
     """Exponent of (-p) attached to one (k, i) factor of the nGn summand.
 
     Returns ``-floor(<a_k p^i> - a p^i/(q-1)) - floor(<-b_k p^i> + a p^i/(q-1))``.
-    The parameters a_k, b_k must be p-adic integers, i.e. have denominators
-    coprime to p.
+    The parameters a_k, b_k are read by zmod.ratio and must be p-adic
+    integers, i.e. have denominators coprime to p.
     """
-    from fractions import Fraction
-
-    if not isinstance(a_k, Fraction):
-        a_k = Fraction(a_k)
-    if not isinstance(b_k, Fraction):
-        b_k = Fraction(b_k)
-    da, db = a_k.denominator, b_k.denominator
-    if da % p == 0 or db % p == 0:
-        raise ValueError(f"parameter denominator divisible by p={p}")
+    na, da = ratio(a_k, "a_k", p)
+    nb, db = ratio(b_k, "b_k", p)
     # all over d: <a_k p^i> = alpha/d, <-b_k p^i> = beta/d, a p^i/(q-1) = u/d
     d = math.lcm(da, db, q - 1)
     pi = p**i
-    alpha = a_k.numerator * (d // da) * pi % d
-    beta = -b_k.numerator * (d // db) * pi % d
+    alpha = na * (d // da) * pi % d
+    beta = -nb * (d // db) * pi % d
     u = a * pi * (d // (q - 1))
     return -((alpha - u) // d) - ((beta + u) // d)
 

@@ -1,5 +1,12 @@
 """The integer layer under every field: primality, the field bound, the
-balanced lift, the table memo, and Z/p^N.
+reader of exact rationals, the balanced lift, the table memo, and Z/p^N.
+
+ratio is the one reader of a rational input: every parameter of an nGn
+table or a GParams, every Gamma_p argument and every argument of the floor
+toolkit enters through it as a reduced (num, den) pair of ints.  It takes a
+(num, den) pair, an int or a Fraction, and a str or a Decimal through
+Fraction; it refuses a float, which is no exact rational, and, given p, a
+denominator divisible by p, which is no p-adic integer.
 
 PadicContext is the ring Z/p^N standing in for Z_p at precision N.  It
 needs no F_q context, so the Gamma_p cache and the integer suites (gamma,
@@ -8,7 +15,7 @@ ZpElement, lives in padichg.elements and is built on demand.  memo holds the
 tables of a field context or a Gamma_p cache.
 """
 
-from math import isqrt
+from math import gcd, isqrt
 
 MAX_Q = 1 << 16
 
@@ -33,6 +40,33 @@ def check_field(p: int, r: int) -> None:
         raise ValueError("r must be >= 1")
     if r >= MAX_Q.bit_length() or p**r > MAX_Q:
         raise ValueError(f"q = {p}^{r} exceeds the supported bound {MAX_Q}")
+
+
+def ratio(c, role: str, p: int | None = None) -> tuple[int, int]:
+    """c as a reduced (num, den), den > 0: a (num, den) pair of ints, an int
+    or a Fraction through its numerator and denominator, and anything else
+    that Fraction takes (a str, a Decimal) through Fraction.  A float is
+    refused with TypeError, and with p given, a den divisible by p with
+    ValueError; each refusal starts with role."""
+    if isinstance(c, tuple) and len(c) == 2:
+        num, den = c
+    elif isinstance(c, float):
+        raise TypeError(f"{role} {c!r} is a float; pass an int or a Fraction")
+    elif isinstance(getattr(c, "denominator", None), int):
+        num, den = c.numerator, c.denominator
+    else:
+        from fractions import Fraction  # a str or a Decimal; the suites pass pairs
+
+        num, den = Fraction(c).as_integer_ratio()
+    if not (isinstance(num, int) and isinstance(den, int)):
+        raise TypeError(f"{role} {c!r} is not a pair of integers")
+    if den == 0:
+        raise ZeroDivisionError(f"{role} {c!r} has denominator 0")
+    g = gcd(num, den) if den > 0 else -gcd(num, den)
+    num, den = num // g, den // g
+    if p is not None and den % p == 0:
+        raise ValueError(f"{role} {num}/{den} is not a p-adic integer for p={p}")
+    return num, den
 
 
 def memo(owner, build, *key):

@@ -62,3 +62,41 @@ def test_the_scan_sees_each_kind():
         ("m", "f", "0.5"),
         ("m", "f", "float()"),
     ]
+
+
+def _one_argument_fractions(tree, module):
+    """(module, enclosing def or class) for each Fraction(...) call of one
+    argument, which takes a float silently."""
+    found = []
+
+    def visit(node, scope):
+        if (
+            isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) == "Fraction"
+            and len(node.args) + len(node.keywords) == 1
+        ):
+            found.append((module, scope))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, "")
+    return found
+
+
+def test_only_zmod_ratio_converts_one_value_to_a_fraction():
+    # ratio refuses a float before its Fraction(c); any other Fraction(x)
+    # would read 1/3 as 6004799503160661/2^54
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        found += _one_argument_fractions(ast.parse(path.read_text()), path.stem)
+    assert found == [("zmod", "ratio")]
+
+
+def test_the_fraction_scan_sees_each_form():
+    tree = ast.parse(
+        "import fractions\nclass C:\n    def f(x):\n"
+        "        return Fraction(x) + fractions.Fraction(numerator=x) + Fraction(x, 2)\n"
+    )
+    assert _one_argument_fractions(tree, "m") == [("m", "C.f"), ("m", "C.f")]
