@@ -9,16 +9,17 @@ costs O(q) integer work and three packed cyclic products (finitefield.correlate)
 for A_values and a_values, F_q context tables that sum_A and sum_a read by dlog.
 
 Jacobi sums and the character-averaged sums h and B are sums in Z_q, with
-characters realized as powers of the inverse Teichmuller character.  Each
-Jacobi family the sums need is one transform of an integer histogram c_e
-over the pairs (dlog x, dlog(1-x)).  x -> x^p permutes the x outside
-{0, 1}, multiplies dlog x and dlog(1-x) by p and keeps the parity of
-dlog x, so c[p e] = c[e]: the families, and the cubes and products built
-from them, are certified Z_p scalars, and every transform is
-UnramifiedContext.scalar_transform on integers mod p^N.  h and B at every
-lambda are one transform each of the Jacobi products; a field costs O(q)
-integer work plus five Kronecker products for h_values and B_values, Z_q
-context tables that sum_h and sum_B read by dlog and return as Z_q scalars.
+characters realized as powers of the inverse Teichmuller character
+omega-bar, W = omega(g).  Each Jacobi family the sums need is the transform
+J_m = sum_e c_e W^(-m e) of an integer histogram c_e over the pairs
+(dlog x, dlog(1-x)), and as sum_m W^(m d) W^(-m e) = (q-1) [d = e], the
+averages over m that define h and B are exact cyclic convolutions of those
+histograms.  So h and B at every lambda are integers: three more cyclic
+correlations of q-1 one-slot blocks, reduced mod p^N, build h_values and
+B_values, Z_q context tables that sum_h and sum_B read by dlog and return
+as Z_q scalars.  No p-adic transform is taken, so these oracles share no
+code with the nGn tables they check; the tests transform the histograms
+and compare them with Teichmuller Jacobi sums.
 """
 
 from .finitefield import ZECH_UNDEFINED, FqContext, correlate, memo, pack
@@ -100,35 +101,37 @@ def sum_a(lam: "FqElement") -> int:
     return a_values(fq)[-shifted.dlog() % (fq.q - 1)]
 
 
-def _jacobi_family(zq: UnramifiedContext, u: int, v: int) -> list[int]:
-    """[J(omega-bar^(half + u m), omega-bar^(v m)) mod p^N for m in 0..q-2].
+def _jacobi_counts(fq: FqContext, u: int, v: int) -> list[int]:
+    """c^(u,v): c_e = sum of (-1)^(dlog x) over x outside {0, 1} with
+    u dlog x + v dlog(1-x) = e mod q-1, for e in 0..q-2.
 
-    omega-bar^half(x) = (-1)^(dlog x), so the m-th sum is
-    sum_x (-1)^(dlog x) W^(-m e(x)) with e = u dlog x + v dlog(1-x):
-    the scalar transform of c_e = sum of (-1)^(dlog x) over e(x) = e.
+    Its transform sum_e c_e W^(-m e) is J(omega-bar^(half + u m),
+    omega-bar^(v m)) with half = (q-1)/2, as omega-bar^half(x) = (-1)^(dlog x).
+    Negating u and v reverses the histogram: c^(-u,-v)[e] = c^(u,v)[-e].
     """
-    n = zq.q - 1
+    n = fq.q - 1
     c = [0] * n
-    for d1, d2 in zq.fq.jacobi_dlog_pairs():
+    for d1, d2 in fq.jacobi_dlog_pairs():
         c[(u * d1 + v * d2) % n] += 1 - 2 * (d1 & 1)
-    return zq.scalar_transform(c)
+    return c
 
 
 def h_values(zq: UnramifiedContext) -> list[int]:
     """[h(g^d) mod p^N for d in 0..q-2].
 
-    With cube_m = J(chi-bar phi, chi)^3 for chi = omega-bar^m, h(g^d) is
-    1/(q-1) sum_m omega(g)^(m d) cube_m, transform entry -d.
+    J_m = J(chi-bar phi, chi) for chi = omega-bar^m is the transform of
+    c = c^(-1,1), and h(g^d) = 1/(q-1) sum_m W^(m d) J_m^3.  As
+    sum_m W^(m d) W^(-m e) = (q-1) [d = e], that is the exact cyclic
+    convolution (c * c * c)[d].  With _cyclic(u, v)[k] = sum_i u[i] v[i+k]
+    and the reversal cbar = c^(1,-1) of c, _cyclic(c, cbar)[k] = (c * c)[-k],
+    and correlating that with c gives (c * c * c)[k].
     """
     return memo(zq, _h_table)
 
 
 def _h_table(zq: UnramifiedContext) -> list[int]:
-    n, m = zq.q - 1, zq.modulus
-    scale = pow(n, -1, m)
-    cubes = [pow(j, 3, m) * scale % m for j in _jacobi_family(zq, -1, 1)]
-    by_index = zq.scalar_transform(cubes)
-    return [by_index[-d % n] for d in range(n)]
+    c, cbar = _jacobi_counts(zq.fq, -1, 1), _jacobi_counts(zq.fq, 1, -1)
+    return [x % zq.modulus for x in _cyclic(_cyclic(c, cbar), c)]
 
 
 def sum_h(lam: "FqElement", zq: UnramifiedContext) -> "ZqElement":
@@ -146,16 +149,19 @@ def B_values(zq: UnramifiedContext) -> list[int]:
     """[B-sum mod p^N at arg = g^d for d in 0..q-2].
 
     phi(-2)/(q-1) sum_m J(phi chi^2, chi-bar) J(phi chi, chi-bar) omega-bar^m(arg)
-    for chi = omega-bar^m is transform entry d.
+    for chi = omega-bar^m.  The two Jacobi sums are the transforms of
+    c^(2,-1) and c^(1,-1), and omega-bar^m(g^d) = W^(-m d), so as
+    sum_m W^(-m e) W^(-m d) = (q-1) [e = -d] the sum is the exact
+    phi(-2) (c^(2,-1) * c^(1,-1))[-d]: phi(-2) times one _cyclic of c^(2,-1)
+    with the reversal c^(-1,1) of c^(1,-1), entry d.
     """
     return memo(zq, _B_table)
 
 
 def _B_table(zq: UnramifiedContext) -> list[int]:
-    m = zq.modulus
-    lead = zq.fq.scalar_char(-2) * pow(zq.q - 1, -1, m) % m
-    pairs = zip(_jacobi_family(zq, 2, -1), _jacobi_family(zq, 1, -1))
-    return zq.scalar_transform([x * y % m * lead % m for x, y in pairs])
+    fq, m = zq.fq, zq.modulus
+    sign = fq.scalar_char(-2)
+    return [sign * x % m for x in _cyclic(_jacobi_counts(fq, 2, -1), _jacobi_counts(fq, -1, 1))]
 
 
 def sum_B(lam: "FqElement", zq: UnramifiedContext) -> "ZqElement":

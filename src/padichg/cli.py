@@ -231,8 +231,10 @@ def _option(arg: str):
 
 def _is_value(arg: str) -> bool:
     """argparse's rule: an argument that starts with - is an option, not a
-    value, unless it is -, a negative number or holds a space."""
-    negative = arg[1:].replace(".", "", 1).isdigit()
+    value, unless it is -, a negative number or holds a space.  A negative
+    number is -D or -D.D, D a run of decimal digits; the first D may be empty."""
+    head, dot, tail = arg[1:].partition(".")
+    negative = head.isdecimal() and not dot or (not head or head.isdecimal()) and tail.isdecimal()
     return not arg.startswith("-") or arg == "-" or " " in arg or negative
 
 

@@ -28,10 +28,11 @@ h = n/2, indices mod n: 1/x is -k, 1 - x is zech[k+h], x + 1 is zech[k],
 (x-1)/x is zech[k+h] + h - k, -1/x is h - k, and phi is index parity.  The
 oracle tables (finitefield.root_table, charsums) are read the same way, and
 the dlog and phi of a small integer come from FqContext.scalar_dlog and
-scalar_char.  Every table a sweep reads holds integers: the nGn, h and B
-values are certified Z_p scalars, so the suites compare residues mod p^N as
-integers, recover small values by an integer balanced lift, and print a
-failing value with jobs._fmt_scalar, in the Z_q coordinates of a scalar.
+scalar_char.  Every table a sweep reads holds integers: the nGn values are
+certified Z_p scalars and the h and B values exact integers mod p^N, so the
+suites compare residues mod p^N as integers, recover small values by an
+integer balanced lift, and print a failing value with jobs._fmt_scalar, in
+the Z_q coordinates of a scalar.
 The families are written as reduced (num, den) pairs, the key of
 value_table, so no suite builds a Fraction or an element, and a field run
 loads neither fractions nor padichg.elements.

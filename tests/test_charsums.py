@@ -161,7 +161,9 @@ def test_phi_sums_redundant_zq_path():
         assert balanced_lift(acc) == sum_a(lam)
 
 
-@pytest.mark.parametrize("p,r,n", [(5, 1, 4), (7, 1, 3), (3, 2, 5), (5, 2, 3), (3, 3, 4)])
+@pytest.mark.parametrize(
+    "p,r,n", [(5, 1, 4), (7, 1, 3), (3, 2, 5), (5, 2, 3), (3, 3, 4), (7, 2, 5), (3, 4, 9)]
+)
 def test_sum_h_and_B_match_pointwise_oracle(p, r, n):
     # every lam of the field, against the Frobenius lift + Hensel inverse +
     # running power product
@@ -176,21 +178,21 @@ def test_sum_h_and_B_match_pointwise_oracle(p, r, n):
     "p,r,n", [(3, 1, 3), (5, 1, 3), (7, 1, 2), (3, 2, 3), (5, 2, 2), (5, 3, 2), (3, 4, 2)]
 )
 def test_jacobi_families_match_jacobi_sum(p, r, n):
-    # the three transformed families behind h and B, every character index,
-    # against the dlog-histogram sum and the element-by-element Z_q sum
+    # the transforms of the three histograms behind h and B, every character
+    # index, against the dlog-histogram sum and the element-by-element Z_q sum
     fq, zq = _pair(p, r, n)
     size = fq.q - 1
     half = size // 2
     for u, v in ((-1, 1), (2, -1), (1, -1)):
-        family = charsums._jacobi_family(zq, u, v)
+        family = zq.scalar_transform(charsums._jacobi_counts(fq, u, v))
         for m in range(size):
             i, j = (half + u * m) % size, v * m % size
             assert family[m] == jacobi_sum(i, j, zq) == jacobi_sum_elementwise(i, j, zq), (u, v, m)
 
 
 @lru_cache(maxsize=None)
-def _dlog_pairs(p, r):
-    return FqContext(p, r).jacobi_dlog_pairs()
+def _field(p, r):
+    return FqContext(p, r)
 
 
 @settings(max_examples=60, deadline=None)
@@ -201,31 +203,37 @@ def _dlog_pairs(p, r):
 )
 def test_jacobi_histograms_are_frobenius_invariant(field, u, v):
     # x -> x^p permutes the x outside {0, 1}, multiplies dlog x and dlog(1-x)
-    # by p and keeps the parity of dlog x, so every histogram the Jacobi
-    # families transform carries the certificate of scalar_transform
+    # by p and keeps the parity of dlog x, so every Jacobi histogram carries
+    # the certificate of scalar_transform; negating u and v reverses it, the
+    # fact that lets h and B correlate c^(-1,1) with c^(1,-1)
     p, r = field
     n = p**r - 1
-    c = [0] * n
-    for d1, d2 in _dlog_pairs(p, r):
-        c[(u * d1 + v * d2) % n] += 1 - 2 * (d1 & 1)
+    c = charsums._jacobi_counts(_field(p, r), u, v)
     assert all(c[p * e % n] == c[e] for e in range(n))
+    assert charsums._jacobi_counts(_field(p, r), -u, -v) == [c[-e % n] for e in range(n)]
 
 
 def test_h_and_B_built_once_per_context(monkeypatch):
-    transforms = []
-    original = UnramifiedContext.scalar_transform
+    transforms, correlations = [], []
+    transform, correlation = UnramifiedContext.scalar_transform, charsums.correlate
 
-    def counting(zq, coeffs):
+    def counting_transform(zq, coeffs):
         transforms.append(len(coeffs))
-        return original(zq, coeffs)
+        return transform(zq, coeffs)
 
-    monkeypatch.setattr(UnramifiedContext, "scalar_transform", counting)
+    def counting_correlate(u, v, wrap):
+        correlations.append((len(u), wrap))
+        return correlation(u, v, wrap)
+
+    monkeypatch.setattr(UnramifiedContext, "scalar_transform", counting_transform)
+    monkeypatch.setattr(charsums, "correlate", counting_correlate)
     fq, zq = _pair(7, 1, 3)
     lams = [lam for lam in fq.nonzero_elements() if not (lam + fq.one).is_zero()]
     first = [(sum_h(lam, zq), sum_B(lam, zq)) for lam in lams]
-    assert transforms == [fq.q - 1] * 5  # h: one family + one sum; B: two + one
+    # h: two integer correlations, B: one; no p-adic transform
+    assert transforms == [] and correlations == [(fq.q - 1, 1)] * 3
     assert [(sum_h(lam, zq), sum_B(lam, zq)) for lam in lams] == first
-    assert len(transforms) == 5
+    assert transforms == [] and len(correlations) == 3
 
 
 def test_sums_reject_foreign_field():

@@ -561,6 +561,8 @@ def test_help_lists_every_setting(capsys):
         (["--f", "json"], "ambiguous option: --f could match --format, --fail-fast"),
         (["--verbose=yes"], "argument --verbose: ignored explicit argument 'yes'"),
         (["--jobs", "0"], "jobs must be >= 1"),
+        (["--p", "-5."], "argument --p: expected one argument"),
+        (["--p", "-\u00b2"], "argument --p: expected one argument"),
     ],
 )
 def test_flag_refusals_read_as_argparse_did(capsys, argv, message):

@@ -477,9 +477,9 @@ def test_oracle_sweeps_build_no_field_elements(monkeypatch):
 
 
 def test_charsums_builds_integer_tables_and_no_zq_values(monkeypatch):
-    # every whole-field table of charsums is a scalar transform: two nGn
-    # tables, three Jacobi families, h and B per Z_q context; once they are
-    # cached, a run builds no Z_q element at all
+    # the two nGn tables, cube and square, are the only scalar transforms
+    # of charsums; h and B are integer correlations, reduced per Z_q
+    # context; once they are cached, a run builds no Z_q element at all
     clear_shared_caches()
     transforms = []
     scalar = UnramifiedContext.scalar_transform
@@ -492,7 +492,7 @@ def test_charsums_builds_integer_tables_and_no_zq_values(monkeypatch):
     for p, r in ((7, 2), (5, 3)):
         q = p**r
         assert run_job(JobSpec(p, r, "charsums")).passed()
-        assert transforms == [(q, q - 1)] * 7
+        assert transforms == [(q, q - 1)] * 2
         transforms.clear()
         _, zq = contexts(p, r, default_precision("charsums", p, r))
         assert all(isinstance(v, int) for values in (h_values(zq), B_values(zq)) for v in values)
