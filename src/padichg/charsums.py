@@ -130,7 +130,8 @@ def h_values(zq: UnramifiedContext) -> list[int]:
 
 
 def _h_table(zq: UnramifiedContext) -> list[int]:
-    c, cbar = _jacobi_counts(zq.fq, -1, 1), _jacobi_counts(zq.fq, 1, -1)
+    c = _jacobi_counts(zq.fq, -1, 1)
+    cbar = c[:1] + c[:0:-1]  # c^(1,-1)[e] = c[-e]
     return [x % zq.modulus for x in _cyclic(_cyclic(c, cbar), c)]
 
 

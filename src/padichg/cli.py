@@ -12,13 +12,15 @@ the first job in order it refuses.  --help prints the table as a usage text.
 
 A run loads only what its jobs and format use: jobs.run_job imports the
 suites at the first job of each kind, and json and csv load with their
-report.
+report.  The report is written straight to its destination (the --out file,
+opened only after the last job, or stdout) by one renderer per format; no
+copy of it is built in memory.  A --verbose csv report keeps each case as
+the tuple (case, ok, left, right) until it is written.
 
 Exit codes: 0 all executed cases passed (skipped suites do not fail),
 1 verification failure, 2 usage error, 3 I/O error.
 """
 
-import io
 import os
 import sys
 from collections import namedtuple
@@ -232,8 +234,9 @@ def _option(arg: str):
 def _is_value(arg: str) -> bool:
     """argparse's rule: an argument that starts with - is an option, not a
     value, unless it is -, a negative number or holds a space.  A negative
-    number is -D or -D.D, D a run of decimal digits; the first D may be empty."""
-    head, dot, tail = arg[1:].partition(".")
+    number is -D or -D.D, D a run of decimal digits; the first D may be empty,
+    and one final newline is allowed, as argparse's $ matches before it."""
+    head, dot, tail = arg[1:].removesuffix("\n").partition(".")
     negative = head.isdecimal() and not dot or (not head or head.isdecimal()) and tail.isdecimal()
     return not arg.startswith("-") or arg == "-" or " " in arg or negative
 
@@ -297,50 +300,50 @@ def parse_args(argv) -> Config:
     return Config(jobs, fmt, out, parallel, settings["fail-fast"])
 
 
-def _render_text(reports: list[Report]) -> str:
-    lines = []
+def _render_text(reports: list[Report], out) -> None:
     failed = passed = skipped = 0
     for rep in reports:
         head = f"[{rep.suite} p={rep.p} r={rep.r} N={rep.precision} q={rep.q}]"
         if rep.skipped:
             skipped += 1
-            lines.append(f"{head} SKIPPED (field outside the suite hypothesis)")
+            out.write(f"{head} SKIPPED (field outside the suite hypothesis)\n")
             continue
         status = "ok" if rep.passed() else "FAIL"
         if rep.passed():
             passed += 1
         else:
             failed += 1
-        lines.append(
-            f"{head} {status}: {rep.cases_passed}/{rep.cases_total} cases in {rep.elapsed_ms:.1f} ms"
+        out.write(
+            f"{head} {status}: {rep.cases_passed}/{rep.cases_total} cases"
+            f" in {rep.elapsed_ms:.1f} ms\n"
         )
         for f in rep.failures:
-            lines.append(f"    FAIL {f.case}: left={f.left} right={f.right}")
-    lines.append(
-        f"summary: {len(reports)} jobs, {passed} passed, {failed} failed, {skipped} skipped"
+            out.write(f"    FAIL {f.case}: left={f.left} right={f.right}\n")
+    out.write(
+        f"summary: {len(reports)} jobs, {passed} passed, {failed} failed, {skipped} skipped\n"
     )
-    return "\n".join(lines) + "\n"
 
 
-def _render_json(reports: list[Report]) -> str:
+def _render_json(reports: list[Report], out) -> None:
     import json  # only a json report needs it
 
-    return json.dumps([rep.to_dict() for rep in reports], indent=2) + "\n"
+    json.dump([rep.to_dict() for rep in reports], out, indent=2)
+    out.write("\n")
 
 
-def _render_csv(reports: list[Report], verbose: bool) -> str:
+def _render_csv(reports: list[Report], out) -> None:
+    """One row per job, or, when the reports record cases (--verbose), one
+    row per case: the job's fields, then its (case, ok, left, right) row."""
     import csv  # only a csv report needs it
 
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    if verbose:
+    writer = csv.writer(out)
+    if any(rep.record_cases for rep in reports):
         writer.writerow(["suite", "p", "r", "N", "q", "case", "ok", "left", "right"])
-        for rep in reports:
-            for row in rep.case_rows:
-                writer.writerow(
-                    [rep.suite, rep.p, rep.r, rep.precision, rep.q,
-                     row["case"], row["ok"], row["left"], row["right"]]
-                )
+        writer.writerows(
+            (rep.suite, rep.p, rep.r, rep.precision, rep.q, *row)
+            for rep in reports
+            for row in rep.case_rows
+        )
     else:
         writer.writerow(
             ["suite", "p", "r", "N", "q", "cases_total", "cases_passed",
@@ -351,11 +354,14 @@ def _render_csv(reports: list[Report], verbose: bool) -> str:
                 [rep.suite, rep.p, rep.r, rep.precision, rep.q, rep.cases_total,
                  rep.cases_passed, rep.skipped, len(rep.failures), f"{rep.elapsed_ms:.1f}"]
             )
-    return buf.getvalue()
+
+
+_RENDERERS = {"text": _render_text, "json": _render_json, "csv": _render_csv}
 
 
 def run(config: Config) -> int:
-    """Execute all jobs, write one report record per job, return the exit code."""
+    """Execute all jobs, write one report record per job straight to the
+    destination, opened only after the last job, and return the exit code."""
     reports: list[Report] = []
     # the pool forks all its workers at the first submit, so never ask for
     # more than there are jobs or CPUs
@@ -375,19 +381,13 @@ def run(config: Config) -> int:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             reports = list(pool.map(run_job, config.jobs))
 
-    if config.fmt == "json":
-        payload = _render_json(reports)
-    elif config.fmt == "csv":
-        payload = _render_csv(reports, any(job.record_cases for job in config.jobs))
-    else:
-        payload = _render_text(reports)
-
+    render = _RENDERERS[config.fmt]
     try:
         if config.out and config.out != "-":
             with open(config.out, "w", encoding="utf-8") as fh:
-                fh.write(payload)
+                render(reports, fh)
         else:
-            sys.stdout.write(payload)
+            render(reports, sys.stdout)
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3

@@ -118,11 +118,13 @@ class Report:
         self.skipped = skipped
         self.cases_total = self.cases_passed = 0
         self.failures: list[CaseFailure] = []
-        self.case_rows: list[dict] = []
+        self.case_rows: list[tuple] = []
         self.elapsed_ms = 0.0
 
     def case(self, label: str, ok: bool, describe):
-        """Count one case; describe() -> (left, right) is called only on failure."""
+        """Count one case; describe() -> (left, right) is called only on failure.
+        A report that records cases keeps (label, ok, left, right), the tail of
+        the case's verbose csv row."""
         self.cases_total += 1
         if ok:
             self.cases_passed += 1
@@ -131,7 +133,7 @@ class Report:
             left, right = describe()
             self.failures.append(CaseFailure(label, left, right))
         if self.record_cases:
-            self.case_rows.append({"case": label, "ok": ok, "left": left, "right": right})
+            self.case_rows.append((label, ok, left, right))
 
     def passed(self) -> bool:
         return self.skipped or not self.failures

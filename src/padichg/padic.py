@@ -21,9 +21,10 @@ c[p a] = c[a] for every a, Frobenius fixes every T[k], so each lies in Z_p
 and T[k] = T[p k]: scalar_transform checks this certificate, returns the
 sums as integers mod p^N, reads one correlation block per Frobenius orbit of
 k, and takes each value as a dot product of the unreduced block with
-per-context weights.  It is the one whole-field transform: every production
-table (the nGn values, the Jacobi families, h and B) has the certificate, so
-a point of a field is an integer lookup.  A Z_q context is a table of its
+per-context weights.  It is the one whole-field transform, and in production
+it transforms only the nGn value tables (charsums builds h and B as integer
+convolutions); each has the certificate, so a point of a field is an integer
+lookup.  A Z_q context is a table of its
 F_q context, keyed by precision, and holds its own tables (the Teichmuller
 powers, the packed chirp, the weights, the nGn, h and B values) through
 zmod.memo.

@@ -214,8 +214,9 @@ def test_jacobi_histograms_are_frobenius_invariant(field, u, v):
 
 
 def test_h_and_B_built_once_per_context(monkeypatch):
-    transforms, correlations = [], []
+    transforms, correlations, histograms = [], [], []
     transform, correlation = UnramifiedContext.scalar_transform, charsums.correlate
+    counts = charsums._jacobi_counts
 
     def counting_transform(zq, coeffs):
         transforms.append(len(coeffs))
@@ -225,15 +226,22 @@ def test_h_and_B_built_once_per_context(monkeypatch):
         correlations.append((len(u), wrap))
         return correlation(u, v, wrap)
 
+    def counting_counts(fq, u, v):
+        histograms.append((u, v))
+        return counts(fq, u, v)
+
     monkeypatch.setattr(UnramifiedContext, "scalar_transform", counting_transform)
     monkeypatch.setattr(charsums, "correlate", counting_correlate)
+    monkeypatch.setattr(charsums, "_jacobi_counts", counting_counts)
     fq, zq = _pair(7, 1, 3)
     lams = [lam for lam in fq.nonzero_elements() if not (lam + fq.one).is_zero()]
     first = [(sum_h(lam, zq), sum_B(lam, zq)) for lam in lams]
-    # h: two integer correlations, B: one; no p-adic transform
+    # h: two integer correlations, B: one; no p-adic transform.  h reverses
+    # c^(-1,1) into c^(1,-1), so three histograms are counted, not four
     assert transforms == [] and correlations == [(fq.q - 1, 1)] * 3
+    assert len(histograms) == 3
     assert [(sum_h(lam, zq), sum_B(lam, zq)) for lam in lams] == first
-    assert transforms == [] and len(correlations) == 3
+    assert transforms == [] and len(correlations) == 3 and len(histograms) == 3
 
 
 def test_sums_reject_foreign_field():

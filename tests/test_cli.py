@@ -2,10 +2,11 @@ import concurrent.futures
 import csv
 import io
 import json
+from types import SimpleNamespace
 
 import pytest
 
-from padichg import cli
+from padichg import cli, jobs
 from padichg.cli import Config, UsageError, main, parse_args, run
 from padichg.suites import JobSpec
 
@@ -217,6 +218,25 @@ def test_parallel_jobs_match_sequential():
         for rec in json.loads(s.getvalue())
     ]
     assert strip(buf_seq) == strip(buf_par)
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--format", "text"], ["--format", "json"], ["--format", "csv"],
+     ["--format", "csv", "--verbose"]],
+    ids=["text", "json", "csv", "csv-verbose"],
+)  # fmt: skip
+def test_report_bytes_do_not_depend_on_destination(monkeypatch, capsysbinary, tmp_path, flags):
+    # a frozen clock times every job at 0 ms, so two runs write the same report
+    monkeypatch.setattr(jobs, "time", SimpleNamespace(perf_counter=lambda: 0.0))
+    argv = ["--p", "5", "--suite", "all", *flags]
+    out = tmp_path / "report"
+    assert run(parse_args([*argv, "--out", str(out)])) == 0
+    assert run(parse_args(argv)) == 0
+    data = out.read_bytes()
+    assert capsysbinary.readouterr().out == data
+    if "json" in flags:
+        assert data.decode() == json.dumps(json.loads(data), indent=2) + "\n"
 
 
 def _usage_exit(capsys, argv) -> str:
@@ -563,6 +583,7 @@ def test_help_lists_every_setting(capsys):
         (["--jobs", "0"], "jobs must be >= 1"),
         (["--p", "-5."], "argument --p: expected one argument"),
         (["--p", "-\u00b2"], "argument --p: expected one argument"),
+        (["--p", "-5\n"], "p must be an odd prime"),
     ],
 )
 def test_flag_refusals_read_as_argparse_did(capsys, argv, message):

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import pickle
 
 import pytest
@@ -378,9 +379,7 @@ def test_precision_robustness_sample():
         n = default_precision(suite, p, r)
         lo = run_job(JobSpec(p, r, suite, precision=n, record_cases=True))
         hi = run_job(JobSpec(p, r, suite, precision=n + 2, record_cases=True))
-        assert [(c["case"], c["ok"]) for c in lo.case_rows] == [
-            (c["case"], c["ok"]) for c in hi.case_rows
-        ]
+        assert [c[:2] for c in lo.case_rows] == [c[:2] for c in hi.case_rows]
 
 
 def test_contexts_share_defining_polynomial():
@@ -427,11 +426,15 @@ def test_failure_reports_are_unchanged(monkeypatch):
     assert chain.left == "G3=5, h=0.1.0.0 (=5), B=4.4.4.4 (=-1), -phi(2)G2=0"
     assert chain.right == "A=5, a=1, checks=(True, True, False, False, False, True)"
     rows = [row for rep in reports for row in rep.case_rows]
-    assert all(row["left"] == row["right"] == "" for row in rows if row["ok"])
+    assert all(left == right == "" for _, ok, left, right in rows if ok)
     assert [len(rep.failures) for rep in reports] == [4, 3, 0, 20, 5, 3, 3]
     for rep in reports:
         rep.elapsed_ms = 0.0
-    rendered = (_render_json(reports), _render_csv(reports, verbose=True))
+    rendered = []
+    for render in (_render_json, _render_csv):
+        out = io.StringIO()
+        render(reports, out)
+        rendered.append(out.getvalue())
     assert [hashlib.sha256(text.encode()).hexdigest() for text in rendered] == [
         "d8e19466c38c53436717df8547afd76785d821077235ac61079f1428dee671f6",
         "13f3f15d94006bc76d69bd2ac634282195c85e0a7e953b68cf5a7168d8b2a3be",
